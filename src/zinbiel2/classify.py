@@ -12,6 +12,7 @@ budgets are hard limits, and nothing is silently sampled.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,30 +22,28 @@ from .engine import MorphismCtx, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PrimeField
-from .linalg import BilMap, LinMap, TwoVectorSpace, inverse
+from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
 from .unified import ExtendingDatum, build_unified_product, check_datum_direct
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
 
 
+@dataclass(frozen=True, slots=True)
 class RSData:
     """Block-map parameters: r_i: V_i -> Z_i and s_i: V_i -> V_i."""
 
-    __slots__ = ("r1", "r0", "s1", "s0")
+    r1: LinMap
+    r0: LinMap
+    s1: LinMap
+    s0: LinMap
 
-    def __init__(self, r1: LinMap, r0: LinMap, s1: LinMap, s0: LinMap):
+    def __post_init__(self):
+        r1, r0, s1, s0 = self.r1, self.r0, self.s1, self.s0
         if s1.rows != s1.cols or s0.rows != s0.cols:
             raise DimError("s components must be square")
         if r1.cols != s1.cols or r0.cols != s0.cols:
             raise DimError("r and s domains disagree")
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r0", r0)
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s0", s0)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RSData is immutable")
 
     @classmethod
     def identity(cls, field, datum: ExtendingDatum):
@@ -55,13 +54,6 @@ class RSData:
 
     def is_isomorphism_shape(self):
         return inverse(self.s1) is not None and inverse(self.s0) is not None
-
-    def __eq__(self, other):
-        return (isinstance(other, RSData) and self.r1 == other.r1 and self.r0 == other.r0
-                and self.s1 == other.s1 and self.s0 == other.s0)
-
-    def __hash__(self):
-        return hash((self.r1, self.r0, self.s1, self.s0))
 
 
 def _require_compatible(d1: ExtendingDatum, d2: ExtendingDatum):
@@ -80,10 +72,7 @@ def morphism_from_rs(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum) -> TwoM
                            (rs.r0, rs.s0, d1.z.z0.dim, d1.v.dim0)):
         if (r.rows, r.cols) != (nz, mv) or s.rows != mv:
             raise DimError("rs maps do not match the datum dimensions")
-        ident = LinMap.identity(f, nz)
-        rows = [list(ident.entries[i]) + list(r.entries[i]) for i in range(nz)]
-        rows += [[f.zero()] * nz + list(s.entries[i]) for i in range(mv)]
-        out.append(LinMap(f, nz + mv, nz + mv, rows))
+        out.append(upper_block(LinMap.identity(f, nz), r, s))
     return TwoMorphism(out[0], out[1])
 
 
@@ -240,9 +229,10 @@ class EnumerationSpec:
         for attr in fams:
             maps = []
             for j in range(4):
-                proto = getattr(self.base, attr)[j]
-                maps.append(BilMap(self.field, proto.dim_a, proto.dim_b, proto.dim_c,
-                                   fams[attr][j]))
+                proto = getattr(self.base, attr)[j]   # the zero map of this shape
+                coeffs = fams[attr][j]
+                maps.append(BilMap(self.field, proto.dim_a, proto.dim_b, proto.dim_c, coeffs)
+                            if coeffs else proto)
             kwargs[attr] = tuple(maps)
         z0 = self.field.zero()
         sigma = LinMap(self.field, self.z.z0.dim, self.v.dim1,
@@ -251,24 +241,17 @@ class EnumerationSpec:
         return self.base.replace(sigma=sigma, **kwargs)
 
 
-def _scan_chunk(args):
+def _scan_chunk(spec, start, end):
     """Worker: return the valid assignment indices in [start, end)."""
-    payload, start, end = args
-    import json as _json
+    return [index for index in range(start, end)
+            if check_datum_direct(spec.datum_at(index), first_only=True, check_z=False).ok]
 
-    from .io import parse_linmap, parse_two_algebra
-    from .fields import field_from_name
-    obj = _json.loads(payload)
-    field = field_from_name(obj["field"])
-    z = parse_two_algebra(field, obj["z"], "$", None)
-    d = parse_linmap(field, obj["d"], "$", None)
-    spec = EnumerationSpec(field, z, tuple(obj["vdims"]), d)
-    hits = []
-    for index in range(start, end):
-        datum = spec.datum_at(index)
-        if check_datum_direct(datum, first_only=True, check_z=False).ok:
-            hits.append(index)
-    return hits
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
@@ -277,7 +260,8 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
 
     Raises BudgetExceeded (with the exact candidate count) before scanning
     anything if the assignment space is too large, and PreconditionError if
-    z itself is not a valid 2-algebra.
+    z itself is not a valid 2-algebra.  jobs is clamped to [1, min(usable
+    CPUs, number of chunks)]; the order of the data does not depend on it.
     """
     zrep = check_crossed_module(z)
     if not zrep.ok:
@@ -287,22 +271,19 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
         raise BudgetExceeded(
             f"enumeration space has {spec.total} candidates (budget {budget})",
             count=spec.total)
+    jobs = max(1, min(jobs, _usable_cpus()))
+    chunk = max(1, -(-spec.total // (jobs * 8)))
+    starts = range(0, spec.total, chunk)
+    jobs = min(jobs, len(starts))
     if jobs <= 1:
         for index in range(spec.total):
             datum = spec.datum_at(index)
             if check_datum_direct(datum, first_only=True, check_z=False).ok:
                 yield datum
         return
-    from .io import canonical_dumps, linmap_to_json, two_algebra_to_json
-    payload = canonical_dumps({"field": field.name,
-                               "z": two_algebra_to_json(z, kind=None),
-                               "vdims": list(vdims),
-                               "d": linmap_to_json(d)})
-    chunk = max(1, -(-spec.total // (jobs * 8)))
-    ranges = [(payload, lo, min(lo + chunk, spec.total))
-              for lo in range(0, spec.total, chunk)]
+    ends = [min(lo + chunk, spec.total) for lo in starts]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for hits in pool.map(_scan_chunk, ranges):
+        for hits in pool.map(_scan_chunk, [spec] * len(starts), starts, ends):
             for index in hits:
                 yield spec.datum_at(index)
 

@@ -2,13 +2,16 @@
 emit deterministic reports.
 
 Exit codes: 0 all checks clean / construction succeeded; 1 violations found
-(report still emitted); 2 input or schema error; 3 budget exceeded.
+(report still emitted); 2 input or schema error, including --cap below 1;
+3 budget exceeded; 4 internal error (a defect, not a verdict).  classify
+clamps --jobs to [1, min(usable CPUs, number of work chunks)].
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .classify import census as run_census
 from .classify import check_rs_conditions, check_rs_direct
@@ -28,12 +31,16 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
-def _field_override(args):
-    if args.field is None:
-        return None
-    return field_from_name(args.field, allow_small_char=args.allow_small_char)
+def _load(args, kind):
+    """The value of the given kind in args.input, over the --field override if set."""
+    override = (None if args.field is None else
+                field_from_name(args.field, allow_small_char=args.allow_small_char))
+    _, val, _ = load_document(args.input, expect_kind=kind, field_override=override,
+                              allow_small_char=args.allow_small_char)
+    return val
 
 
 def _render_report(rep, fmt, out):
@@ -66,23 +73,17 @@ def _finish_report(rep, args, out):
 
 
 def cmd_check_zinbiel(args, out):
-    _, val, _ = load_document(args.input, expect_kind="zinbiel_algebra",
-                              field_override=_field_override(args),
-                              allow_small_char=args.allow_small_char)
+    val = _load(args, "zinbiel_algebra")
     return _finish_report(check_zinbiel(val, cap=args.cap), args, out)
 
 
 def cmd_check_2alg(args, out):
-    _, val, _ = load_document(args.input, expect_kind="zinbiel_2_algebra",
-                              field_override=_field_override(args),
-                              allow_small_char=args.allow_small_char)
+    val = _load(args, "zinbiel_2_algebra")
     return _finish_report(check_crossed_module(val, cap=args.cap), args, out)
 
 
 def cmd_check_datum(args, out):
-    _, datum, _ = load_document(args.input, expect_kind="extending_datum",
-                                field_override=_field_override(args),
-                                allow_small_char=args.allow_small_char)
+    datum = _load(args, "extending_datum")
     direct = check_datum_direct(datum, cap=args.cap)
     conds = check_datum_conditions(datum, cap=args.cap, check_z=False,
                                    strict_printed=args.typo_strict)
@@ -104,18 +105,14 @@ def cmd_check_datum(args, out):
 
 
 def cmd_build_product(args, out):
-    _, datum, _ = load_document(args.input, expect_kind="extending_datum",
-                                field_override=_field_override(args),
-                                allow_small_char=args.allow_small_char)
+    datum = _load(args, "extending_datum")
     product = build_unified_product(datum)
     out.write(pretty_dumps(two_algebra_to_json(product)))
     return EXIT_OK
 
 
 def cmd_extract_datum(args, out):
-    _, split, _ = load_document(args.input, expect_kind="complement_split",
-                                field_override=_field_override(args),
-                                allow_small_char=args.allow_small_char)
+    split = _load(args, "complement_split")
     datum = extract_datum(split, cap=args.cap)
     psi_rep = verify_psi(split, datum, cap=args.cap)
     if args.format == "json":
@@ -128,47 +125,35 @@ def cmd_extract_datum(args, out):
 
 
 def cmd_check_crossed(args, out):
-    _, cs, _ = load_document(args.input, expect_kind="crossed_system",
-                             field_override=_field_override(args),
-                             allow_small_char=args.allow_small_char)
+    cs = _load(args, "crossed_system")
     rep = check_crossed_system(cs, cap=args.cap, strict_printed=args.typo_strict)
     return _finish_report(rep, args, out)
 
 
 def cmd_check_matched(args, out):
-    _, mp, _ = load_document(args.input, expect_kind="matched_pair",
-                             field_override=_field_override(args),
-                             allow_small_char=args.allow_small_char)
+    mp = _load(args, "matched_pair")
     rep = check_matched_pair(mp, cap=args.cap, strict_printed=args.typo_strict)
     return _finish_report(rep, args, out)
 
 
 def cmd_check_trivial(args, out):
-    _, datum, _ = load_document(args.input, expect_kind="extending_datum",
-                                field_override=_field_override(args),
-                                allow_small_char=args.allow_small_char)
+    datum = _load(args, "extending_datum")
     rep = check_trivial_z1_conditions(datum, cap=args.cap,
                                       strict_printed=args.typo_strict)
     return _finish_report(rep, args, out)
 
 
 def cmd_factorize(args, out):
-    _, split, _ = load_document(args.input, expect_kind="complement_split",
-                                field_override=_field_override(args),
-                                allow_small_char=args.allow_small_char)
-    iota_v1 = LinMap.from_columns(split.field, list(split.vbasis1), split.e.z1.dim) \
-        if split.vbasis1 else LinMap.zero(split.field, split.e.z1.dim, 0)
-    iota_v0 = LinMap.from_columns(split.field, list(split.vbasis0), split.e.z0.dim) \
-        if split.vbasis0 else LinMap.zero(split.field, split.e.z0.dim, 0)
+    split = _load(args, "complement_split")
+    iota_v1 = LinMap.from_columns(split.field, split.vbasis1, split.e.z1.dim)
+    iota_v0 = LinMap.from_columns(split.field, split.vbasis0, split.e.z0.dim)
     mp = factorize(split.e, (split.iota1, split.iota0), (iota_v1, iota_v0))
     out.write(pretty_dumps(matched_pair_to_json(mp)))
     return EXIT_OK
 
 
 def cmd_check_ideal(args, out):
-    _, split, _ = load_document(args.input, expect_kind="complement_split",
-                                field_override=_field_override(args),
-                                allow_small_char=args.allow_small_char)
+    split = _load(args, "complement_split")
     from .io import crossed_system_to_json
     cs = check_ideal_extension(split, cap=args.cap)
     out.write(pretty_dumps(crossed_system_to_json(cs)))
@@ -176,10 +161,7 @@ def cmd_check_ideal(args, out):
 
 
 def cmd_check_morphism(args, out):
-    _, triple, _ = load_document(args.input, expect_kind="rs_morphism",
-                                 field_override=_field_override(args),
-                                 allow_small_char=args.allow_small_char)
-    datum, datum_p, rs = triple
+    datum, datum_p, rs = _load(args, "rs_morphism")
     hrep = check_rs_conditions(rs, datum, datum_p, cap=args.cap,
                                strict_printed=args.typo_strict)
     drep = check_rs_direct(rs, datum, datum_p, cap=args.cap)
@@ -237,6 +219,14 @@ _COMMANDS = {
 }
 
 
+def positive_int(text):
+    """argparse type of --cap: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zinbiel2",
@@ -259,7 +249,7 @@ def build_parser():
                        help="permit GF(2)/GF(3); reports are marked non-conforming")
         p.add_argument("--budget", type=int, default=5 ** 8,
                        help="candidate budget for enumerations")
-        p.add_argument("--cap", type=int, default=100,
+        p.add_argument("--cap", type=positive_int, default=100,
                        help="violation cap per report")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--typo-strict", action="store_true",
@@ -287,6 +277,10 @@ def main(argv=None, out=None):
     except Zinbiel2Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATIONS
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

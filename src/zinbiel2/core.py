@@ -70,8 +70,10 @@ class ConditionReport:
         """Record a violation; returns False once the cap is reached.
 
         A report that filled the cap is marked truncated (evaluation stops
-        there, so further violations may exist).
+        there, so further violations may exist).  The cap must be at least 1.
         """
+        if cap < 1:
+            raise ValueError(f"violation cap must be at least 1, got {cap}")
         if len(self.violations) >= cap:
             self.truncated = True
             return False
@@ -94,89 +96,75 @@ class ConditionReport:
         return self
 
 
+@dataclass(frozen=True, slots=True)
 class ZinbielAlgebra:
     """A candidate algebra: a space with a multiplication tensor."""
 
-    __slots__ = ("field", "dim", "mult")
+    field: object
+    dim: int
+    mult: BilMap
 
-    def __init__(self, field, dim, mult: BilMap):
+    def __post_init__(self):
+        dim, mult = self.dim, self.mult
         if (mult.dim_a, mult.dim_b, mult.dim_c) != (dim, dim, dim):
             raise DimError(f"mult must be {dim}x{dim}->{dim}")
-        if mult.field != field:
+        if mult.field != self.field:
             raise FieldMismatch("mult tensor over wrong field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "mult", mult)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ZinbielAlgebra is immutable")
 
     @classmethod
     def zero(cls, field, dim):
         return cls(field, dim, BilMap.zero(field, dim, dim, dim))
 
-    def __eq__(self, other):
-        return (isinstance(other, ZinbielAlgebra) and self.field == other.field
-                and self.dim == other.dim and self.mult == other.mult)
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.mult))
-
     def __repr__(self):
         return f"ZinbielAlgebra({self.field.name}, dim={self.dim})"
 
 
+@dataclass(frozen=True, slots=True)
 class BimodulePair:
     """Action tensors: left z|>v (dz x dv -> dv) and right v<|z (dv x dz -> dv)."""
 
-    __slots__ = ("left", "right", "dim_z", "dim_v")
+    left: BilMap
+    right: BilMap
 
-    def __init__(self, left: BilMap, right: BilMap):
+    def __post_init__(self):
+        left, right = self.left, self.right
         dz, dv = left.dim_a, left.dim_b
         if (left.dim_c != dv or (right.dim_a, right.dim_b, right.dim_c) != (dv, dz, dv)):
             raise DimError("action tensors have inconsistent dimensions")
         if left.field != right.field:
             raise FieldMismatch("action tensors over different fields")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "dim_z", dz)
-        object.__setattr__(self, "dim_v", dv)
 
-    def __setattr__(self, *_):
-        raise AttributeError("BimodulePair is immutable")
+    @property
+    def dim_z(self):
+        return self.left.dim_a
+
+    @property
+    def dim_v(self):
+        return self.left.dim_b
 
     @classmethod
     def trivial(cls, field, dim_z, dim_v):
         return cls(BilMap.zero(field, dim_z, dim_v, dim_v),
                    BilMap.zero(field, dim_v, dim_z, dim_v))
 
-    def __eq__(self, other):
-        return (isinstance(other, BimodulePair) and self.left == other.left
-                and self.right == other.right)
 
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-
+@dataclass(frozen=True, slots=True)
 class ZinbielTwoAlgebra:
     """Candidate 2-algebra: (Z1, Z0, phi, action of Z0 on Z1)."""
 
-    __slots__ = ("z1", "z0", "phi", "act")
+    z1: ZinbielAlgebra
+    z0: ZinbielAlgebra
+    phi: LinMap
+    act: BimodulePair
 
-    def __init__(self, z1: ZinbielAlgebra, z0: ZinbielAlgebra, phi: LinMap, act: BimodulePair):
+    def __post_init__(self):
+        z1, z0, phi, act = self.z1, self.z0, self.phi, self.act
         if z1.field != z0.field or phi.field != z0.field or act.left.field != z0.field:
             raise FieldMismatch("components over different fields")
         if (phi.cols, phi.rows) != (z1.dim, z0.dim):
             raise DimError(f"phi must be {z0.dim}x{z1.dim}")
         if (act.dim_z, act.dim_v) != (z0.dim, z1.dim):
             raise DimError("action dimensions must match (dim Z0, dim Z1)")
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z0", z0)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "act", act)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ZinbielTwoAlgebra is immutable")
 
     @property
     def field(self):
@@ -195,37 +183,20 @@ class ZinbielTwoAlgebra:
         return cls(z, z, LinMap.identity(z.field, z.dim),
                    BimodulePair(z.mult, z.mult))
 
-    def __eq__(self, other):
-        return (isinstance(other, ZinbielTwoAlgebra) and self.z1 == other.z1
-                and self.z0 == other.z0 and self.phi == other.phi and self.act == other.act)
-
-    def __hash__(self):
-        return hash((self.z1, self.z0, self.phi, self.act))
-
     def __repr__(self):
         return f"ZinbielTwoAlgebra({self.field.name}, dims=({self.z1.dim},{self.z0.dim}))"
 
 
+@dataclass(frozen=True, slots=True)
 class TwoMorphism:
     """A pair of linear maps between the levels of two 2-algebras."""
 
-    __slots__ = ("phi1", "phi0")
+    phi1: LinMap
+    phi0: LinMap
 
-    def __init__(self, phi1: LinMap, phi0: LinMap):
-        if phi1.field != phi0.field:
+    def __post_init__(self):
+        if self.phi1.field != self.phi0.field:
             raise FieldMismatch("morphism components over different fields")
-        object.__setattr__(self, "phi1", phi1)
-        object.__setattr__(self, "phi0", phi0)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TwoMorphism is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, TwoMorphism) and self.phi1 == other.phi1
-                and self.phi0 == other.phi0)
-
-    def __hash__(self):
-        return hash((self.phi1, self.phi0))
 
 
 def check_zinbiel(alg: ZinbielAlgebra, cap=DEFAULT_VIOLATION_CAP, first_only=False):

@@ -228,32 +228,29 @@ def evaluate_conditions(ctx, table, cap=DEFAULT_VIOLATION_CAP, first_only=False,
     verdict; each suspect condition also gets a FlagNote recording whether
     the form as originally printed disagrees with the corrected form on this
     input.  With strict_printed=True such disagreements are added as
-    violations with id "<cid>.as-printed".
+    violations with id "<cid>.as-printed".  Flags are emitted even when the
+    report stops early at the cap or at the first violation.
     """
     report = ConditionReport(conforming_field=ctx.field.conforming)
     suspect_disagrees = {}
-    for cond in table.conds:
-        tuples = _grid(ctx.dims, cond.spaces)
-        for idx in tuples:
-            elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
-            lhs, rhs = cond.fn(ctx, *elts)
-            if lhs.space != rhs.space:
-                raise DimError(f"{cond.cid}: sides live in {lhs.space} vs {rhs.space}")
-            witness = idx if cond.level is None else (cond.level,) + idx
-            if lhs.vec != rhs.vec:
-                if not report.add(cond.cid, witness, lhs.vec, rhs.vec, cap):
-                    return report.finalize()
-                if first_only:
-                    return report.finalize()
-            if cond.as_printed is not None:
-                plhs, prhs = cond.as_printed(ctx, *elts)
-                printed_viol = plhs.vec != prhs.vec
-                if printed_viol != (lhs.vec != rhs.vec):
-                    suspect_disagrees[cond.cid] = True
-                    if strict_printed:
-                        if not report.add(f"{cond.cid}.as-printed", witness,
-                                          plhs.vec, prhs.vec, cap):
-                            return report.finalize()
+    instances = ((cond, idx) for cond in table.conds for idx in _grid(ctx.dims, cond.spaces))
+    for cond, idx in instances:
+        elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
+        lhs, rhs = cond.fn(ctx, *elts)
+        if lhs.space != rhs.space:
+            raise DimError(f"{cond.cid}: sides live in {lhs.space} vs {rhs.space}")
+        witness = idx if cond.level is None else (cond.level,) + idx
+        if lhs.vec != rhs.vec:
+            if not report.add(cond.cid, witness, lhs.vec, rhs.vec, cap) or first_only:
+                break
+        if cond.as_printed is not None:
+            plhs, prhs = cond.as_printed(ctx, *elts)
+            printed_viol = plhs.vec != prhs.vec
+            if printed_viol != (lhs.vec != rhs.vec):
+                suspect_disagrees[cond.cid] = True
+                if strict_printed and not report.add(f"{cond.cid}.as-printed", witness,
+                                                     plhs.vec, prhs.vec, cap):
+                    break
     for cond in table.conds:
         if cond.suspect is not None and (cond.level is None or cond.level == 0):
             report.flags.append(FlagNote(cond.cid, cond.suspect,

@@ -46,6 +46,14 @@ class Rationals:
     def of_int(self, n):
         return Fraction(n)
 
+    def canonical(self, a):
+        """a as a Fraction; TypeError unless a is an int or a Fraction."""
+        if type(a) is Fraction:
+            return a
+        if type(a) is int:
+            return Fraction(a)
+        raise TypeError(f"Q scalar must be an int or a Fraction, got {type(a).__name__}")
+
     def add(self, a, b):
         return a + b
 
@@ -111,6 +119,12 @@ class PrimeField:
 
     def of_int(self, n):
         return n % self.p
+
+    def canonical(self, a):
+        """a as a residue in 0..p-1; TypeError unless a is an int."""
+        if type(a) is not int:
+            raise TypeError(f"GF({self.p}) scalar must be an int, got {type(a).__name__}")
+        return a % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

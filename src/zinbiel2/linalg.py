@@ -4,10 +4,13 @@ Vectors are plain tuples of field scalars.  LinMap is a dense matrix; BilMap
 is a sparse order-3 tensor c[k][i][j] holding the structure constants of a
 bilinear map A x B -> C, stored with canonical lexicographic (k, i, j) key
 order so that equal tensors are identical objects under == and serialize
-byte-identically.  Everything is immutable after construction.
+byte-identically.  The value classes are frozen dataclasses whose
+constructors reduce every scalar to its canonical form.
 """
 
 from __future__ import annotations
+
+from dataclasses import InitVar, dataclass, field as dc_field
 
 from .errors import DimError, FieldMismatch
 
@@ -51,25 +54,24 @@ def is_zero_vec(field, a):
     return all(x == z for x in a)
 
 
+@dataclass(frozen=True, slots=True)
 class LinMap:
     """Dense cod_dim x dom_dim matrix over an exact field."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_hash")
+    field: object
+    rows: int
+    cols: int
+    entries: tuple
 
-    def __init__(self, field, rows, cols, entries):
+    def __post_init__(self):
+        rows, cols = self.rows, self.cols
         if rows < 0 or cols < 0:
             raise DimError("negative dimension")
-        entries = tuple(tuple(r) for r in entries)
+        canonical = self.field.canonical
+        entries = tuple([tuple(map(canonical, r)) for r in self.entries])
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimError(f"entries are not a {rows}x{cols} matrix")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LinMap is immutable")
 
     @classmethod
     def zero(cls, field, rows, cols):
@@ -83,7 +85,7 @@ class LinMap:
 
     @classmethod
     def from_columns(cls, field, cols_list, rows):
-        """Build from a list of column vectors."""
+        """Build from a list of column vectors (no columns: a rows x 0 map)."""
         cols = len(cols_list)
         for c in cols_list:
             if len(c) != rows:
@@ -128,56 +130,56 @@ class LinMap:
         z = self.field.zero()
         return all(a == z for row in self.entries for a in row)
 
-    def __eq__(self, other):
-        return (isinstance(other, LinMap) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.field, self.rows, self.cols, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __repr__(self):
         return f"LinMap({self.field.name}, {self.rows}x{self.cols})"
 
 
+def upper_block(a: LinMap, b: LinMap, c: LinMap) -> LinMap:
+    """The block matrix [[a, b], [0, c]]: (x, u) -> (a x + b u, c u)."""
+    if a.rows != b.rows or b.cols != c.cols:
+        raise DimError("blocks of [[a, b], [0, c]] do not fit together")
+    zero_row = (a.field.zero(),) * a.cols
+    rows = [ra + rb for ra, rb in zip(a.entries, b.entries)]
+    rows += [zero_row + rc for rc in c.entries]
+    return LinMap(a.field, a.rows + c.rows, a.cols + c.cols, rows)
+
+
+@dataclass(frozen=True, slots=True)
 class BilMap:
     """Sparse structure-constant tensor of a bilinear map A x B -> C.
 
-    coeffs maps (k, i, j) -> scalar with eval(e_i, e_j)_k = coeffs[k, i, j];
-    zero entries are never stored and keys are kept in sorted order.
+    coeffs maps (k, i, j) -> scalar with eval(e_i, e_j)_k = coeffs[k, i, j]
+    (a dict or an iterable of such pairs); it is stored as `items`, the
+    nonzero (k, i, j, scalar) entries in sorted order.
     """
 
-    __slots__ = ("field", "dim_a", "dim_b", "dim_c", "items", "_by_ij", "_hash")
+    field: object
+    dim_a: int
+    dim_b: int
+    dim_c: int
+    coeffs: InitVar[object]
+    items: tuple = dc_field(init=False)
+    _by_ij: dict = dc_field(init=False, repr=False, compare=False)
 
-    def __init__(self, field, dim_a, dim_b, dim_c, coeffs):
-        if min(dim_a, dim_b, dim_c) < 0:
+    def __post_init__(self, coeffs):
+        dim_a, dim_b, dim_c = self.dim_a, self.dim_b, self.dim_c
+        if dim_a < 0 or dim_b < 0 or dim_c < 0:
             raise DimError("negative dimension")
-        z = field.zero()
+        canonical, z = self.field.canonical, self.field.zero()
         cleaned = {}
         for (k, i, j), val in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
             if not (0 <= k < dim_c and 0 <= i < dim_a and 0 <= j < dim_b):
                 raise DimError(f"coefficient index {(k, i, j)} out of range for "
                                f"{dim_a}x{dim_b}->{dim_c}")
+            val = canonical(val)
             if val != z:
                 cleaned[(k, i, j)] = val
-        items = tuple(sorted((k, i, j, v) for (k, i, j), v in cleaned.items()))
-        by_ij = {}
+        items = tuple([(k, i, j, v) for (k, i, j), v in sorted(cleaned.items())])
+        by_ij = {}      # (i, j) -> [(k, scalar), ...], read by eval and eval_bb
         for k, i, j, v in items:
             by_ij.setdefault((i, j), []).append((k, v))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "dim_c", dim_c)
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_by_ij", {ij: tuple(kv) for ij, kv in by_ij.items()})
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BilMap is immutable")
+        object.__setattr__(self, "_by_ij", by_ij)
 
     @classmethod
     def zero(cls, field, dim_a, dim_b, dim_c):
@@ -230,44 +232,22 @@ class BilMap:
     def is_zero(self):
         return not self.items
 
-    def __eq__(self, other):
-        return (isinstance(other, BilMap) and self.field == other.field
-                and self.dim_a == other.dim_a and self.dim_b == other.dim_b
-                and self.dim_c == other.dim_c and self.items == other.items)
-
-    def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.field, self.dim_a, self.dim_b, self.dim_c, self.items))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __repr__(self):
         return (f"BilMap({self.field.name}, {self.dim_a}x{self.dim_b}->{self.dim_c}, "
                 f"{len(self.items)} entries)")
 
 
+@dataclass(frozen=True, slots=True)
 class TwoVectorSpace:
     """A pair of spaces with a connecting linear map d: dim1 -> dim0."""
 
-    __slots__ = ("dim1", "dim0", "d")
+    dim1: int
+    dim0: int
+    d: LinMap
 
-    def __init__(self, dim1, dim0, d: LinMap):
-        if d.cols != dim1 or d.rows != dim0:
-            raise DimError(f"d must be {dim0}x{dim1}, got {d.rows}x{d.cols}")
-        object.__setattr__(self, "dim1", dim1)
-        object.__setattr__(self, "dim0", dim0)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TwoVectorSpace is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, TwoVectorSpace) and self.dim1 == other.dim1
-                and self.dim0 == other.dim0 and self.d == other.d)
-
-    def __hash__(self):
-        return hash((self.dim1, self.dim0, self.d))
+    def __post_init__(self):
+        if self.d.cols != self.dim1 or self.d.rows != self.dim0:
+            raise DimError(f"d must be {self.dim0}x{self.dim1}, got {self.d.rows}x{self.d.cols}")
 
 
 # Gaussian elimination utilities (exact, desk scale).

@@ -10,18 +10,23 @@ conds_unified.py and are cross-validated against the oracle.
 
 from __future__ import annotations
 
+import dataclasses
+from dataclasses import dataclass
+
 from .core import (ConditionReport, ZinbielAlgebra, ZinbielTwoAlgebra,
                    BimodulePair, TwoMorphism, DEFAULT_VIOLATION_CAP,
                    check_crossed_module, check_2alg_morphism)
 from .engine import (DatumCtx, HR_DOM, HL_DOM, TR_DOM, TL_DOM, OM_DOM, ST_DOM,
                      evaluate_conditions)
 from .errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
-from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, vbasis, is_zero_vec
+from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, is_zero_vec,
+                     upper_block, vbasis)
 
 _FAMS = (("hr", HR_DOM), ("hl", HL_DOM), ("tr", TR_DOM), ("tl", TL_DOM),
          ("om", OM_DOM), ("st", ST_DOM))
 
 
+@dataclass(frozen=True, slots=True)
 class ExtendingDatum:
     """The 24 structure maps + sigma over a fixed Z and 2-vector space V.
 
@@ -34,14 +39,21 @@ class ExtendingDatum:
     level 1; 3: mixed V1/Z1 against level 0) and sigma: V1 -> Z0.
     """
 
-    __slots__ = ("z", "v", "hr", "hl", "tr", "tl", "om", "st", "sigma")
+    z: ZinbielTwoAlgebra
+    v: TwoVectorSpace
+    hr: tuple
+    hl: tuple
+    tr: tuple
+    tl: tuple
+    om: tuple
+    st: tuple
+    sigma: LinMap
 
-    def __init__(self, z: ZinbielTwoAlgebra, v: TwoVectorSpace,
-                 hr, hl, tr, tl, om, st, sigma: LinMap):
+    def __post_init__(self):
+        z, v, sigma = self.z, self.v, self.sigma
         dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
-        for fam_name, fam_dom, maps in (("hr", HR_DOM, hr), ("hl", HL_DOM, hl),
-                                        ("tr", TR_DOM, tr), ("tl", TL_DOM, tl),
-                                        ("om", OM_DOM, om), ("st", ST_DOM, st)):
+        for fam_name, fam_dom in _FAMS:
+            maps = tuple(getattr(self, fam_name))
             if len(maps) != 4:
                 raise DimError(f"{fam_name} must have 4 components")
             for j, m in enumerate(maps):
@@ -52,22 +64,11 @@ class ExtendingDatum:
                         f"got {m.dim_a}x{m.dim_b}->{m.dim_c}")
                 if m.field != z.field:
                     raise FieldMismatch(f"{fam_name}[{j}] over wrong field")
+            object.__setattr__(self, fam_name, maps)
         if (sigma.cols, sigma.rows) != (v.dim1, z.z0.dim):
             raise DimError(f"sigma must be {z.z0.dim}x{v.dim1}")
         if sigma.field != z.field:
             raise FieldMismatch("sigma over wrong field")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "hr", tuple(hr))
-        object.__setattr__(self, "hl", tuple(hl))
-        object.__setattr__(self, "tr", tuple(tr))
-        object.__setattr__(self, "tl", tuple(tl))
-        object.__setattr__(self, "om", tuple(om))
-        object.__setattr__(self, "st", tuple(st))
-        object.__setattr__(self, "sigma", sigma)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExtendingDatum is immutable")
 
     @property
     def field(self):
@@ -86,53 +87,38 @@ class ExtendingDatum:
 
     def replace(self, **kwargs):
         """Copy with some map families replaced."""
-        fields = {name: getattr(self, name) for name in
-                  ("z", "v", "hr", "hl", "tr", "tl", "om", "st", "sigma")}
-        fields.update(kwargs)
-        return ExtendingDatum(fields["z"], fields["v"], fields["hr"], fields["hl"],
-                              fields["tr"], fields["tl"], fields["om"], fields["st"],
-                              fields["sigma"])
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtendingDatum) and self.z == other.z
-                and self.v == other.v and self.sigma == other.sigma
-                and all(getattr(self, n) == getattr(other, n)
-                        for n in ("hr", "hl", "tr", "tl", "om", "st")))
-
-    def __hash__(self):
-        return hash((self.z, self.v, self.hr, self.hl, self.tr, self.tl,
-                     self.om, self.st, self.sigma))
+        return dataclasses.replace(self, **kwargs)
 
     def __repr__(self):
         dims = (self.z.z1.dim, self.z.z0.dim, self.v.dim1, self.v.dim0)
         return f"ExtendingDatum({self.field.name}, dims Z1,Z0,V1,V0={dims})"
 
 
+# Operation j of a 2-algebra (0: level-0 mult, 1: level-1 mult, 2: left
+# action, 3: right action) as (level of slot a, level of slot b, result level).
+_OP_LEVELS = ((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))
+
+
+def _ops(t: ZinbielTwoAlgebra):
+    """The four structure tensors of t in operation order."""
+    return (t.z0.mult, t.z1.mult, t.act.left, t.act.right)
+
+
 def _assemble(field, nz_a, nv_a, nz_b, nv_b, nz_c, nv_c,
-              zz_z, zv_z, zv_v, vz_z, vz_v, vv_z, vv_v, zz_v=None):
+              zz_z, zv_z, zv_v, vz_z, vz_v, vv_z, vv_v):
     """Direct-sum bilinear map from block components.
 
-    Blocks are named by argument origin (z/v per slot) and target component;
-    a missing block is zero.  Basis order is Z indices then V indices.
+    Blocks are named by argument origin (z/v per slot) and target component.
+    Basis order is Z indices then V indices.
     """
-    dim_a, dim_b, dim_c = nz_a + nv_a, nz_b + nv_b, nz_c + nv_c
     coeffs = {}
-
-    def put(tensor, a_off, b_off, c_off):
-        if tensor is None:
-            return
+    for tensor, a_off, b_off, c_off in ((zz_z, 0, 0, 0), (zv_z, 0, nz_b, 0),
+                                        (zv_v, 0, nz_b, nz_c), (vz_z, nz_a, 0, 0),
+                                        (vz_v, nz_a, 0, nz_c), (vv_z, nz_a, nz_b, 0),
+                                        (vv_v, nz_a, nz_b, nz_c)):
         for (k, i, j, val) in tensor.items:
             coeffs[(k + c_off, i + a_off, j + b_off)] = val
-
-    put(zz_z, 0, 0, 0)
-    put(zz_v, 0, 0, nz_c)
-    put(zv_z, 0, nz_b, 0)
-    put(zv_v, 0, nz_b, nz_c)
-    put(vz_z, nz_a, 0, 0)
-    put(vz_v, nz_a, 0, nz_c)
-    put(vv_z, nz_a, nz_b, 0)
-    put(vv_v, nz_a, nz_b, nz_c)
-    return BilMap(field, dim_a, dim_b, dim_c, coeffs)
+    return BilMap(field, nz_a + nv_a, nz_b + nv_b, nz_c + nv_c, coeffs)
 
 
 def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
@@ -143,34 +129,17 @@ def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
     """
     z, v = datum.z, datum.v
     f = datum.field
-    n1, n0, m1, m0 = z.z1.dim, z.z0.dim, v.dim1, v.dim0
-    mult0 = _assemble(f, n0, m0, n0, m0, n0, m0,
-                      zz_z=z.z0.mult, zv_z=datum.hl[0], zv_v=datum.tr[0],
-                      vz_z=datum.hr[0], vz_v=datum.tl[0],
-                      vv_z=datum.om[0], vv_v=datum.st[0])
-    mult1 = _assemble(f, n1, m1, n1, m1, n1, m1,
-                      zz_z=z.z1.mult, zv_z=datum.hl[1], zv_v=datum.tr[1],
-                      vz_z=datum.hr[1], vz_v=datum.tl[1],
-                      vv_z=datum.om[1], vv_v=datum.st[1])
-    act_left = _assemble(f, n0, m0, n1, m1, n1, m1,
-                         zz_z=z.act.left, zv_z=datum.hl[2], zv_v=datum.tr[2],
-                         vz_z=datum.hr[2], vz_v=datum.tl[2],
-                         vv_z=datum.om[2], vv_v=datum.st[2])
-    act_right = _assemble(f, n1, m1, n0, m0, n1, m1,
-                          zz_z=z.act.right, zv_z=datum.hl[3], zv_v=datum.tr[3],
-                          vz_z=datum.hr[3], vz_v=datum.tl[3],
-                          vv_z=datum.om[3], vv_v=datum.st[3])
+    nz, nv = (z.z0.dim, z.z1.dim), (v.dim0, v.dim1)
+    mult0, mult1, act_left, act_right = (
+        _assemble(f, nz[la], nv[la], nz[lb], nv[lb], nz[lc], nv[lc], zz,
+                  datum.hl[j], datum.tr[j], datum.hr[j], datum.tl[j],
+                  datum.om[j], datum.st[j])
+        for j, ((la, lb, lc), zz) in enumerate(zip(_OP_LEVELS, _ops(z))))
     # phi_E(x, u) = (phi(x) + sigma(u), d(u))
-    phi_rows = []
-    for r in range(n0):
-        phi_rows.append(list(z.phi.entries[r]) + list(datum.sigma.entries[r]))
-    zero_row = [f.zero()] * n1
-    for r in range(m0):
-        phi_rows.append(zero_row + list(v.d.entries[r]))
-    phi_e = LinMap(f, n0 + m0, n1 + m1, phi_rows)
-    e1 = ZinbielAlgebra(f, n1 + m1, mult1)
-    e0 = ZinbielAlgebra(f, n0 + m0, mult0)
-    return ZinbielTwoAlgebra(e1, e0, phi_e, BimodulePair(act_left, act_right))
+    phi_e = upper_block(z.phi, datum.sigma, v.d)
+    return ZinbielTwoAlgebra(ZinbielAlgebra(f, nz[1] + nv[1], mult1),
+                             ZinbielAlgebra(f, nz[0] + nv[0], mult0),
+                             phi_e, BimodulePair(act_left, act_right))
 
 
 def _require_valid_z(z: ZinbielTwoAlgebra, cap):
@@ -213,6 +182,7 @@ def check_trivial_z1_conditions(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP
                                first_only=first_only, strict_printed=strict_printed)
 
 
+@dataclass(frozen=True, slots=True)
 class ComplementSplit:
     """An ambient 2-algebra E with an embedded copy of Z and projections.
 
@@ -221,21 +191,28 @@ class ComplementSplit:
     kernel basis.  Checked at construction: retraction identity and ranks.
     """
 
-    __slots__ = ("e", "iota1", "iota0", "p1", "p0", "vbasis1", "vbasis0")
+    e: ZinbielTwoAlgebra
+    iota1: LinMap
+    iota0: LinMap
+    p1: LinMap
+    p0: LinMap
+    vbasis1: tuple = None
+    vbasis0: tuple = None
 
-    def __init__(self, e: ZinbielTwoAlgebra, iota1: LinMap, iota0: LinMap,
-                 p1: LinMap, p0: LinMap, vbasis1=None, vbasis0=None):
-        for (iota, p, dim_e, lvl) in ((iota1, p1, e.z1.dim, 1), (iota0, p0, e.z0.dim, 0)):
+    def __post_init__(self):
+        e = self.e
+        for (iota, p, dim_e, lvl) in ((self.iota1, self.p1, e.z1.dim, 1),
+                                      (self.iota0, self.p0, e.z0.dim, 0)):
             if iota.rows != dim_e or p.cols != dim_e or iota.cols != p.rows:
                 raise DimError(f"level-{lvl} split maps have inconsistent shapes")
             comp = p.compose(iota)
             if comp != LinMap.identity(e.field, iota.cols):
                 raise DimError(f"p{lvl} o iota{lvl} is not the identity")
         z = e.field.zero()
-        chosen = []
-        for p, given, lvl in ((p1, vbasis1, 1), (p0, vbasis0, 0)):
+        for p, name, lvl in ((self.p1, "vbasis1", 1), (self.p0, "vbasis0", 0)):
+            given = getattr(self, name)
             if given is None:
-                chosen.append(tuple(kernel_basis(p)))
+                object.__setattr__(self, name, tuple(kernel_basis(p)))
                 continue
             given = tuple(tuple(v) for v in given)
             if len(given) != p.cols - p.rows:
@@ -243,17 +220,7 @@ class ComplementSplit:
             for v in given:
                 if any(x != z for x in p.apply(v)):
                     raise DimError(f"level-{lvl} complement basis not in ker(p)")
-            chosen.append(given)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "iota1", iota1)
-        object.__setattr__(self, "iota0", iota0)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "vbasis1", chosen[0])
-        object.__setattr__(self, "vbasis0", chosen[1])
-
-    def __setattr__(self, *_):
-        raise AttributeError("ComplementSplit is immutable")
+            object.__setattr__(self, name, given)
 
     @property
     def field(self):
@@ -270,7 +237,7 @@ def _coordinate_maps(split):
     for iota, vecs, dim_e in ((split.iota1, split.vbasis1, split.e.z1.dim),
                               (split.iota0, split.vbasis0, split.e.z0.dim)):
         cols = [iota.column(j) for j in range(iota.cols)] + list(vecs)
-        b = LinMap.from_columns(f, cols, dim_e) if cols else LinMap.zero(f, dim_e, 0)
+        b = LinMap.from_columns(f, cols, dim_e)
         if b.rows != b.cols:
             raise DimError("split does not decompose E as Z + V")
         binv = inverse(b)
@@ -311,12 +278,8 @@ def extract_datum(split: ComplementSplit, check_e=True,
                0: [split.iota0.column(j) for j in range(n0)]}
     v_embed = {1: list(split.vbasis1), 0: list(split.vbasis0)}
 
-    ops = {  # op -> (level of slot a, level of slot b, result level, tensor)
-        0: (0, 0, 0, e.z0.mult),
-        1: (1, 1, 1, e.z1.mult),
-        2: (0, 1, 1, e.act.left),
-        3: (1, 0, 1, e.act.right),
-    }
+    # op j -> (level of slot a, level of slot b, result level, tensor)
+    ops = {j: (*levels, tensor) for j, (levels, tensor) in enumerate(zip(_OP_LEVELS, _ops(e)))}
 
     # Subalgebra closure of the iota images, and the induced Z structure.
     induced = {}
@@ -396,7 +359,7 @@ def extract_datum(split: ComplementSplit, check_e=True,
     mult1 = BilMap.from_basis_function(f, n1, n1, n1, lambda i, k: induced[1][(i, k)])
     act_l = BilMap.from_basis_function(f, n0, n1, n1, lambda i, k: induced[2][(i, k)])
     act_r = BilMap.from_basis_function(f, n1, n0, n1, lambda i, k: induced[3][(i, k)])
-    phi = LinMap.from_columns(f, phi_vals, n0) if n1 else LinMap.zero(f, n0, 0)
+    phi = LinMap.from_columns(f, phi_vals, n0)
     z = ZinbielTwoAlgebra(ZinbielAlgebra(f, n1, mult1), ZinbielAlgebra(f, n0, mult0),
                           phi, BimodulePair(act_l, act_r))
     v = TwoVectorSpace(m1, m0, d)
@@ -413,14 +376,8 @@ def extract_datum(split: ComplementSplit, check_e=True,
 
 def psi_morphism(split: ComplementSplit, datum: ExtendingDatum) -> TwoMorphism:
     """psi_i(x, u) = iota_i(x) + embed_V(u), from the rebuilt product to E."""
-    f = split.field
-    cols1 = [split.iota1.column(j) for j in range(split.iota1.cols)] + list(split.vbasis1)
-    cols0 = [split.iota0.column(j) for j in range(split.iota0.cols)] + list(split.vbasis0)
-    phi1 = (LinMap.from_columns(f, cols1, split.e.z1.dim)
-            if cols1 else LinMap.zero(f, split.e.z1.dim, 0))
-    phi0 = (LinMap.from_columns(f, cols0, split.e.z0.dim)
-            if cols0 else LinMap.zero(f, split.e.z0.dim, 0))
-    return TwoMorphism(phi1, phi0)
+    (b1, _), (b0, _) = _coordinate_maps(split)
+    return TwoMorphism(b1, b0)
 
 
 def verify_psi(split: ComplementSplit, datum: ExtendingDatum,

@@ -1,9 +1,11 @@
+import os
 import random
 from pathlib import Path
 
 import pytest
 
 from helpers import rand_sparse_datum, scalar_bilmap, zero_two_algebra
+from zinbiel2 import classify
 from zinbiel2.classify import (RSData, are_equivalent, census, check_rs_conditions,
                                check_rs_direct, compute_quotients,
                                enumerate_valid_data, morphism_from_rs,
@@ -243,3 +245,32 @@ def test_refinement_on_census():
         owners = {next(i for i, orb in enumerate(eq.orbits) if m in orb)
                   for m in corbit}
         assert len(owners) == 1   # each cohomology class sits inside one orbit
+
+
+def test_jobs_clamped_to_usable_cpus(monkeypatch):
+    seen = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", SerialPool)
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    args = (F5, z, (0, 1), LinMap.zero(F5, 1, 0))
+    serial = list(enumerate_valid_data(*args))
+    clamped = list(enumerate_valid_data(*args, jobs=10 ** 6))
+    assert clamped == serial and len(serial) == 5
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert all(1 < n <= cpus for n in seen)
+    assert len(seen) == (1 if cpus > 1 else 0)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from zinbiel2 import cli
 from zinbiel2.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -66,6 +67,25 @@ def test_exit_codes():
     assert run_cli(["check-zinbiel", "data/no_such_file.json"])[0] == 2
     assert run_cli(["classify", "--field", "gf5", "--z", "data/z_zero_01.json",
                     "--vdims", "0,1", "--budget", "10"])[0] == 3
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_is_refused(cap):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["check-zinbiel", "data/dim1_idempotent.json", "--cap", cap])
+    assert exc.value.code == 2
+
+
+def test_internal_error_gets_its_own_exit_code(monkeypatch, capsys):
+    def broken_census(*args, **kwargs):
+        raise AssertionError("refinement violated: |HE2| > |HC2|")
+    monkeypatch.setattr(cli, "run_census", broken_census)
+    code, text = run_cli(["classify", "--field", "gf5", "--z", "data/z_zero_01.json",
+                          "--vdims", "0,1"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert text == ""
+    assert ("internal error: AssertionError: refinement violated: |HE2| > |HC2|"
+            in capsys.readouterr().err.splitlines())
 
 
 def test_text_report_cites_witness_one_based():

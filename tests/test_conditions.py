@@ -150,9 +150,14 @@ def test_zz19_flagged_and_corrected_form_matches_oracle():
 def test_flags_present_for_suspect_conditions():
     z = shell_z01()
     v = TwoVectorSpace(1, 1, LinMap.zero(F5, 1, 1))
-    rep = check_trivial_z1_conditions(ExtendingDatum.trivial(z, v))
-    flagged = {fl.cond for fl in rep.flags}
-    assert {"ZZ12", "ZZ19"} <= flagged
+    base = ExtendingDatum.trivial(z, v)
+    # st[0] = e.e = e breaks the Zinbiel identity on V0, so cap=1 truncates
+    failing = base.replace(st=(scalar_bilmap(F5, 1),) + base.st[1:])
+    for datum, cap in ((base, 100), (failing, 1)):
+        rep = check_trivial_z1_conditions(datum, cap=cap)
+        assert rep.truncated == (cap == 1)
+        flagged = {fl.cond for fl in rep.flags}
+        assert {"ZZ12", "ZZ19"} <= flagged
     rep2 = check_datum_conditions(ExtendingDatum.trivial(z, v))
     assert rep2.flags == []   # no suspect entries in the full Z catalog
 

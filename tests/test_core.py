@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import (rand_zinbiel_algebra, scalar_bilmap, zero_two_algebra)
-from zinbiel2.core import (BimodulePair, TwoMorphism, ZinbielAlgebra,
+from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_action,
                            check_bimodule, check_crossed_module, check_zinbiel,
                            semidirect_product)
@@ -347,3 +347,9 @@ def test_report_merge_is_canonically_sorted():
     rep = check_crossed_module(ZinbielTwoAlgebra.cone(bad))
     keys = [v.sort_key() for v in rep.violations]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_report_refuses_cap_below_one(cap):
+    with pytest.raises(ValueError):
+        ConditionReport().add("ZI", (0, 0, 0), (1,), (2,), cap)

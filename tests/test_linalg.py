@@ -107,6 +107,22 @@ def test_bilmap_canonical_equality():
     assert b1.items == ((0, 1, 1, 3), (1, 0, 0, 2))
 
 
+def test_constructors_reduce_scalars_to_canonical_form():
+    assert BilMap(F5, 1, 1, 1, {(0, 0, 0): 5}).is_zero()
+    assert BilMap(F5, 1, 1, 1, {(0, 0, 0): 7}).items == ((0, 0, 0, 2),)
+    assert LinMap(F5, 1, 1, [[6]]) == LinMap.identity(F5, 1)
+    assert LinMap(Q, 1, 1, [[2]]).entries == ((Fraction(2),),)
+
+
+def test_constructors_reject_scalars_of_the_wrong_type():
+    with pytest.raises(TypeError):
+        LinMap(F5, 1, 1, [[1.0]])
+    with pytest.raises(TypeError):
+        BilMap(F5, 1, 1, 1, {(0, 0, 0): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        LinMap(Q, 1, 1, [["1"]])
+
+
 def test_rref_inverse_kernel_solve():
     m = LinMap(F5, 3, 3, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
     minv = inverse(m)
