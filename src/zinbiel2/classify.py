@@ -1,5 +1,12 @@
 """Morphisms between unified products, equivalence of extending data, and
-desk-scale classification by exhaustive enumeration over GF(p).
+desk-scale classification over GF(p).
+
+Valid data are enumerated by backtracking with forward checking: the
+validity constraints are read off the direct oracle once, by running it
+over a polynomial ring on a datum whose free coefficients are variables,
+and a depth-first assignment of the coefficients cuts every branch on which
+a fully bound constraint fails.  Each accepted datum is re-checked by the
+oracle.
 
 Equivalence testing searches block maps (x, u) -> (x + r(u), s(u)) rather
 than all linear maps of the ambient product: a morphism that stabilizes Z
@@ -12,21 +19,24 @@ budgets are hard limits, and nothing is silently sampled.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra,
-                   check_2alg_morphism, check_crossed_module)
+from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
+                   ZinbielTwoAlgebra, check_2alg_morphism, check_crossed_module)
 from .engine import MorphismCtx, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
-from .fields import PrimeField
+from .fields import PolynomialRing, PrimeField
 from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
 from .unified import ExtendingDatum, build_unified_product, check_datum_direct
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
+_FAMILIES = ("hr", "hl", "tr", "tl", "om", "st")
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,11 +184,13 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
 # ---------------------------------------------------------------------------
 
 class EnumerationSpec:
-    """Deterministic indexing of all coefficient assignments over GF(p).
+    """Deterministic indexing of all coefficient assignments over GF(p),
+    and the validity constraints the search prunes with.
 
-    Free scalars are ordered family by family (hr, hl, tr, tl, om, st with
-    j = 0..3, coefficients in (k, i, j) order) followed by sigma entries in
-    row-major order; assignment index digits are big-endian in that order.
+    Free scalars (slots) are ordered family by family (hr, hl, tr, tl, om,
+    st with j = 0..3, coefficients in (k, i, j) order) followed by sigma
+    entries in row-major order; assignment index digits are big-endian in
+    that order.
     """
 
     def __init__(self, field, z: ZinbielTwoAlgebra, vdims, d: LinMap):
@@ -192,7 +204,7 @@ class EnumerationSpec:
         self.v = TwoVectorSpace(m1, m0, d)
         self.base = ExtendingDatum.trivial(z, self.v)
         slots = []
-        for attr in ("hr", "hl", "tr", "tl", "om", "st"):
+        for attr in _FAMILIES:
             for j in range(4):
                 m = getattr(self.base, attr)[j]
                 for k in range(m.dim_c):
@@ -205,6 +217,33 @@ class EnumerationSpec:
         self.slots = slots
         self.total = field.char ** len(slots)
 
+    def _fill(self, base, values):
+        """base with slot i set to values[i]; zero values keep base's zero maps."""
+        f = base.field
+        zero = f.zero()
+        fams = {attr: [dict() for _ in range(4)] for attr in _FAMILIES}
+        sigma_entries = {}
+        for (attr, j, key), val in zip(self.slots, values):
+            if val == zero:
+                continue
+            if attr == "sigma":
+                sigma_entries[key] = val
+            else:
+                fams[attr][j][key] = val
+        kwargs = {}
+        for attr in fams:
+            maps = []
+            for j in range(4):
+                proto = getattr(base, attr)[j]   # the zero map of this shape
+                coeffs = fams[attr][j]
+                maps.append(BilMap(f, proto.dim_a, proto.dim_b, proto.dim_c, coeffs)
+                            if coeffs else proto)
+            kwargs[attr] = tuple(maps)
+        rows, cols = base.sigma.rows, base.sigma.cols
+        sigma = LinMap(f, rows, cols, [[sigma_entries.get((r, c), zero) for c in range(cols)]
+                                       for r in range(rows)])
+        return base.replace(sigma=sigma, **kwargs)
+
     def datum_at(self, index):
         if not (0 <= index < self.total):
             raise IndexError(f"index {index} out of range ({self.total} assignments)")
@@ -215,36 +254,88 @@ class EnumerationSpec:
             digits.append(rem % p)
             rem //= p
         digits.reverse()
-        fams = {attr: [dict() for _ in range(4)] for attr in
-                ("hr", "hl", "tr", "tl", "om", "st")}
-        sigma_entries = {}
-        for (attr, j, key), val in zip(self.slots, digits):
-            if val == 0:
-                continue
-            if attr == "sigma":
-                sigma_entries[key] = val
-            else:
-                fams[attr][j][key] = val
-        kwargs = {}
-        for attr in fams:
-            maps = []
-            for j in range(4):
-                proto = getattr(self.base, attr)[j]   # the zero map of this shape
-                coeffs = fams[attr][j]
-                maps.append(BilMap(self.field, proto.dim_a, proto.dim_b, proto.dim_c, coeffs)
-                            if coeffs else proto)
-            kwargs[attr] = tuple(maps)
-        z0 = self.field.zero()
-        sigma = LinMap(self.field, self.z.z0.dim, self.v.dim1,
-                       [[sigma_entries.get((r, c), z0) for c in range(self.v.dim1)]
-                        for r in range(self.z.z0.dim)])
-        return self.base.replace(sigma=sigma, **kwargs)
+        return self._fill(self.base, digits)
+
+    @cached_property
+    def checks(self):
+        """The validity constraints, read off the oracle once.
+
+        The oracle runs on the datum whose slot i holds the variable x_i of
+        GF(p)[x]; every nonzero lhs - rhs component of its report is a
+        polynomial that must vanish at a valid assignment, and the
+        assignments where all of them vanish are exactly the valid ones.
+        checks[k] holds the distinct polynomials whose highest variable is
+        x_(k-1), checks[0] the constant ones.
+        """
+        ring = PolynomialRing(self.field)
+        z, d = _lift(ring, self.z, self.v.d)
+        base = ExtendingDatum.trivial(z, TwoVectorSpace(self.v.dim1, self.v.dim0, d))
+        datum = self._fill(base, [ring.var(i) for i in range(len(self.slots))])
+        report = check_datum_direct(datum, cap=math.inf, check_z=False)
+        if report.truncated:
+            raise AssertionError("the symbolic oracle report is truncated")
+        levels = [{} for _ in range(len(self.slots) + 1)]
+        for v in report.violations:
+            for a, b in zip(v.lhs, v.rhs):
+                poly = ring.sub(a, b)
+                if poly:
+                    last = max((x for mono, _ in poly for x in mono), default=-1)
+                    levels[last + 1][poly] = None
+        return tuple(tuple(level) for level in levels)
 
 
-def _scan_chunk(spec, start, end):
-    """Worker: return the valid assignment indices in [start, end)."""
-    return [index for index in range(start, end)
-            if check_datum_direct(spec.datum_at(index), first_only=True, check_z=False).ok]
+def _lift(ring, z: ZinbielTwoAlgebra, d: LinMap):
+    """z and d over ring, every scalar read as a constant."""
+    def bil(m):
+        return BilMap(ring, m.dim_a, m.dim_b, m.dim_c, {(k, i, j): v for k, i, j, v in m.items})
+
+    def lin(m):
+        return LinMap(ring, m.rows, m.cols, m.entries)
+
+    return (ZinbielTwoAlgebra(ZinbielAlgebra(ring, z.z1.dim, bil(z.z1.mult)),
+                              ZinbielAlgebra(ring, z.z0.dim, bil(z.z0.mult)),
+                              lin(z.phi), BimodulePair(bil(z.act.left), bil(z.act.right))),
+            lin(d))
+
+
+def _search(spec, start, end):
+    """The valid assignment indices in [start, end), ascending.
+
+    Backtracking with forward checking: slots are bound depth-first in
+    spec.slots order with values 0..p-1 ascending, each check is evaluated
+    as soon as its last slot is bound, a subtree is cut at the first check
+    that does not vanish, and subtrees whose index range misses
+    [start, end) are skipped.
+    """
+    p, n, checks = spec.field.char, len(spec.slots), spec.checks
+    widths = [p ** (n - depth) for depth in range(n + 1)]
+    values = [0] * n
+    hits = []
+
+    def holds(depth):
+        for poly in checks[depth]:
+            total = 0
+            for mono, c in poly:
+                for x in mono:
+                    c *= values[x]
+                total += c
+            if total % p:
+                return False
+        return True
+
+    def walk(depth, index):
+        lo = index * widths[depth]
+        if lo >= end or lo + widths[depth] <= start or not holds(depth):
+            return
+        if depth == n:
+            hits.append(index)
+            return
+        for value in range(p):
+            values[depth] = value
+            walk(depth + 1, index * p + value)
+
+    walk(0, 0)
+    return hits
 
 
 def _usable_cpus():
@@ -254,14 +345,27 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _rechecked(spec, indices):
+    """The data at the indices, each confirmed by the oracle."""
+    for index in indices:
+        datum = spec.datum_at(index)
+        if not check_datum_direct(datum, first_only=True, check_z=False).ok:
+            raise AssertionError(f"the search accepted assignment {index}, "
+                                 "which the oracle rejects")
+        yield datum
+
+
 def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
                          budget=DEFAULT_ENUM_BUDGET, jobs=1):
     """All valid extending data for (z, V) in lexicographic order.
 
-    Raises BudgetExceeded (with the exact candidate count) before scanning
+    Raises BudgetExceeded (with the exact candidate count) before searching
     anything if the assignment space is too large, and PreconditionError if
-    z itself is not a valid 2-algebra.  jobs is clamped to [1, min(usable
-    CPUs, number of chunks)]; the order of the data does not depend on it.
+    z itself is not a valid 2-algebra.  The search (_search) visits only
+    assignments that pass every check so far; each datum it accepts is
+    rebuilt and re-checked by the oracle, and a disagreement raises.  jobs
+    is clamped to [1, min(usable CPUs, number of chunks)]; the order of the
+    data does not depend on it.
     """
     zrep = check_crossed_module(z)
     if not zrep.ok:
@@ -271,21 +375,18 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
         raise BudgetExceeded(
             f"enumeration space has {spec.total} candidates (budget {budget})",
             count=spec.total)
+    spec.checks     # derived here, once, so that pool workers receive them
     jobs = max(1, min(jobs, _usable_cpus()))
     chunk = max(1, -(-spec.total // (jobs * 8)))
     starts = range(0, spec.total, chunk)
     jobs = min(jobs, len(starts))
     if jobs <= 1:
-        for index in range(spec.total):
-            datum = spec.datum_at(index)
-            if check_datum_direct(datum, first_only=True, check_z=False).ok:
-                yield datum
+        yield from _rechecked(spec, _search(spec, 0, spec.total))
         return
     ends = [min(lo + chunk, spec.total) for lo in starts]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for hits in pool.map(_scan_chunk, [spec] * len(starts), starts, ends):
-            for index in hits:
-                yield spec.datum_at(index)
+        for hits in pool.map(_search, [spec] * len(starts), starts, ends):
+            yield from _rechecked(spec, hits)
 
 
 # ---------------------------------------------------------------------------

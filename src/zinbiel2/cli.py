@@ -248,7 +248,8 @@ def build_parser():
         p.add_argument("--allow-small-char", action="store_true",
                        help="permit GF(2)/GF(3); reports are marked non-conforming")
         p.add_argument("--budget", type=int, default=5 ** 8,
-                       help="candidate budget for enumerations")
+                       help="bound on the number of coefficient assignments an "
+                            "enumeration may span; checked before the search")
         p.add_argument("--cap", type=positive_int, default=100,
                        help="violation cap per report")
         p.add_argument("--format", choices=("json", "text"), default="json")

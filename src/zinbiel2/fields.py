@@ -6,6 +6,10 @@ field object so the rest of the library is field-generic.
 
 GF(2) and GF(3) are refused unless explicitly overridden, and fields built
 with the override mark every downstream report as non-conforming.
+
+PolynomialRing is not a field: it gives the constructors and the checks the
+ring operations they use, so that a check can run on structure constants
+that are polynomials over GF(p) (see classify.EnumerationSpec.checks).
 """
 
 from __future__ import annotations
@@ -168,6 +172,71 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+class PolynomialRing:
+    """GF(p)[x0, x1, ...]: enough ring arithmetic to run the checks symbolically.
+
+    A polynomial is a plain tuple of (monomial, coefficient) pairs sorted by
+    monomial, where a monomial is the sorted tuple of its variable indices
+    (x0*x2*x2 is (0, 2, 2)) and every coefficient is a nonzero residue; the
+    zero polynomial is ().  The form is canonical, so == is equality of
+    polynomials and the value pickles as it is.
+    """
+
+    def __init__(self, field: PrimeField):
+        self.p = field.p
+        self.name = f"{field.name}[x]"
+        self.char = field.p
+        self.conforming = field.conforming
+
+    def _collect(self, terms):
+        acc = {}
+        for mono, c in terms:
+            acc[mono] = (acc.get(mono, 0) + c) % self.p
+        return tuple(sorted((m, c) for m, c in acc.items() if c))
+
+    def zero(self):
+        return ()
+
+    def one(self):
+        return (((), 1),)
+
+    def var(self, i):
+        return (((i,), 1),)
+
+    def canonical(self, a):
+        """a as a polynomial; an int becomes a constant.  TypeError otherwise."""
+        if type(a) is int:
+            return self._collect((((), a),))
+        if type(a) is tuple:
+            return self._collect(a)
+        raise TypeError(f"{self.name} element must be an int or a polynomial tuple, "
+                        f"got {type(a).__name__}")
+
+    def add(self, a, b):
+        if not a:
+            return b
+        return self._collect(a + b) if b else a
+
+    def neg(self, a):
+        return tuple((m, self.p - c) for m, c in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        return self._collect((tuple(sorted(ma + mb)), ca * cb)
+                             for ma, ca in a for mb, cb in b)
+
+    def __eq__(self, other):
+        return isinstance(other, PolynomialRing) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("gf[x]", self.p))
+
+    def __repr__(self):
+        return f"PolynomialRing(PrimeField({self.p}))"
 
 
 def field_from_name(name: str, allow_small_char: bool = False):

@@ -20,7 +20,7 @@ from .engine import (DatumCtx, HR_DOM, HL_DOM, TR_DOM, TL_DOM, OM_DOM, ST_DOM,
                      evaluate_conditions)
 from .errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
 from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, is_zero_vec,
-                     upper_block, vbasis)
+                     rank, upper_block, vbasis)
 
 _FAMS = (("hr", HR_DOM), ("hl", HL_DOM), ("tr", TR_DOM), ("tl", TL_DOM),
          ("om", OM_DOM), ("st", ST_DOM))
@@ -188,7 +188,9 @@ class ComplementSplit:
 
     iota_i: Z_i -> E_i are injections, p_i: E_i -> Z_i retractions with
     p_i o iota_i = id; the complement V_i := ker(p_i) gets the deterministic
-    kernel basis.  Checked at construction: retraction identity and ranks.
+    kernel basis unless a basis is given.  Checked at construction: shapes,
+    the retraction identity, and that a given basis lies in ker(p_i), has
+    the right size and spans E_i together with the image of iota_i.
     """
 
     e: ZinbielTwoAlgebra
@@ -209,9 +211,10 @@ class ComplementSplit:
             if comp != LinMap.identity(e.field, iota.cols):
                 raise DimError(f"p{lvl} o iota{lvl} is not the identity")
         z = e.field.zero()
-        for p, name, lvl in ((self.p1, "vbasis1", 1), (self.p0, "vbasis0", 0)):
+        for iota, p, name, lvl in ((self.iota1, self.p1, "vbasis1", 1),
+                                   (self.iota0, self.p0, "vbasis0", 0)):
             given = getattr(self, name)
-            if given is None:
+            if given is None:   # a kernel basis is independent by construction
                 object.__setattr__(self, name, tuple(kernel_basis(p)))
                 continue
             given = tuple(tuple(v) for v in given)
@@ -220,6 +223,9 @@ class ComplementSplit:
             for v in given:
                 if any(x != z for x in p.apply(v)):
                     raise DimError(f"level-{lvl} complement basis not in ker(p)")
+            cols = [iota.column(j) for j in range(iota.cols)] + list(given)
+            if rank(LinMap.from_columns(e.field, cols, p.cols)) != p.cols:
+                raise DimError(f"level-{lvl} iota image and complement basis do not span E")
             object.__setattr__(self, name, given)
 
     @property

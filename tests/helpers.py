@@ -167,3 +167,10 @@ def rand_ambient_with_subalgebra(field, rng):
     iota0 = LinMap.from_columns(field, [t0.column(j) for j in range(n0)], e.z0.dim)
     split = rand_split_of(e2, iota1, iota0, rng)
     return e2, split
+
+
+def brute_force_valid(spec):
+    """Reference enumeration: every assignment index of the EnumerationSpec
+    that the oracle accepts, ascending."""
+    return [index for index in range(spec.total)
+            if check_datum_direct(spec.datum_at(index), first_only=True, check_z=False).ok]

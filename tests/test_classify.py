@@ -1,13 +1,15 @@
+import io
 import os
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 
-from helpers import rand_sparse_datum, scalar_bilmap, zero_two_algebra
-from zinbiel2 import classify
-from zinbiel2.classify import (RSData, are_equivalent, census, check_rs_conditions,
-                               check_rs_direct, compute_quotients,
+from helpers import brute_force_valid, rand_sparse_datum, scalar_bilmap, zero_two_algebra
+from zinbiel2 import classify, cli
+from zinbiel2.classify import (EnumerationSpec, RSData, are_equivalent, census,
+                               check_rs_conditions, check_rs_direct, compute_quotients,
                                enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
 from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra
@@ -19,6 +21,8 @@ from zinbiel2.unified import ExtendingDatum, build_unified_product, check_datum_
 
 F5 = PrimeField(5)
 GOLDEN = Path(__file__).parent / "goldens" / "census_gf5_zero01.json"
+GOLDEN_V11 = Path(__file__).parent / "goldens" / "census_gf5_zero01_v11.json"
+Z_ZERO01 = Path(__file__).parent.parent / "data" / "z_zero_01.json"
 
 
 def zero_z(phi_val=0):
@@ -274,3 +278,92 @@ def test_jobs_clamped_to_usable_cpus(monkeypatch):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert all(1 < n <= cpus for n in seen)
     assert len(seen) == (1 if cpus > 1 else 0)
+
+
+def shell_spec(vdims, d_val=0):
+    """Enumeration over Z = (0, 1) with zero product; d is 0 or the 1x1 [d_val]."""
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    m1, m0 = vdims
+    d = LinMap(F5, 1, 1, [[d_val]]) if vdims == (1, 1) else LinMap.zero(F5, m0, m1)
+    return EnumerationSpec(F5, z, vdims, d)
+
+
+@pytest.mark.parametrize("zdims,vdims", [((0, 1), (0, 1)), ((0, 1), (1, 0)),
+                                         ((0, 1), (0, 0)), ((1, 0), (0, 1)),
+                                         ((1, 0), (1, 0))])
+def test_search_matches_brute_force(zdims, vdims):
+    z = zero_two_algebra(F5, *zdims)
+    spec = EnumerationSpec(F5, z, vdims, LinMap.zero(F5, vdims[1], vdims[0]))
+    assert spec.total <= 5 ** 6
+    assert classify._search(spec, 0, spec.total) == brute_force_valid(spec)
+
+
+def test_spec_pickles_with_plain_tuple_checks():
+    spec = shell_spec((0, 1))
+    assert sum(map(len, spec.checks)) == 14
+    for level in spec.checks:
+        for poly in level:
+            assert all(type(c) is int and all(type(x) is int for x in mono)
+                       for mono, c in poly)
+    assert pickle.loads(pickle.dumps(spec)).checks == spec.checks
+
+
+@pytest.mark.parametrize("vdims,cuts", [((0, 1), (0, 1, 5, 6, 777, 3130, 15624, 5 ** 6)),
+                                        ((1, 1), (0, 3, 3125, 3126, 10 ** 6, 5 ** 12))])
+def test_search_over_uneven_intervals_concatenates(vdims, cuts):
+    spec = shell_spec(vdims)
+    assert cuts[-1] == spec.total
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        parts += classify._search(spec, lo, hi)
+    assert parts == classify._search(spec, 0, spec.total)
+
+
+@pytest.mark.parametrize("d_val,hit_count", [(0, 25), (3, 5)])
+def test_search_agrees_with_oracle_next_to_every_hit(d_val, hit_count):
+    # 5^12 assignments are out of brute force's reach; instead, every
+    # assignment one slot away from an accepted one gets the oracle's verdict
+    spec = shell_spec((1, 1), d_val)
+    n = len(spec.slots)
+    assert spec.total == 5 ** n == 5 ** 12
+    hits = classify._search(spec, 0, spec.total)
+    assert len(hits) == hit_count
+    accepted = set(hits)
+    checked = 0
+    for index in hits:
+        for slot in range(n):
+            weight = 5 ** (n - 1 - slot)
+            digit = index // weight % 5
+            for value in range(5):
+                neighbour = index + (value - digit) * weight
+                oracle = check_datum_direct(spec.datum_at(neighbour), first_only=True,
+                                            check_z=False).ok
+                assert oracle == (neighbour in accepted), neighbour
+                checked += value != digit
+    assert checked == 48 * hit_count
+
+
+def test_census_next_size_matches_golden():
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    out = census(F5, z, (1, 1), LinMap.zero(F5, 1, 1), budget=5 ** 12)
+    assert pretty_dumps(out) == GOLDEN_V11.read_text()
+    assert out["valid_count"] == 25
+    quots = {q["relation"]: q["orbit_count"] for q in out["quotients"]}
+    assert quots == {"equivalent": 6, "cohomologous": 25}
+
+
+def test_oracle_rejection_of_a_search_hit_is_raised(monkeypatch, capsys):
+    # with no constraints every assignment is a leaf of the search; the
+    # re-check must stop at the first invalid one instead of yielding it
+    monkeypatch.setattr(EnumerationSpec, "checks",
+                        property(lambda spec: ((),) * (len(spec.slots) + 1)))
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    yielded = []
+    with pytest.raises(AssertionError, match="which the oracle rejects"):
+        for datum in enumerate_valid_data(F5, z, (0, 1), LinMap.zero(F5, 1, 0)):
+            yielded.append(datum)
+    assert all(check_datum_direct(d, check_z=False).ok for d in yielded)
+    code = cli.main(["classify", "--field", "gf5", "--z", str(Z_ZERO01), "--vdims", "0,1"],
+                    out=io.StringIO())
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "which the oracle rejects" in capsys.readouterr().err

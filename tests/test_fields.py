@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from zinbiel2.errors import DivisionByZero
-from zinbiel2.fields import PrimeField, Rationals, field_from_name
+from zinbiel2.fields import PolynomialRing, PrimeField, Rationals, field_from_name
 
 
 def test_rational_arithmetic():
@@ -82,3 +82,42 @@ def test_gfp_agrees_with_integer_arithmetic():
             assert f.neg(ar) == (-a) % p
             if br:
                 assert f.mul(f.inv(br), br) == 1
+
+
+def _evaluate(poly, point, p):
+    total = 0
+    for mono, c in poly:
+        for x in mono:
+            c *= point[x]
+        total += c
+    return total % p
+
+
+def test_polynomial_ring_agrees_with_evaluation():
+    # randomized oracle: evaluating at a point commutes with every ring op
+    rng = random.Random(21)
+    f = PrimeField(5)
+    r = PolynomialRing(f)
+    assert r == PolynomialRing(PrimeField(5)) != PolynomialRing(PrimeField(7))
+    assert r.canonical(7) == r.add(r.one(), r.one()) == (((), 2),)
+    assert r.canonical(5) == r.zero() == ()
+    assert r.sub(r.var(1), r.var(1)) == r.zero()
+    assert r.mul(r.var(2), r.var(0)) == r.mul(r.var(0), r.var(2)) == (((0, 2), 1),)
+    with pytest.raises(TypeError):
+        r.canonical(1.0)
+
+    def rand_poly():
+        acc = r.canonical(rng.randrange(5))
+        for _ in range(rng.randrange(4)):
+            acc = r.add(acc, r.mul(r.canonical(rng.randrange(1, 5)), r.var(rng.randrange(3))))
+        return acc
+
+    for _ in range(200):
+        a, b = rand_poly(), rand_poly()
+        point = [rng.randrange(5) for _ in range(3)]
+        ea, eb = _evaluate(a, point, 5), _evaluate(b, point, 5)
+        assert _evaluate(r.add(a, b), point, 5) == f.add(ea, eb)
+        assert _evaluate(r.sub(a, b), point, 5) == f.sub(ea, eb)
+        assert _evaluate(r.neg(a), point, 5) == f.neg(ea)
+        assert _evaluate(r.mul(a, b), point, 5) == f.mul(ea, eb)
+        assert r.canonical(r.mul(a, b)) == r.mul(b, a)

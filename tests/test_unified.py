@@ -6,7 +6,7 @@ from helpers import (rand_ambient_with_subalgebra, scalar_bilmap,
                      zero_two_algebra)
 from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
                            check_crossed_module, check_zinbiel)
-from zinbiel2.errors import PreconditionError, SubalgebraError
+from zinbiel2.errors import DimError, PreconditionError, SubalgebraError
 from zinbiel2.fields import PrimeField
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum,
@@ -135,6 +135,21 @@ def test_extract_rejects_non_subalgebra():
     with pytest.raises(SubalgebraError) as err:
         extract_datum(split)
     assert err.value.witness is not None
+
+
+def test_split_refuses_dependent_complement_basis():
+    # two multiples of e2 lie in ker(p0) and have the right count, but with
+    # iota0 = e1 they miss e3, so they do not complement Z in E
+    e = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 3))
+    iota0 = LinMap(F5, 3, 1, [[1], [0], [0]])
+    p0 = LinMap(F5, 1, 3, [[1, 0, 0]])
+    empty = LinMap.zero(F5, 0, 0)
+    with pytest.raises(DimError, match="do not span"):
+        ComplementSplit(e, empty, iota0, empty, p0, vbasis1=(),
+                        vbasis0=[(0, 1, 0), (0, 2, 0)])
+    split = ComplementSplit(e, empty, iota0, empty, p0, vbasis1=(),
+                            vbasis0=[(0, 1, 0), (0, 2, 1)])
+    assert split.dims() == (0, 1, 0, 2)
 
 
 def test_roundtrip_random_splits_gf7():
