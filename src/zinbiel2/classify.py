@@ -13,8 +13,12 @@ than all linear maps of the ambient product: a morphism that stabilizes Z
 has exactly this form, and it is an isomorphism precisely when both s
 components are invertible (criterion H1..H20, cross-validated against the
 direct morphism check).  The cohomologous relation additionally fixes
-s = id.  Searches and enumerations are deterministic and lexicographic,
-budgets are hard limits, and nothing is silently sampled.
+s = id.  The search is the same depth-first walk as the enumeration, over
+the morphism constraints read off the direct morphism check run on a block
+map whose r and s entries are variables; singular s blocks are cut as soon
+as they are bound, and the witness found is re-checked by the oracle.
+Searches and enumerations are deterministic and lexicographic, budgets are
+hard limits, and nothing is silently sampled.
 """
 
 from __future__ import annotations
@@ -105,43 +109,72 @@ def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                                first_only=first_only)
 
 
-def _matrix_slots(rows, cols):
-    return [(r, c) for r in range(rows) for c in range(cols)]
+def _rs_shapes(datum: ExtendingDatum, mode):
+    """(rows, cols) of the blocks the rs search binds, in binding order:
+    r1 and r0, then s1 and s0 in mode "equivalent"."""
+    n1, n0 = datum.z.z1.dim, datum.z.z0.dim
+    m1, m0 = datum.v.dim1, datum.v.dim0
+    shapes = [(n1, m1), (n0, m0)]
+    if mode == "equivalent":
+        shapes += [(m1, m1), (m0, m0)]
+    return shapes
 
 
-def _iter_matrices(field, rows, cols):
-    """All rows x cols matrices over GF(p) in lexicographic entry order."""
-    slots = _matrix_slots(rows, cols)
-    if not slots:
-        yield LinMap.zero(field, rows, cols)
-        return
-    p = field.char
-    total = p ** len(slots)
-    for index in range(total):
-        entries = [[field.zero()] * cols for _ in range(rows)]
-        rem = index
-        for (r, c) in reversed(slots):
-            entries[r][c] = rem % p
-            rem //= p
-        yield LinMap(field, rows, cols, entries)
+def _rs_maps(ring, shapes, values):
+    """r1, r0, s1, s0 over ring, each block of shapes filled row-major from
+    values in order; s1 and s0 are the identity when shapes holds r1 and r0
+    only."""
+    maps, pos = [], 0
+    for rows, cols in shapes:
+        maps.append(LinMap(ring, rows, cols,
+                           [values[pos + r * cols:pos + (r + 1) * cols] for r in range(rows)]))
+        pos += rows * cols
+    if len(maps) == 2:
+        maps += [LinMap.identity(ring, m.cols) for m in maps]
+    return maps
 
 
 def rs_search_space(field, datum: ExtendingDatum, mode):
     """Number of candidate rs tuples for the given mode."""
-    n1, n0 = datum.z.z1.dim, datum.z.z0.dim
-    m1, m0 = datum.v.dim1, datum.v.dim0
-    count = n1 * m1 + n0 * m0
-    if mode == "equivalent":
-        count += m1 * m1 + m0 * m0
-    return field.char ** count
+    return field.char ** sum(rows * cols for rows, cols in _rs_shapes(datum, mode))
+
+
+def _rs_checks(e1: ZinbielTwoAlgebra, e2: ZinbielTwoAlgebra, shapes):
+    """The morphism constraints on rs, read off the oracle once.
+
+    The oracle runs on the block map from e1 to e2 whose rs entries are the
+    variables x0, x1, ... of GF(p)[x] in _rs_maps order; the assignments at
+    which every returned polynomial vanishes are exactly the rs values that
+    make the block map a morphism.  Levelled as in _levelled.
+    """
+    ring = PolynomialRing(e1.field)
+    count = sum(rows * cols for rows, cols in shapes)
+    r1, r0, s1, s0 = _rs_maps(ring, shapes, [ring.var(i) for i in range(count)])
+    phi = TwoMorphism(upper_block(LinMap.identity(ring, r1.rows), r1, s1),
+                      upper_block(LinMap.identity(ring, r0.rows), r0, s0))
+    report = check_2alg_morphism(_lift(ring, e1), _lift(ring, e2), phi, cap=math.inf)
+    return _levelled(ring, report, count)
+
+
+def _invertible_block(field, m, lo):
+    """Predicate on bound values: the m x m block starting at lo is invertible."""
+    def test(values):
+        rows = [values[lo + r * m:lo + (r + 1) * m] for r in range(m)]
+        return inverse(LinMap(field, m, m, rows)) is not None
+    return test
 
 
 def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
                    rs_budget=DEFAULT_RS_BUDGET, check_valid=True):
-    """Exhaustive search for a stabilizing isomorphism between the products.
+    """Search for a stabilizing isomorphism between the products.
 
     mode "equivalent": any rs with both s components invertible;
-    mode "cohomologous": s fixed to the identity.  Returns (found, witness).
+    mode "cohomologous": s fixed to the identity.  Returns (found, witness),
+    the witness being the lexicographically first rs (r1, r0, s1, s0,
+    row-major).  The search is backtracking with forward checking over the
+    constraints of _rs_checks (see _walk); in mode "equivalent" an s block
+    is cut as soon as its entries are bound and it is singular.  The witness
+    is re-checked by the oracle, and a disagreement raises.
     """
     if mode not in ("equivalent", "cohomologous"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -160,23 +193,21 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
             f"rs search space has {space} candidates (budget {rs_budget})", count=space)
     e1 = build_unified_product(d1)
     e2 = build_unified_product(d2)
-    n1, n0 = d1.z.z1.dim, d1.z.z0.dim
-    m1, m0 = d1.v.dim1, d1.v.dim0
-    if mode == "cohomologous":
-        s1_iter = [LinMap.identity(f, m1)]
-        s0_iter = [LinMap.identity(f, m0)]
-    else:
-        s1_iter = [m for m in _iter_matrices(f, m1, m1) if inverse(m) is not None]
-        s0_iter = [m for m in _iter_matrices(f, m0, m0) if inverse(m) is not None]
-    for r1 in _iter_matrices(f, n1, m1):
-        for r0 in _iter_matrices(f, n0, m0):
-            for s1 in s1_iter:
-                for s0 in s0_iter:
-                    rs = RSData(r1, r0, s1, s0)
-                    phi = morphism_from_rs(rs, d1, d2)
-                    if check_2alg_morphism(e1, e2, phi, first_only=True).ok:
-                        return True, rs
-    return False, None
+    shapes = _rs_shapes(d1, mode)
+    guards, depth = {}, 0
+    for k, (rows, cols) in enumerate(shapes):
+        depth += rows * cols
+        if k >= 2 and rows:     # s1 or s0: cut when singular, once bound
+            guards[depth] = _invertible_block(f, rows, depth - rows * cols)
+    leaf = next(_walk(f.char, _rs_checks(e1, e2, shapes), guards=guards), None)
+    if leaf is None:
+        return False, None
+    values = _digits(leaf, f.char, depth)
+    rs = RSData(*_rs_maps(f, shapes, values))
+    if not check_2alg_morphism(e1, e2, morphism_from_rs(rs, d1, d2), first_only=True).ok:
+        raise AssertionError(f"the rs search found the block map with entries {values}, "
+                             "which the oracle rejects")
+    return True, rs
 
 
 # ---------------------------------------------------------------------------
@@ -247,70 +278,77 @@ class EnumerationSpec:
     def datum_at(self, index):
         if not (0 <= index < self.total):
             raise IndexError(f"index {index} out of range ({self.total} assignments)")
-        p = self.field.char
-        digits = []
-        rem = index
-        for _ in self.slots:
-            digits.append(rem % p)
-            rem //= p
-        digits.reverse()
-        return self._fill(self.base, digits)
+        return self._fill(self.base, _digits(index, self.field.char, len(self.slots)))
 
     @cached_property
     def checks(self):
         """The validity constraints, read off the oracle once.
 
         The oracle runs on the datum whose slot i holds the variable x_i of
-        GF(p)[x]; every nonzero lhs - rhs component of its report is a
-        polynomial that must vanish at a valid assignment, and the
-        assignments where all of them vanish are exactly the valid ones.
-        checks[k] holds the distinct polynomials whose highest variable is
-        x_(k-1), checks[0] the constant ones.
+        GF(p)[x]; the assignments at which every constraint vanishes are
+        exactly the valid ones.  checks[k] holds the constraints whose
+        highest variable is x_(k-1) (see _levelled).
         """
         ring = PolynomialRing(self.field)
-        z, d = _lift(ring, self.z, self.v.d)
-        base = ExtendingDatum.trivial(z, TwoVectorSpace(self.v.dim1, self.v.dim0, d))
+        d = self.v.d
+        base = ExtendingDatum.trivial(
+            _lift(ring, self.z),
+            TwoVectorSpace(self.v.dim1, self.v.dim0, LinMap(ring, d.rows, d.cols, d.entries)))
         datum = self._fill(base, [ring.var(i) for i in range(len(self.slots))])
         report = check_datum_direct(datum, cap=math.inf, check_z=False)
-        if report.truncated:
-            raise AssertionError("the symbolic oracle report is truncated")
-        levels = [{} for _ in range(len(self.slots) + 1)]
-        for v in report.violations:
-            for a, b in zip(v.lhs, v.rhs):
-                poly = ring.sub(a, b)
-                if poly:
-                    last = max((x for mono, _ in poly for x in mono), default=-1)
-                    levels[last + 1][poly] = None
-        return tuple(tuple(level) for level in levels)
+        return _levelled(ring, report, len(self.slots))
 
 
-def _lift(ring, z: ZinbielTwoAlgebra, d: LinMap):
-    """z and d over ring, every scalar read as a constant."""
+def _digits(index, p, n):
+    """index as n base-p digits, the most significant first."""
+    digits = [0] * n
+    for i in reversed(range(n)):
+        index, digits[i] = divmod(index, p)
+    return digits
+
+
+def _lift(ring, z: ZinbielTwoAlgebra):
+    """z over ring, every scalar read as a constant."""
     def bil(m):
         return BilMap(ring, m.dim_a, m.dim_b, m.dim_c, {(k, i, j): v for k, i, j, v in m.items})
 
-    def lin(m):
-        return LinMap(ring, m.rows, m.cols, m.entries)
-
-    return (ZinbielTwoAlgebra(ZinbielAlgebra(ring, z.z1.dim, bil(z.z1.mult)),
-                              ZinbielAlgebra(ring, z.z0.dim, bil(z.z0.mult)),
-                              lin(z.phi), BimodulePair(bil(z.act.left), bil(z.act.right))),
-            lin(d))
+    return ZinbielTwoAlgebra(ZinbielAlgebra(ring, z.z1.dim, bil(z.z1.mult)),
+                             ZinbielAlgebra(ring, z.z0.dim, bil(z.z0.mult)),
+                             LinMap(ring, z.phi.rows, z.phi.cols, z.phi.entries),
+                             BimodulePair(bil(z.act.left), bil(z.act.right)))
 
 
-def _search(spec, start, end):
-    """The valid assignment indices in [start, end), ascending.
+def _levelled(ring, report, count):
+    """The constraints in a symbolic oracle report over the variables
+    x0..x_(count-1): every nonzero lhs - rhs component is a polynomial that
+    must vanish.  levels[k] holds the distinct ones whose highest variable
+    is x_(k-1), levels[0] the constant ones."""
+    if report.truncated:
+        raise AssertionError("the symbolic oracle report is truncated")
+    levels = [{} for _ in range(count + 1)]
+    for v in report.violations:
+        for a, b in zip(v.lhs, v.rhs):
+            poly = ring.sub(a, b)
+            if poly:
+                last = max((x for mono, _ in poly for x in mono), default=-1)
+                levels[last + 1][poly] = None
+    return tuple(tuple(level) for level in levels)
 
-    Backtracking with forward checking: slots are bound depth-first in
-    spec.slots order with values 0..p-1 ascending, each check is evaluated
-    as soon as its last slot is bound, a subtree is cut at the first check
-    that does not vanish, and subtrees whose index range misses
-    [start, end) are skipped.
+
+def _walk(p, checks, start=0, end=math.inf, guards=None):
+    """The leaves of a depth-first search over GF(p)^n, n = len(checks) - 1,
+    as indices (digits big-endian in variable order), ascending.
+
+    Backtracking with forward checking: variable i is bound at depth i with
+    values 0..p-1 ascending, and a node at depth k (variables below k bound)
+    is cut when a polynomial of checks[k] does not vanish, when the
+    predicate guards[k] (if any) rejects the bound values, or when its
+    index range misses [start, end).
     """
-    p, n, checks = spec.field.char, len(spec.slots), spec.checks
+    n = len(checks) - 1
+    guards = guards or {}
     widths = [p ** (n - depth) for depth in range(n + 1)]
     values = [0] * n
-    hits = []
 
     def holds(depth):
         for poly in checks[depth]:
@@ -321,21 +359,27 @@ def _search(spec, start, end):
                 total += c
             if total % p:
                 return False
-        return True
+        guard = guards.get(depth)
+        return guard is None or guard(values)
 
     def walk(depth, index):
         lo = index * widths[depth]
         if lo >= end or lo + widths[depth] <= start or not holds(depth):
             return
         if depth == n:
-            hits.append(index)
+            yield index
             return
         for value in range(p):
             values[depth] = value
-            walk(depth + 1, index * p + value)
+            yield from walk(depth + 1, index * p + value)
 
-    walk(0, 0)
-    return hits
+    return walk(0, 0)
+
+
+def _search(spec, start, end):
+    """The valid assignment indices in [start, end), ascending: the leaves
+    of _walk over spec.checks, slots bound in spec.slots order."""
+    return list(_walk(spec.field.char, spec.checks, start, end))
 
 
 def _usable_cpus():

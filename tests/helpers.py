@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 
+from zinbiel2.classify import RSData, morphism_from_rs
 from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
-                           check_crossed_module, check_zinbiel)
+                           check_2alg_morphism, check_crossed_module, check_zinbiel)
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse
-from zinbiel2.unified import ComplementSplit, ExtendingDatum, check_datum_direct
+from zinbiel2.unified import (ComplementSplit, ExtendingDatum, build_unified_product,
+                              check_datum_direct)
 
 
 def rand_scalar(field, rng):
@@ -155,7 +157,6 @@ def rand_ambient_with_subalgebra(field, rng):
     along random basis changes at both levels; the image of Z under the
     transport is the distinguished subalgebra.
     """
-    from zinbiel2.unified import build_unified_product
     datum = rand_valid_datum_1111(field, rng)
     e = build_unified_product(datum)
     t1 = rand_invertible(field, e.z1.dim, rng)
@@ -174,3 +175,36 @@ def brute_force_valid(spec):
     that the oracle accepts, ascending."""
     return [index for index in range(spec.total)
             if check_datum_direct(spec.datum_at(index), first_only=True, check_z=False).ok]
+
+
+def _iter_matrices(field, rows, cols):
+    """All rows x cols matrices over GF(p) in lexicographic row-major entry order."""
+    p, n = field.p, rows * cols
+    for index in range(p ** n):
+        digits = [index // p ** (n - 1 - k) % p for k in range(n)]
+        yield LinMap(field, rows, cols, [digits[r * cols:(r + 1) * cols] for r in range(rows)])
+
+
+def brute_force_equivalent(d1, d2, mode):
+    """Reference rs search: every block map in lexicographic (r1, r0, s1, s0)
+    order, s = id in mode "cohomologous" and s invertible otherwise, built
+    and checked by the oracle; (True, the first that passes) or (False, None)."""
+    f = d1.field
+    e1, e2 = build_unified_product(d1), build_unified_product(d2)
+    n1, n0 = d1.z.z1.dim, d1.z.z0.dim
+    m1, m0 = d1.v.dim1, d1.v.dim0
+    if mode == "cohomologous":
+        s1_iter = [LinMap.identity(f, m1)]
+        s0_iter = [LinMap.identity(f, m0)]
+    else:
+        s1_iter = [m for m in _iter_matrices(f, m1, m1) if inverse(m) is not None]
+        s0_iter = [m for m in _iter_matrices(f, m0, m0) if inverse(m) is not None]
+    for r1 in _iter_matrices(f, n1, m1):
+        for r0 in _iter_matrices(f, n0, m0):
+            for s1 in s1_iter:
+                for s0 in s0_iter:
+                    rs = RSData(r1, r0, s1, s0)
+                    if check_2alg_morphism(e1, e2, morphism_from_rs(rs, d1, d2),
+                                           first_only=True).ok:
+                        return True, rs
+    return False, None

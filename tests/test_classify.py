@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import brute_force_valid, rand_sparse_datum, scalar_bilmap, zero_two_algebra
+from helpers import (brute_force_equivalent, brute_force_valid, rand_sparse_datum,
+                     scalar_bilmap, zero_two_algebra)
 from zinbiel2 import classify, cli
 from zinbiel2.classify import (EnumerationSpec, RSData, are_equivalent, census,
                                check_rs_conditions, check_rs_direct, compute_quotients,
@@ -363,6 +364,60 @@ def test_oracle_rejection_of_a_search_hit_is_raised(monkeypatch, capsys):
         for datum in enumerate_valid_data(F5, z, (0, 1), LinMap.zero(F5, 1, 0)):
             yielded.append(datum)
     assert all(check_datum_direct(d, check_z=False).ok for d in yielded)
+    code = cli.main(["classify", "--field", "gf5", "--z", str(Z_ZERO01), "--vdims", "0,1"],
+                    out=io.StringIO())
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "which the oracle rejects" in capsys.readouterr().err
+
+
+def seeded_valid_data(zdims, vdims, d_val, count, seed):
+    """count distinct valid data over the zero Z of zdims, by rejection sampling."""
+    rng = random.Random(seed)
+    m1, m0 = vdims
+    v = TwoVectorSpace(m1, m0, LinMap(F5, m0, m1, [[d_val] * m1 for _ in range(m0)]))
+    z = zero_two_algebra(F5, *zdims)
+    data = []
+    while len(data) < count:
+        datum = rand_sparse_datum(z, v, rng, rng.choice([0.1, 0.2, 0.35]))
+        if datum not in data and check_datum_direct(datum, first_only=True, check_z=False).ok:
+            data.append(datum)
+    return data
+
+
+@pytest.mark.parametrize("zdims,vdims,d_val", [((1, 1), (1, 1), 0), ((1, 1), (1, 1), 1),
+                                               ((0, 1), (1, 1), 3), ((0, 2), (0, 1), 0)])
+def test_rs_search_matches_brute_force(zdims, vdims, d_val):
+    data = seeded_valid_data(zdims, vdims, d_val, 4, seed=1)
+    assert rs_search_space(F5, data[0], "equivalent") <= 625
+    for d1 in data:
+        for d2 in data:
+            for mode in ("equivalent", "cohomologous"):
+                assert are_equivalent(d1, d2, mode=mode) == brute_force_equivalent(d1, d2, mode)
+
+
+def test_rs_search_matches_brute_force_with_2x2_s():
+    # a self-pair, an equivalent pair that is not cohomologous and a pair
+    # that is not equivalent
+    data = seeded_valid_data((0, 1), (0, 2), 0, 4, seed=4)
+    verdicts = []
+    for i, j in ((0, 0), (3, 0), (0, 1)):
+        for mode in ("equivalent", "cohomologous"):
+            found = are_equivalent(data[i], data[j], mode=mode)
+            assert found == brute_force_equivalent(data[i], data[j], mode)
+            verdicts.append(found[0])
+    assert verdicts == [True, True, True, False, False, False]
+
+
+def test_oracle_rejection_of_an_rs_witness_is_raised(monkeypatch, capsys):
+    # with no constraints the first leaf is r = 0 with the first invertible s,
+    # here the identity, which is no morphism between different products
+    monkeypatch.setattr(classify, "_rs_checks",
+                        lambda e1, e2, shapes: ((),) * (sum(r * c for r, c in shapes) + 1))
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    base = ExtendingDatum.trivial(z, TwoVectorSpace(0, 1, LinMap.zero(F5, 1, 0)))
+    d_w = base.replace(om=(scalar_bilmap(F5, 1),) + base.om[1:])
+    with pytest.raises(AssertionError, match="which the oracle rejects"):
+        are_equivalent(base, d_w)
     code = cli.main(["classify", "--field", "gf5", "--z", str(Z_ZERO01), "--vdims", "0,1"],
                     out=io.StringIO())
     assert code == cli.EXIT_INTERNAL == 4

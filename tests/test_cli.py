@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -137,9 +138,13 @@ def test_typo_strict_escalates_zz19_disagreement():
 
 
 def test_console_script_entry_point():
+    # the child process gets src on its path whether or not pytest put it on ours
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "zinbiel2.cli", "check-2alg",
                            str(ROOT / "data" / "z_z_id.json")],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
 

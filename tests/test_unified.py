@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (rand_ambient_with_subalgebra, scalar_bilmap,
                      zero_two_algebra)
+from zinbiel2 import unified
 from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
                            check_crossed_module, check_zinbiel)
 from zinbiel2.errors import DimError, PreconditionError, SubalgebraError
@@ -136,6 +137,21 @@ def test_extract_rejects_non_subalgebra():
         extract_datum(split)
     assert err.value.witness is not None
 
+
+def test_verify_psi_inverts_each_level_once(monkeypatch):
+    # psi is [iota | V-basis] at each level, inverted once there; that it is
+    # invertible needs no further check, because ComplementSplit refuses a
+    # basis that does not span E
+    e = build_unified_product(ExtendingDatum.trivial(
+        nf2_two_algebra(F5), TwoVectorSpace(0, 0, LinMap.zero(F5, 0, 0))))
+    ident = LinMap.identity(F5, 2)
+    split = ComplementSplit(e, ident, ident, ident, ident)
+    datum = extract_datum(split)
+    calls = []
+    monkeypatch.setattr(unified, "inverse",
+                        lambda m, real=unified.inverse: calls.append(m) or real(m))
+    assert verify_psi(split, datum).ok
+    assert len(calls) == 2
 
 def test_split_refuses_dependent_complement_basis():
     # two multiples of e2 lie in ker(p0) and have the right count, but with
