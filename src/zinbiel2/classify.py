@@ -17,15 +17,13 @@ s = id.  The search is the same depth-first walk as the enumeration, over
 the morphism constraints read off the direct morphism check run on a block
 map whose r and s entries are variables; singular s blocks are cut as soon
 as they are bound, and the witness found is re-checked by the oracle.
-Searches and enumerations are deterministic and lexicographic, budgets are
-hard limits, and nothing is silently sampled.
+Searches and enumerations run in the calling process and are deterministic
+and lexicographic, budgets are hard limits, and nothing is silently sampled.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -335,19 +333,17 @@ def _levelled(ring, report, count):
     return tuple(tuple(level) for level in levels)
 
 
-def _walk(p, checks, start=0, end=math.inf, guards=None):
+def _walk(p, checks, guards=None):
     """The leaves of a depth-first search over GF(p)^n, n = len(checks) - 1,
     as indices (digits big-endian in variable order), ascending.
 
     Backtracking with forward checking: variable i is bound at depth i with
     values 0..p-1 ascending, and a node at depth k (variables below k bound)
-    is cut when a polynomial of checks[k] does not vanish, when the
-    predicate guards[k] (if any) rejects the bound values, or when its
-    index range misses [start, end).
+    is cut when a polynomial of checks[k] does not vanish or when the
+    predicate guards[k] (if any) rejects the bound values.
     """
     n = len(checks) - 1
     guards = guards or {}
-    widths = [p ** (n - depth) for depth in range(n + 1)]
     values = [0] * n
 
     def holds(depth):
@@ -363,8 +359,7 @@ def _walk(p, checks, start=0, end=math.inf, guards=None):
         return guard is None or guard(values)
 
     def walk(depth, index):
-        lo = index * widths[depth]
-        if lo >= end or lo + widths[depth] <= start or not holds(depth):
+        if not holds(depth):
             return
         if depth == n:
             yield index
@@ -374,19 +369,6 @@ def _walk(p, checks, start=0, end=math.inf, guards=None):
             yield from walk(depth + 1, index * p + value)
 
     return walk(0, 0)
-
-
-def _search(spec, start, end):
-    """The valid assignment indices in [start, end), ascending: the leaves
-    of _walk over spec.checks, slots bound in spec.slots order."""
-    return list(_walk(spec.field.char, spec.checks, start, end))
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _rechecked(spec, indices):
@@ -400,16 +382,15 @@ def _rechecked(spec, indices):
 
 
 def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
-                         budget=DEFAULT_ENUM_BUDGET, jobs=1):
+                         budget=DEFAULT_ENUM_BUDGET):
     """All valid extending data for (z, V) in lexicographic order.
 
     Raises BudgetExceeded (with the exact candidate count) before searching
     anything if the assignment space is too large, and PreconditionError if
-    z itself is not a valid 2-algebra.  The search (_search) visits only
-    assignments that pass every check so far; each datum it accepts is
-    rebuilt and re-checked by the oracle, and a disagreement raises.  jobs
-    is clamped to [1, min(usable CPUs, number of chunks)]; the order of the
-    data does not depend on it.
+    z itself is not a valid 2-algebra.  The search (_walk over spec.checks,
+    slots bound in spec.slots order) visits only assignments that pass every
+    check so far; each datum it accepts is rebuilt and re-checked by the
+    oracle, and a disagreement raises.
     """
     zrep = check_crossed_module(z)
     if not zrep.ok:
@@ -419,18 +400,7 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
         raise BudgetExceeded(
             f"enumeration space has {spec.total} candidates (budget {budget})",
             count=spec.total)
-    spec.checks     # derived here, once, so that pool workers receive them
-    jobs = max(1, min(jobs, _usable_cpus()))
-    chunk = max(1, -(-spec.total // (jobs * 8)))
-    starts = range(0, spec.total, chunk)
-    jobs = min(jobs, len(starts))
-    if jobs <= 1:
-        yield from _rechecked(spec, _search(spec, 0, spec.total))
-        return
-    ends = [min(lo + chunk, spec.total) for lo in starts]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for hits in pool.map(_search, [spec] * len(starts), starts, ends):
-            yield from _rechecked(spec, hits)
+    yield from _rechecked(spec, _walk(field.char, spec.checks))
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +434,12 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET,
-                      verify_witnesses=True):
+def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET):
     """Partition valid data under the chosen relation via pairwise search.
 
-    Transitivity holds abstractly (witnesses compose); verify_witnesses re-checks
-    it empirically by confirming every member is directly related to its
-    orbit representative.
+    Transitivity holds abstractly (witnesses compose); it is re-checked
+    empirically by confirming every member is directly related to its orbit
+    representative.
     """
     from .io import canonical_dumps, datum_to_json
     data = list(data)
@@ -489,26 +458,25 @@ def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET,
         groups.setdefault(uf.find(i), []).append(i)
     orbits = sorted((tuple(sorted(g)) for g in groups.values()),
                     key=lambda orbit: min(items[i] for i in orbit))
-    if verify_witnesses:
-        for orbit in orbits:
-            rep = min(orbit, key=lambda i: items[i])
-            for i in orbit:
-                if i == rep:
-                    continue
-                found, _ = are_equivalent(data[i], data[rep], mode=mode,
-                                          rs_budget=rs_budget, check_valid=False)
-                if not found:
-                    raise AssertionError(
-                        f"transitivity breakdown: item {i} not directly related "
-                        f"to representative {rep}")
+    for orbit in orbits:
+        rep = min(orbit, key=lambda i: items[i])
+        for i in orbit:
+            if i == rep:
+                continue
+            found, _ = are_equivalent(data[i], data[rep], mode=mode,
+                                      rs_budget=rs_budget, check_valid=False)
+            if not found:
+                raise AssertionError(
+                    f"transitivity breakdown: item {i} not directly related "
+                    f"to representative {rep}")
     return OrbitPartition(items=items, orbits=tuple(orbits), relation=mode)
 
 
 def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
-           budget=DEFAULT_ENUM_BUDGET, rs_budget=DEFAULT_RS_BUDGET, jobs=1):
+           budget=DEFAULT_ENUM_BUDGET, rs_budget=DEFAULT_RS_BUDGET):
     """Enumerate valid data and compute both quotients; returns census JSON."""
     from .io import two_algebra_to_json
-    data = list(enumerate_valid_data(field, z, vdims, d, budget=budget, jobs=jobs))
+    data = list(enumerate_valid_data(field, z, vdims, d, budget=budget))
     out = {"field": field.name,
            "Z": two_algebra_to_json(z, kind=None),
            "Vdims": list(vdims),

@@ -2,9 +2,11 @@
 emit deterministic reports.
 
 Exit codes: 0 all checks clean / construction succeeded; 1 violations found
-(report still emitted); 2 input or schema error, including --cap below 1;
-3 budget exceeded; 4 internal error (a defect, not a verdict).  classify
-clamps --jobs to [1, min(usable CPUs, number of work chunks)].
+(report still emitted); 2 input or schema error, including --cap below 1, a
+negative --vdims entry or a --d of the wrong shape; 3 budget exceeded; 4
+internal error (a defect, not a verdict).  Each command accepts only the
+flags it reads, except that classify, which runs in one process, accepts
+--jobs N and ignores it.
 """
 
 from __future__ import annotations
@@ -194,28 +196,42 @@ def cmd_classify(args, out):
         n1, n0 = (int(x) for x in args.vdims.split(","))
     except ValueError:
         raise SchemaError("expected --vdims n1,n0", "$", None) from None
+    if n1 < 0 or n0 < 0:
+        raise SchemaError(f"--vdims entries must be nonnegative, got {args.vdims}", "$", None)
     if args.d is not None:
         _, dmap, _ = load_document(args.d, expect_kind="linmap", field_override=field)
+        if (dmap.rows, dmap.cols) != (n0, n1):
+            raise SchemaError(f"--d must be {n0}x{n1} for --vdims {args.vdims}, "
+                              f"got {dmap.rows}x{dmap.cols}", "$", args.d)
     else:
         dmap = LinMap.zero(field, n0, n1)
-    out.write(pretty_dumps(run_census(field, z, (n1, n0), dmap,
-                                      budget=args.budget, jobs=args.jobs)))
+    out.write(pretty_dumps(run_census(field, z, (n1, n0), dmap, budget=args.budget)))
     return EXIT_OK
 
 
+_REPORT_FLAGS = ("--cap", "--format", "--typo-strict")
+
+# name: (handler, help, the report flags the handler reads)
 _COMMANDS = {
-    "check-zinbiel": (cmd_check_zinbiel, "verify the defining identity of an algebra"),
-    "check-2alg": (cmd_check_2alg, "verify all 2-algebra axioms"),
-    "check-datum": (cmd_check_datum, "run the condition list and the direct oracle on a datum"),
-    "check-trivial-z1": (cmd_check_trivial, "run the reduced ZZ list (dim Z1 = 0)"),
-    "build-product": (cmd_build_product, "assemble the product 2-algebra of a datum"),
-    "extract-datum": (cmd_extract_datum, "read a datum off an ambient algebra along a split"),
-    "check-crossed": (cmd_check_crossed, "run the CZ list on a crossed system"),
-    "check-matched": (cmd_check_matched, "run the BZ list on a matched pair"),
-    "check-ideal": (cmd_check_ideal, "verify the ideal condition and extract a crossed system"),
-    "factorize": (cmd_factorize, "factor an algebra through two embedded subalgebras"),
-    "check-morphism": (cmd_check_morphism, "run the H list and direct check on a block map"),
-    "classify": (cmd_classify, "enumerate valid data over GF(p) and compute both quotients"),
+    "check-zinbiel": (cmd_check_zinbiel, "verify the defining identity of an algebra",
+                      _REPORT_FLAGS),
+    "check-2alg": (cmd_check_2alg, "verify all 2-algebra axioms", _REPORT_FLAGS),
+    "check-datum": (cmd_check_datum, "run the condition list and the direct oracle on a datum",
+                    _REPORT_FLAGS),
+    "check-trivial-z1": (cmd_check_trivial, "run the reduced ZZ list (dim Z1 = 0)",
+                         _REPORT_FLAGS),
+    "build-product": (cmd_build_product, "assemble the product 2-algebra of a datum", ()),
+    "extract-datum": (cmd_extract_datum, "read a datum off an ambient algebra along a split",
+                      ("--cap", "--format")),
+    "check-crossed": (cmd_check_crossed, "run the CZ list on a crossed system", _REPORT_FLAGS),
+    "check-matched": (cmd_check_matched, "run the BZ list on a matched pair", _REPORT_FLAGS),
+    "check-ideal": (cmd_check_ideal, "verify the ideal condition and extract a crossed system",
+                    ("--cap",)),
+    "factorize": (cmd_factorize, "factor an algebra through two embedded subalgebras", ()),
+    "check-morphism": (cmd_check_morphism, "run the H list and direct check on a block map",
+                       _REPORT_FLAGS),
+    "classify": (cmd_classify, "enumerate valid data over GF(p) and compute both quotients",
+                 ()),
 }
 
 
@@ -232,7 +248,7 @@ def build_parser():
         prog="zinbiel2",
         description="Exact checks, products, and classification for Zinbiel 2-algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in _COMMANDS.items():
+    for name, (fn, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         if name == "classify":
@@ -241,20 +257,24 @@ def build_parser():
             p.add_argument("--z", required=True, help="zinbiel_2_algebra JSON file")
             p.add_argument("--vdims", required=True, help="complement dims n1,n0")
             p.add_argument("--d", default=None, help="optional linmap JSON for d")
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--budget", type=int, default=5 ** 8,
+                           help="bound on the number of coefficient assignments an "
+                                "enumeration may span; checked before the search")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="accepted and ignored: classify runs in one process")
         else:
             p.add_argument("input", help="input JSON file")
             p.add_argument("--field", default=None, help="override field: q or gf<p>")
+        if "--cap" in flags:
+            p.add_argument("--cap", type=positive_int, default=100,
+                           help="violation cap per report")
+        if "--format" in flags:
+            p.add_argument("--format", choices=("json", "text"), default="json")
+        if "--typo-strict" in flags:
+            p.add_argument("--typo-strict", action="store_true",
+                           help="escalate typo-suspect disagreements to exit 1")
         p.add_argument("--allow-small-char", action="store_true",
                        help="permit GF(2)/GF(3); reports are marked non-conforming")
-        p.add_argument("--budget", type=int, default=5 ** 8,
-                       help="bound on the number of coefficient assignments an "
-                            "enumeration may span; checked before the search")
-        p.add_argument("--cap", type=positive_int, default=100,
-                       help="violation cap per report")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--typo-strict", action="store_true",
-                       help="escalate typo-suspect disagreements to exit 1")
     return parser
 
 
@@ -273,7 +293,7 @@ def main(argv=None, out=None):
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         if exc.report is not None:
-            _render_report(exc.report, args.format, out)
+            _render_report(exc.report, getattr(args, "format", "json"), out)
         return EXIT_VIOLATIONS
     except Zinbiel2Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -444,12 +444,3 @@ def check_2alg_morphism(t: ZinbielTwoAlgebra, t2: ZinbielTwoAlgebra, m: TwoMorph
             if first_only and not report.ok:
                 return report.finalize()
     return report.finalize()
-
-
-def is_isomorphism(t: ZinbielTwoAlgebra, t2: ZinbielTwoAlgebra, m: TwoMorphism):
-    """Morphism check plus invertibility of both components."""
-    from .linalg import inverse
-    rep = check_2alg_morphism(t, t2, m, first_only=True)
-    if not rep.ok:
-        return False
-    return inverse(m.phi1) is not None and inverse(m.phi0) is not None

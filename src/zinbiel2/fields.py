@@ -75,11 +75,6 @@ class Rationals:
             raise DivisionByZero("cannot invert 0 in Q")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise DivisionByZero("cannot divide by 0 in Q")
-        return Fraction(a) / b
-
     def parse(self, s):
         try:
             return Fraction(s)
@@ -148,9 +143,6 @@ class PrimeField:
             raise DivisionByZero(f"cannot invert 0 in GF({self.p})")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self):
         return range(self.p)
 
@@ -181,7 +173,7 @@ class PolynomialRing:
     monomial, where a monomial is the sorted tuple of its variable indices
     (x0*x2*x2 is (0, 2, 2)) and every coefficient is a nonzero residue; the
     zero polynomial is ().  The form is canonical, so == is equality of
-    polynomials and the value pickles as it is.
+    polynomials.
     """
 
     def __init__(self, field: PrimeField):

@@ -37,10 +37,6 @@ def pretty_dumps(obj) -> str:
 # encoders
 # ---------------------------------------------------------------------------
 
-def scalar_to_str(field, a) -> str:
-    return field.fmt(a)
-
-
 def linmap_to_json(m: LinMap):
     f = m.field
     z = f.zero()
@@ -69,11 +65,6 @@ def two_algebra_to_json(t: ZinbielTwoAlgebra, kind="zinbiel_2_algebra"):
         body["kind"] = kind
         body["field"] = t.field.name
     return body
-
-
-def zinbiel_algebra_to_json(a: ZinbielAlgebra):
-    return {"kind": "zinbiel_algebra", "field": a.field.name,
-            "dim": a.dim, "mult": bilmap_to_json(a.mult)}
 
 
 def datum_to_json(d: ExtendingDatum, kind="extending_datum"):
@@ -107,13 +98,6 @@ def matched_pair_to_json(mp):
         for j in range(4):
             body[f"{fam}_{j}"] = bilmap_to_json(getattr(mp, attr)[j])
     return body
-
-
-def split_to_json(s: ComplementSplit):
-    return {"kind": "complement_split", "field": s.field.name,
-            "e": two_algebra_to_json(s.e, kind=None),
-            "iota1": linmap_to_json(s.iota1), "iota0": linmap_to_json(s.iota0),
-            "p1": linmap_to_json(s.p1), "p0": linmap_to_json(s.p0)}
 
 
 def report_to_json(rep: ConditionReport):

@@ -32,18 +32,6 @@ def vadd(field, a, b):
     return tuple(add(x, y) for x, y in zip(a, b))
 
 
-def vsub(field, a, b):
-    if len(a) != len(b):
-        raise DimError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    sub = field.sub
-    return tuple(sub(x, y) for x, y in zip(a, b))
-
-
-def vneg(field, a):
-    neg = field.neg
-    return tuple(neg(x) for x in a)
-
-
 def vscale(field, c, a):
     mul = field.mul
     return tuple(mul(c, x) for x in a)
@@ -117,14 +105,6 @@ class LinMap:
             raise DimError(f"cannot compose {self.rows}x{self.cols} after {other.rows}x{other.cols}")
         cols = [self.apply(other.column(j)) for j in range(other.cols)]
         return LinMap.from_columns(self.field, cols, self.rows)
-
-    def add_map(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimError("adding maps of different shapes")
-        f = self.field
-        return LinMap(f, self.rows, self.cols,
-                      [[f.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
 
     def is_zero(self):
         z = self.field.zero()

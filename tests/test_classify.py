@@ -1,6 +1,4 @@
 import io
-import os
-import pickle
 import random
 from pathlib import Path
 
@@ -252,35 +250,6 @@ def test_refinement_on_census():
         assert len(owners) == 1   # each cohomology class sits inside one orbit
 
 
-def test_jobs_clamped_to_usable_cpus(monkeypatch):
-    seen = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", SerialPool)
-    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
-    args = (F5, z, (0, 1), LinMap.zero(F5, 1, 0))
-    serial = list(enumerate_valid_data(*args))
-    clamped = list(enumerate_valid_data(*args, jobs=10 ** 6))
-    assert clamped == serial and len(serial) == 5
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert all(1 < n <= cpus for n in seen)
-    assert len(seen) == (1 if cpus > 1 else 0)
-
-
 def shell_spec(vdims, d_val=0):
     """Enumeration over Z = (0, 1) with zero product; d is 0 or the 1x1 [d_val]."""
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
@@ -296,7 +265,7 @@ def test_search_matches_brute_force(zdims, vdims):
     z = zero_two_algebra(F5, *zdims)
     spec = EnumerationSpec(F5, z, vdims, LinMap.zero(F5, vdims[1], vdims[0]))
     assert spec.total <= 5 ** 6
-    assert classify._search(spec, 0, spec.total) == brute_force_valid(spec)
+    assert list(classify._walk(5, spec.checks)) == brute_force_valid(spec)
 
 
 def test_spec_pickles_with_plain_tuple_checks():
@@ -306,18 +275,6 @@ def test_spec_pickles_with_plain_tuple_checks():
         for poly in level:
             assert all(type(c) is int and all(type(x) is int for x in mono)
                        for mono, c in poly)
-    assert pickle.loads(pickle.dumps(spec)).checks == spec.checks
-
-
-@pytest.mark.parametrize("vdims,cuts", [((0, 1), (0, 1, 5, 6, 777, 3130, 15624, 5 ** 6)),
-                                        ((1, 1), (0, 3, 3125, 3126, 10 ** 6, 5 ** 12))])
-def test_search_over_uneven_intervals_concatenates(vdims, cuts):
-    spec = shell_spec(vdims)
-    assert cuts[-1] == spec.total
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        parts += classify._search(spec, lo, hi)
-    assert parts == classify._search(spec, 0, spec.total)
 
 
 @pytest.mark.parametrize("d_val,hit_count", [(0, 25), (3, 5)])
@@ -327,7 +284,7 @@ def test_search_agrees_with_oracle_next_to_every_hit(d_val, hit_count):
     spec = shell_spec((1, 1), d_val)
     n = len(spec.slots)
     assert spec.total == 5 ** n == 5 ** 12
-    hits = classify._search(spec, 0, spec.total)
+    hits = list(classify._walk(5, spec.checks))
     assert len(hits) == hit_count
     accepted = set(hits)
     checked = 0

@@ -115,11 +115,61 @@ def test_malformed_fixtures_exit_2_with_location(capsys):
 
 
 def test_classify_jobs_parallel_identical():
+    # --jobs is accepted and ignored
     code1, text1 = run_cli(["classify", "--field", "gf5", "--z", "data/z_zero_01.json",
                             "--vdims", "0,1"])
     code2, text2 = run_cli(["classify", "--field", "gf5", "--z", "data/z_zero_01.json",
                             "--vdims", "0,1", "--jobs", "2"])
     assert (code1, text1) == (code2, text2)
+
+
+def test_classify_refuses_negative_vdims(capsys):
+    code, text = run_cli(["classify", "--field", "gf5", "--z", "data/z_zero_01.json",
+                          "--vdims", "0,-1"])
+    assert (code, text) == (cli.EXIT_INPUT, "")
+    assert "--vdims" in capsys.readouterr().err
+
+
+def test_classify_refuses_d_of_the_wrong_shape(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"kind": "linmap", "field": "gf5",
+                                "rows": 2, "cols": 2, "entries": []}))
+    code, text = run_cli(["classify", "--field", "gf5", "--z", "data/z_zero_01.json",
+                          "--vdims", "1,1", "--d", str(path)])
+    assert (code, text) == (cli.EXIT_INPUT, "")
+    err = capsys.readouterr().err
+    assert "--d must be 1x1" in err and "d.json" in err
+
+
+def test_classify_reports_an_invalid_z(tmp_path, capsys):
+    # classify has no --format: the failed precondition's report is JSON
+    doc = json.loads((ROOT / "data" / "z_zero_01.json").read_text())
+    doc["z0"]["mult"]["coeffs"] = [[0, 0, 0, "1"]]     # e.e = e is not Zinbiel
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli(["classify", "--field", "gf5", "--z", str(path), "--vdims", "0,1"])
+    assert code == cli.EXIT_VIOLATIONS
+    assert json.loads(text)["ok"] is False
+    assert "precondition failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-datum", "data/trivial_datum.json", "--budget", "3"],
+    ["classify", "--field", "gf5", "--z", "data/z_zero_01.json", "--vdims", "0,1",
+     "--format", "text"],
+    ["classify", "--field", "gf5", "--z", "data/z_zero_01.json", "--vdims", "0,1",
+     "--cap", "5"],
+    ["classify", "--field", "gf5", "--z", "data/z_zero_01.json", "--vdims", "0,1",
+     "--typo-strict"],
+    ["build-product", "data/trivial_datum.json", "--format", "text"],
+    ["factorize", "data/split_direct.json", "--cap", "5"],
+    ["check-ideal", "data/split_direct.json", "--format", "text"],
+    ["extract-datum", "data/split_direct.json", "--typo-strict"],
+])
+def test_flags_a_command_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
 
 
 def test_typo_strict_escalates_zz19_disagreement():
