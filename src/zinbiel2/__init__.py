@@ -17,7 +17,7 @@ from .core import (BimodulePair, ConditionReport, TwoMorphism, Violation,
                    check_zinbiel, semidirect_product)
 from .unified import (ComplementSplit, ExtendingDatum, build_unified_product,
                       check_datum_conditions, check_datum_direct,
-                      check_trivial_z1_conditions, extract_datum, psi_morphism,
+                      check_trivial_z1_conditions, extract_datum,
                       verify_psi)
 from .special import (CrossedSystem, MatchedPairDatum, build_bicrossed_product,
                       build_crossed_product, check_crossed_system,
@@ -36,7 +36,7 @@ __all__ = [
     "check_2alg_morphism", "semidirect_product",
     "ComplementSplit", "ExtendingDatum", "build_unified_product",
     "check_datum_direct", "check_datum_conditions", "check_trivial_z1_conditions",
-    "extract_datum", "psi_morphism", "verify_psi",
+    "extract_datum", "verify_psi",
     "CrossedSystem", "MatchedPairDatum", "build_crossed_product",
     "build_bicrossed_product", "check_crossed_system", "check_matched_pair",
     "check_ideal_extension", "factorize", "star_structure",

@@ -89,22 +89,20 @@ def morphism_from_rs(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum) -> TwoM
 
 
 def check_rs_conditions(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
-                        cap=DEFAULT_VIOLATION_CAP, first_only=False,
-                        strict_printed=False):
+                        cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
     """Evaluate H1..H20 for the block map rs between the two data."""
     from .conds_morphism import H_TABLE
     _require_compatible(d1, d2)
     return evaluate_conditions(MorphismCtx(d1, d2, rs), H_TABLE, cap=cap,
-                               first_only=first_only, strict_printed=strict_printed)
+                               strict_printed=strict_printed)
 
 
 def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
-                    cap=DEFAULT_VIOLATION_CAP, first_only=False):
+                    cap=DEFAULT_VIOLATION_CAP):
     """Oracle: build both products and run the direct morphism check."""
     _require_compatible(d1, d2)
     return check_2alg_morphism(build_unified_product(d1), build_unified_product(d2),
-                               morphism_from_rs(rs, d1, d2), cap=cap,
-                               first_only=first_only)
+                               morphism_from_rs(rs, d1, d2), cap=cap)
 
 
 def _rs_shapes(datum: ExtendingDatum, mode):
@@ -182,7 +180,7 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
         raise PreconditionError("equivalence search requires a prime field")
     if check_valid:
         for d in (d1, d2):
-            rep = check_datum_direct(d, first_only=True)
+            rep = check_datum_direct(d, cap=1)
             if not rep.ok:
                 raise PreconditionError("datum is not a valid extending structure", rep)
     space = rs_search_space(f, d1, mode)
@@ -202,7 +200,7 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
         return False, None
     values = _digits(leaf, f.char, depth)
     rs = RSData(*_rs_maps(f, shapes, values))
-    if not check_2alg_morphism(e1, e2, morphism_from_rs(rs, d1, d2), first_only=True).ok:
+    if not check_2alg_morphism(e1, e2, morphism_from_rs(rs, d1, d2), cap=1).ok:
         raise AssertionError(f"the rs search found the block map with entries {values}, "
                              "which the oracle rejects")
     return True, rs
@@ -375,7 +373,7 @@ def _rechecked(spec, indices):
     """The data at the indices, each confirmed by the oracle."""
     for index in indices:
         datum = spec.datum_at(index)
-        if not check_datum_direct(datum, first_only=True, check_z=False).ok:
+        if not check_datum_direct(datum, cap=1, check_z=False).ok:
             raise AssertionError(f"the search accepted assignment {index}, "
                                  "which the oracle rejects")
         yield datum

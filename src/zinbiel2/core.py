@@ -4,11 +4,14 @@ Structures here are candidates: any structure-constant tensor is
 representable, and validity (the Zinbiel identity, bimodule/action axioms,
 crossed-module compatibilities) is established by the check_* functions.
 Checks verify identities on all basis tuples, which by multilinearity is
-equivalent to verification on all elements; every check returns a
-ConditionReport listing all violations up to a configurable cap.
+equivalent to verification on all elements.  Each check is a stream of
+(condition id, basis tuple, lhs, rhs) instances in a fixed loop order;
+ConditionReport.fill adds the violated ones in that order until the cap, so
+a report holds the first `cap` violations, sorted, and cap=1 asks for a
+verdict only.
 
 Condition IDs are namespaced so a nested report localizes failures:
-  ZI               Zinbiel identity (prefixed Z0./Z1./E. when embedded)
+  ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
   B1..B3           bimodule axioms
   A1..A3           action axioms
   CM1..CM5         crossed-module compatibilities (CM5 is the derived
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 
 from .errors import DimError, FieldMismatch, PreconditionError
 from .linalg import BilMap, LinMap, vadd, vbasis
@@ -83,12 +87,13 @@ class ConditionReport:
             return False
         return True
 
-    def extend_namespaced(self, prefix, sub, cap=DEFAULT_VIOLATION_CAP):
-        for v in sub.violations:
-            if not self.add(f"{prefix}{v.cond}", v.witness, v.lhs, v.rhs, cap):
+    def fill(self, instances, cap=DEFAULT_VIOLATION_CAP):
+        """Add the violated (id, witness, lhs, rhs) instances in stream order;
+        the stream is left unread once the cap is reached.  Returns self."""
+        for cond, witness, lhs, rhs in instances:
+            if lhs != rhs and not self.add(cond, witness, lhs, rhs, cap):
                 break
-        self.truncated = self.truncated or sub.truncated
-        self.flags.extend(sub.flags)
+        return self
 
     def finalize(self):
         self.violations.sort(key=Violation.sort_key)
@@ -199,42 +204,32 @@ class TwoMorphism:
             raise FieldMismatch("morphism components over different fields")
 
 
-def check_zinbiel(alg: ZinbielAlgebra, cap=DEFAULT_VIOLATION_CAP, first_only=False):
-    """(ei.ej).ek = ei.(ej.ek + ek.ej) on every basis triple; ID "ZI"."""
-    f = alg.field
-    mult = alg.mult
-    n = alg.dim
-    report = ConditionReport(conforming_field=f.conforming)
+def _prefixed(prefix, instances):
+    """The instances with `prefix` put before each condition id."""
+    return ((prefix + cond, witness, lhs, rhs) for cond, witness, lhs, rhs in instances)
+
+
+def _zinbiel_instances(alg):
+    """ZI: (ei.ej).ek = ei.(ej.ek + ek.ej) on every basis triple."""
+    f, mult, n = alg.field, alg.mult, alg.dim
     for i in range(n):
         for j in range(n):
             eij = mult.eval_bb(i, j)
             for k in range(n):
                 lhs = mult.eval(eij, vbasis(f, n, k))
                 inner = vadd(f, mult.eval_bb(j, k), mult.eval_bb(k, j))
-                rhs = mult.eval(vbasis(f, n, i), inner)
-                if lhs != rhs:
-                    report.add("ZI", (i, j, k), lhs, rhs, cap)
-                    if first_only or report.truncated:
-                        return report.finalize()
-    return report.finalize()
+                yield "ZI", (i, j, k), lhs, mult.eval(vbasis(f, n, i), inner)
 
 
-def check_bimodule(z: ZinbielAlgebra, dim_v, act: BimodulePair,
-                   cap=DEFAULT_VIOLATION_CAP, first_only=False, _skip_zinbiel=False):
-    """Bimodule axioms B1-B3 for Z acting on a dim_v space.
+def check_zinbiel(alg: ZinbielAlgebra, cap=DEFAULT_VIOLATION_CAP):
+    """The Zinbiel identity on every basis triple; ID "ZI"."""
+    report = ConditionReport(conforming_field=alg.field.conforming)
+    return report.fill(_zinbiel_instances(alg), cap).finalize()
 
-    The Zinbiel identity for Z itself is a checked precondition; its
-    violations appear namespaced as Z.ZI.
-    """
-    if (act.dim_z, act.dim_v) != (z.dim, dim_v):
-        raise DimError("action dimensions do not match (dim Z, dim V)")
+
+def _bimodule_instances(z, dim_v, act):
+    """B1-B3 for Z acting on a dim_v space, without the identity of Z."""
     f = z.field
-    report = ConditionReport(conforming_field=f.conforming)
-    if not _skip_zinbiel:
-        pre = check_zinbiel(z, cap=cap, first_only=first_only)
-        report.extend_namespaced("Z.", pre, cap)
-        if first_only and not report.ok:
-            return report.finalize()
     mult, left, right = z.mult, act.left, act.right
     n, m = z.dim, dim_v
     bz = [vbasis(f, n, i) for i in range(n)]
@@ -248,25 +243,27 @@ def check_bimodule(z: ZinbielAlgebra, dim_v, act: BimodulePair,
                 # B1: (x.y)|>v = x|>(y|>v + v<|y)
                 lhs = left.eval(mij, bv[k])
                 rhs = left.eval(bz[i], vadd(f, left.eval_bb(j, k), right.eval_bb(k, j)))
-                if lhs != rhs and not report.add("B1", (i, j, k), lhs, rhs, cap):
-                    return report.finalize()
-                if first_only and not report.ok:
-                    return report.finalize()
+                yield "B1", (i, j, k), lhs, rhs
                 # B2: (v<|x)<|y = v<|(x.y + y.x)
                 lhs = right.eval(right.eval_bb(k, i), bz[j])
-                rhs = right.eval(bv[k], msym)
-                if lhs != rhs and not report.add("B2", (k, i, j), lhs, rhs, cap):
-                    return report.finalize()
-                if first_only and not report.ok:
-                    return report.finalize()
+                yield "B2", (k, i, j), lhs, right.eval(bv[k], msym)
                 # B3: (x|>v)<|y = x|>(v<|y + y|>v)
                 lhs = right.eval(left.eval_bb(i, k), bz[j])
                 rhs = left.eval(bz[i], vadd(f, right.eval_bb(k, j), left.eval_bb(j, k)))
-                if lhs != rhs and not report.add("B3", (i, k, j), lhs, rhs, cap):
-                    return report.finalize()
-                if first_only and not report.ok:
-                    return report.finalize()
-    return report.finalize()
+                yield "B3", (i, k, j), lhs, rhs
+
+
+def check_bimodule(z: ZinbielAlgebra, dim_v, act: BimodulePair, cap=DEFAULT_VIOLATION_CAP):
+    """Bimodule axioms B1-B3 for Z acting on a dim_v space.
+
+    The Zinbiel identity for Z itself is a checked precondition; its
+    violations appear namespaced as Z.ZI.
+    """
+    if (act.dim_z, act.dim_v) != (z.dim, dim_v):
+        raise DimError("action dimensions do not match (dim Z, dim V)")
+    instances = chain(_prefixed("Z.", _zinbiel_instances(z)),
+                      _bimodule_instances(z, dim_v, act))
+    return ConditionReport(conforming_field=z.field.conforming).fill(instances, cap).finalize()
 
 
 def semidirect_product(z: ZinbielAlgebra, dim_v, act: BimodulePair):
@@ -291,25 +288,12 @@ def semidirect_product(z: ZinbielAlgebra, dim_v, act: BimodulePair):
     return ZinbielAlgebra(f, dim, BilMap(f, dim, dim, dim, coeffs))
 
 
-def check_action(z0: ZinbielAlgebra, z1: ZinbielAlgebra, act: BimodulePair,
-                 cap=DEFAULT_VIOLATION_CAP, first_only=False):
-    """Action axioms A1-A3 on top of the bimodule axioms.
-
-    Embeds Zinbiel checks for both algebras (Z0.ZI / Z1.ZI) and the bimodule
-    report for Z0 acting on the space underlying Z1.
-    """
+def _action_instances(z0, z1, act):
+    """Z0.ZI, Z1.ZI, B1-B3 for Z0 acting on the space of Z1, then A1-A3."""
+    yield from _prefixed("Z0.", _zinbiel_instances(z0))
+    yield from _prefixed("Z1.", _zinbiel_instances(z1))
+    yield from _bimodule_instances(z0, z1.dim, act)
     f = z0.field
-    report = ConditionReport(conforming_field=f.conforming)
-    pre0 = check_zinbiel(z0, cap=cap, first_only=first_only)
-    report.extend_namespaced("Z0.", pre0, cap)
-    pre1 = check_zinbiel(z1, cap=cap, first_only=first_only)
-    report.extend_namespaced("Z1.", pre1, cap)
-    if first_only and not report.ok:
-        return report.finalize()
-    bim = check_bimodule(z0, z1.dim, act, cap=cap, first_only=first_only, _skip_zinbiel=True)
-    report.extend_namespaced("", bim, cap)
-    if (first_only and not report.ok) or report.truncated:
-        return report.finalize()
     mult1, left, right = z1.mult, act.left, act.right
     n0, n1 = z0.dim, z1.dim
     b0 = [vbasis(f, n0, i) for i in range(n0)]
@@ -321,32 +305,34 @@ def check_action(z0: ZinbielAlgebra, z1: ZinbielAlgebra, act: BimodulePair,
                 m1ji = mult1.eval_bb(j, i)
                 # A1: (x0|>x1).y1 = x0|>(x1.y1 + y1.x1)
                 lhs = mult1.eval(left.eval_bb(a, i), b1[j])
-                rhs = left.eval(b0[a], vadd(f, m1ij, m1ji))
-                if lhs != rhs and not report.add("A1", (a, i, j), lhs, rhs, cap):
-                    return report.finalize()
+                yield "A1", (a, i, j), lhs, left.eval(b0[a], vadd(f, m1ij, m1ji))
                 # A2: (x1<|x0).y1 = x1.(x0|>y1 + y1<|x0)
                 lhs = mult1.eval(right.eval_bb(i, a), b1[j])
                 rhs = mult1.eval(b1[i], vadd(f, left.eval_bb(a, j), right.eval_bb(j, a)))
-                if lhs != rhs and not report.add("A2", (i, a, j), lhs, rhs, cap):
-                    return report.finalize()
+                yield "A2", (i, a, j), lhs, rhs
                 # A3: (x1.y1)<|x0 = x1.(y1<|x0 + x0|>y1)
                 lhs = right.eval(m1ij, b0[a])
                 rhs = mult1.eval(b1[i], vadd(f, right.eval_bb(j, a), left.eval_bb(a, j)))
-                if lhs != rhs and not report.add("A3", (i, j, a), lhs, rhs, cap):
-                    return report.finalize()
-                if first_only and not report.ok:
-                    return report.finalize()
-    return report.finalize()
+                yield "A3", (i, j, a), lhs, rhs
 
 
-def check_crossed_module(t: ZinbielTwoAlgebra, cap=DEFAULT_VIOLATION_CAP, first_only=False):
-    """Full 2-algebra check: action axioms plus CM1-CM4 and derived CM5."""
+def check_action(z0: ZinbielAlgebra, z1: ZinbielAlgebra, act: BimodulePair,
+                 cap=DEFAULT_VIOLATION_CAP):
+    """Action axioms A1-A3 on top of the bimodule axioms.
+
+    Embeds Zinbiel checks for both algebras (Z0.ZI / Z1.ZI) and the bimodule
+    axioms for Z0 acting on the space underlying Z1.
+    """
+    if (act.dim_z, act.dim_v) != (z0.dim, z1.dim):
+        raise DimError("action dimensions do not match (dim Z0, dim Z1)")
+    report = ConditionReport(conforming_field=z0.field.conforming)
+    return report.fill(_action_instances(z0, z1, act), cap).finalize()
+
+
+def _crossed_module_instances(t):
+    """The action instances of t, then CM1-CM4 and the derived CM5."""
+    yield from _action_instances(t.z0, t.z1, t.act)
     f = t.field
-    report = ConditionReport(conforming_field=f.conforming)
-    act_rep = check_action(t.z0, t.z1, t.act, cap=cap, first_only=first_only)
-    report.extend_namespaced("", act_rep, cap)
-    if (first_only and not report.ok) or report.truncated:
-        return report.finalize()
     phi, mult0, mult1 = t.phi, t.z0.mult, t.z1.mult
     left, right = t.act.left, t.act.right
     n0, n1 = t.z0.dim, t.z1.dim
@@ -356,40 +342,58 @@ def check_crossed_module(t: ZinbielTwoAlgebra, cap=DEFAULT_VIOLATION_CAP, first_
     for a in range(n0):
         for i in range(n1):
             # CM1: phi(x0|>x1) = x0.phi(x1)
-            lhs = phi.apply(left.eval_bb(a, i))
-            rhs = mult0.eval(b0[a], phi_b[i])
-            if lhs != rhs and not report.add("CM1", (a, i), lhs, rhs, cap):
-                return report.finalize()
+            yield "CM1", (a, i), phi.apply(left.eval_bb(a, i)), mult0.eval(b0[a], phi_b[i])
             # CM2: phi(x1<|x0) = phi(x1).x0
-            lhs = phi.apply(right.eval_bb(i, a))
-            rhs = mult0.eval(phi_b[i], b0[a])
-            if lhs != rhs and not report.add("CM2", (i, a), lhs, rhs, cap):
-                return report.finalize()
-            if first_only and not report.ok:
-                return report.finalize()
+            yield "CM2", (i, a), phi.apply(right.eval_bb(i, a)), mult0.eval(phi_b[i], b0[a])
     for i in range(n1):
         for j in range(n1):
             mij = mult1.eval_bb(i, j)
             # CM3: phi(x1)|>y1 = x1.y1
-            lhs = left.eval(phi_b[i], b1[j])
-            if lhs != mij and not report.add("CM3", (i, j), lhs, mij, cap):
-                return report.finalize()
+            yield "CM3", (i, j), left.eval(phi_b[i], b1[j]), mij
             # CM4: x1.y1 = x1<|phi(y1)
-            rhs = right.eval(b1[i], phi_b[j])
-            if mij != rhs and not report.add("CM4", (i, j), mij, rhs, cap):
-                return report.finalize()
+            yield "CM4", (i, j), mij, right.eval(b1[i], phi_b[j])
             # CM5 (derived): phi(x1.y1) = phi(x1).phi(y1)
-            lhs = phi.apply(mij)
-            rhs = mult0.eval(phi_b[i], phi_b[j])
-            if lhs != rhs and not report.add("CM5", (i, j), lhs, rhs, cap):
-                return report.finalize()
-            if first_only and not report.ok:
-                return report.finalize()
-    return report.finalize()
+            yield "CM5", (i, j), phi.apply(mij), mult0.eval(phi_b[i], phi_b[j])
+
+
+def check_crossed_module(t: ZinbielTwoAlgebra, cap=DEFAULT_VIOLATION_CAP):
+    """Full 2-algebra check: action axioms plus CM1-CM4 and derived CM5."""
+    report = ConditionReport(conforming_field=t.field.conforming)
+    return report.fill(_crossed_module_instances(t), cap).finalize()
+
+
+def _morphism_instances(t, t2, m):
+    """M1-M5 for m: t -> t2."""
+    f = t.field
+    p1, p0 = m.phi1, m.phi0
+    n0, n1 = t.z0.dim, t.z1.dim
+    b0 = [vbasis(f, n0, i) for i in range(n0)]
+    b1 = [vbasis(f, n1, i) for i in range(n1)]
+    im0 = [p0.apply(v) for v in b0]
+    im1 = [p1.apply(v) for v in b1]
+    for i in range(n0):
+        for j in range(n0):
+            # M1: phi0 is an algebra homomorphism
+            yield "M1", (i, j), p0.apply(t.z0.mult.eval_bb(i, j)), t2.z0.mult.eval(im0[i], im0[j])
+    for i in range(n1):
+        for j in range(n1):
+            # M2: phi1 is an algebra homomorphism
+            yield "M2", (i, j), p1.apply(t.z1.mult.eval_bb(i, j)), t2.z1.mult.eval(im1[i], im1[j])
+    for i in range(n1):
+        # M3: phi' o phi1 = phi0 o phi
+        yield "M3", (i,), t2.phi.apply(im1[i]), p0.apply(t.phi.apply(b1[i]))
+    for a in range(n0):
+        for i in range(n1):
+            # M4: phi1(x0|>x1) = phi0(x0) |>' phi1(x1)
+            lhs = p1.apply(t.act.left.eval_bb(a, i))
+            yield "M4", (a, i), lhs, t2.act.left.eval(im0[a], im1[i])
+            # M5: phi1(x1<|x0) = phi1(x1) <|' phi0(x0)
+            lhs = p1.apply(t.act.right.eval_bb(i, a))
+            yield "M5", (i, a), lhs, t2.act.right.eval(im1[i], im0[a])
 
 
 def check_2alg_morphism(t: ZinbielTwoAlgebra, t2: ZinbielTwoAlgebra, m: TwoMorphism,
-                        cap=DEFAULT_VIOLATION_CAP, first_only=False):
+                        cap=DEFAULT_VIOLATION_CAP):
     """Morphism conditions M1-M5 for m: t -> t2."""
     f = t.field
     if f != t2.field:
@@ -400,47 +404,4 @@ def check_2alg_morphism(t: ZinbielTwoAlgebra, t2: ZinbielTwoAlgebra, m: TwoMorph
     if (p0.cols, p0.rows) != (t.z0.dim, t2.z0.dim):
         raise DimError(f"phi0 must be {t2.z0.dim}x{t.z0.dim}")
     report = ConditionReport(conforming_field=f.conforming)
-    n0, n1 = t.z0.dim, t.z1.dim
-    b0 = [vbasis(f, n0, i) for i in range(n0)]
-    b1 = [vbasis(f, n1, i) for i in range(n1)]
-    im0 = [p0.apply(v) for v in b0]
-    im1 = [p1.apply(v) for v in b1]
-    for i in range(n0):
-        for j in range(n0):
-            # M1: phi0 is an algebra homomorphism
-            lhs = p0.apply(t.z0.mult.eval_bb(i, j))
-            rhs = t2.z0.mult.eval(im0[i], im0[j])
-            if lhs != rhs and not report.add("M1", (i, j), lhs, rhs, cap):
-                return report.finalize()
-            if first_only and not report.ok:
-                return report.finalize()
-    for i in range(n1):
-        for j in range(n1):
-            # M2: phi1 is an algebra homomorphism
-            lhs = p1.apply(t.z1.mult.eval_bb(i, j))
-            rhs = t2.z1.mult.eval(im1[i], im1[j])
-            if lhs != rhs and not report.add("M2", (i, j), lhs, rhs, cap):
-                return report.finalize()
-            if first_only and not report.ok:
-                return report.finalize()
-    for i in range(n1):
-        # M3: phi' o phi1 = phi0 o phi
-        lhs = t2.phi.apply(im1[i])
-        rhs = p0.apply(t.phi.apply(b1[i]))
-        if lhs != rhs and not report.add("M3", (i,), lhs, rhs, cap):
-            return report.finalize()
-    for a in range(n0):
-        for i in range(n1):
-            # M4: phi1(x0|>x1) = phi0(x0) |>' phi1(x1)
-            lhs = p1.apply(t.act.left.eval_bb(a, i))
-            rhs = t2.act.left.eval(im0[a], im1[i])
-            if lhs != rhs and not report.add("M4", (a, i), lhs, rhs, cap):
-                return report.finalize()
-            # M5: phi1(x1<|x0) = phi1(x1) <|' phi0(x0)
-            lhs = p1.apply(t.act.right.eval_bb(i, a))
-            rhs = t2.act.right.eval(im1[i], im0[a])
-            if lhs != rhs and not report.add("M5", (i, a), lhs, rhs, cap):
-                return report.finalize()
-            if first_only and not report.ok:
-                return report.finalize()
-    return report.finalize()
+    return report.fill(_morphism_instances(t, t2, m), cap).finalize()

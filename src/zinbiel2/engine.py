@@ -5,7 +5,8 @@ dispatches the overloaded product "." by the spaces of its operands
 (Z0.Z0 -> level-0 mult, Z1.Z1 -> level-1 mult, Z0.Z1 / Z1.Z0 -> the fixed
 action), and every structure-map application validates its operand spaces,
 so an index slip in a transcription fails loudly instead of silently
-producing a wrong tensor.
+producing a wrong tensor.  evaluate_conditions walks the (condition, basis
+tuple) instances in table order and stops at the cap, as the oracle does.
 """
 
 from __future__ import annotations
@@ -220,16 +221,16 @@ def _grid(dims, spaces):
     return out
 
 
-def evaluate_conditions(ctx, table, cap=DEFAULT_VIOLATION_CAP, first_only=False,
-                        strict_printed=False):
+def evaluate_conditions(ctx, table, cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
     """Evaluate every condition of `table` on all applicable basis tuples.
 
     Violations of corrected (typo-suspect) conditions count toward the
     verdict; each suspect condition also gets a FlagNote recording whether
     the form as originally printed disagrees with the corrected form on this
     input.  With strict_printed=True such disagreements are added as
-    violations with id "<cid>.as-printed".  Flags are emitted even when the
-    report stops early at the cap or at the first violation.
+    violations with id "<cid>.as-printed".  The report holds the first `cap`
+    violations in (condition, basis tuple) order, sorted; cap=1 asks for a
+    verdict only.  Flags are emitted even when the report stops at the cap.
     """
     report = ConditionReport(conforming_field=ctx.field.conforming)
     suspect_disagrees = {}
@@ -241,7 +242,7 @@ def evaluate_conditions(ctx, table, cap=DEFAULT_VIOLATION_CAP, first_only=False,
             raise DimError(f"{cond.cid}: sides live in {lhs.space} vs {rhs.space}")
         witness = idx if cond.level is None else (cond.level,) + idx
         if lhs.vec != rhs.vec:
-            if not report.add(cond.cid, witness, lhs.vec, rhs.vec, cap) or first_only:
+            if not report.add(cond.cid, witness, lhs.vec, rhs.vec, cap):
                 break
         if cond.as_printed is not None:
             plhs, prhs = cond.as_printed(ctx, *elts)

@@ -143,9 +143,6 @@ class PrimeField:
             raise DivisionByZero(f"cannot invert 0 in GF({self.p})")
         return pow(a, self.p - 2, self.p)
 
-    def elements(self):
-        return range(self.p)
-
     def parse(self, s):
         try:
             n = int(s)

@@ -131,9 +131,14 @@ def _want(obj, key, kinds, path, filename):
     return val
 
 
+def _is_int(x):
+    """JSON true/false load as bool, which Python counts as an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _nonneg_int(obj, key, path, filename):
     val = _want(obj, key, int, path, filename)
-    if isinstance(val, bool) or val < 0:
+    if not _is_int(val) or val < 0:
         raise SchemaError("expected a non-negative integer", f"{path}.{key}", filename)
     return val
 
@@ -153,16 +158,20 @@ def parse_linmap(field, obj, path, filename):
     entries = _want(obj, "entries", list, path, filename)
     z = field.zero()
     mat = [[z] * cols for _ in range(rows)]
+    seen = set()
     for idx, ent in enumerate(entries):
         epath = f"{path}.entries[{idx}]"
         if not (isinstance(ent, list) and len(ent) == 3):
             raise SchemaError("entry must be [row, col, value]", epath, filename)
         r, c, val = ent
-        if not isinstance(r, int) or not isinstance(c, int):
+        if not (_is_int(r) and _is_int(c)):
             raise SchemaError("entry indices must be integers", epath, filename)
         if not (0 <= r < rows and 0 <= c < cols):
             raise SchemaError(f"index ({r},{c}) out of range for {rows}x{cols}",
                               epath, filename)
+        if (r, c) in seen:
+            raise SchemaError(f"duplicate entry ({r},{c})", epath, filename)
+        seen.add((r, c))
         mat[r][c] = parse_scalar(field, val, epath, filename)
     return LinMap(field, rows, cols, mat)
 
@@ -178,11 +187,13 @@ def parse_bilmap(field, obj, path, filename):
         if not (isinstance(ent, list) and len(ent) == 4):
             raise SchemaError("coefficient must be [k, i, j, value]", epath, filename)
         k, i, j, val = ent
-        if not all(isinstance(x, int) for x in (k, i, j)):
+        if not all(_is_int(x) for x in (k, i, j)):
             raise SchemaError("coefficient indices must be integers", epath, filename)
         if not (0 <= k < dc and 0 <= i < da and 0 <= j < db):
             raise SchemaError(f"index ({k},{i},{j}) out of range for "
                               f"{da}x{db}->{dc}", epath, filename)
+        if (k, i, j) in out:
+            raise SchemaError(f"duplicate coefficient ({k},{i},{j})", epath, filename)
         out[(k, i, j)] = parse_scalar(field, val, epath, filename)
     return BilMap(field, da, db, dc, out)
 

@@ -298,25 +298,3 @@ def kernel_basis(m: LinMap):
                 vec[pc] = f.neg(red[r][fc])
         basis.append(tuple(vec))
     return basis
-
-
-def solve(m: LinMap, b):
-    """One solution of m x = b, or None if inconsistent."""
-    if len(b) != m.rows:
-        raise DimError("rhs length mismatch")
-    f = m.field
-    aug = [list(m.entries[i]) + [b[i]] for i in range(m.rows)]
-    red, pivots = rref(f, aug)
-    z = f.zero()
-    for row, pc in zip(red, pivots):
-        if pc == m.cols:
-            return None
-    # also catch inconsistent rows past the recorded pivots
-    for row in red:
-        if row[-1] != z and all(x == z for x in row[:-1]):
-            return None
-    x = [z] * m.cols
-    for r, pc in enumerate(pivots):
-        if pc < m.cols:
-            x[pc] = red[r][-1]
-    return tuple(x)

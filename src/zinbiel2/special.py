@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, ZinbielAlgebra,
-                   ZinbielTwoAlgebra, check_crossed_module)
+                   ZinbielTwoAlgebra, _crossed_module_instances, _prefixed,
+                   check_crossed_module)
 from .engine import OM_DOM, DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
@@ -57,8 +58,7 @@ def build_crossed_product(cs: CrossedSystem) -> ZinbielTwoAlgebra:
 
 
 def check_crossed_system(cs: CrossedSystem, cap=DEFAULT_VIOLATION_CAP,
-                         first_only=False, check_z=True,
-                         strict_printed=False):
+                         check_z=True, strict_printed=False):
     """CZ1..CZ61 plus the side condition that the star family makes
     (V1, V0, d) a valid 2-algebra (violations namespaced V.*)."""
     from .conds_special import CZ_TABLE
@@ -67,12 +67,9 @@ def check_crossed_system(cs: CrossedSystem, cap=DEFAULT_VIOLATION_CAP,
         if not zrep.ok:
             raise PreconditionError("the base Z is not a valid Zinbiel 2-algebra", zrep)
     report = evaluate_conditions(DatumCtx(cs.datum), CZ_TABLE, cap=cap,
-                                 first_only=first_only, strict_printed=strict_printed)
-    if first_only and not report.ok:
-        return report
-    vrep = check_crossed_module(star_structure(cs.datum), cap=cap, first_only=first_only)
-    report.extend_namespaced("V.", vrep, cap)
-    return report.finalize()
+                                 strict_printed=strict_printed)
+    vstar = _prefixed("V.", _crossed_module_instances(star_structure(cs.datum)))
+    return report.fill(vstar, cap).finalize()
 
 
 def check_ideal_extension(split: ComplementSplit, cap=DEFAULT_VIOLATION_CAP) -> CrossedSystem:
@@ -169,7 +166,7 @@ def build_bicrossed_product(mp: MatchedPairDatum) -> ZinbielTwoAlgebra:
 
 
 def check_matched_pair(mp: MatchedPairDatum, cap=DEFAULT_VIOLATION_CAP,
-                       first_only=False, check_z=True, strict_printed=False):
+                       check_z=True, strict_printed=False):
     """BZ1..BZ106 over the embedded datum (V validity is a type invariant)."""
     from .conds_special import BZ_TABLE
     if check_z:
@@ -177,7 +174,7 @@ def check_matched_pair(mp: MatchedPairDatum, cap=DEFAULT_VIOLATION_CAP,
         if not zrep.ok:
             raise PreconditionError("the base Z is not a valid Zinbiel 2-algebra", zrep)
     return evaluate_conditions(DatumCtx(mp.embed()), BZ_TABLE, cap=cap,
-                               first_only=first_only, strict_printed=strict_printed)
+                               strict_printed=strict_printed)
 
 
 def factorize(e: ZinbielTwoAlgebra, iota_z, iota_v, check_e=True,

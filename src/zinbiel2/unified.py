@@ -5,17 +5,20 @@ candidate 2-algebra structures on (Z1+V1, Z0+V0) containing a fixed
 2-algebra Z; build_unified_product assembles the candidate, and
 check_datum_direct is the ground-truth oracle: build, then verify every
 2-algebra axiom on the result.  The transcribed condition lists live in
-conds_unified.py and are cross-validated against the oracle.
+conds_unified.py and are cross-validated against the oracle.  The oracle
+and verify_psi fill their reports from core's instance streams, so each
+report holds the first `cap` violations in evaluation order, sorted.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (ConditionReport, ZinbielAlgebra, ZinbielTwoAlgebra,
                    BimodulePair, TwoMorphism, DEFAULT_VIOLATION_CAP,
-                   check_crossed_module, check_2alg_morphism)
+                   check_crossed_module, _morphism_instances)
 from .engine import (DatumCtx, HR_DOM, HL_DOM, TR_DOM, TL_DOM, OM_DOM, ST_DOM,
                      evaluate_conditions)
 from .errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
@@ -150,27 +153,27 @@ def _require_valid_z(z: ZinbielTwoAlgebra, cap):
 
 def check_datum_direct(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
                        first_only=False, check_z=True) -> ConditionReport:
-    """Oracle verdict: build the unified product and check every axiom on it."""
+    """Oracle verdict: build the unified product and check every axiom on it.
+
+    first_only=True means cap=1 for the datum: a verdict only.
+    """
     if check_z:
         _require_valid_z(datum.z, cap)
-    e = build_unified_product(datum)
-    return check_crossed_module(e, cap=cap, first_only=first_only)
+    return check_crossed_module(build_unified_product(datum), cap=1 if first_only else cap)
 
 
 def check_datum_conditions(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
-                           first_only=False, check_z=True,
-                           strict_printed=False) -> ConditionReport:
+                           check_z=True, strict_printed=False) -> ConditionReport:
     """Evaluate the transcribed compatibility list Z1..Z120 on all basis tuples."""
     from .conds_unified import Z_TABLE
     if check_z:
         _require_valid_z(datum.z, cap)
     return evaluate_conditions(DatumCtx(datum), Z_TABLE, cap=cap,
-                               first_only=first_only, strict_printed=strict_printed)
+                               strict_printed=strict_printed)
 
 
 def check_trivial_z1_conditions(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
-                                first_only=False, check_z=True,
-                                strict_printed=False) -> ConditionReport:
+                                check_z=True, strict_printed=False) -> ConditionReport:
     """Evaluate the reduced list ZZ1..ZZ40 (requires dim Z1 = 0)."""
     from .conds_unified import ZZ_TABLE
     if datum.z.z1.dim != 0:
@@ -179,7 +182,7 @@ def check_trivial_z1_conditions(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP
     if check_z:
         _require_valid_z(datum.z, cap)
     return evaluate_conditions(DatumCtx(datum), ZZ_TABLE, cap=cap,
-                               first_only=first_only, strict_printed=strict_printed)
+                               strict_printed=strict_printed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,47 +383,30 @@ def extract_datum(split: ComplementSplit, check_e=True,
         sigma=sigma)
 
 
-def psi_morphism(split: ComplementSplit, datum: ExtendingDatum) -> TwoMorphism:
-    """psi_i(x, u) = iota_i(x) + embed_V(u), from the rebuilt product to E."""
-    (b1, _), (b0, _) = _coordinate_maps(split)
-    return TwoMorphism(b1, b0)
-
-
 def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
                cap=DEFAULT_VIOLATION_CAP) -> ConditionReport:
     """Check psi: Z natural V -> E is an isomorphism stabilizing Z and
     co-stabilizing V.
 
     IDs: morphism conditions M1..M5 on psi, PSI-STAB (psi o incl_Z = iota),
-    PSI-COSTAB (proj_V o psi = pr_V).  psi is [iota | V-basis] at each
-    level, invertible because ComplementSplit refuses a V-basis that does
-    not span E with the image of iota.
+    PSI-COSTAB (proj_V o psi = pr_V), evaluated in that order until the cap.
+    psi is [iota | V-basis] at each level, invertible because
+    ComplementSplit refuses a V-basis that does not span E with the image
+    of iota.
     """
-    e = split.e
-    f = e.field
-    rebuilt = build_unified_product(datum)
+    f = split.field
     (b1, b1inv), (b0, b0inv) = _coordinate_maps(split)
-    psi = TwoMorphism(b1, b0)
-    report = ConditionReport(conforming_field=f.conforming)
-    mor = check_2alg_morphism(rebuilt, e, psi, cap=cap)
-    report.extend_namespaced("", mor, cap)
     n1, n0 = split.iota1.cols, split.iota0.cols
     m1, m0 = len(split.vbasis1), len(split.vbasis0)
     # Stabilizes Z: psi restricted to the Z block equals iota.
-    for lvl, phi_psi, iota, nz in ((1, psi.phi1, split.iota1, n1),
-                                   (0, psi.phi0, split.iota0, n0)):
-        for j in range(nz):
-            col = phi_psi.column(j)
-            want = iota.column(j)
-            if col != want and not report.add(f"PSI-STAB{lvl}", (j,), col, want, cap):
-                return report.finalize()
+    stab = ((f"PSI-STAB{lvl}", (j,), b.column(j), iota.column(j))
+            for lvl, b, iota, nz in ((1, b1, split.iota1, n1), (0, b0, split.iota0, n0))
+            for j in range(nz))
     # Co-stabilizes V: complement coordinates of psi(0, u) are u.
-    for lvl, phi_psi, binv, nz, mv in ((1, psi.phi1, b1inv, n1, m1),
-                                       (0, psi.phi0, b0inv, n0, m0)):
-        for j in range(mv):
-            col = phi_psi.column(nz + j)
-            vcoords = binv.apply(col)[nz:]
-            want = vbasis(f, mv, j)
-            if vcoords != want and not report.add(f"PSI-COSTAB{lvl}", (j,), vcoords, want, cap):
-                return report.finalize()
-    return report.finalize()
+    costab = ((f"PSI-COSTAB{lvl}", (j,), binv.apply(b.column(nz + j))[nz:], vbasis(f, mv, j))
+              for lvl, b, binv, nz, mv in ((1, b1, b1inv, n1, m1), (0, b0, b0inv, n0, m0))
+              for j in range(mv))
+    psi = TwoMorphism(b1, b0)
+    instances = chain(_morphism_instances(build_unified_product(datum), split.e, psi),
+                      stab, costab)
+    return ConditionReport(conforming_field=f.conforming).fill(instances, cap).finalize()

@@ -80,7 +80,7 @@ def rand_zinbiel_algebra(field, rng, max_dim=3):
     mult = rng.choice(nilpotent_families(field, dim))
     alg = ZinbielAlgebra(field, dim, mult)
     alg = transport_algebra(alg, rand_invertible(field, dim, rng))
-    assert check_zinbiel(alg, first_only=True).ok
+    assert check_zinbiel(alg, cap=1).ok
     return alg
 
 
@@ -162,7 +162,7 @@ def rand_ambient_with_subalgebra(field, rng):
     t1 = rand_invertible(field, e.z1.dim, rng)
     t0 = rand_invertible(field, e.z0.dim, rng)
     e2 = transport_two_algebra(e, t1, t0)
-    assert check_crossed_module(e2, first_only=True).ok
+    assert check_crossed_module(e2, cap=1).ok
     n1, n0 = datum.z.z1.dim, datum.z.z0.dim
     iota1 = LinMap.from_columns(field, [t1.column(j) for j in range(n1)], e.z1.dim)
     iota0 = LinMap.from_columns(field, [t0.column(j) for j in range(n0)], e.z0.dim)
@@ -205,6 +205,6 @@ def brute_force_equivalent(d1, d2, mode):
                 for s0 in s0_iter:
                     rs = RSData(r1, r0, s1, s0)
                     if check_2alg_morphism(e1, e2, morphism_from_rs(rs, d1, d2),
-                                           first_only=True).ok:
+                                           cap=1).ok:
                         return True, rs
     return False, None

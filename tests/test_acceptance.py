@@ -90,7 +90,7 @@ def test_criterion_2_theorem_iff():
     for combo in itertools.product(range(5), repeat=6):
         d = _datum_0101(*combo)
         ok_direct = check_datum_direct(d, check_z=False, first_only=True).ok
-        ok_conds = check_datum_conditions(d, check_z=False, first_only=True).ok
+        ok_conds = check_datum_conditions(d, check_z=False, cap=1).ok
         mismatches += (ok_direct != ok_conds)
     # each nonzero Z0-multiplication class: both checkers refuse the base
     for c in range(1, 5):
@@ -108,7 +108,7 @@ def test_criterion_2_theorem_iff():
         v = TwoVectorSpace(1, 1, LinMap(F5, 1, 1, [[rng.randrange(5)]]))
         d = rand_sparse_datum(z, v, rng, rng.choice([0.08, 0.15, 0.3, 0.6]))
         ok_direct = check_datum_direct(d, check_z=False, first_only=True).ok
-        rep = check_datum_conditions(d, check_z=False, first_only=True)
+        rep = check_datum_conditions(d, check_z=False, cap=1)
         if ok_direct != rep.ok:
             if any(fl.as_printed_disagrees for fl in rep.flags):
                 flagged_disagreements += 1   # tracked, tolerated
@@ -161,8 +161,8 @@ def test_criterion_4_morphism_lemma():
                         LinMap(F5, 1, 1, [[rng.randrange(5)]]),
                         LinMap(F5, 1, 1, [[rng.randrange(5)]]),
                         LinMap(F5, 1, 1, [[rng.randrange(5)]]))
-        ok_h = check_rs_conditions(rs, d1, d2, first_only=True).ok
-        ok_direct = check_rs_direct(rs, d1, d2, first_only=True).ok
+        ok_h = check_rs_conditions(rs, d1, d2, cap=1).ok
+        ok_direct = check_rs_direct(rs, d1, d2, cap=1).ok
         mismatches += (ok_h != ok_direct)
         if ok_direct:
             morphisms += 1
@@ -189,7 +189,7 @@ def test_criterion_5_specializations():
         d = _datum_0101(*combo)
         ok = check_datum_direct(d, check_z=False, first_only=True).ok
         mismatches["ZZ"] += (ok != check_trivial_z1_conditions(
-            d, check_z=False, first_only=True).ok)
+            d, check_z=False, cap=1).ok)
     # CZ: exhaustive over (hr0, hl0, om0, st0)
     for (p, q, w, m) in itertools.product(range(5), repeat=4):
         cs = CrossedSystem(base01.replace(
@@ -199,7 +199,7 @@ def test_criterion_5_specializations():
             st=(scalar_bilmap(F5, m),) + base01.st[1:]))
         ok = check_datum_direct(cs.embed(), check_z=False, first_only=True).ok
         mismatches["CZ"] += (ok != check_crossed_system(
-            cs, check_z=False, first_only=True).ok)
+            cs, check_z=False, cap=1).ok)
     # BZ: exhaustive over the four level-0 cross scalars
     for (p, q, a, b) in itertools.product(range(5), repeat=4):
         mp = MatchedPairDatum(
@@ -210,7 +210,7 @@ def test_criterion_5_specializations():
             tl=(scalar_bilmap(F5, b),) + base01.tl[1:], check_v=False)
         ok = check_datum_direct(mp.embed(), check_z=False, first_only=True).ok
         mismatches["BZ"] += (ok != check_matched_pair(
-            mp, check_z=False, first_only=True).ok)
+            mp, check_z=False, cap=1).ok)
 
     rng = random.Random(505)
     # 2000 random larger instances each
@@ -219,7 +219,7 @@ def test_criterion_5_specializations():
         d = rand_sparse_datum(z01, v, rng, rng.choice([0.1, 0.3, 0.6]))
         ok = check_datum_direct(d, check_z=False, first_only=True).ok
         mismatches["ZZ"] += (ok != check_trivial_z1_conditions(
-            d, check_z=False, first_only=True).ok)
+            d, check_z=False, cap=1).ok)
     for _ in range(2000):   # CZ at dims (1,1,1,1)
         z = zero_two_algebra(F5, 1, 1, LinMap(F5, 1, 1, [[rng.randrange(5)]]))
         v = TwoVectorSpace(1, 1, LinMap(F5, 1, 1, [[rng.randrange(5)]]))
@@ -232,7 +232,7 @@ def test_criterion_5_specializations():
             sigma=LinMap(F5, 1, 1, [[rng.randrange(5) if rng.random() < dens else 0]])))
         ok = check_datum_direct(cs.embed(), check_z=False, first_only=True).ok
         mismatches["CZ"] += (ok != check_crossed_system(
-            cs, check_z=False, first_only=True).ok)
+            cs, check_z=False, cap=1).ok)
     for _ in range(2000):   # BZ at dims (1,1,1,1)
         z = zero_two_algebra(F5, 1, 1, LinMap(F5, 1, 1, [[rng.randrange(5)]]))
         vv = zero_two_algebra(F5, 1, 1, LinMap(F5, 1, 1, [[rng.randrange(5)]]))
@@ -244,7 +244,7 @@ def test_criterion_5_specializations():
                               check_v=False)
         ok = check_datum_direct(mp.embed(), check_z=False, first_only=True).ok
         mismatches["BZ"] += (ok != check_matched_pair(
-            mp, check_z=False, first_only=True).ok)
+            mp, check_z=False, cap=1).ok)
 
     total = sum(mismatches.values())
     _line(5, total == 0,

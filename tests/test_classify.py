@@ -82,8 +82,8 @@ def test_h_agreement_random():
                         LinMap(F5, 1, 1, [[rng.randrange(5)]]),
                         LinMap(F5, 1, 1, [[rng.randrange(5)]]),
                         LinMap(F5, 1, 1, [[rng.randrange(5)]]))
-        ok_h = check_rs_conditions(rs, d1, d2, first_only=True).ok
-        ok_direct = check_rs_direct(rs, d1, d2, first_only=True).ok
+        ok_h = check_rs_conditions(rs, d1, d2, cap=1).ok
+        ok_direct = check_rs_direct(rs, d1, d2, cap=1).ok
         assert ok_h == ok_direct
         morphism_count += ok_direct
     assert morphism_count >= 240   # positives are exercised, not just failures
@@ -104,7 +104,7 @@ def test_h_isomorphism_iff_s_invertible():
                     LinMap(F5, 1, 1, [[rng.randrange(5)]]),
                     LinMap(F5, 1, 1, [[rng.randrange(5)]]),
                     LinMap(F5, 1, 1, [[rng.randrange(5)]]))
-        if not check_rs_direct(rs, d1, d2, first_only=True).ok:
+        if not check_rs_direct(rs, d1, d2, cap=1).ok:
             continue
         m = morphism_from_rs(rs, d1, d2)
         invertible = (inverse(m.phi1) is not None and inverse(m.phi0) is not None)

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from helpers import (rand_zinbiel_algebra, scalar_bilmap, zero_two_algebra)
+from helpers import (rand_ambient_with_subalgebra, rand_zinbiel_algebra, scalar_bilmap,
+                     zero_two_algebra)
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_action,
                            check_bimodule, check_crossed_module, check_zinbiel,
@@ -10,8 +12,10 @@ from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAl
 from zinbiel2.errors import PreconditionError
 from zinbiel2.fields import PrimeField, Rationals
 from zinbiel2.linalg import BilMap, LinMap
+from zinbiel2.unified import extract_datum, verify_psi
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 Q = Rationals()
 
 
@@ -179,7 +183,7 @@ def test_multilinear_reduction_soundness():
             coeffs = {(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)):
                       rng.randrange(1, 5) for _ in range(rng.randint(0, 4))}
             alg = ZinbielAlgebra(F5, dim, BilMap(F5, dim, dim, dim, coeffs))
-        basis_verdict = check_zinbiel(alg, first_only=True).ok
+        basis_verdict = check_zinbiel(alg, cap=1).ok
         elt_verdict = True
         for _ in range(50):
             x = tuple(rng.randrange(5) for _ in range(alg.dim))
@@ -201,7 +205,7 @@ def test_semidirect_iff_bimodule_dims_1_1_exhaustive():
     for a in range(5):
         for b in range(5):
             act = BimodulePair(scalar_bilmap(F5, a), scalar_bilmap(F5, b))
-            is_bimodule = check_bimodule(z, 1, act, first_only=True).ok
+            is_bimodule = check_bimodule(z, 1, act, cap=1).ok
             # assemble the candidate product without the precondition gate
             coeffs = {}
             if a:
@@ -209,7 +213,7 @@ def test_semidirect_iff_bimodule_dims_1_1_exhaustive():
             if b:
                 coeffs[(1, 1, 0)] = b
             cand = ZinbielAlgebra(F5, 2, BilMap(F5, 2, 2, 2, coeffs))
-            assert check_zinbiel(cand, first_only=True).ok == is_bimodule
+            assert check_zinbiel(cand, cap=1).ok == is_bimodule
             if is_bimodule:
                 assert semidirect_product(z, 1, act) == cand
 
@@ -262,9 +266,9 @@ def test_semidirect_iff_bimodule_dims_2_1_exhaustive():
     # cross-validate the bespoke filter against the library checker
     assert len(zinbiel_tensors) == 25
     for c in zinbiel_tensors:
-        assert check_zinbiel(to_algebra(c), first_only=True).ok
+        assert check_zinbiel(to_algebra(c), cap=1).ok
     for c in rejected_samples:
-        assert not check_zinbiel(to_algebra(c), first_only=True).ok
+        assert not check_zinbiel(to_algebra(c), cap=1).ok
 
     # both directions of the semidirect criterion, exhaustively in (a, b)
     for c in zinbiel_tensors:
@@ -278,8 +282,7 @@ def test_semidirect_iff_bimodule_dims_2_1_exhaustive():
                         right = BilMap(F5, 1, 2, 1,
                                        {(0, 0, 0): b0, (0, 0, 1): b1})
                         act = BimodulePair(left, right)
-                        is_bim = check_bimodule(z, 1, act, first_only=True,
-                                                _skip_zinbiel=True).ok
+                        is_bim = check_bimodule(z, 1, act, cap=1).ok
                         coeffs = {(k, i, j): v for (k, i, j, v) in z.mult.items}
                         if a0:
                             coeffs[(2, 0, 2)] = a0
@@ -290,7 +293,7 @@ def test_semidirect_iff_bimodule_dims_2_1_exhaustive():
                         if b1:
                             coeffs[(2, 2, 1)] = b1
                         cand = ZinbielAlgebra(F5, 3, BilMap(F5, 3, 3, 3, coeffs))
-                        assert check_zinbiel(cand, first_only=True).ok == is_bim
+                        assert check_zinbiel(cand, cap=1).ok == is_bim
                         if is_bim:
                             assert semidirect_product(z, 1, act) == cand
 
@@ -353,3 +356,46 @@ def test_report_merge_is_canonically_sorted():
 def test_report_refuses_cap_below_one(cap):
     with pytest.raises(ValueError):
         ConditionReport().add("ZI", (0, 0, 0), (1,), (2,), cap)
+
+
+def _dense(field, da, db, dc, rng):
+    return BilMap(field, da, db, dc, {(k, i, j): rng.randrange(field.char)
+                                      for k in range(dc) for i in range(da) for j in range(db)})
+
+
+def _cap_cases():
+    """Each oracle check, as cap -> report, on an input with many violations."""
+    rng = random.Random(2024)
+    bad1, bad2 = (ZinbielAlgebra(F5, 2, _dense(F5, 2, 2, 2, rng)) for _ in range(2))
+    act = BimodulePair(_dense(F5, 2, 2, 2, rng), _dense(F5, 2, 2, 2, rng))
+    phi = LinMap(F5, 2, 2, [[1, 2], [3, 4]])
+    t = ZinbielTwoAlgebra(bad1, bad2, phi, act)
+    t2 = ZinbielTwoAlgebra(bad2, bad1, phi, BimodulePair(act.right, act.left))
+    m = TwoMorphism(LinMap(F5, 2, 2, [[1, 1], [0, 2]]), LinMap(F5, 2, 2, [[3, 0], [1, 1]]))
+    _, split = rand_ambient_with_subalgebra(F7, random.Random(11))
+    datum = extract_datum(split)
+    perturbed = datum.replace(st=tuple(_dense(F7, b.dim_a, b.dim_b, b.dim_c, rng)
+                                       for b in datum.st))
+    return {
+        "zinbiel": lambda cap: check_zinbiel(bad1, cap),
+        "bimodule": lambda cap: check_bimodule(bad1, 2, act, cap),
+        "action": lambda cap: check_action(bad1, bad2, act, cap),
+        "crossed_module": lambda cap: check_crossed_module(t, cap),
+        "morphism": lambda cap: check_2alg_morphism(t, t2, m, cap),
+        "verify_psi": lambda cap: verify_psi(split, perturbed, cap),
+    }
+
+
+@pytest.mark.parametrize("name", ["zinbiel", "bimodule", "action", "crossed_module",
+                                  "morphism", "verify_psi"])
+def test_cap_keeps_the_first_violations(name):
+    check = _cap_cases()[name]
+    full = check(math.inf)
+    total = len(full.violations)
+    assert total >= 3 and not full.truncated
+    for k in range(1, total + 2):
+        rep = check(k)
+        assert len(rep.violations) == min(k, total)
+        assert set(rep.violations) <= set(full.violations)
+        assert rep.truncated == (total >= k)
+        assert rep.ok == full.ok

@@ -9,7 +9,7 @@ from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra
 from zinbiel2.errors import SchemaError
 from zinbiel2.fields import PrimeField, Rationals
 from zinbiel2.io import (bilmap_to_json, canonical_dumps, datum_to_json,
-                         linmap_to_json, parse_bilmap, parse_datum,
+                         linmap_to_json, load_document, parse_bilmap, parse_datum,
                          parse_linmap, parse_two_algebra, two_algebra_to_json)
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 
@@ -89,3 +89,29 @@ def test_schema_error_missing_key():
     with pytest.raises(SchemaError) as err:
         parse_linmap(F5, {"rows": 1, "entries": []}, "$", "h.json")
     assert "cols" in str(err.value)
+
+
+DIMS2 = {"dimA": 2, "dimB": 2, "dimC": 2}
+
+
+@pytest.mark.parametrize("parse, obj, where", [
+    (parse_linmap, {"rows": 2, "cols": 1, "entries": [[True, 0, "3"]]}, "$.m.entries[0]"),
+    (parse_linmap, {"rows": 2, "cols": 1, "entries": [[1, 0, "3"], [1, 0, "2"]]},
+     "$.m.entries[1]"),
+    (parse_bilmap, {**DIMS2, "coeffs": [[True, False, 1, "1"]]}, "$.m.coeffs[0]"),
+    (parse_bilmap, {**DIMS2, "coeffs": [[0, 1, 1, "1"], [1, 0, 0, "1"], [0, 1, 1, "2"]]},
+     "$.m.coeffs[2]"),
+])
+def test_boolean_and_duplicate_indices_are_refused(parse, obj, where):
+    with pytest.raises(SchemaError) as err:
+        parse(F5, obj, "$.m", "f.json")
+    assert f"f.json: {where}:" in str(err.value)
+
+
+def test_boolean_index_in_a_document_is_a_schema_error(tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"kind": "zinbiel_algebra", "field": "gf5", "dim": 2,
+                                "mult": {**DIMS2, "coeffs": [[True, False, 1, "1"]]}}))
+    with pytest.raises(SchemaError) as err:
+        load_document(str(path))
+    assert "$.mult.coeffs[0]" in str(err.value)

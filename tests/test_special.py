@@ -140,7 +140,7 @@ def test_cz_exhaustive_0101():
     for combo in itertools.product(range(5), repeat=4):
         cs = crossed_0101(*combo)
         ok_direct = check_datum_direct(cs.embed(), check_z=False, first_only=True).ok
-        ok_cz = check_crossed_system(cs, check_z=False, first_only=True).ok
+        ok_cz = check_crossed_system(cs, check_z=False, cap=1).ok
         mism += (ok_direct != ok_cz)
     assert mism == 0
 
@@ -163,7 +163,7 @@ def test_cz_random_1111():
     for _ in range(800):
         cs = rand_crossed_1111(rng, rng.choice([0.1, 0.3, 0.6]))
         ok_direct = check_datum_direct(cs.embed(), check_z=False, first_only=True).ok
-        ok_cz = check_crossed_system(cs, check_z=False, first_only=True).ok
+        ok_cz = check_crossed_system(cs, check_z=False, cap=1).ok
         assert ok_direct == ok_cz
 
 
@@ -178,7 +178,7 @@ def test_bz_exhaustive_0101():
         tl = (scalar_bilmap(F5, b),) + base.tl[1:]
         mp = MatchedPairDatum(z, vv, hr=hr, hl=hl, tr=tr, tl=tl, check_v=False)
         ok_direct = check_datum_direct(mp.embed(), check_z=False, first_only=True).ok
-        ok_bz = check_matched_pair(mp, check_z=False, first_only=True).ok
+        ok_bz = check_matched_pair(mp, check_z=False, cap=1).ok
         assert ok_direct == ok_bz
 
 
@@ -190,7 +190,7 @@ def test_bz_random_1111():
         mp = mp_cross_scalars(rng.randrange(5), rng.randrange(5),
                               scalars[0], scalars[1], scalars[2], scalars[3])
         ok_direct = check_datum_direct(mp.embed(), check_z=False, first_only=True).ok
-        ok_bz = check_matched_pair(mp, check_z=False, first_only=True).ok
+        ok_bz = check_matched_pair(mp, check_z=False, cap=1).ok
         assert ok_direct == ok_bz
 
 

@@ -7,9 +7,10 @@ import random
 from helpers import (rand_ambient_with_subalgebra, rand_invertible,
                      rand_valid_datum_1111, zero_two_algebra)
 from zinbiel2.classify import RSData
+from zinbiel2.core import TwoMorphism
 from zinbiel2.fields import PrimeField
 from zinbiel2.special import CrossedSystem, MatchedPairDatum
-from zinbiel2.unified import build_unified_product, extract_datum, psi_morphism
+from zinbiel2.unified import build_unified_product
 
 F5 = PrimeField(5)
 
@@ -42,4 +43,4 @@ def test_value_classes_pickle_round_trip():
     _, split = rand_ambient_with_subalgebra(F5, rng)
     copy = round_trip(split)
     assert copy.vbasis1 == split.vbasis1 and copy.vbasis0 == split.vbasis0
-    round_trip(psi_morphism(split, extract_datum(split)))
+    round_trip(TwoMorphism(split.iota1, split.iota0))
