@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
-                   ZinbielTwoAlgebra, check_2alg_morphism, check_crossed_module)
+                   ZinbielTwoAlgebra, check_2alg_morphism)
 from .engine import MorphismCtx, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField
 from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import ExtendingDatum, build_unified_product, check_datum_direct
+from .unified import (ExtendingDatum, _require_valid_z, build_unified_product,
+                      check_datum_direct)
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
@@ -390,9 +391,7 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
     check so far; each datum it accepts is rebuilt and re-checked by the
     oracle, and a disagreement raises.
     """
-    zrep = check_crossed_module(z)
-    if not zrep.ok:
-        raise PreconditionError("Z is not a valid Zinbiel 2-algebra", zrep)
+    _require_valid_z(z, DEFAULT_VIOLATION_CAP)
     spec = EnumerationSpec(field, z, vdims, d)
     if spec.total > budget:
         raise BudgetExceeded(

@@ -89,7 +89,10 @@ class ConditionReport:
 
     def fill(self, instances, cap=DEFAULT_VIOLATION_CAP):
         """Add the violated (id, witness, lhs, rhs) instances in stream order;
-        the stream is left unread once the cap is reached.  Returns self."""
+        the stream is left unread once the cap is reached, and not read at
+        all for a cap below 1 (ValueError).  Returns self."""
+        if cap < 1:
+            raise ValueError(f"violation cap must be at least 1, got {cap}")
         for cond, witness, lhs, rhs in instances:
             if lhs != rhs and not self.add(cond, witness, lhs, rhs, cap):
                 break

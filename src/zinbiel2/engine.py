@@ -5,8 +5,9 @@ dispatches the overloaded product "." by the spaces of its operands
 (Z0.Z0 -> level-0 mult, Z1.Z1 -> level-1 mult, Z0.Z1 / Z1.Z0 -> the fixed
 action), and every structure-map application validates its operand spaces,
 so an index slip in a transcription fails loudly instead of silently
-producing a wrong tensor.  evaluate_conditions walks the (condition, basis
-tuple) instances in table order and stops at the cap, as the oracle does.
+producing a wrong tensor.  evaluate_conditions streams the (condition,
+basis tuple) instances in table order into ConditionReport.fill, which
+stops at the cap, as the oracle's checks do.
 """
 
 from __future__ import annotations
@@ -221,39 +222,44 @@ def _grid(dims, spaces):
     return out
 
 
+def _condition_instances(ctx, table, strict_printed, disagrees):
+    """(id, witness, lhs, rhs) for every condition of `table` on every basis
+    tuple, in table order.  Where a suspect condition's form as printed
+    disagrees with the corrected one, its id is added to `disagrees` and,
+    with strict_printed, the "<cid>.as-printed" instance follows."""
+    for cond in table.conds:
+        for idx in _grid(ctx.dims, cond.spaces):
+            elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
+            lhs, rhs = cond.fn(ctx, *elts)
+            if lhs.space != rhs.space:
+                raise DimError(f"{cond.cid}: sides live in {lhs.space} vs {rhs.space}")
+            witness = idx if cond.level is None else (cond.level,) + idx
+            yield cond.cid, witness, lhs.vec, rhs.vec
+            if cond.as_printed is not None:
+                plhs, prhs = cond.as_printed(ctx, *elts)
+                if (plhs.vec != prhs.vec) != (lhs.vec != rhs.vec):
+                    disagrees.add(cond.cid)
+                    if strict_printed:
+                        yield f"{cond.cid}.as-printed", witness, plhs.vec, prhs.vec
+
+
 def evaluate_conditions(ctx, table, cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
     """Evaluate every condition of `table` on all applicable basis tuples.
 
     Violations of corrected (typo-suspect) conditions count toward the
     verdict; each suspect condition also gets a FlagNote recording whether
     the form as originally printed disagrees with the corrected form on this
-    input.  With strict_printed=True such disagreements are added as
-    violations with id "<cid>.as-printed".  The report holds the first `cap`
-    violations in (condition, basis tuple) order, sorted; cap=1 asks for a
-    verdict only.  Flags are emitted even when the report stops at the cap.
+    input.  With strict_printed=True, a point where the form as printed is
+    violated and the corrected form holds is added as a violation with id
+    "<cid>.as-printed".  The report holds the first `cap` violations in
+    (condition, basis tuple) order, sorted; cap=1 asks for a verdict only.
+    Flags are emitted even when the report stops at the cap; they cover the
+    instances evaluated before it.
     """
     report = ConditionReport(conforming_field=ctx.field.conforming)
-    suspect_disagrees = {}
-    instances = ((cond, idx) for cond in table.conds for idx in _grid(ctx.dims, cond.spaces))
-    for cond, idx in instances:
-        elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
-        lhs, rhs = cond.fn(ctx, *elts)
-        if lhs.space != rhs.space:
-            raise DimError(f"{cond.cid}: sides live in {lhs.space} vs {rhs.space}")
-        witness = idx if cond.level is None else (cond.level,) + idx
-        if lhs.vec != rhs.vec:
-            if not report.add(cond.cid, witness, lhs.vec, rhs.vec, cap):
-                break
-        if cond.as_printed is not None:
-            plhs, prhs = cond.as_printed(ctx, *elts)
-            printed_viol = plhs.vec != prhs.vec
-            if printed_viol != (lhs.vec != rhs.vec):
-                suspect_disagrees[cond.cid] = True
-                if strict_printed and not report.add(f"{cond.cid}.as-printed", witness,
-                                                     plhs.vec, prhs.vec, cap):
-                    break
+    disagrees = set()
+    report.fill(_condition_instances(ctx, table, strict_printed, disagrees), cap)
     for cond in table.conds:
         if cond.suspect is not None and (cond.level is None or cond.level == 0):
-            report.flags.append(FlagNote(cond.cid, cond.suspect,
-                                         suspect_disagrees.get(cond.cid, False)))
+            report.flags.append(FlagNote(cond.cid, cond.suspect, cond.cid in disagrees))
     return report.finalize()

@@ -5,7 +5,9 @@ Both products are the unified product of the embedded extending datum:
 CrossedSystem forces tr = tl = 0, and a matched pair embeds with omega =
 sigma = 0, so no separate construction is needed.  The independent check
 of these specializations is the CZ/BZ catalogs against the oracle run on
-the built product.
+the built product.  The converse directions read the datum off an ambient
+E with extract_datum: check_ideal_extension requires its tr and tl to
+vanish, factorize its omega and sigma.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, ZinbielAlgebra,
 from .engine import OM_DOM, DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
-from .linalg import BilMap, LinMap, TwoVectorSpace, is_zero_vec
-from .unified import (ComplementSplit, ExtendingDatum, _coordinate_maps,
+from .linalg import BilMap, LinMap, TwoVectorSpace
+from .unified import (ComplementSplit, ExtendingDatum, _require_valid_z,
                       build_unified_product, extract_datum)
 
 
@@ -63,9 +65,7 @@ def check_crossed_system(cs: CrossedSystem, cap=DEFAULT_VIOLATION_CAP,
     (V1, V0, d) a valid 2-algebra (violations namespaced V.*)."""
     from .conds_special import CZ_TABLE
     if check_z:
-        zrep = check_crossed_module(cs.datum.z, cap=cap)
-        if not zrep.ok:
-            raise PreconditionError("the base Z is not a valid Zinbiel 2-algebra", zrep)
+        _require_valid_z(cs.datum.z, cap)
     report = evaluate_conditions(DatumCtx(cs.datum), CZ_TABLE, cap=cap,
                                  strict_printed=strict_printed)
     vstar = _prefixed("V.", _crossed_module_instances(star_structure(cs.datum)))
@@ -76,39 +76,15 @@ def check_ideal_extension(split: ComplementSplit, cap=DEFAULT_VIOLATION_CAP) -> 
     """Check that the embedded Z is a two-sided ideal and extract the
     crossed system realizing E as a crossed product.
 
-    Ideal closure means: both level multiplications and both action maps
-    send any pair with one argument from Z back into Z (zero complement
-    component).  Witnesses are (operation, side, z index, e index).
+    The datum is read off with extract_datum; Z is an ideal exactly when it
+    is a subalgebra and the extracted tr and tl vanish (Z x V and V x Z land
+    in Z).  Witnesses are ("tr"|"tl", j) for the first nonzero family, or
+    the subalgebra witness of extract_datum.
     """
-    e = split.e
-    f = e.field
-    (b1, b1inv), (b0, b0inv) = _coordinate_maps(split)
-    n1, n0 = split.iota1.cols, split.iota0.cols
-    z_emb = {1: [split.iota1.column(j) for j in range(n1)],
-             0: [split.iota0.column(j) for j in range(n0)]}
-
-    def vpart(level, vec):
-        binv = b1inv if level == 1 else b0inv
-        nz = n1 if level == 1 else n0
-        return binv.apply(vec)[nz:]
-
-    ops = {"mult0": (0, 0, 0, e.z0.mult), "mult1": (1, 1, 1, e.z1.mult),
-           "act_left": (0, 1, 1, e.act.left), "act_right": (1, 0, 1, e.act.right)}
-    from .linalg import vbasis
-    for name, (la, lb, lc, tensor) in ops.items():
-        dim_a = e.z0.dim if la == 0 else e.z1.dim
-        dim_b = e.z0.dim if lb == 0 else e.z1.dim
-        for i, zv in enumerate(z_emb[la]):
-            for k in range(dim_b):
-                if not is_zero_vec(f, vpart(lc, tensor.eval(zv, vbasis(f, dim_b, k)))):
-                    raise NotAnIdeal(f"Z is not closed under {name} on the left",
-                                     witness=(name, "left", i, k))
-        for k, zv in enumerate(z_emb[lb]):
-            for i in range(dim_a):
-                if not is_zero_vec(f, vpart(lc, tensor.eval(vbasis(f, dim_a, i), zv))):
-                    raise NotAnIdeal(f"Z is not closed under {name} on the right",
-                                     witness=(name, "right", i, k))
-    datum = extract_datum(split, cap=cap)
+    try:
+        datum = extract_datum(split, cap=cap)
+    except SubalgebraError as exc:
+        raise NotAnIdeal(f"Z is not a subalgebra: {exc}", witness=exc.witness) from exc
     for name in ("tr", "tl"):
         for j, m in enumerate(getattr(datum, name)):
             if not m.is_zero():
@@ -170,9 +146,7 @@ def check_matched_pair(mp: MatchedPairDatum, cap=DEFAULT_VIOLATION_CAP,
     """BZ1..BZ106 over the embedded datum (V validity is a type invariant)."""
     from .conds_special import BZ_TABLE
     if check_z:
-        zrep = check_crossed_module(mp.z, cap=cap)
-        if not zrep.ok:
-            raise PreconditionError("the base Z is not a valid Zinbiel 2-algebra", zrep)
+        _require_valid_z(mp.z, cap)
     return evaluate_conditions(DatumCtx(mp.embed()), BZ_TABLE, cap=cap,
                                strict_printed=strict_printed)
 

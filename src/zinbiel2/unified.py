@@ -5,15 +5,21 @@ candidate 2-algebra structures on (Z1+V1, Z0+V0) containing a fixed
 2-algebra Z; build_unified_product assembles the candidate, and
 check_datum_direct is the ground-truth oracle: build, then verify every
 2-algebra axiom on the result.  The transcribed condition lists live in
-conds_unified.py and are cross-validated against the oracle.  The oracle
-and verify_psi fill their reports from core's instance streams, so each
-report holds the first `cap` violations in evaluation order, sorted.
+conds_unified.py and are cross-validated against the oracle.
+
+One block table, _BLOCKS, says which datum family fills each block of an
+operation on Z + V.  build_unified_product writes the blocks through it,
+and extract_datum is its inverse: it rewrites E in the basis [iota |
+V-basis] that a ComplementSplit stores and reads the blocks back through
+the same table.  The oracle and verify_psi fill their reports from core's
+instance streams, so each report holds the first `cap` violations in
+evaluation order, sorted.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .core import (ConditionReport, ZinbielAlgebra, ZinbielTwoAlgebra,
@@ -22,8 +28,8 @@ from .core import (ConditionReport, ZinbielAlgebra, ZinbielTwoAlgebra,
 from .engine import (DatumCtx, HR_DOM, HL_DOM, TR_DOM, TL_DOM, OM_DOM, ST_DOM,
                      evaluate_conditions)
 from .errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
-from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, is_zero_vec,
-                     rank, upper_block, vbasis)
+from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, upper_block,
+                     vbasis)
 
 _FAMS = (("hr", HR_DOM), ("hl", HL_DOM), ("tr", TR_DOM), ("tl", TL_DOM),
          ("om", OM_DOM), ("st", ST_DOM))
@@ -101,43 +107,68 @@ class ExtendingDatum:
 # action, 3: right action) as (level of slot a, level of slot b, result level).
 _OP_LEVELS = ((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))
 
+# The blocks of an operation on Z + V as (slot a, slot b, result), each 0 for
+# Z and 1 for V, with the datum family that fills the block ("z" is the
+# operation of Z itself).  Z x Z -> V is the one block left out: it vanishes
+# exactly when Z is closed under the operation.
+_BLOCKS = (((0, 0, 0), "z"), ((0, 1, 0), "hl"), ((0, 1, 1), "tr"), ((1, 0, 0), "hr"),
+           ((1, 0, 1), "tl"), ((1, 1, 0), "om"), ((1, 1, 1), "st"))
+
 
 def _ops(t: ZinbielTwoAlgebra):
     """The four structure tensors of t in operation order."""
     return (t.z0.mult, t.z1.mult, t.act.left, t.act.right)
 
 
-def _assemble(field, nz_a, nv_a, nz_b, nv_b, nz_c, nv_c,
-              zz_z, zv_z, zv_v, vz_z, vz_v, vv_z, vv_v):
-    """Direct-sum bilinear map from block components.
+def _assemble(field, j, nz, nv, fams):
+    """Operation j on Z + V from the families filling its blocks, given in
+    _BLOCKS order.
 
-    Blocks are named by argument origin (z/v per slot) and target component.
-    Basis order is Z indices then V indices.
+    nz and nv are the (level-0, level-1) dims of Z and V; the basis of each
+    level is the Z indices, then the V indices.
     """
+    la, lb, lc = _OP_LEVELS[j]
+    za, zb, zc = nz[la], nz[lb], nz[lc]
     coeffs = {}
-    for tensor, a_off, b_off, c_off in ((zz_z, 0, 0, 0), (zv_z, 0, nz_b, 0),
-                                        (zv_v, 0, nz_b, nz_c), (vz_z, nz_a, 0, 0),
-                                        (vz_v, nz_a, 0, nz_c), (vv_z, nz_a, nz_b, 0),
-                                        (vv_v, nz_a, nz_b, nz_c)):
-        for (k, i, j, val) in tensor.items:
-            coeffs[(k + c_off, i + a_off, j + b_off)] = val
-    return BilMap(field, nz_a + nv_a, nz_b + nv_b, nz_c + nv_c, coeffs)
+    for ((a, b, c), _), fam in zip(_BLOCKS, fams):
+        items = fam[j].items
+        if items:
+            a_off, b_off, c_off = a * za, b * zb, c * zc
+            for (k, i, jj, val) in items:
+                coeffs[(k + c_off, i + a_off, jj + b_off)] = val
+    return BilMap(field, za + nv[la], zb + nv[lb], zc + nv[lc], coeffs)
+
+
+def _split(field, j, tensor, nz, nv):
+    """The blocks of operation j on Z + V in _BLOCKS order: the inverse of
+    _assemble.  A nonzero Z x Z -> V block raises SubalgebraError with the
+    least (i, k) of its entries as witness."""
+    la, lb, lc = _OP_LEVELS[j]
+    za, zb, zc = nz[la], nz[lb], nz[lc]
+    coeffs = {}
+    for (k, i, jj, val) in tensor.items:
+        a, b, c = int(i >= za), int(jj >= zb), int(k >= zc)
+        coeffs.setdefault((a, b, c), {})[(k - c * zc, i - a * za, jj - b * zb)] = val
+    if (0, 0, 1) in coeffs:
+        i, k = min((i, k) for _, i, k in coeffs[(0, 0, 1)])
+        raise SubalgebraError(f"iota(Z) is not closed under operation {j}",
+                              witness=(j, i, k))
+    dims = ((nz[la], nv[la]), (nz[lb], nv[lb]), (nz[lc], nv[lc]))
+    return tuple(BilMap(field, dims[0][a], dims[1][b], dims[2][c], coeffs.get((a, b, c), {}))
+                 for (a, b, c), _ in _BLOCKS)
 
 
 def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
     """Assemble the candidate 2-algebra on (Z1+V1, Z0+V0); no validity check.
 
-    Each product has up to seven structure contributions: the Z operation,
-    hl/hr cross terms, omega into Z, and tr/tl/st into V.
+    Each operation is written block by block through _BLOCKS: the Z
+    operation, hl/hr cross terms and omega into Z, and tr/tl/st into V.
     """
     z, v = datum.z, datum.v
     f = datum.field
     nz, nv = (z.z0.dim, z.z1.dim), (v.dim0, v.dim1)
-    mult0, mult1, act_left, act_right = (
-        _assemble(f, nz[la], nv[la], nz[lb], nv[lb], nz[lc], nv[lc], zz,
-                  datum.hl[j], datum.tr[j], datum.hr[j], datum.tl[j],
-                  datum.om[j], datum.st[j])
-        for j, ((la, lb, lc), zz) in enumerate(zip(_OP_LEVELS, _ops(z))))
+    fams = [_ops(z) if name == "z" else getattr(datum, name) for _, name in _BLOCKS]
+    mult0, mult1, act_left, act_right = (_assemble(f, j, nz, nv, fams) for j in range(4))
     # phi_E(x, u) = (phi(x) + sigma(u), d(u))
     phi_e = upper_block(z.phi, datum.sigma, v.d)
     return ZinbielTwoAlgebra(ZinbielAlgebra(f, nz[1] + nv[1], mult1),
@@ -192,8 +223,10 @@ class ComplementSplit:
     iota_i: Z_i -> E_i are injections, p_i: E_i -> Z_i retractions with
     p_i o iota_i = id; the complement V_i := ker(p_i) gets the deterministic
     kernel basis unless a basis is given.  Checked at construction: shapes,
-    the retraction identity, and that a given basis lies in ker(p_i), has
-    the right size and spans E_i together with the image of iota_i.
+    the retraction identity, and that a given basis lies in ker(p_i) and has
+    the right size.  The change of basis B_i = [iota_i | V-basis] and its
+    inverse are built here once; B_i not invertible means the basis does not
+    span E_i together with the image of iota_i, and is refused.
     """
 
     e: ZinbielTwoAlgebra
@@ -203,6 +236,7 @@ class ComplementSplit:
     p0: LinMap
     vbasis1: tuple = None
     vbasis0: tuple = None
+    _bases: tuple = dc_field(init=False, repr=False, compare=False)  # ((B1, B1^-1), (B0, B0^-1))
 
     def __post_init__(self):
         e = self.e
@@ -214,22 +248,27 @@ class ComplementSplit:
             if comp != LinMap.identity(e.field, iota.cols):
                 raise DimError(f"p{lvl} o iota{lvl} is not the identity")
         z = e.field.zero()
+        bases = []
         for iota, p, name, lvl in ((self.iota1, self.p1, "vbasis1", 1),
                                    (self.iota0, self.p0, "vbasis0", 0)):
             given = getattr(self, name)
-            if given is None:   # a kernel basis is independent by construction
-                object.__setattr__(self, name, tuple(kernel_basis(p)))
-                continue
-            given = tuple(tuple(v) for v in given)
-            if len(given) != p.cols - p.rows:
-                raise DimError(f"level-{lvl} complement basis has wrong size")
-            for v in given:
-                if any(x != z for x in p.apply(v)):
-                    raise DimError(f"level-{lvl} complement basis not in ker(p)")
+            if given is None:
+                given = tuple(kernel_basis(p))
+            else:
+                given = tuple(tuple(v) for v in given)
+                if len(given) != p.cols - p.rows:
+                    raise DimError(f"level-{lvl} complement basis has wrong size")
+                for v in given:
+                    if any(x != z for x in p.apply(v)):
+                        raise DimError(f"level-{lvl} complement basis not in ker(p)")
             cols = [iota.column(j) for j in range(iota.cols)] + list(given)
-            if rank(LinMap.from_columns(e.field, cols, p.cols)) != p.cols:
+            b = LinMap.from_columns(e.field, cols, p.cols)
+            binv = inverse(b)
+            if binv is None:
                 raise DimError(f"level-{lvl} iota image and complement basis do not span E")
             object.__setattr__(self, name, given)
+            bases.append((b, binv))
+        object.__setattr__(self, "_bases", tuple(bases))
 
     @property
     def field(self):
@@ -239,32 +278,17 @@ class ComplementSplit:
         return (self.iota1.cols, self.iota0.cols, len(self.vbasis1), len(self.vbasis0))
 
 
-def _coordinate_maps(split):
-    """Per level: (assembly matrix B = [iota | V-basis], B^-1)."""
-    f = split.field
-    out = []
-    for iota, vecs, dim_e in ((split.iota1, split.vbasis1, split.e.z1.dim),
-                              (split.iota0, split.vbasis0, split.e.z0.dim)):
-        cols = [iota.column(j) for j in range(iota.cols)] + list(vecs)
-        b = LinMap.from_columns(f, cols, dim_e)
-        if b.rows != b.cols:
-            raise DimError("split does not decompose E as Z + V")
-        binv = inverse(b)
-        if binv is None:
-            raise DimError("iota image and complement do not span E")
-        out.append((b, binv))
-    return out  # [(B1, B1inv), (B0, B0inv)]
-
-
 def extract_datum(split: ComplementSplit, check_e=True,
                   cap=DEFAULT_VIOLATION_CAP) -> ExtendingDatum:
     """Read an extending datum off an ambient E along the split.
 
-    Uniform component splitting: for every ambient operation and argument
-    pattern, the Z-part of the result is its Z-coordinate and the V-part is
-    the complement coordinate.  Pure-Z patterns must stay inside Z (that is
-    the subalgebra condition; SubalgebraError with a witness otherwise), and
-    they define the induced structure on Z.
+    The inverse of build_unified_product: each operation of E is rewritten
+    in the basis [iota | V-basis] of the split, B^-1 t(B x, B y), and cut
+    into its blocks with _split; B0^-1 phi_E B1 is cut into
+    [[phi, sigma], [0, d]].  The Z x Z -> V blocks and the lower-left block
+    of phi_E must vanish (that is the subalgebra condition; SubalgebraError
+    with witness (j, i, k) or ("phi", i) otherwise), and the Z blocks are
+    the induced structure on Z.
     """
     e = split.e
     f = e.field
@@ -272,115 +296,31 @@ def extract_datum(split: ComplementSplit, check_e=True,
         rep = check_crossed_module(e, cap=cap)
         if not rep.ok:
             raise PreconditionError("ambient E is not a valid Zinbiel 2-algebra", rep)
-    (b1, b1inv), (b0, b0inv) = _coordinate_maps(split)
+    (b1, b1inv), (b0, b0inv) = split._bases
     n1, n0 = split.iota1.cols, split.iota0.cols
     m1, m0 = len(split.vbasis1), len(split.vbasis0)
-
-    def coords(level, vec):
-        """(z_coords, v_coords) of an ambient level vector."""
-        binv = b1inv if level == 1 else b0inv
-        c = binv.apply(vec)
-        nz = n1 if level == 1 else n0
-        return c[:nz], c[nz:]
-
-    z_embed = {1: [split.iota1.column(j) for j in range(n1)],
-               0: [split.iota0.column(j) for j in range(n0)]}
-    v_embed = {1: list(split.vbasis1), 0: list(split.vbasis0)}
-
-    # op j -> (level of slot a, level of slot b, result level, tensor)
-    ops = {j: (*levels, tensor) for j, (levels, tensor) in enumerate(zip(_OP_LEVELS, _ops(e)))}
-
-    # Subalgebra closure of the iota images, and the induced Z structure.
-    induced = {}
-    for j, (la, lb, lc, tensor) in ops.items():
-        za, zb = z_embed[la], z_embed[lb]
-        vals = {}
-        for i, ea in enumerate(za):
-            for k, eb in enumerate(zb):
-                zc, vc = coords(lc, tensor.eval(ea, eb))
-                if not is_zero_vec(f, vc):
-                    raise SubalgebraError(
-                        f"iota(Z) is not closed under operation {j}",
-                        witness=(j, i, k))
-                vals[(i, k)] = zc
-        induced[j] = vals
-    # phi_E restricted to iota(Z1) must land in iota(Z0).
-    phi_vals = []
-    for i, ea in enumerate(z_embed[1]):
-        zc, vc = coords(0, e.phi.apply(ea))
-        if not is_zero_vec(f, vc):
+    binv = (b0inv, b1inv)
+    cols = tuple([b.column(i) for i in range(b.cols)] for b in (b0, b1))
+    blocks = []
+    for j, tensor in enumerate(_ops(e)):
+        la, lb, lc = _OP_LEVELS[j]
+        rebased = BilMap.from_basis_function(
+            f, len(cols[la]), len(cols[lb]), len(cols[lc]),
+            lambda i, k: binv[lc].apply(tensor.eval(cols[la][i], cols[lb][k])))
+        blocks.append(_split(f, j, rebased, (n0, n1), (m0, m1)))
+    phi_e = b0inv.compose(e.phi.compose(b1)).entries
+    for i in range(n1):
+        if any(row[i] != f.zero() for row in phi_e[n0:]):
             raise SubalgebraError("phi_E does not restrict to the Z levels",
                                   witness=("phi", i))
-        phi_vals.append(zc)
-
-    def family(j):
-        la, lb, lc, tensor = ops[j]
-        dz_a, dz_b, dz_c = (n1 if la == 1 else n0), (n1 if lb == 1 else n0), (n1 if lc == 1 else n0)
-        dv_a, dv_b, dv_c = (m1 if la == 1 else m0), (m1 if lb == 1 else m0), (m1 if lc == 1 else m0)
-        store = {"hr": {}, "hl": {}, "tr": {}, "tl": {}, "om": {}, "st": {}}
-
-        def record(z_name, v_name, i, k, vec):
-            zc, vc = coords(lc, vec)
-            for kk, val in enumerate(zc):
-                if val != f.zero():
-                    store[z_name][(kk, i, k)] = val
-            for kk, val in enumerate(vc):
-                if val != f.zero():
-                    store[v_name][(kk, i, k)] = val
-
-        for i, ea in enumerate(z_embed[la]):           # Z x V pattern
-            for k, eb in enumerate(v_embed[lb]):
-                record("hl", "tr", i, k, tensor.eval(ea, eb))
-        for i, ea in enumerate(v_embed[la]):           # V x Z pattern
-            for k, eb in enumerate(z_embed[lb]):
-                record("hr", "tl", i, k, tensor.eval(ea, eb))
-        for i, ea in enumerate(v_embed[la]):           # V x V pattern
-            for k, eb in enumerate(v_embed[lb]):
-                record("om", "st", i, k, tensor.eval(ea, eb))
-        return {
-            "hr": BilMap(f, dv_a, dz_b, dz_c, store["hr"]),
-            "hl": BilMap(f, dz_a, dv_b, dz_c, store["hl"]),
-            "tr": BilMap(f, dz_a, dv_b, dv_c, store["tr"]),
-            "tl": BilMap(f, dv_a, dz_b, dv_c, store["tl"]),
-            "om": BilMap(f, dv_a, dv_b, dz_c, store["om"]),
-            "st": BilMap(f, dv_a, dv_b, dv_c, store["st"]),
-        }
-
-    fams = {j: family(j) for j in range(4)}
-
-    # sigma and d from phi_E on the complement.
-    sig_entries = {}
-    d_entries = {}
-    for k, u in enumerate(v_embed[1]):
-        zc, vc = coords(0, e.phi.apply(u))
-        for kk, val in enumerate(zc):
-            sig_entries[(kk, k)] = val
-        for kk, val in enumerate(vc):
-            d_entries[(kk, k)] = val
-    z0_ = f.zero()
-    sigma = LinMap(f, n0, m1, [[sig_entries.get((r, c), z0_) for c in range(m1)]
-                               for r in range(n0)])
-    d = LinMap(f, m0, m1, [[d_entries.get((r, c), z0_) for c in range(m1)]
-                           for r in range(m0)])
-
-    # Induced Z (structure transported along iota).
-    mult0 = BilMap.from_basis_function(f, n0, n0, n0, lambda i, k: induced[0][(i, k)])
-    mult1 = BilMap.from_basis_function(f, n1, n1, n1, lambda i, k: induced[1][(i, k)])
-    act_l = BilMap.from_basis_function(f, n0, n1, n1, lambda i, k: induced[2][(i, k)])
-    act_r = BilMap.from_basis_function(f, n1, n0, n1, lambda i, k: induced[3][(i, k)])
-    phi = LinMap.from_columns(f, phi_vals, n0)
+    fams = {name: fam for (_, name), fam in zip(_BLOCKS, zip(*blocks))}
+    mult0, mult1, act_l, act_r = fams.pop("z")
     z = ZinbielTwoAlgebra(ZinbielAlgebra(f, n1, mult1), ZinbielAlgebra(f, n0, mult0),
-                          phi, BimodulePair(act_l, act_r))
-    v = TwoVectorSpace(m1, m0, d)
-    return ExtendingDatum(
-        z, v,
-        hr=tuple(fams[j]["hr"] for j in range(4)),
-        hl=tuple(fams[j]["hl"] for j in range(4)),
-        tr=tuple(fams[j]["tr"] for j in range(4)),
-        tl=tuple(fams[j]["tl"] for j in range(4)),
-        om=tuple(fams[j]["om"] for j in range(4)),
-        st=tuple(fams[j]["st"] for j in range(4)),
-        sigma=sigma)
+                          LinMap(f, n0, n1, [row[:n1] for row in phi_e[:n0]]),
+                          BimodulePair(act_l, act_r))
+    d = LinMap(f, m0, m1, [row[n1:] for row in phi_e[n0:]])
+    return ExtendingDatum(z, TwoVectorSpace(m1, m0, d), **fams,
+                          sigma=LinMap(f, n0, m1, [row[n1:] for row in phi_e[:n0]]))
 
 
 def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
@@ -390,12 +330,12 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
 
     IDs: morphism conditions M1..M5 on psi, PSI-STAB (psi o incl_Z = iota),
     PSI-COSTAB (proj_V o psi = pr_V), evaluated in that order until the cap.
-    psi is [iota | V-basis] at each level, invertible because
-    ComplementSplit refuses a V-basis that does not span E with the image
-    of iota.
+    psi is the split's change of basis [iota | V-basis] at each level,
+    invertible because ComplementSplit refuses a V-basis that does not span
+    E with the image of iota.
     """
     f = split.field
-    (b1, b1inv), (b0, b0inv) = _coordinate_maps(split)
+    (b1, b1inv), (b0, b0inv) = split._bases
     n1, n0 = split.iota1.cols, split.iota0.cols
     m1, m0 = len(split.vbasis1), len(split.vbasis0)
     # Stabilizes Z: psi restricted to the Z block equals iota.

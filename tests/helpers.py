@@ -149,6 +149,19 @@ def rand_split_of(e: ZinbielTwoAlgebra, iota1: LinMap, iota0: LinMap, rng):
     return ComplementSplit(e, iota1, iota0, ps[0], ps[1])
 
 
+def standard_split(e, n1, n0):
+    """The split of e whose Z spans the first n1 (level 1) and n0 (level 0)
+    basis vectors, with the retraction that drops the other coordinates."""
+    f = e.field
+
+    def eye(rows, cols):
+        return LinMap(f, rows, cols, [[f.one() if r == c else f.zero() for c in range(cols)]
+                                      for r in range(rows)])
+
+    return ComplementSplit(e, eye(e.z1.dim, n1), eye(e.z0.dim, n0),
+                           eye(n1, e.z1.dim), eye(n0, e.z0.dim))
+
+
 def rand_ambient_with_subalgebra(field, rng):
     """A random valid 2-algebra E (level dims 2) with an embedded 1-dim-per-
     level sub-2-algebra and a random complement.

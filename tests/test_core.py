@@ -3,16 +3,19 @@ import random
 
 import pytest
 
-from helpers import (rand_ambient_with_subalgebra, rand_zinbiel_algebra, scalar_bilmap,
-                     zero_two_algebra)
+from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, rand_zinbiel_algebra,
+                     scalar_bilmap, zero_two_algebra)
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_action,
                            check_bimodule, check_crossed_module, check_zinbiel,
                            semidirect_product)
+from zinbiel2.conds_unified import ZZ_TABLE
+from zinbiel2.engine import DatumCtx, evaluate_conditions
 from zinbiel2.errors import PreconditionError
 from zinbiel2.fields import PrimeField, Rationals
-from zinbiel2.linalg import BilMap, LinMap
-from zinbiel2.unified import extract_datum, verify_psi
+from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
+from zinbiel2.unified import (ExtendingDatum, check_trivial_z1_conditions, extract_datum,
+                              verify_psi)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -354,8 +357,15 @@ def test_report_merge_is_canonically_sorted():
 
 @pytest.mark.parametrize("cap", [0, -1])
 def test_report_refuses_cap_below_one(cap):
-    with pytest.raises(ValueError):
-        ConditionReport().add("ZI", (0, 0, 0), (1,), (2,), cap)
+    # refused before anything is evaluated, also on inputs with no violation
+    trivial = ExtendingDatum.trivial(ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1)),
+                                     TwoVectorSpace(1, 1, LinMap.zero(F5, 1, 1)))
+    calls = (lambda: ConditionReport().add("ZI", (0, 0, 0), (1,), (2,), cap),
+             lambda: check_zinbiel(ZinbielAlgebra.zero(F5, 1), cap=cap),
+             lambda: evaluate_conditions(DatumCtx(trivial), ZZ_TABLE, cap=cap))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def _dense(field, da, db, dc, rng):
@@ -376,6 +386,9 @@ def _cap_cases():
     datum = extract_datum(split)
     perturbed = datum.replace(st=tuple(_dense(F7, b.dim_a, b.dim_b, b.dim_c, rng)
                                        for b in datum.st))
+    # nine ZZ violations, the sixth of them ZZ19.as-printed
+    zz = rand_sparse_datum(ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1)),
+                           TwoVectorSpace(1, 1, LinMap.zero(F5, 1, 1)), random.Random(41), 0.4)
     return {
         "zinbiel": lambda cap: check_zinbiel(bad1, cap),
         "bimodule": lambda cap: check_bimodule(bad1, 2, act, cap),
@@ -383,11 +396,13 @@ def _cap_cases():
         "crossed_module": lambda cap: check_crossed_module(t, cap),
         "morphism": lambda cap: check_2alg_morphism(t, t2, m, cap),
         "verify_psi": lambda cap: verify_psi(split, perturbed, cap),
+        "conditions": lambda cap: check_trivial_z1_conditions(zz, cap, check_z=False,
+                                                              strict_printed=True),
     }
 
 
 @pytest.mark.parametrize("name", ["zinbiel", "bimodule", "action", "crossed_module",
-                                  "morphism", "verify_psi"])
+                                  "morphism", "verify_psi", "conditions"])
 def test_cap_keeps_the_first_violations(name):
     check = _cap_cases()[name]
     full = check(math.inf)

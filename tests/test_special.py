@@ -3,17 +3,16 @@ import random
 
 import pytest
 
-from helpers import scalar_bilmap, zero_two_algebra
+from helpers import scalar_bilmap, standard_split, zero_two_algebra
 from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra
 from zinbiel2.errors import NotAnIdeal, NotComplementary, ObstructionNonzero, DimError
 from zinbiel2.fields import PrimeField
-from zinbiel2.linalg import LinMap, TwoVectorSpace, is_zero_vec
+from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, is_zero_vec
 from zinbiel2.special import (CrossedSystem, MatchedPairDatum,
                               build_bicrossed_product, build_crossed_product,
                               check_crossed_system, check_ideal_extension,
                               check_matched_pair, factorize)
-from zinbiel2.unified import (ComplementSplit, ExtendingDatum,
-                              build_unified_product, check_datum_direct)
+from zinbiel2.unified import ExtendingDatum, build_unified_product, check_datum_direct
 
 F5 = PrimeField(5)
 
@@ -202,24 +201,11 @@ def test_bz97_vacuous_under_type_invariant():
     assert rep.ok
 
 
-def _standard_split(e, n1, n0):
-    f = e.field
-    iota1 = LinMap(f, e.z1.dim, n1, [[f.one() if r == c else f.zero()
-                                      for c in range(n1)] for r in range(e.z1.dim)])
-    iota0 = LinMap(f, e.z0.dim, n0, [[f.one() if r == c else f.zero()
-                                      for c in range(n0)] for r in range(e.z0.dim)])
-    p1 = LinMap(f, n1, e.z1.dim, [[f.one() if r == c else f.zero()
-                                   for c in range(e.z1.dim)] for r in range(n1)])
-    p0 = LinMap(f, n0, e.z0.dim, [[f.one() if r == c else f.zero()
-                                   for c in range(e.z0.dim)] for r in range(n0)])
-    return ComplementSplit(e, iota1, iota0, p1, p0)
-
-
 def test_ideal_extension_direct_product():
     z = shell_z01()
     v = TwoVectorSpace(0, 1, LinMap.zero(F5, 1, 0))
     e = build_unified_product(ExtendingDatum.trivial(z, v))
-    split = _standard_split(e, 0, 1)
+    split = standard_split(e, 0, 1)
     cs = check_ideal_extension(split)
     assert all(m.is_zero() for m in cs.datum.hr + cs.datum.hl + cs.datum.om)
 
@@ -231,7 +217,7 @@ def test_ideal_extension_roundtrip():
         if not check_datum_direct(cs.embed(), check_z=False, first_only=True).ok:
             continue
         e = build_crossed_product(cs)
-        split = _standard_split(e, 1, 1)
+        split = standard_split(e, 1, 1)
         cs2 = check_ideal_extension(split)
         assert cs2.datum == cs.datum   # standard split recovers the datum
         from zinbiel2.unified import verify_psi
@@ -243,10 +229,20 @@ def test_not_an_ideal_from_bicrossed():
     mp = mp_cross_scalars(0, 0, (0, 0, 0, 2), (0, 0, 0, 0))
     assert check_datum_direct(mp.embed(), check_z=False, first_only=True).ok
     e = build_bicrossed_product(mp)
-    split = _standard_split(e, 1, 1)
+    split = standard_split(e, 1, 1)
     with pytest.raises(NotAnIdeal) as err:
         check_ideal_extension(split)
     assert err.value.witness is not None
+
+
+def test_not_an_ideal_when_z_is_not_a_subalgebra():
+    # in the algebra e0*e0 = e1, the line of e0 is not closed: the ideal
+    # check reports the subalgebra witness (operation 0, e0, e0)
+    alg = ZinbielAlgebra(F5, 2, BilMap(F5, 2, 2, 2, {(1, 0, 0): 1}))
+    split = standard_split(ZinbielTwoAlgebra.shell(alg), 0, 1)
+    with pytest.raises(NotAnIdeal) as err:
+        check_ideal_extension(split)
+    assert err.value.witness == (0, 0, 0)
 
 
 def test_factorize_direct_product():

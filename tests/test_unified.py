@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from helpers import (rand_ambient_with_subalgebra, scalar_bilmap,
-                     zero_two_algebra)
+from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, scalar_bilmap,
+                     standard_split, zero_two_algebra)
 from zinbiel2 import unified
 from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
                            check_crossed_module, check_zinbiel)
@@ -139,19 +139,44 @@ def test_extract_rejects_non_subalgebra():
 
 
 def test_verify_psi_inverts_each_level_once(monkeypatch):
-    # psi is [iota | V-basis] at each level, inverted once there; that it is
-    # invertible needs no further check, because ComplementSplit refuses a
-    # basis that does not span E
+    # the change of basis [iota | V-basis] is inverted once per level, when
+    # the split is built; extract_datum and verify_psi read the stored maps
     e = build_unified_product(ExtendingDatum.trivial(
         nf2_two_algebra(F5), TwoVectorSpace(0, 0, LinMap.zero(F5, 0, 0))))
     ident = LinMap.identity(F5, 2)
-    split = ComplementSplit(e, ident, ident, ident, ident)
-    datum = extract_datum(split)
     calls = []
     monkeypatch.setattr(unified, "inverse",
                         lambda m, real=unified.inverse: calls.append(m) or real(m))
+    split = ComplementSplit(e, ident, ident, ident, ident)
+    datum = extract_datum(split)
     assert verify_psi(split, datum).ok
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (0, 1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 0),
+                                  (2, 1, 1, 2)])
+def test_extract_inverts_build_on_candidate_data(dims):
+    # any candidate datum, valid or not, is read back exactly off its
+    # product along the standard split (dims are Z1, Z0, V1, V0)
+    n1, n0, m1, m0 = dims
+    rng = random.Random(str(dims))
+
+    def dense(da, db, dc):
+        return BilMap(F5, da, db, dc, {(k, i, j): rng.randrange(5) for k in range(dc)
+                                       for i in range(da) for j in range(db)})
+
+    def matrix(rows, cols):
+        return LinMap(F5, rows, cols, [[rng.randrange(5) for _ in range(cols)]
+                                       for _ in range(rows)])
+
+    for _ in range(10):
+        z = ZinbielTwoAlgebra(ZinbielAlgebra(F5, n1, dense(n1, n1, n1)),
+                              ZinbielAlgebra(F5, n0, dense(n0, n0, n0)), matrix(n0, n1),
+                              BimodulePair(dense(n0, n1, n1), dense(n1, n0, n1)))
+        datum = rand_sparse_datum(z, TwoVectorSpace(m1, m0, matrix(m0, m1)), rng, 0.5)
+        e = build_unified_product(datum)
+        assert extract_datum(standard_split(e, n1, n0), check_e=False) == datum
+
 
 def test_split_refuses_dependent_complement_basis():
     # two multiples of e2 lie in ker(p0) and have the right count, but with
