@@ -21,6 +21,7 @@ Condition IDs are namespaced so a nested report localizes failures:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
@@ -33,6 +34,7 @@ DEFAULT_VIOLATION_CAP = 100
 _ID_TOKEN = re.compile(r"\d+|\D+")
 
 
+@functools.cache
 def _id_sort_key(cond_id):
     """Natural order: Z2 before Z14, with namespaced ids grouped by prefix."""
     return tuple((0, t) if not t.isdigit() else (1, int(t))

@@ -5,9 +5,26 @@ dispatches the overloaded product "." by the spaces of its operands
 (Z0.Z0 -> level-0 mult, Z1.Z1 -> level-1 mult, Z0.Z1 / Z1.Z0 -> the fixed
 action), and every structure-map application validates its operand spaces,
 so an index slip in a transcription fails loudly instead of silently
-producing a wrong tensor.  evaluate_conditions streams the (condition,
-basis tuple) instances in table order into ConditionReport.fill, which
-stops at the cap, as the oracle's checks do.
+producing a wrong tensor.
+
+The lambdas only add elements and apply structure maps to basis vectors, so
+each (condition, basis tuple) instance is a pair of vectors of polynomials
+with nonnegative integer coefficients in the structure constants.  A table
+is therefore run once per shape (context kind and dims), symbolically: on a
+context whose map entries are the variables x0, x1, ... of Z[x], in the
+order the context lists its maps, with every space check in force.  The
+instances are cached on the table.  evaluate_conditions checks a concrete
+context by substituting its structure constants into each instance as the
+instance is read, and reduces every value with field.canonical, so GF(p)
+for every p and Q go through one evaluator.  The polynomials come from the
+catalog lambdas, never from the product E, so the catalog route stays
+independent of the oracle.  The instances stream in table order into
+ConditionReport.fill, which stops at the cap, as the oracle's checks do.
+
+The shapes of the structure maps come from one table: _OP_LEVELS gives the
+levels of the four operations of a 2-algebra, _BLOCKS the datum family that
+fills each block of an operation on Z + V, and MAP_SPACES the spaces of
+every map they determine.
 """
 
 from __future__ import annotations
@@ -16,16 +33,33 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_VIOLATION_CAP, ConditionReport, FlagNote
 from .errors import DimError
-from .linalg import vadd, vbasis, vzero
+from .fields import PolynomialRing
+from .linalg import BilMap, LinMap, vadd, vbasis, vzero
 
-# Domain/codomain tables for the 24 datum maps, keyed by the map family and
-# the index j: (left space, right space, result space).
-HR_DOM = {0: ("V0", "Z0", "Z0"), 1: ("V1", "Z1", "Z1"), 2: ("V0", "Z1", "Z1"), 3: ("V1", "Z0", "Z1")}
-HL_DOM = {0: ("Z0", "V0", "Z0"), 1: ("Z1", "V1", "Z1"), 2: ("Z0", "V1", "Z1"), 3: ("Z1", "V0", "Z1")}
-TR_DOM = {0: ("Z0", "V0", "V0"), 1: ("Z1", "V1", "V1"), 2: ("Z0", "V1", "V1"), 3: ("Z1", "V0", "V1")}
-TL_DOM = {0: ("V0", "Z0", "V0"), 1: ("V1", "Z1", "V1"), 2: ("V0", "Z1", "V1"), 3: ("V1", "Z0", "V1")}
-OM_DOM = {0: ("V0", "V0", "Z0"), 1: ("V1", "V1", "Z1"), 2: ("V0", "V1", "Z1"), 3: ("V1", "V0", "Z1")}
-ST_DOM = {0: ("V0", "V0", "V0"), 1: ("V1", "V1", "V1"), 2: ("V0", "V1", "V1"), 3: ("V1", "V0", "V1")}
+# Operation j of a 2-algebra (0: level-0 mult, 1: level-1 mult, 2: left
+# action, 3: right action) as (level of slot a, level of slot b, result level).
+_OP_LEVELS = ((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))
+
+# The blocks of an operation on Z + V as (slot a, slot b, result), each 0 for
+# Z and 1 for V, with the datum family that fills the block ("z" is the
+# operation of Z itself).  Z x Z -> V is the one block left out: it vanishes
+# exactly when Z is closed under the operation.
+_BLOCKS = (((0, 0, 0), "z"), ((0, 1, 0), "hl"), ((0, 1, 1), "tr"), ((1, 0, 0), "hr"),
+           ((1, 0, 1), "tl"), ((1, 1, 0), "om"), ((1, 1, 1), "st"))
+
+# Family name -> (left space, right space, result space) of its map j: the
+# sides of the family's block at the levels of operation j.
+MAP_SPACES = {name: tuple(tuple("ZV"[side] + str(level) for side, level in zip(block, levels))
+                          for levels in _OP_LEVELS)
+              for block, name in _BLOCKS}
+
+# Operand spaces of the overloaded product -> the operation of Z it applies.
+_DOT = {spaces[:2]: j for j, spaces in enumerate(MAP_SPACES["z"])}
+
+
+def _ops(t):
+    """The four structure tensors of a 2-algebra t in operation order."""
+    return (t.z0.mult, t.z1.mult, t.act.left, t.act.right)
 
 
 class Elt:
@@ -48,11 +82,71 @@ class Elt:
 
 
 class BaseCtx:
-    """Shared space bookkeeping for condition contexts."""
+    """Space bookkeeping and typed map application for condition contexts.
+
+    `maps` holds every structure map the accessors read, key -> (spaces,
+    map), in the one order that values() and symbolic() both follow; the
+    spaces are (left, right, result) for a bilinear map and (domain,
+    codomain) for a linear one.
+    """
 
     def __init__(self, field, dims):
         self.field = field
         self.dims = dims  # {"Z0": n, "Z1": n, "V0": n, "V1": n}
+        self.maps = {}
+
+    def shape(self):
+        """What a symbolic run of a table depends on: context kind and dims."""
+        return type(self), tuple(sorted(self.dims.items()))
+
+    def values(self):
+        """Every map entry in `maps` order: a bilinear map densely in
+        (k, i, j) order, a linear map row-major.  A map whose shape does not
+        fit its spaces raises DimError."""
+        dims, z = self.dims, self.field.zero()
+        out = []
+        for key, (spaces, m) in self.maps.items():
+            if len(spaces) == 3:
+                la, lb, lc = spaces
+                na, nb = m.dim_a, m.dim_b
+                if (na, nb, m.dim_c) != (dims[la], dims[lb], dims[lc]):
+                    raise DimError(f"{key} must be {dims[la]}x{dims[lb]}->{dims[lc]}, "
+                                   f"got {na}x{nb}->{m.dim_c}")
+                base = len(out)
+                out += [z] * (na * nb * m.dim_c)
+                for k, i, j, v in m.items:
+                    out[base + (k * na + i) * nb + j] = v
+            else:
+                dom, cod = spaces
+                if (m.cols, m.rows) != (dims[dom], dims[cod]):
+                    raise DimError(f"{key} must be {dims[cod]}x{dims[dom]}, "
+                                   f"got {m.rows}x{m.cols}")
+                for row in m.entries:
+                    out += row
+        return out
+
+    def symbolic(self):
+        """A context of the same kind and dims over Z[x] whose map entries
+        are the variables x0, x1, ... in values() order."""
+        ring = PolynomialRing()
+        sym = object.__new__(type(self))
+        BaseCtx.__init__(sym, ring, self.dims)
+        n = 0
+        for key, (spaces, _) in self.maps.items():
+            shape = [self.dims[s] for s in spaces]
+            if len(spaces) == 3:
+                na, nb, nc = shape
+                m = BilMap(ring, na, nb, nc,
+                           {(k, i, j): ring.var(n + (k * na + i) * nb + j)
+                            for k in range(nc) for i in range(na) for j in range(nb)})
+                n += na * nb * nc
+            else:
+                dom, cod = shape
+                m = LinMap(ring, cod, dom, [[ring.var(n + r * dom + c) for c in range(dom)]
+                                            for r in range(cod)])
+                n += dom * cod
+            sym.maps[key] = (spaces, m)
+        return sym
 
     def basis(self, space, i):
         return Elt(space, vbasis(self.field, self.dims[space], i), self)
@@ -60,16 +154,26 @@ class BaseCtx:
     def zero(self, space):
         return Elt(space, vzero(self.field, self.dims[space]), self)
 
-    def _bil(self, tensor, dom, a, b):
-        la, lb, lc = dom
+    def _bil(self, key, a, b):
+        (la, lb, lc), tensor = self.maps[key]
         if a.space != la or b.space != lb:
             raise DimError(f"map expects ({la},{lb}), got ({a.space},{b.space})")
         return Elt(lc, tensor.eval(a.vec, b.vec), self)
 
-    def _lin(self, linmap, dom, cod, a):
+    def _lin(self, key, a):
+        (dom, cod), linmap = self.maps[key]
         if a.space != dom:
             raise DimError(f"map expects {dom}, got {a.space}")
         return Elt(cod, linmap.apply(a.vec), self)
+
+
+def _datum_maps(datum, mark):
+    """key, (spaces, map) for the 24 family maps and sigma of datum; mark
+    is "" for the source datum of a context and "p" for the target."""
+    for _, name in _BLOCKS[1:]:
+        for j, m in enumerate(getattr(datum, name)):
+            yield (name + mark, j), (MAP_SPACES[name][j], m)
+    yield "sig" + mark, (("V1", "Z0"), datum.sigma)
 
 
 class DatumCtx(BaseCtx):
@@ -79,55 +183,44 @@ class DatumCtx(BaseCtx):
         z, v = datum.z, datum.v
         super().__init__(z.field, {"Z0": z.z0.dim, "Z1": z.z1.dim,
                                    "V0": v.dim0, "V1": v.dim1})
-        self.datum = datum
-        self._m0 = z.z0.mult
-        self._m1 = z.z1.mult
-        self._ar = z.act.left
-        self._al = z.act.right
-        self._phi = z.phi
-        self._d = v.d
-        self._sigma = datum.sigma
+        self.maps.update((("z", j), (MAP_SPACES["z"][j], t)) for j, t in enumerate(_ops(z)))
+        self.maps.update(phi=(("Z1", "Z0"), z.phi), d=(("V1", "V0"), v.d))
+        self.maps.update(_datum_maps(datum, ""))
 
     # The overloaded product of the source formulas: multiplication on a
     # level, or the fixed action across levels.
     def dot(self, a, b):
-        pair = (a.space, b.space)
-        if pair == ("Z0", "Z0"):
-            return Elt("Z0", self._m0.eval(a.vec, b.vec), self)
-        if pair == ("Z1", "Z1"):
-            return Elt("Z1", self._m1.eval(a.vec, b.vec), self)
-        if pair == ("Z0", "Z1"):
-            return Elt("Z1", self._ar.eval(a.vec, b.vec), self)
-        if pair == ("Z1", "Z0"):
-            return Elt("Z1", self._al.eval(a.vec, b.vec), self)
-        raise DimError(f"no product for spaces {pair}")
+        j = _DOT.get((a.space, b.space))
+        if j is None:
+            raise DimError(f"no product for spaces {(a.space, b.space)}")
+        return self._bil(("z", j), a, b)
 
     def hr(self, j, a, b):
-        return self._bil(self.datum.hr[j], HR_DOM[j], a, b)
+        return self._bil(("hr", j), a, b)
 
     def hl(self, j, a, b):
-        return self._bil(self.datum.hl[j], HL_DOM[j], a, b)
+        return self._bil(("hl", j), a, b)
 
     def tr(self, j, a, b):
-        return self._bil(self.datum.tr[j], TR_DOM[j], a, b)
+        return self._bil(("tr", j), a, b)
 
     def tl(self, j, a, b):
-        return self._bil(self.datum.tl[j], TL_DOM[j], a, b)
+        return self._bil(("tl", j), a, b)
 
     def om(self, j, a, b):
-        return self._bil(self.datum.om[j], OM_DOM[j], a, b)
+        return self._bil(("om", j), a, b)
 
     def st(self, j, a, b):
-        return self._bil(self.datum.st[j], ST_DOM[j], a, b)
+        return self._bil(("st", j), a, b)
 
     def phi(self, a):
-        return self._lin(self._phi, "Z1", "Z0", a)
+        return self._lin("phi", a)
 
     def sig(self, a):
-        return self._lin(self._sigma, "V1", "Z0", a)
+        return self._lin("sig", a)
 
     def d(self, a):
-        return self._lin(self._d, "V1", "V0", a)
+        return self._lin("d", a)
 
 
 class MorphismCtx(DatumCtx):
@@ -139,37 +232,36 @@ class MorphismCtx(DatumCtx):
 
     def __init__(self, datum, datum_p, rs):
         super().__init__(datum)
-        self.datum_p = datum_p
-        self._sigma_p = datum_p.sigma
-        self._r = {0: rs.r0, 1: rs.r1}
-        self._s = {0: rs.s0, 1: rs.s1}
+        self.maps.update(_datum_maps(datum_p, "p"))
+        self.maps.update({("r", 1): (("V1", "Z1"), rs.r1), ("r", 0): (("V0", "Z0"), rs.r0),
+                          ("s", 1): (("V1", "V1"), rs.s1), ("s", 0): (("V0", "V0"), rs.s0)})
 
     def hrp(self, j, a, b):
-        return self._bil(self.datum_p.hr[j], HR_DOM[j], a, b)
+        return self._bil(("hrp", j), a, b)
 
     def hlp(self, j, a, b):
-        return self._bil(self.datum_p.hl[j], HL_DOM[j], a, b)
+        return self._bil(("hlp", j), a, b)
 
     def trp(self, j, a, b):
-        return self._bil(self.datum_p.tr[j], TR_DOM[j], a, b)
+        return self._bil(("trp", j), a, b)
 
     def tlp(self, j, a, b):
-        return self._bil(self.datum_p.tl[j], TL_DOM[j], a, b)
+        return self._bil(("tlp", j), a, b)
 
     def omp(self, j, a, b):
-        return self._bil(self.datum_p.om[j], OM_DOM[j], a, b)
+        return self._bil(("omp", j), a, b)
 
     def stp(self, j, a, b):
-        return self._bil(self.datum_p.st[j], ST_DOM[j], a, b)
+        return self._bil(("stp", j), a, b)
 
     def sigp(self, a):
-        return self._lin(self._sigma_p, "V1", "Z0", a)
+        return self._lin("sigp", a)
 
     def r(self, i, a):
-        return self._lin(self._r[i], f"V{i}", f"Z{i}", a)
+        return self._lin(("r", i), a)
 
     def s(self, i, a):
-        return self._lin(self._s[i], f"V{i}", f"V{i}", a)
+        return self._lin(("s", i), a)
 
 
 @dataclass(frozen=True)
@@ -183,15 +275,21 @@ class Condition:
 
 
 class ConditionTable:
-    """An ordered list of conditions sharing one context type."""
+    """An ordered list of conditions sharing one context type.
+
+    The symbolic run of the table at each shape it is evaluated on is built
+    on first use and kept (see instances).
+    """
 
     def __init__(self, name):
         self.name = name
         self.conds = []
+        self._runs = {}     # ctx.shape() -> the instances of _symbolic_run
 
     def add(self, cid, spaces, fn, suspect=None, as_printed=None):
         self.conds.append(Condition(cid, None, tuple(spaces.split()), fn,
                                     suspect, as_printed))
+        self._runs.clear()
 
     def add_leveled(self, cid, spaces, make, suspect=None):
         """Register a condition family once per level i = 0, 1.
@@ -202,6 +300,7 @@ class ConditionTable:
         for i in (0, 1):
             resolved = tuple(s.replace("i", str(i)) for s in spaces.split())
             self.conds.append(Condition(cid, i, resolved, make(i), suspect, None))
+        self._runs.clear()
 
     def ids(self):
         seen = []
@@ -209,6 +308,14 @@ class ConditionTable:
             if c.cid not in seen:
                 seen.append(c.cid)
         return seen
+
+    def instances(self, ctx):
+        """The symbolic instances of the table at the shape of ctx."""
+        key = ctx.shape()
+        run = self._runs.get(key)
+        if run is None:
+            run = self._runs[key] = _symbolic_run(ctx.symbolic(), self)
+        return run
 
 
 def _grid(dims, spaces):
@@ -222,39 +329,72 @@ def _grid(dims, spaces):
     return out
 
 
-def _condition_instances(ctx, table, strict_printed, disagrees):
-    """(id, witness, lhs, rhs) for every condition of `table` on every basis
-    tuple, in table order.  Where a suspect condition's form as printed
-    disagrees with the corrected one, its id is added to `disagrees` and,
-    with strict_printed, the "<cid>.as-printed" instance follows."""
+def _sides(cid, fn, ctx, elts):
+    """The (lhs, rhs) vectors of one condition instance."""
+    lhs, rhs = fn(ctx, *elts)
+    if lhs.space != rhs.space:
+        raise DimError(f"{cid}: sides live in {lhs.space} vs {rhs.space}")
+    return lhs.vec, rhs.vec
+
+
+def _symbolic_run(ctx, table):
+    """(id, witness, lhs, rhs, printed) for every condition of `table` on
+    every basis tuple of the symbolic context ctx, in table order; printed
+    holds the (lhs, rhs) of the form as printed, or None."""
+    run = []
     for cond in table.conds:
         for idx in _grid(ctx.dims, cond.spaces):
             elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
-            lhs, rhs = cond.fn(ctx, *elts)
-            if lhs.space != rhs.space:
-                raise DimError(f"{cond.cid}: sides live in {lhs.space} vs {rhs.space}")
             witness = idx if cond.level is None else (cond.level,) + idx
-            yield cond.cid, witness, lhs.vec, rhs.vec
-            if cond.as_printed is not None:
-                plhs, prhs = cond.as_printed(ctx, *elts)
-                if (plhs.vec != prhs.vec) != (lhs.vec != rhs.vec):
-                    disagrees.add(cond.cid)
-                    if strict_printed:
-                        yield f"{cond.cid}.as-printed", witness, plhs.vec, prhs.vec
+            printed = (None if cond.as_printed is None
+                       else _sides(cond.cid, cond.as_printed, ctx, elts))
+            run.append((cond.cid, witness, *_sides(cond.cid, cond.fn, ctx, elts), printed))
+    return run
+
+
+def _condition_instances(ctx, table, strict_printed, disagrees):
+    """(id, witness, lhs, rhs) for every condition of `table` on every basis
+    tuple of ctx, in table order, substituted into the symbolic instances as
+    they are read.  Where a suspect condition's form as printed disagrees
+    with the corrected one, its id is added to `disagrees` and, with
+    strict_printed, the "<cid>.as-printed" instance follows."""
+    run = table.instances(ctx)
+    values, canonical = ctx.values(), ctx.field.canonical
+
+    def at(side):
+        out = []
+        for poly in side:
+            total = 0
+            for mono, c in poly:
+                for x in mono:
+                    c *= values[x]
+                total += c
+            out.append(canonical(total))
+        return tuple(out)
+
+    for cid, witness, lhs, rhs, printed in run:
+        lhs, rhs = at(lhs), at(rhs)
+        yield cid, witness, lhs, rhs
+        if printed is not None:
+            plhs, prhs = at(printed[0]), at(printed[1])
+            if (plhs != prhs) != (lhs != rhs):
+                disagrees.add(cid)
+                if strict_printed:
+                    yield f"{cid}.as-printed", witness, plhs, prhs
 
 
 def evaluate_conditions(ctx, table, cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
     """Evaluate every condition of `table` on all applicable basis tuples.
 
-    Violations of corrected (typo-suspect) conditions count toward the
-    verdict; each suspect condition also gets a FlagNote recording whether
-    the form as originally printed disagrees with the corrected form on this
-    input.  With strict_printed=True, a point where the form as printed is
-    violated and the corrected form holds is added as a violation with id
-    "<cid>.as-printed".  The report holds the first `cap` violations in
-    (condition, basis tuple) order, sorted; cap=1 asks for a verdict only.
-    Flags are emitted even when the report stops at the cap; they cover the
-    instances evaluated before it.
+    ctx is over GF(p) or Q.  Violations of corrected (typo-suspect)
+    conditions count toward the verdict; each suspect condition also gets a
+    FlagNote recording whether the form as originally printed disagrees
+    with the corrected form on this input.  With strict_printed=True, a
+    point where the form as printed is violated and the corrected form
+    holds is added as a violation with id "<cid>.as-printed".  The report
+    holds the first `cap` violations in (condition, basis tuple) order,
+    sorted; cap=1 asks for a verdict only.  Flags are emitted even when the
+    report stops at the cap; they cover the instances evaluated before it.
     """
     report = ConditionReport(conforming_field=ctx.field.conforming)
     disagrees = set()

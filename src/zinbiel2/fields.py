@@ -9,7 +9,8 @@ with the override mark every downstream report as non-conforming.
 
 PolynomialRing is not a field: it gives the constructors and the checks the
 ring operations they use, so that a check can run on structure constants
-that are polynomials over GF(p) (see classify.EnumerationSpec.checks).
+that are polynomials over GF(p) (see classify.EnumerationSpec.checks), or
+over the integers (see engine: the catalogs run once over Z[x]).
 """
 
 from __future__ import annotations
@@ -164,25 +165,31 @@ class PrimeField:
 
 
 class PolynomialRing:
-    """GF(p)[x0, x1, ...]: enough ring arithmetic to run the checks symbolically.
+    """GF(p)[x0, x1, ...], or Z[x0, x1, ...] when no field is given: enough
+    ring arithmetic to run the checks symbolically.
 
     A polynomial is a plain tuple of (monomial, coefficient) pairs sorted by
     monomial, where a monomial is the sorted tuple of its variable indices
-    (x0*x2*x2 is (0, 2, 2)) and every coefficient is a nonzero residue; the
-    zero polynomial is ().  The form is canonical, so == is equality of
-    polynomials.
+    (x0*x2*x2 is (0, 2, 2)) and every coefficient is a nonzero residue, or a
+    nonzero int over Z; the zero polynomial is ().  The form is canonical,
+    so == is equality of polynomials.
     """
 
-    def __init__(self, field: PrimeField):
-        self.p = field.p
-        self.name = f"{field.name}[x]"
-        self.char = field.p
-        self.conforming = field.conforming
+    def __init__(self, field: PrimeField | None = None):
+        self.p = None if field is None else field.p
+        self.name = "z[x]" if field is None else f"{field.name}[x]"
+        self.char = 0 if field is None else field.p
+        self.conforming = True if field is None else field.conforming
 
     def _collect(self, terms):
         acc = {}
-        for mono, c in terms:
-            acc[mono] = (acc.get(mono, 0) + c) % self.p
+        p = self.p
+        if p is None:
+            for mono, c in terms:
+                acc[mono] = acc.get(mono, 0) + c
+        else:
+            for mono, c in terms:
+                acc[mono] = (acc.get(mono, 0) + c) % p
         return tuple(sorted((m, c) for m, c in acc.items() if c))
 
     def zero(self):
@@ -209,6 +216,8 @@ class PolynomialRing:
         return self._collect(a + b) if b else a
 
     def neg(self, a):
+        if self.p is None:
+            return tuple((m, -c) for m, c in a)
         return tuple((m, self.p - c) for m, c in a)
 
     def sub(self, a, b):
@@ -225,7 +234,7 @@ class PolynomialRing:
         return hash(("gf[x]", self.p))
 
     def __repr__(self):
-        return f"PolynomialRing(PrimeField({self.p}))"
+        return "PolynomialRing()" if self.p is None else f"PolynomialRing(PrimeField({self.p}))"
 
 
 def field_from_name(name: str, allow_small_char: bool = False):

@@ -12,6 +12,7 @@ import json
 
 from .core import (BimodulePair, ConditionReport, ZinbielAlgebra,
                    ZinbielTwoAlgebra)
+from .engine import MAP_SPACES
 from .errors import SchemaError
 from .fields import field_from_name
 from .linalg import BilMap, LinMap, TwoVectorSpace
@@ -248,9 +249,6 @@ def parse_datum(field, obj, path, filename, require=DATUM_FIELDS):
                                f"{path}.v", filename)
     fams = {attr: [None] * 4 for attr in _FAM_ATTR.values()}
     dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
-    from .engine import HL_DOM, HR_DOM, OM_DOM, ST_DOM, TL_DOM, TR_DOM
-    doms = {"hr": HR_DOM, "hl": HL_DOM, "tr": TR_DOM, "tl": TL_DOM,
-            "om": OM_DOM, "st": ST_DOM}
     for fam, attr in _FAM_ATTR.items():
         for j in range(4):
             key = f"{fam}_{j}"
@@ -258,7 +256,7 @@ def parse_datum(field, obj, path, filename, require=DATUM_FIELDS):
                 fams[attr][j] = parse_bilmap(field, _want(obj, key, dict, path, filename),
                                              f"{path}.{key}", filename)
             else:
-                la, lb, lc = doms[attr][j]
+                la, lb, lc = MAP_SPACES[attr][j]
                 fams[attr][j] = BilMap.zero(field, dims[la], dims[lb], dims[lc])
     sigma = parse_linmap(field, _want(obj, "sigma", dict, path, filename),
                          f"{path}.sigma", filename)

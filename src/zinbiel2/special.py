@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, ZinbielAlgebra,
                    ZinbielTwoAlgebra, _crossed_module_instances, _prefixed,
                    check_crossed_module)
-from .engine import OM_DOM, DatumCtx, evaluate_conditions
+from .engine import MAP_SPACES, DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
 from .linalg import BilMap, LinMap, TwoVectorSpace
@@ -128,8 +128,7 @@ class MatchedPairDatum:
         n0, m1 = self.z.z0.dim, self.v.z1.dim
         dims = {"Z0": self.z.z0.dim, "Z1": self.z.z1.dim,
                 "V0": self.v.z0.dim, "V1": self.v.z1.dim}
-        om = tuple(BilMap.zero(f, dims[OM_DOM[j][0]], dims[OM_DOM[j][1]],
-                               dims[OM_DOM[j][2]]) for j in range(4))
+        om = tuple(BilMap.zero(f, dims[a], dims[b], dims[c]) for a, b, c in MAP_SPACES["om"])
         st = (self.v.z0.mult, self.v.z1.mult, self.v.act.left, self.v.act.right)
         return ExtendingDatum(self.z, v2, self.hr, self.hl, self.tr, self.tl,
                               om, st, LinMap.zero(f, n0, m1))

@@ -7,9 +7,9 @@ check_datum_direct is the ground-truth oracle: build, then verify every
 2-algebra axiom on the result.  The transcribed condition lists live in
 conds_unified.py and are cross-validated against the oracle.
 
-One block table, _BLOCKS, says which datum family fills each block of an
-operation on Z + V.  build_unified_product writes the blocks through it,
-and extract_datum is its inverse: it rewrites E in the basis [iota |
+One block table, engine._BLOCKS, says which datum family fills each block
+of an operation on Z + V.  build_unified_product writes the blocks through
+it, and extract_datum is its inverse: it rewrites E in the basis [iota |
 V-basis] that a ComplementSplit stores and reads the blocks back through
 the same table.  The oracle and verify_psi fill their reports from core's
 instance streams, so each report holds the first `cap` violations in
@@ -25,14 +25,12 @@ from itertools import chain
 from .core import (ConditionReport, ZinbielAlgebra, ZinbielTwoAlgebra,
                    BimodulePair, TwoMorphism, DEFAULT_VIOLATION_CAP,
                    check_crossed_module, _morphism_instances)
-from .engine import (DatumCtx, HR_DOM, HL_DOM, TR_DOM, TL_DOM, OM_DOM, ST_DOM,
-                     evaluate_conditions)
+from .engine import _BLOCKS, _OP_LEVELS, MAP_SPACES, DatumCtx, _ops, evaluate_conditions
 from .errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
 from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, upper_block,
                      vbasis)
 
-_FAMS = (("hr", HR_DOM), ("hl", HL_DOM), ("tr", TR_DOM), ("tl", TL_DOM),
-         ("om", OM_DOM), ("st", ST_DOM))
+_FAMS = ("hr", "hl", "tr", "tl", "om", "st")
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,12 +59,12 @@ class ExtendingDatum:
     def __post_init__(self):
         z, v, sigma = self.z, self.v, self.sigma
         dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
-        for fam_name, fam_dom in _FAMS:
+        for fam_name in _FAMS:
             maps = tuple(getattr(self, fam_name))
             if len(maps) != 4:
                 raise DimError(f"{fam_name} must have 4 components")
             for j, m in enumerate(maps):
-                la, lb, lc = fam_dom[j]
+                la, lb, lc = MAP_SPACES[fam_name][j]
                 if (m.dim_a, m.dim_b, m.dim_c) != (dims[la], dims[lb], dims[lc]):
                     raise DimError(
                         f"{fam_name}[{j}] must be {dims[la]}x{dims[lb]}->{dims[lc]}, "
@@ -88,11 +86,9 @@ class ExtendingDatum:
         """All maps zero (including sigma)."""
         f = z.field
         dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
-        fams = []
-        for _, dom in _FAMS:
-            fams.append(tuple(BilMap.zero(f, dims[dom[j][0]], dims[dom[j][1]],
-                                          dims[dom[j][2]]) for j in range(4)))
-        return cls(z, v, *fams, LinMap.zero(f, z.z0.dim, v.dim1))
+        fams = {name: tuple(BilMap.zero(f, dims[a], dims[b], dims[c])
+                            for a, b, c in MAP_SPACES[name]) for name in _FAMS}
+        return cls(z, v, **fams, sigma=LinMap.zero(f, z.z0.dim, v.dim1))
 
     def replace(self, **kwargs):
         """Copy with some map families replaced."""
@@ -101,23 +97,6 @@ class ExtendingDatum:
     def __repr__(self):
         dims = (self.z.z1.dim, self.z.z0.dim, self.v.dim1, self.v.dim0)
         return f"ExtendingDatum({self.field.name}, dims Z1,Z0,V1,V0={dims})"
-
-
-# Operation j of a 2-algebra (0: level-0 mult, 1: level-1 mult, 2: left
-# action, 3: right action) as (level of slot a, level of slot b, result level).
-_OP_LEVELS = ((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))
-
-# The blocks of an operation on Z + V as (slot a, slot b, result), each 0 for
-# Z and 1 for V, with the datum family that fills the block ("z" is the
-# operation of Z itself).  Z x Z -> V is the one block left out: it vanishes
-# exactly when Z is closed under the operation.
-_BLOCKS = (((0, 0, 0), "z"), ((0, 1, 0), "hl"), ((0, 1, 1), "tr"), ((1, 0, 0), "hr"),
-           ((1, 0, 1), "tl"), ((1, 1, 0), "om"), ((1, 1, 1), "st"))
-
-
-def _ops(t: ZinbielTwoAlgebra):
-    """The four structure tensors of t in operation order."""
-    return (t.z0.mult, t.z1.mult, t.act.left, t.act.right)
 
 
 def _assemble(field, j, nz, nv, fams):

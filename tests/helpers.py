@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 
 from zinbiel2.classify import RSData, morphism_from_rs
-from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
-                           check_2alg_morphism, check_crossed_module, check_zinbiel)
+from zinbiel2.core import (DEFAULT_VIOLATION_CAP, BimodulePair, ConditionReport, FlagNote,
+                           ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism,
+                           check_crossed_module, check_zinbiel)
+from zinbiel2.engine import _grid
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum, build_unified_product,
                               check_datum_direct)
@@ -221,3 +223,31 @@ def brute_force_equivalent(d1, d2, mode):
                                            cap=1).ok:
                         return True, rs
     return False, None
+
+
+def interpreted_report(ctx, table, cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
+    """Reference for engine.evaluate_conditions: run the table's lambdas on
+    the concrete context at every basis tuple, in table order, with the same
+    cap, flag and as-printed semantics."""
+    disagrees = set()
+
+    def instances():
+        for cond in table.conds:
+            for idx in _grid(ctx.dims, cond.spaces):
+                elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
+                lhs, rhs = cond.fn(ctx, *elts)
+                assert lhs.space == rhs.space, cond.cid
+                witness = idx if cond.level is None else (cond.level,) + idx
+                yield cond.cid, witness, lhs.vec, rhs.vec
+                if cond.as_printed is not None:
+                    plhs, prhs = cond.as_printed(ctx, *elts)
+                    if (plhs.vec != prhs.vec) != (lhs.vec != rhs.vec):
+                        disagrees.add(cond.cid)
+                        if strict_printed:
+                            yield f"{cond.cid}.as-printed", witness, plhs.vec, prhs.vec
+
+    report = ConditionReport(conforming_field=ctx.field.conforming).fill(instances(), cap)
+    for cond in table.conds:
+        if cond.suspect is not None and (cond.level is None or cond.level == 0):
+            report.flags.append(FlagNote(cond.cid, cond.suspect, cond.cid in disagrees))
+    return report.finalize()

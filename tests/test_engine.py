@@ -1,0 +1,193 @@
+"""The substituted condition evaluator against the interpreted reference.
+
+engine.evaluate_conditions reads each table's instances off one symbolic
+run per shape and substitutes a context's structure constants into them;
+helpers.interpreted_report runs the lambdas on the concrete context.  Both
+must give identical reports: violations, flags and truncation.
+"""
+
+import itertools
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from helpers import interpreted_report
+from zinbiel2 import engine
+from zinbiel2.classify import RSData
+from zinbiel2.conds_morphism import H_TABLE
+from zinbiel2.conds_special import BZ_TABLE, CZ_TABLE
+from zinbiel2.conds_unified import Z_TABLE, ZZ_TABLE
+from zinbiel2.core import BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra
+from zinbiel2.engine import ConditionTable, DatumCtx, MorphismCtx, evaluate_conditions
+from zinbiel2.errors import DimError
+from zinbiel2.fields import PrimeField, Rationals
+from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
+from zinbiel2.unified import ExtendingDatum
+
+TABLES = {"Z": Z_TABLE, "ZZ": ZZ_TABLE, "CZ": CZ_TABLE, "BZ": BZ_TABLE, "H": H_TABLE}
+
+# (dim Z1, dim Z0, dim V1, dim V0): a zero level in each slot, and (2,2,1,1)
+SHAPES = ((1, 1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1), (2, 2, 1, 1))
+ZZ_SHAPES = ((0, 1, 1, 1), (0, 1, 1, 0), (0, 2, 1, 1))
+FIELDS = (PrimeField(5), PrimeField(7), Rationals())
+
+
+def _scalar(field, rng, density):
+    if rng.random() >= density:
+        return field.zero()
+    if isinstance(field, Rationals):
+        return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+    return rng.randrange(1, field.p)
+
+
+def _bil(field, a, b, c, rng, density):
+    return BilMap(field, a, b, c, {(k, i, j): _scalar(field, rng, density)
+                                   for k in range(c) for i in range(a) for j in range(b)})
+
+
+def _lin(field, rows, cols, rng, density):
+    return LinMap(field, rows, cols, [[_scalar(field, rng, density) for _ in range(cols)]
+                                      for _ in range(rows)])
+
+
+def _datum(field, z, v, rng, density):
+    """A random datum over z and v: no axiom of Z or of the datum holds."""
+    base = ExtendingDatum.trivial(z, v)
+    fams = {name: tuple(_bil(field, m.dim_a, m.dim_b, m.dim_c, rng, density)
+                        for m in getattr(base, name))
+            for name in ("hr", "hl", "tr", "tl", "om", "st")}
+    return base.replace(sigma=_lin(field, z.z0.dim, v.dim1, rng, density), **fams)
+
+
+def _random_ctx(kind, field, shape, rng, density):
+    n1, n0, m1, m0 = shape
+    z = ZinbielTwoAlgebra(
+        ZinbielAlgebra(field, n1, _bil(field, n1, n1, n1, rng, density)),
+        ZinbielAlgebra(field, n0, _bil(field, n0, n0, n0, rng, density)),
+        _lin(field, n0, n1, rng, density),
+        BimodulePair(_bil(field, n0, n1, n1, rng, density),
+                     _bil(field, n1, n0, n1, rng, density)))
+    v = TwoVectorSpace(m1, m0, _lin(field, m0, m1, rng, density))
+    if kind != "H":
+        return DatumCtx(_datum(field, z, v, rng, density))
+    rs = RSData(_lin(field, n1, m1, rng, density), _lin(field, n0, m0, rng, density),
+                _lin(field, m1, m1, rng, density), _lin(field, m0, m0, rng, density))
+    return MorphismCtx(_datum(field, z, v, rng, density), _datum(field, z, v, rng, density), rs)
+
+
+def _view(report):
+    return ([(v.cond, v.witness, v.lhs, v.rhs) for v in report.violations],
+            [(f.cond, f.as_printed_disagrees) for f in report.flags],
+            report.truncated, report.conforming_field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("kind", TABLES)
+def test_substitution_matches_interpreted_loop(kind, field):
+    rng = random.Random(f"{kind}-{field.name}")
+    table = TABLES[kind]
+    seen_clean = seen_truncated = False
+    for shape in (ZZ_SHAPES if kind == "ZZ" else SHAPES):
+        for density in (0.0, 0.15, 0.5, 1.0):
+            ctx = _random_ctx(kind, field, shape, rng, density)
+            for cap in (1, 3, 100):
+                for strict in (False, True):
+                    got = evaluate_conditions(ctx, table, cap=cap, strict_printed=strict)
+                    want = interpreted_report(ctx, table, cap=cap, strict_printed=strict)
+                    assert _view(got) == _view(want), (shape, density, cap, strict)
+                    seen_clean |= got.ok
+                    seen_truncated |= got.truncated
+    assert seen_clean and seen_truncated
+
+
+def test_printed_form_disagreement_matches_interpreted_loop():
+    # ZZ19 as printed drops tl3(u1, hl0 + hr0): with hl0 = st3 and tl3
+    # nonzero the corrected form holds and the printed one fails, so
+    # strict_printed adds the printed instance, as the interpreted loop does
+    f5 = PrimeField(5)
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(f5, 1))
+    base = ExtendingDatum.trivial(z, TwoVectorSpace(1, 1, LinMap.zero(f5, 1, 1)))
+    found = False
+    for hl0, tl3, st3 in itertools.product(range(5), range(1, 5), range(5)):
+        d = base.replace(hl=(BilMap(f5, 1, 1, 1, {(0, 0, 0): hl0}),) + base.hl[1:],
+                      tl=base.tl[:3] + (BilMap(f5, 1, 1, 1, {(0, 0, 0): tl3}),),
+                      st=base.st[:3] + (BilMap(f5, 1, 1, 1, {(0, 0, 0): st3}),))
+        for cap in (1, 3, 100):
+            got = evaluate_conditions(DatumCtx(d), ZZ_TABLE, cap=cap, strict_printed=True)
+            assert _view(got) == _view(interpreted_report(DatumCtx(d), ZZ_TABLE, cap=cap,
+                                                          strict_printed=True))
+            found |= any(v.cond == "ZZ19.as-printed" for v in got.violations)
+    assert found
+
+
+def _one_condition_table(spaces, fn):
+    table = ConditionTable("X")
+    table.add("X1", spaces, fn)
+    return table
+
+
+def test_mis_spaced_lambda_raises_dim_error():
+    ctx = _random_ctx("Z", PrimeField(5), (1, 1, 1, 1), random.Random(1), 0.5)
+    slips = (
+        # hr0 takes (V0, Z0); the arguments are swapped
+        _one_condition_table("Z0 V0", lambda c, x, u: (c.hr(0, x, u), c.hl(0, x, u))),
+        # the sides live in Z0 and V0
+        _one_condition_table("Z0 V0", lambda c, x, u: (c.hl(0, x, u), c.tr(0, x, u))),
+        # adding a Z0 and a V0 element
+        _one_condition_table("Z0 V0", lambda c, x, u: (x + u, x)),
+    )
+    for table in slips:
+        for cap in (1, 100):
+            with pytest.raises(DimError):
+                evaluate_conditions(ctx, table, cap=cap)
+
+
+def test_wrong_map_shape_raises_dim_error():
+    # r1 must be V1 -> Z1; a 2x1 r1 over dims Z1 = 1 is refused, not read
+    rng = random.Random(2)
+    ctx = _random_ctx("H", PrimeField(5), (1, 1, 1, 1), rng, 0.5)
+    spaces, _ = ctx.maps["r", 1]
+    ctx.maps["r", 1] = (spaces, _lin(PrimeField(5), 2, 1, rng, 0.5))
+    with pytest.raises(DimError):
+        evaluate_conditions(ctx, H_TABLE)
+
+
+def test_symbolic_run_once_per_shape(monkeypatch):
+    runs = []
+    real = engine._symbolic_run
+
+    def counting(ctx, table):
+        runs.append(ctx.shape())
+        return real(ctx, table)
+
+    monkeypatch.setattr(engine, "_symbolic_run", counting)
+    table = ConditionTable("Z")
+    table.conds = list(Z_TABLE.conds)
+    rng = random.Random(3)
+    f5, f7 = PrimeField(5), PrimeField(7)
+    for field in (f5, f7, Rationals()):
+        for density in (0.2, 1.0):     # a different Z each time
+            evaluate_conditions(_random_ctx("Z", field, (1, 1, 1, 1), rng, density), table)
+    assert len(runs) == 1
+    evaluate_conditions(_random_ctx("Z", f5, (1, 1, 0, 1), rng, 0.5), table)
+    evaluate_conditions(_random_ctx("Z", f5, (1, 1, 0, 1), rng, 0.5), table)
+    assert len(runs) == 2
+    # the morphism context is another kind at the same dims
+    evaluate_conditions(_random_ctx("H", f5, (1, 1, 1, 1), rng, 0.5), table)
+    assert len(runs) == 3 and len(set(runs)) == 3
+
+
+def test_import_builds_nothing():
+    src = str(Path(engine.__file__).resolve().parents[1])
+    code = ("import zinbiel2, zinbiel2.cli\n"
+            "from zinbiel2 import conds_morphism, conds_special, conds_unified\n"
+            "tables = (conds_unified.Z_TABLE, conds_unified.ZZ_TABLE, conds_special.CZ_TABLE,"
+            " conds_special.BZ_TABLE, conds_morphism.H_TABLE)\n"
+            "assert not any(t._runs for t in tables)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

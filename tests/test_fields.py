@@ -90,7 +90,7 @@ def _evaluate(poly, point, p):
         for x in mono:
             c *= point[x]
         total += c
-    return total % p
+    return total if p is None else total % p
 
 
 def test_polynomial_ring_agrees_with_evaluation():
@@ -121,3 +121,28 @@ def test_polynomial_ring_agrees_with_evaluation():
         assert _evaluate(r.neg(a), point, 5) == f.neg(ea)
         assert _evaluate(r.mul(a, b), point, 5) == f.mul(ea, eb)
         assert r.canonical(r.mul(a, b)) == r.mul(b, a)
+
+
+def test_integer_polynomial_ring_agrees_with_evaluation():
+    # Z[x], the ring of the symbolic catalog runs: no coefficient is reduced
+    rng = random.Random(22)
+    r = PolynomialRing()
+    assert r == PolynomialRing() != PolynomialRing(PrimeField(5))
+    assert r.canonical(7) == r.mul(r.canonical(7), r.one()) == (((), 7),)
+    assert r.canonical(0) == r.zero() == ()
+    assert r.neg(r.var(1)) == (((1,), -1),)
+    assert r.sub(r.mul(r.var(0), r.var(2)), r.mul(r.var(2), r.var(0))) == r.zero()
+
+    def rand_poly():
+        return r.canonical(tuple((tuple(sorted(rng.randrange(3) for _ in range(rng.randrange(3)))),
+                                  rng.randint(-9, 9)) for _ in range(rng.randrange(4))))
+
+    for _ in range(200):
+        a, b = rand_poly(), rand_poly()
+        point = [rng.randint(-9, 9) for _ in range(3)]
+        ea, eb = _evaluate(a, point, None), _evaluate(b, point, None)
+        assert _evaluate(r.add(a, b), point, None) == ea + eb
+        assert _evaluate(r.sub(a, b), point, None) == ea - eb
+        assert _evaluate(r.neg(a), point, None) == -ea
+        assert _evaluate(r.mul(a, b), point, None) == ea * eb
+        assert r.mul(a, b) == r.mul(b, a)
