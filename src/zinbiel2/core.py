@@ -10,6 +10,12 @@ ConditionReport.fill adds the violated ones in that order until the cap, so
 a report holds the first `cap` violations, sorted, and cap=1 asks for a
 verdict only.
 
+The streams are the only definition of each axiom.  Over a PolynomialRing
+check_crossed_module and check_2alg_morphism read them directly; over GF(p)
+or Q the stream runs once per shape with every structure constant a variable
+of Z[x] (layout: map_values), and SymbolicRun, the substitution kernel the
+catalogs of engine share, checks each input against that run.
+
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
   B1..B3           bimodule axioms
@@ -24,9 +30,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
+from itertools import chain, count
 
 from .errors import DimError, FieldMismatch, PreconditionError
+from .fields import PolynomialRing
 from .linalg import BilMap, LinMap, vadd, vbasis
 
 DEFAULT_VIOLATION_CAP = 100
@@ -104,6 +111,99 @@ class ConditionReport:
         self.violations.sort(key=Violation.sort_key)
         self.flags.sort(key=lambda f: _id_sort_key(f.cond))
         return self
+
+
+def map_values(maps, zero):
+    """Every entry of the maps in the variable layout: a bilinear map
+    densely in (k, i, j) order, a linear map row-major."""
+    out = []
+    for m in maps:
+        if isinstance(m, BilMap):
+            base, na, nb = len(out), m.dim_a, m.dim_b
+            out += [zero] * (na * nb * m.dim_c)
+            for k, i, j, v in m.items:
+                out[base + (k * na + i) * nb + j] = v
+        else:
+            for row in m.entries:
+                out += row
+    return out
+
+
+def variable_maps(ring, shapes):
+    """Maps over ring whose entries are the variables x0, x1, ... in the
+    map_values layout: a BilMap for a shape (dim a, dim b, dim c), a LinMap
+    for a shape (rows, cols)."""
+    var = map(ring.var, count())
+    maps = []
+    for shape in shapes:
+        if len(shape) == 3:
+            na, nb, nc = shape
+            maps.append(BilMap(ring, na, nb, nc, {(k, i, j): next(var) for k in range(nc)
+                                                  for i in range(na) for j in range(nb)}))
+        else:
+            rows, cols = shape
+            maps.append(LinMap(ring, rows, cols, [[next(var) for _ in range(cols)]
+                                                  for _ in range(rows)]))
+    return maps
+
+
+class SymbolicRun:
+    """One run of a check over Z[x], indexed for substitution: the kernel of
+    both routes.  Built from the instances (id, witness, sides), sides read
+    in pairs (lhs, rhs[, lhs, rhs of a second form]); every lhs - rhs
+    component is numbered in run order, and the index maps each monomial,
+    grouped by its first variable, to its components and coefficients."""
+
+    def __init__(self, ring, instances):
+        self._rows = rows = []      # (id, witness, first component, rhs vectors)
+        self._owner = owner = []    # component -> instance position
+        groups = {}                 # first variable (None: constant) -> rest -> entries
+        for n, (cid, witness, sides) in enumerate(instances):
+            rows.append((cid, witness, len(owner), sides[1::2]))
+            for lhs, rhs in zip(sides[::2], sides[1::2]):
+                for a, b in zip(lhs, rhs):
+                    comp = len(owner)
+                    owner.append(n)
+                    for mono, c in ring.sub(a, b):
+                        group = groups.setdefault(mono[0] if mono else None, {})
+                        group.setdefault(mono[1:], []).append((comp, c))
+        self._index = tuple((x, tuple((rest, tuple(entries)) for rest, entries in group.items()))
+                            for x, group in groups.items())
+
+    def substitute(self, values, canonical):
+        """(id, witness, *sides) at x = values for the instances with an lhs -
+        rhs component that canonical keeps nonzero, in run order: a sweep of
+        the nonzero first variables, then each rhs substituted as it is read
+        and its lhs the rhs plus the swept lhs - rhs."""
+        acc = {}
+        for x, group in self._index:
+            v = 1 if x is None else values[x]
+            if not v:
+                continue
+            for rest, entries in group:
+                m = v
+                for y in rest:
+                    m *= values[y]
+                if m:
+                    for comp, c in entries:
+                        acc[comp] = acc.get(comp, 0) + c * m
+        owner, rows = self._owner, self._rows
+        for n in sorted({owner[comp] for comp, total in acc.items() if canonical(total)}):
+            cid, witness, comp, rhss = rows[n]
+            out = []
+            for rhs in rhss:
+                vec = []
+                for poly in rhs:
+                    total = 0
+                    for mono, c in poly:
+                        for x in mono:
+                            c *= values[x]
+                        total += c
+                    vec.append(canonical(total))
+                out += (tuple([canonical(r + acc.get(c, 0)) for c, r in enumerate(vec, comp)]),
+                        tuple(vec))
+                comp += len(vec)
+            yield (cid, witness, *out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,13 +317,13 @@ def _prefixed(prefix, instances):
 def _zinbiel_instances(alg):
     """ZI: (ei.ej).ek = ei.(ej.ek + ek.ej) on every basis triple."""
     f, mult, n = alg.field, alg.mult, alg.dim
+    b = [vbasis(f, n, i) for i in range(n)]
+    prod = [[mult.eval_bb(i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            eij = mult.eval_bb(i, j)
             for k in range(n):
-                lhs = mult.eval(eij, vbasis(f, n, k))
-                inner = vadd(f, mult.eval_bb(j, k), mult.eval_bb(k, j))
-                yield "ZI", (i, j, k), lhs, mult.eval(vbasis(f, n, i), inner)
+                lhs = mult.eval(prod[i][j], b[k])
+                yield "ZI", (i, j, k), lhs, mult.eval(b[i], vadd(f, prod[j][k], prod[k][j]))
 
 
 def check_zinbiel(alg: ZinbielAlgebra, cap=DEFAULT_VIOLATION_CAP):
@@ -361,10 +461,62 @@ def _crossed_module_instances(t):
             yield "CM5", (i, j), phi.apply(mij), mult0.eval(phi_b[i], phi_b[j])
 
 
+@functools.cache
+def _compiled(stream, dims):
+    """stream run once over Z[x] on a 2-algebra of level dims (n1, n0) per
+    pair in dims and, for two pairs, a morphism from the first to the second,
+    every structure constant a variable, in the map order of _stream."""
+    ring = PolynomialRing()
+    shapes = [s for n1, n0 in dims
+              for s in ((n1, n1, n1), (n0, n0, n0), (n0, n1), (n0, n1, n1), (n1, n0, n1))]
+    if len(dims) == 2:      # phi1 and phi0
+        shapes += [(b, a) for a, b in zip(*dims)]
+    maps = variable_maps(ring, shapes)
+    args = []
+    for k in range(len(dims)):
+        m1, m0, phi, left, right = maps[5 * k:5 * k + 5]
+        args.append(ZinbielTwoAlgebra(ZinbielAlgebra(ring, m1.dim_a, m1),
+                                      ZinbielAlgebra(ring, m0.dim_a, m0), phi,
+                                      BimodulePair(left, right)))
+    if len(dims) == 2:
+        args.append(TwoMorphism(*maps[10:]))
+    return SymbolicRun(ring, ((c, w, (l, r)) for c, w, l, r in stream(*args)))
+
+
+def _stream(stream, *args):
+    """The instances of stream(*args) that a report reads: over a
+    PolynomialRing the stream itself; over GF(p) or Q the violated ones,
+    substituted into the compiled run of the arguments' shape."""
+    f = args[0].field
+    if isinstance(f, PolynomialRing):
+        return stream(*args)
+    algebras, morphism = args[:2], args[2:]
+    maps = [x for t in algebras for x in (t.z1.mult, t.z0.mult, t.phi, t.act.left, t.act.right)]
+    maps += [x for m in morphism for x in (m.phi1, m.phi0)]
+    run = _compiled(stream, tuple((t.z1.dim, t.z0.dim) for t in algebras))
+    return run.substitute(map_values(maps, f.zero()), f.canonical)
+
+
+def crossed_module_stream(t):
+    """The crossed-module instances of t that a report reads (see _stream)."""
+    return _stream(_crossed_module_instances, t)
+
+
+def morphism_stream(t, t2, m):
+    """The morphism instances of m: t -> t2 that a report reads (see _stream);
+    DimError unless m maps the levels of t to those of t2."""
+    p1, p0 = m.phi1, m.phi0
+    if (p1.cols, p1.rows) != (t.z1.dim, t2.z1.dim):
+        raise DimError(f"phi1 must be {t2.z1.dim}x{t.z1.dim}")
+    if (p0.cols, p0.rows) != (t.z0.dim, t2.z0.dim):
+        raise DimError(f"phi0 must be {t2.z0.dim}x{t.z0.dim}")
+    return _stream(_morphism_instances, t, t2, m)
+
+
 def check_crossed_module(t: ZinbielTwoAlgebra, cap=DEFAULT_VIOLATION_CAP):
     """Full 2-algebra check: action axioms plus CM1-CM4 and derived CM5."""
     report = ConditionReport(conforming_field=t.field.conforming)
-    return report.fill(_crossed_module_instances(t), cap).finalize()
+    return report.fill(crossed_module_stream(t), cap).finalize()
 
 
 def _morphism_instances(t, t2, m):
@@ -403,10 +555,5 @@ def check_2alg_morphism(t: ZinbielTwoAlgebra, t2: ZinbielTwoAlgebra, m: TwoMorph
     f = t.field
     if f != t2.field:
         raise FieldMismatch("morphism between 2-algebras over different fields")
-    p1, p0 = m.phi1, m.phi0
-    if (p1.cols, p1.rows) != (t.z1.dim, t2.z1.dim):
-        raise DimError(f"phi1 must be {t2.z1.dim}x{t.z1.dim}")
-    if (p0.cols, p0.rows) != (t.z0.dim, t2.z0.dim):
-        raise DimError(f"phi0 must be {t2.z0.dim}x{t.z0.dim}")
     report = ConditionReport(conforming_field=f.conforming)
-    return report.fill(_morphism_instances(t, t2, m), cap).finalize()
+    return report.fill(morphism_stream(t, t2, m), cap).finalize()

@@ -12,14 +12,15 @@ each (condition, basis tuple) instance is a pair of vectors of polynomials
 with nonnegative integer coefficients in the structure constants.  A table
 is therefore run once per shape (context kind and dims), symbolically: on a
 context whose map entries are the variables x0, x1, ... of Z[x], in the
-order the context lists its maps, with every space check in force.  The
-instances are cached on the table.  evaluate_conditions checks a concrete
-context by substituting its structure constants into each instance as the
-instance is read, and reduces every value with field.canonical, so GF(p)
-for every p and Q go through one evaluator.  The polynomials come from the
-catalog lambdas, never from the product E, so the catalog route stays
-independent of the oracle.  The instances stream in table order into
-ConditionReport.fill, which stops at the cap, as the oracle's checks do.
+order the context lists its maps (the layout of core.map_values), with
+every space check in force.  The run is cached on the table as a
+core.SymbolicRun, the one substitution kernel the oracle's compiled checks
+use too.  evaluate_conditions sweeps a concrete context's nonzero structure
+constants through it and substitutes only the instances where a side
+disagrees, as ConditionReport.fill reads them, reducing every value with
+field.canonical, so GF(p) for every p and Q go through one evaluator.  The
+polynomials come from the catalog lambdas, never from the product E, so the
+catalog route stays independent of the oracle.
 
 The shapes of the structure maps come from one table: _OP_LEVELS gives the
 levels of the four operations of a 2-algebra, _BLOCKS the datum family that
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_VIOLATION_CAP, ConditionReport, FlagNote
+from .core import (DEFAULT_VIOLATION_CAP, ConditionReport, FlagNote, SymbolicRun, map_values,
+                   variable_maps)
 from .errors import DimError
 from .fields import PolynomialRing
-from .linalg import BilMap, LinMap, vadd, vbasis, vzero
+from .linalg import vadd, vbasis, vzero
 
 # Operation j of a 2-algebra (0: level-0 mult, 1: level-1 mult, 2: left
 # action, 3: right action) as (level of slot a, level of slot b, result level).
@@ -100,30 +102,21 @@ class BaseCtx:
         return type(self), tuple(sorted(self.dims.items()))
 
     def values(self):
-        """Every map entry in `maps` order: a bilinear map densely in
-        (k, i, j) order, a linear map row-major.  A map whose shape does not
-        fit its spaces raises DimError."""
-        dims, z = self.dims, self.field.zero()
-        out = []
+        """Every map entry in `maps` order, in the map_values layout.  A map
+        whose shape does not fit its spaces raises DimError."""
+        dims = self.dims
         for key, (spaces, m) in self.maps.items():
             if len(spaces) == 3:
                 la, lb, lc = spaces
-                na, nb = m.dim_a, m.dim_b
-                if (na, nb, m.dim_c) != (dims[la], dims[lb], dims[lc]):
+                if (m.dim_a, m.dim_b, m.dim_c) != (dims[la], dims[lb], dims[lc]):
                     raise DimError(f"{key} must be {dims[la]}x{dims[lb]}->{dims[lc]}, "
-                                   f"got {na}x{nb}->{m.dim_c}")
-                base = len(out)
-                out += [z] * (na * nb * m.dim_c)
-                for k, i, j, v in m.items:
-                    out[base + (k * na + i) * nb + j] = v
+                                   f"got {m.dim_a}x{m.dim_b}->{m.dim_c}")
             else:
                 dom, cod = spaces
                 if (m.cols, m.rows) != (dims[dom], dims[cod]):
                     raise DimError(f"{key} must be {dims[cod]}x{dims[dom]}, "
                                    f"got {m.rows}x{m.cols}")
-                for row in m.entries:
-                    out += row
-        return out
+        return map_values((m for _, m in self.maps.values()), self.field.zero())
 
     def symbolic(self):
         """A context of the same kind and dims over Z[x] whose map entries
@@ -131,20 +124,10 @@ class BaseCtx:
         ring = PolynomialRing()
         sym = object.__new__(type(self))
         BaseCtx.__init__(sym, ring, self.dims)
-        n = 0
-        for key, (spaces, _) in self.maps.items():
-            shape = [self.dims[s] for s in spaces]
-            if len(spaces) == 3:
-                na, nb, nc = shape
-                m = BilMap(ring, na, nb, nc,
-                           {(k, i, j): ring.var(n + (k * na + i) * nb + j)
-                            for k in range(nc) for i in range(na) for j in range(nb)})
-                n += na * nb * nc
-            else:
-                dom, cod = shape
-                m = LinMap(ring, cod, dom, [[ring.var(n + r * dom + c) for c in range(dom)]
-                                            for r in range(cod)])
-                n += dom * cod
+        # variable_maps reads (dim a, dim b, dim c) or (rows, cols) = (cod, dom)
+        shapes = [tuple(self.dims[s] for s in (spaces if len(spaces) == 3 else spaces[::-1]))
+                  for spaces, _ in self.maps.values()]
+        for (key, (spaces, _)), m in zip(self.maps.items(), variable_maps(ring, shapes)):
             sym.maps[key] = (spaces, m)
         return sym
 
@@ -310,7 +293,7 @@ class ConditionTable:
         return seen
 
     def instances(self, ctx):
-        """The symbolic instances of the table at the shape of ctx."""
+        """The SymbolicRun of the table at the shape of ctx."""
         key = ctx.shape()
         run = self._runs.get(key)
         if run is None:
@@ -338,45 +321,33 @@ def _sides(cid, fn, ctx, elts):
 
 
 def _symbolic_run(ctx, table):
-    """(id, witness, lhs, rhs, printed) for every condition of `table` on
-    every basis tuple of the symbolic context ctx, in table order; printed
-    holds the (lhs, rhs) of the form as printed, or None."""
+    """The SymbolicRun of `table` on the symbolic context ctx: every
+    condition on every basis tuple, in table order, with sides (lhs, rhs),
+    followed by the (lhs, rhs) of the form as printed where there is one."""
     run = []
     for cond in table.conds:
         for idx in _grid(ctx.dims, cond.spaces):
             elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
             witness = idx if cond.level is None else (cond.level,) + idx
-            printed = (None if cond.as_printed is None
-                       else _sides(cond.cid, cond.as_printed, ctx, elts))
-            run.append((cond.cid, witness, *_sides(cond.cid, cond.fn, ctx, elts), printed))
-    return run
+            sides = _sides(cond.cid, cond.fn, ctx, elts)
+            if cond.as_printed is not None:
+                sides += _sides(cond.cid, cond.as_printed, ctx, elts)
+            run.append((cond.cid, witness, sides))
+    return SymbolicRun(ctx.field, run)
 
 
 def _condition_instances(ctx, table, strict_printed, disagrees):
-    """(id, witness, lhs, rhs) for every condition of `table` on every basis
-    tuple of ctx, in table order, substituted into the symbolic instances as
-    they are read.  Where a suspect condition's form as printed disagrees
-    with the corrected one, its id is added to `disagrees` and, with
-    strict_printed, the "<cid>.as-printed" instance follows."""
+    """(id, witness, lhs, rhs) for the conditions of `table` on the basis
+    tuples of ctx where a side disagrees, in table order, substituted into
+    the symbolic run as they are read.  Where a suspect condition's form as
+    printed disagrees with the corrected one, its id is added to
+    `disagrees` and, with strict_printed, the "<cid>.as-printed" instance
+    follows."""
     run = table.instances(ctx)
-    values, canonical = ctx.values(), ctx.field.canonical
-
-    def at(side):
-        out = []
-        for poly in side:
-            total = 0
-            for mono, c in poly:
-                for x in mono:
-                    c *= values[x]
-                total += c
-            out.append(canonical(total))
-        return tuple(out)
-
-    for cid, witness, lhs, rhs, printed in run:
-        lhs, rhs = at(lhs), at(rhs)
+    for cid, witness, lhs, rhs, *printed in run.substitute(ctx.values(), ctx.field.canonical):
         yield cid, witness, lhs, rhs
-        if printed is not None:
-            plhs, prhs = at(printed[0]), at(printed[1])
+        if printed:
+            plhs, prhs = printed
             if (plhs != prhs) != (lhs != rhs):
                 disagrees.add(cid)
                 if strict_printed:

@@ -224,6 +224,13 @@ class PolynomialRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:     # a term times b: the products stay distinct and nonzero
+            (ma, ca), = a
+            p = self.p
+            return tuple(sorted((tuple(sorted(ma + mb)), ca * cb if p is None else ca * cb % p)
+                                for mb, cb in b))
         return self._collect((tuple(sorted(ma + mb)), ca * cb)
                              for ma, ca in a for mb, cb in b)
 

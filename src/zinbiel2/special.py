@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, ZinbielAlgebra,
-                   ZinbielTwoAlgebra, _crossed_module_instances, _prefixed,
-                   check_crossed_module)
+                   ZinbielTwoAlgebra, _prefixed, check_crossed_module,
+                   crossed_module_stream)
 from .engine import MAP_SPACES, DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
@@ -68,7 +68,7 @@ def check_crossed_system(cs: CrossedSystem, cap=DEFAULT_VIOLATION_CAP,
         _require_valid_z(cs.datum.z, cap)
     report = evaluate_conditions(DatumCtx(cs.datum), CZ_TABLE, cap=cap,
                                  strict_printed=strict_printed)
-    vstar = _prefixed("V.", _crossed_module_instances(star_structure(cs.datum)))
+    vstar = _prefixed("V.", crossed_module_stream(star_structure(cs.datum)))
     return report.fill(vstar, cap).finalize()
 
 
@@ -160,27 +160,17 @@ def factorize(e: ZinbielTwoAlgebra, iota_z, iota_v, check_e=True,
     the V image is not closed and raises ObstructionNonzero with the first
     offending entry as witness.
     """
-    f = e.field
     iz1, iz0 = iota_z
     iv1, iv0 = iota_v
-    from .linalg import inverse
-    ps = []
     for lvl, (iz, iv, dim_e) in enumerate(((iz1, iv1, e.z1.dim), (iz0, iv0, e.z0.dim))):
         if iz.rows != dim_e or iv.rows != dim_e:
             raise DimError(f"level-{1 - lvl} inclusions do not map into E")
-        cols = [iz.column(j) for j in range(iz.cols)] + [iv.column(j) for j in range(iv.cols)]
-        if len(cols) != dim_e:
-            raise NotComplementary(f"level {1 - lvl}: {len(cols)} columns for dim {dim_e}")
-        b = LinMap.from_columns(f, cols, dim_e)
-        binv = inverse(b)
-        if binv is None:
-            raise NotComplementary(f"level {1 - lvl}: images do not span E")
-        # p = projection onto Z along V (the Z-coordinate rows of b^-1)
-        ps.append(LinMap(f, iz.cols, dim_e, binv.entries[:iz.cols]))
-    p1, p0 = ps
+        if iz.cols + iv.cols != dim_e:
+            raise NotComplementary(f"level {1 - lvl}: {iz.cols + iv.cols} columns for dim {dim_e}")
     # The V inclusions themselves serve as the complement basis, so the
-    # extracted star family is expressed in V's own coordinates.
-    split = ComplementSplit(e, iz1, iz0, p1, p0,
+    # extracted star family is expressed in V's own coordinates; the split
+    # reads p (the projection onto Z along V) off its own B^-1.
+    split = ComplementSplit(e, iz1, iz0, None, None,
                             vbasis1=[iv1.column(j) for j in range(iv1.cols)],
                             vbasis0=[iv0.column(j) for j in range(iv0.cols)])
     try:

@@ -24,9 +24,10 @@ from itertools import chain
 
 from .core import (ConditionReport, ZinbielAlgebra, ZinbielTwoAlgebra,
                    BimodulePair, TwoMorphism, DEFAULT_VIOLATION_CAP,
-                   check_crossed_module, _morphism_instances)
+                   check_crossed_module, morphism_stream)
 from .engine import _BLOCKS, _OP_LEVELS, MAP_SPACES, DatumCtx, _ops, evaluate_conditions
-from .errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
+from .errors import (DimError, FieldMismatch, NotComplementary, PreconditionError,
+                     SubalgebraError)
 from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, upper_block,
                      vbasis)
 
@@ -205,14 +206,17 @@ class ComplementSplit:
     the retraction identity, and that a given basis lies in ker(p_i) and has
     the right size.  The change of basis B_i = [iota_i | V-basis] and its
     inverse are built here once; B_i not invertible means the basis does not
-    span E_i together with the image of iota_i, and is refused.
+    span E_i together with the image of iota_i, and is refused.  With a
+    basis given, p_i may be None: it is then the retraction along that basis,
+    the Z rows of B_i^-1, and a B_i that is not invertible raises
+    NotComplementary.
     """
 
     e: ZinbielTwoAlgebra
     iota1: LinMap
     iota0: LinMap
-    p1: LinMap
-    p0: LinMap
+    p1: LinMap | None
+    p0: LinMap | None
     vbasis1: tuple = None
     vbasis0: tuple = None
     _bases: tuple = dc_field(init=False, repr=False, compare=False)  # ((B1, B1^-1), (B0, B0^-1))
@@ -221,31 +225,36 @@ class ComplementSplit:
         e = self.e
         for (iota, p, dim_e, lvl) in ((self.iota1, self.p1, e.z1.dim, 1),
                                       (self.iota0, self.p0, e.z0.dim, 0)):
-            if iota.rows != dim_e or p.cols != dim_e or iota.cols != p.rows:
+            if iota.rows != dim_e or p is not None and (p.cols != dim_e or iota.cols != p.rows):
                 raise DimError(f"level-{lvl} split maps have inconsistent shapes")
-            comp = p.compose(iota)
-            if comp != LinMap.identity(e.field, iota.cols):
+            if p is not None and p.compose(iota) != LinMap.identity(e.field, iota.cols):
                 raise DimError(f"p{lvl} o iota{lvl} is not the identity")
         z = e.field.zero()
         bases = []
-        for iota, p, name, lvl in ((self.iota1, self.p1, "vbasis1", 1),
-                                   (self.iota0, self.p0, "vbasis0", 0)):
-            given = getattr(self, name)
+        for iota, p, dim_e, lvl in ((self.iota1, self.p1, e.z1.dim, 1),
+                                    (self.iota0, self.p0, e.z0.dim, 0)):
+            given = getattr(self, f"vbasis{lvl}")
             if given is None:
+                if p is None:
+                    raise DimError(f"level-{lvl} split needs p{lvl} or a complement basis")
                 given = tuple(kernel_basis(p))
             else:
                 given = tuple(tuple(v) for v in given)
-                if len(given) != p.cols - p.rows:
+                if len(given) != dim_e - iota.cols:
                     raise DimError(f"level-{lvl} complement basis has wrong size")
-                for v in given:
-                    if any(x != z for x in p.apply(v)):
-                        raise DimError(f"level-{lvl} complement basis not in ker(p)")
+                if p is not None and any(x != z for v in given for x in p.apply(v)):
+                    raise DimError(f"level-{lvl} complement basis not in ker(p)")
             cols = [iota.column(j) for j in range(iota.cols)] + list(given)
-            b = LinMap.from_columns(e.field, cols, p.cols)
+            b = LinMap.from_columns(e.field, cols, dim_e)
             binv = inverse(b)
+            if binv is None and p is None:
+                raise NotComplementary(f"level {lvl}: images do not span E")
             if binv is None:
                 raise DimError(f"level-{lvl} iota image and complement basis do not span E")
-            object.__setattr__(self, name, given)
+            if p is None:
+                object.__setattr__(self, f"p{lvl}",
+                                   LinMap(e.field, iota.cols, dim_e, binv.entries[:iota.cols]))
+            object.__setattr__(self, f"vbasis{lvl}", given)
             bases.append((b, binv))
         object.__setattr__(self, "_bases", tuple(bases))
 
@@ -326,6 +335,6 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
               for lvl, b, binv, nz, mv in ((1, b1, b1inv, n1, m1), (0, b0, b0inv, n0, m0))
               for j in range(mv))
     psi = TwoMorphism(b1, b0)
-    instances = chain(_morphism_instances(build_unified_product(datum), split.e, psi),
+    instances = chain(morphism_stream(build_unified_product(datum), split.e, psi),
                       stab, costab)
     return ConditionReport(conforming_field=f.conforming).fill(instances, cap).finalize()

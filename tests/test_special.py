@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from helpers import scalar_bilmap, standard_split, zero_two_algebra
+from zinbiel2 import linalg
 from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra
 from zinbiel2.errors import NotAnIdeal, NotComplementary, ObstructionNonzero, DimError
 from zinbiel2.fields import PrimeField
@@ -253,6 +255,26 @@ def test_factorize_direct_product():
     iota_v = (LinMap.zero(F5, 0, 0), LinMap(F5, 2, 1, [[0], [1]]))
     mp = factorize(e, iota_z, iota_v)
     assert all(m.is_zero() for m in mp.hr + mp.hl + mp.tr + mp.tl)
+
+
+def test_factorize_inverts_each_level_once(monkeypatch):
+    # the split reads p off its own B^-1: one inverse per level, not two
+    calls = []
+    real = linalg.inverse
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zinbiel2") and getattr(module, "inverse", None) is real:
+            monkeypatch.setattr(module, "inverse", counting)
+    z = shell_z01()
+    e = build_unified_product(ExtendingDatum.trivial(z, TwoVectorSpace(0, 1, LinMap.zero(F5, 1, 0))))
+    iota_z = (LinMap.zero(F5, 0, 0), LinMap(F5, 2, 1, [[1], [0]]))
+    iota_v = (LinMap.zero(F5, 0, 0), LinMap(F5, 2, 1, [[0], [1]]))
+    factorize(e, iota_z, iota_v)
+    assert len(calls) == 2
 
 
 def test_factorize_roundtrip_random_matched_pairs():
