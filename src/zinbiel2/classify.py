@@ -2,11 +2,11 @@
 desk-scale classification over GF(p).
 
 Valid data are enumerated by backtracking with forward checking: the
-validity constraints are read off the direct oracle once, by running it
-over a polynomial ring on a datum whose free coefficients are variables,
-and a depth-first assignment of the coefficients cuts every branch on which
-a fully bound constraint fails.  Each accepted datum is re-checked by the
-oracle.
+validity constraints are read off the direct oracle's compiled run, by
+substituting the datum whose free coefficients are variables of Z[x] and
+reducing mod p (core.crossed_module_constraints), and a depth-first
+assignment of the coefficients cuts every branch on which a fully bound
+constraint fails.  Each accepted datum is re-checked by the oracle.
 
 Equivalence testing searches block maps (x, u) -> (x + r(u), s(u)) rather
 than all linear maps of the ambient product: a morphism that stabilizes Z
@@ -14,7 +14,7 @@ has exactly this form, and it is an isomorphism precisely when both s
 components are invertible (criterion H1..H20, cross-validated against the
 direct morphism check).  The cohomologous relation additionally fixes
 s = id.  The search is the same depth-first walk as the enumeration, over
-the morphism constraints read off the direct morphism check run on a block
+the morphism constraints read off the compiled morphism check at a block
 map whose r and s entries are variables; singular s blocks are cut as soon
 as they are bound, and the witness found is re-checked by the oracle.
 Searches and enumerations run in the calling process and are deterministic
@@ -26,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
-                   ZinbielTwoAlgebra, check_2alg_morphism)
-from .engine import MorphismCtx, evaluate_conditions
+                   ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_constraints,
+                   morphism_constraints, value_maps)
+from .engine import MAP_SPACES, MorphismCtx, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField
@@ -118,14 +120,10 @@ def _rs_shapes(datum: ExtendingDatum, mode):
 
 
 def _rs_maps(ring, shapes, values):
-    """r1, r0, s1, s0 over ring, each block of shapes filled row-major from
-    values in order; s1 and s0 are the identity when shapes holds r1 and r0
-    only."""
-    maps, pos = [], 0
-    for rows, cols in shapes:
-        maps.append(LinMap(ring, rows, cols,
-                           [values[pos + r * cols:pos + (r + 1) * cols] for r in range(rows)]))
-        pos += rows * cols
+    """r1, r0, s1, s0 over ring, the blocks of shapes read from values in
+    the map_values layout; s1 and s0 are the identity when shapes holds r1
+    and r0 only."""
+    maps = value_maps(ring, shapes, values)
     if len(maps) == 2:
         maps += [LinMap.identity(ring, m.cols) for m in maps]
     return maps
@@ -137,20 +135,20 @@ def rs_search_space(field, datum: ExtendingDatum, mode):
 
 
 def _rs_checks(e1: ZinbielTwoAlgebra, e2: ZinbielTwoAlgebra, shapes):
-    """The morphism constraints on rs, read off the oracle once.
+    """The morphism constraints on rs, read off the compiled oracle.
 
-    The oracle runs on the block map from e1 to e2 whose rs entries are the
-    variables x0, x1, ... of GF(p)[x] in _rs_maps order; the assignments at
-    which every returned polynomial vanishes are exactly the rs values that
-    make the block map a morphism.  Levelled as in _levelled.
+    The block map from e1 to e2 whose rs entries are the variables x0, x1,
+    ... of Z[x] in _rs_maps order is substituted into the compiled morphism
+    check (core.morphism_constraints); the assignments over GF(p) at which
+    every returned polynomial vanishes are exactly the rs values that make
+    the block map a morphism.  Levelled as in _levelled.
     """
-    ring = PolynomialRing(e1.field)
-    count = sum(rows * cols for rows, cols in shapes)
-    r1, r0, s1, s0 = _rs_maps(ring, shapes, [ring.var(i) for i in range(count)])
+    ring = PolynomialRing()
+    r1, r0, s1, s0 = _rs_maps(ring, shapes, map(ring.var, count()))
     phi = TwoMorphism(upper_block(LinMap.identity(ring, r1.rows), r1, s1),
                       upper_block(LinMap.identity(ring, r0.rows), r0, s0))
-    report = check_2alg_morphism(_lift(ring, e1), _lift(ring, e2), phi, cap=math.inf)
-    return _levelled(ring, report, count)
+    polys = morphism_constraints(_lift(ring, e1), _lift(ring, e2), phi, e1.field.char)
+    return _levelled(polys, sum(rows * cols for rows, cols in shapes))
 
 
 def _invertible_block(field, m, lo):
@@ -215,85 +213,58 @@ class EnumerationSpec:
     """Deterministic indexing of all coefficient assignments over GF(p),
     and the validity constraints the search prunes with.
 
-    Free scalars (slots) are ordered family by family (hr, hl, tr, tl, om,
-    st with j = 0..3, coefficients in (k, i, j) order) followed by sigma
-    entries in row-major order; assignment index digits are big-endian in
-    that order.
+    The free scalars are the entries of the maps of shapes, in the
+    map_values layout: the families hr, hl, tr, tl, om, st with j = 0..3
+    (coefficients in (k, i, j) order), then sigma row-major; size counts
+    them, and assignment index digits are big-endian in that order.
     """
 
     def __init__(self, field, z: ZinbielTwoAlgebra, vdims, d: LinMap):
         if not isinstance(field, PrimeField):
             raise PreconditionError("enumeration requires a prime field")
+        if z.field != field or d.field != field:
+            raise FieldMismatch(f"Z and d must be over {field.name}")
         m1, m0 = vdims
         if (d.rows, d.cols) != (m0, m1):
             raise DimError(f"d must be {m0}x{m1}")
         self.field = field
         self.z = z
         self.v = TwoVectorSpace(m1, m0, d)
-        self.base = ExtendingDatum.trivial(z, self.v)
-        slots = []
-        for attr in _FAMILIES:
-            for j in range(4):
-                m = getattr(self.base, attr)[j]
-                for k in range(m.dim_c):
-                    for i in range(m.dim_a):
-                        for jj in range(m.dim_b):
-                            slots.append((attr, j, (k, i, jj)))
-        for r in range(z.z0.dim):
-            for c in range(m1):
-                slots.append(("sigma", None, (r, c)))
-        self.slots = slots
-        self.total = field.char ** len(slots)
+        dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": m0, "V1": m1}
+        self.shapes = [tuple(dims[s] for s in spaces)
+                       for name in _FAMILIES for spaces in MAP_SPACES[name]]
+        self.shapes.append((z.z0.dim, m1))
+        self.size = sum(map(math.prod, self.shapes))
+        self.total = field.char ** self.size
 
-    def _fill(self, base, values):
-        """base with slot i set to values[i]; zero values keep base's zero maps."""
-        f = base.field
-        zero = f.zero()
-        fams = {attr: [dict() for _ in range(4)] for attr in _FAMILIES}
-        sigma_entries = {}
-        for (attr, j, key), val in zip(self.slots, values):
-            if val == zero:
-                continue
-            if attr == "sigma":
-                sigma_entries[key] = val
-            else:
-                fams[attr][j][key] = val
-        kwargs = {}
-        for attr in fams:
-            maps = []
-            for j in range(4):
-                proto = getattr(base, attr)[j]   # the zero map of this shape
-                coeffs = fams[attr][j]
-                maps.append(BilMap(f, proto.dim_a, proto.dim_b, proto.dim_c, coeffs)
-                            if coeffs else proto)
-            kwargs[attr] = tuple(maps)
-        rows, cols = base.sigma.rows, base.sigma.cols
-        sigma = LinMap(f, rows, cols, [[sigma_entries.get((r, c), zero) for c in range(cols)]
-                                       for r in range(rows)])
-        return base.replace(sigma=sigma, **kwargs)
+    def _datum(self, z, v, values):
+        """The datum over z and v whose free scalars are read from values."""
+        maps = value_maps(z.field, self.shapes, values)
+        fams = {name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMILIES)}
+        return ExtendingDatum(z, v, **fams, sigma=maps[-1])
 
     def datum_at(self, index):
         if not (0 <= index < self.total):
             raise IndexError(f"index {index} out of range ({self.total} assignments)")
-        return self._fill(self.base, _digits(index, self.field.char, len(self.slots)))
+        return self._datum(self.z, self.v, _digits(index, self.field.char, self.size))
 
     @cached_property
     def checks(self):
-        """The validity constraints, read off the oracle once.
+        """The validity constraints, read off the compiled oracle.
 
-        The oracle runs on the datum whose slot i holds the variable x_i of
-        GF(p)[x]; the assignments at which every constraint vanishes are
-        exactly the valid ones.  checks[k] holds the constraints whose
-        highest variable is x_(k-1) (see _levelled).
+        The product of the datum whose free scalar i is the variable x_i of
+        Z[x] is substituted into the compiled crossed-module check
+        (core.crossed_module_constraints); the assignments at which every
+        constraint vanishes mod p are exactly the valid ones.  checks[k]
+        holds the constraints whose highest variable is x_(k-1) (see
+        _levelled).
         """
-        ring = PolynomialRing(self.field)
+        ring = PolynomialRing()
         d = self.v.d
-        base = ExtendingDatum.trivial(
-            _lift(ring, self.z),
-            TwoVectorSpace(self.v.dim1, self.v.dim0, LinMap(ring, d.rows, d.cols, d.entries)))
-        datum = self._fill(base, [ring.var(i) for i in range(len(self.slots))])
-        report = check_datum_direct(datum, cap=math.inf, check_z=False)
-        return _levelled(ring, report, len(self.slots))
+        v = TwoVectorSpace(d.cols, d.rows, LinMap(ring, d.rows, d.cols, d.entries))
+        datum = self._datum(_lift(ring, self.z), v, map(ring.var, count()))
+        polys = crossed_module_constraints(build_unified_product(datum), self.field.char)
+        return _levelled(polys, self.size)
 
 
 def _digits(index, p, n):
@@ -315,21 +286,14 @@ def _lift(ring, z: ZinbielTwoAlgebra):
                              BimodulePair(bil(z.act.left), bil(z.act.right)))
 
 
-def _levelled(ring, report, count):
-    """The constraints in a symbolic oracle report over the variables
-    x0..x_(count-1): every nonzero lhs - rhs component is a polynomial that
-    must vanish.  levels[k] holds the distinct ones whose highest variable
-    is x_(k-1), levels[0] the constant ones."""
-    if report.truncated:
-        raise AssertionError("the symbolic oracle report is truncated")
-    levels = [{} for _ in range(count + 1)]
-    for v in report.violations:
-        for a, b in zip(v.lhs, v.rhs):
-            poly = ring.sub(a, b)
-            if poly:
-                last = max((x for mono, _ in poly for x in mono), default=-1)
-                levels[last + 1][poly] = None
-    return tuple(tuple(level) for level in levels)
+def _levelled(polys, size):
+    """The polynomials over the variables x0..x_(size-1) by level:
+    levels[k] holds those whose highest variable is x_(k-1), levels[0] the
+    constant ones."""
+    levels = [[] for _ in range(size + 1)]
+    for poly in polys:
+        levels[max((x for mono, _ in poly for x in mono), default=-1) + 1].append(poly)
+    return tuple(map(tuple, levels))
 
 
 def _walk(p, checks, guards=None):
@@ -387,7 +351,7 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
     Raises BudgetExceeded (with the exact candidate count) before searching
     anything if the assignment space is too large, and PreconditionError if
     z itself is not a valid 2-algebra.  The search (_walk over spec.checks,
-    slots bound in spec.slots order) visits only assignments that pass every
+    free scalars bound in index order) visits only assignments that pass every
     check so far; each datum it accepts is rebuilt and re-checked by the
     oracle, and a disagreement raises.
     """

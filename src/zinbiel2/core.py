@@ -10,11 +10,14 @@ ConditionReport.fill adds the violated ones in that order until the cap, so
 a report holds the first `cap` violations, sorted, and cap=1 asks for a
 verdict only.
 
-The streams are the only definition of each axiom.  Over a PolynomialRing
-check_crossed_module and check_2alg_morphism read them directly; over GF(p)
-or Q the stream runs once per shape with every structure constant a variable
-of Z[x] (layout: map_values), and SymbolicRun, the substitution kernel the
-catalogs of engine share, checks each input against that run.
+The streams are the only definition of each axiom.  Each runs once per
+shape with every structure constant a variable of Z[x] (layout:
+map_values, inverted by value_maps), and SymbolicRun, the substitution
+kernel the catalogs of engine share, serves every use of that run: over
+GF(p) or Q check_crossed_module and check_2alg_morphism substitute each
+input into it, and the searches of classify read their constraints off it
+by substituting an input whose structure constants are integers or free
+variables (crossed_module_constraints, morphism_constraints).
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, count
+from itertools import chain, count, islice, product
 
 from .errors import DimError, FieldMismatch, PreconditionError
 from .fields import PolynomialRing
@@ -129,21 +132,20 @@ def map_values(maps, zero):
     return out
 
 
-def variable_maps(ring, shapes):
-    """Maps over ring whose entries are the variables x0, x1, ... in the
-    map_values layout: a BilMap for a shape (dim a, dim b, dim c), a LinMap
-    for a shape (rows, cols)."""
-    var = map(ring.var, count())
+def value_maps(ring, shapes, values):
+    """The inverse of map_values: maps over ring whose entries are read from
+    the iterable values in the map_values layout, a BilMap for a shape (dim
+    a, dim b, dim c) and a LinMap for a shape (rows, cols)."""
+    values = iter(values)
     maps = []
     for shape in shapes:
         if len(shape) == 3:
             na, nb, nc = shape
-            maps.append(BilMap(ring, na, nb, nc, {(k, i, j): next(var) for k in range(nc)
-                                                  for i in range(na) for j in range(nb)}))
+            keys = product(range(nc), range(na), range(nb))
+            maps.append(BilMap(ring, na, nb, nc, {key: v for key, v in zip(keys, values) if v}))
         else:
             rows, cols = shape
-            maps.append(LinMap(ring, rows, cols, [[next(var) for _ in range(cols)]
-                                                  for _ in range(rows)]))
+            maps.append(LinMap(ring, rows, cols, [list(islice(values, cols)) for _ in range(rows)]))
     return maps
 
 
@@ -204,6 +206,38 @@ class SymbolicRun:
                         tuple(vec))
                 comp += len(vec)
             yield (cid, witness, *out)
+
+    def constraints(self, values, p):
+        """The distinct nonzero lhs - rhs components at x = values, reduced
+        mod p, in run order.  values are Z[x] polynomials of one term at
+        most, so each structure constant is an integer constant or a free
+        variable, and each swept monomial stays one term."""
+        if any(len(v) > 1 for v in values):
+            raise ValueError("each value must be a constant or a single term")
+        terms = [v[0] if v else None for v in values]
+        acc = {}        # component -> monomial -> coefficient
+        for x, group in self._index:
+            first = ((), 1) if x is None else terms[x]
+            if first is None:
+                continue
+            for rest, entries in group:
+                mono, m = first
+                for y in rest:
+                    term = terms[y]
+                    if term is None:
+                        break
+                    mono, m = mono + term[0], m * term[1]
+                else:
+                    mono = tuple(sorted(mono))
+                    for comp, c in entries:
+                        poly = acc.setdefault(comp, {})
+                        poly[mono] = poly.get(mono, 0) + c * m
+        out = {}
+        for comp in sorted(acc):
+            poly = tuple(sorted((mono, c % p) for mono, c in acc[comp].items() if c % p))
+            if poly:
+                out[poly] = None
+        return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -471,7 +505,7 @@ def _compiled(stream, dims):
               for s in ((n1, n1, n1), (n0, n0, n0), (n0, n1), (n0, n1, n1), (n1, n0, n1))]
     if len(dims) == 2:      # phi1 and phi0
         shapes += [(b, a) for a, b in zip(*dims)]
-    maps = variable_maps(ring, shapes)
+    maps = value_maps(ring, shapes, map(ring.var, count()))
     args = []
     for k in range(len(dims)):
         m1, m0, phi, left, right = maps[5 * k:5 * k + 5]
@@ -483,18 +517,35 @@ def _compiled(stream, dims):
     return SymbolicRun(ring, ((c, w, (l, r)) for c, w, l, r in stream(*args)))
 
 
-def _stream(stream, *args):
-    """The instances of stream(*args) that a report reads: over a
-    PolynomialRing the stream itself; over GF(p) or Q the violated ones,
-    substituted into the compiled run of the arguments' shape."""
-    f = args[0].field
-    if isinstance(f, PolynomialRing):
-        return stream(*args)
+def _compiled_at(stream, args):
+    """The compiled run of stream at the shape of args, and the structure
+    constants of args in its layout."""
     algebras, morphism = args[:2], args[2:]
     maps = [x for t in algebras for x in (t.z1.mult, t.z0.mult, t.phi, t.act.left, t.act.right)]
     maps += [x for m in morphism for x in (m.phi1, m.phi0)]
     run = _compiled(stream, tuple((t.z1.dim, t.z0.dim) for t in algebras))
-    return run.substitute(map_values(maps, f.zero()), f.canonical)
+    return run, map_values(maps, args[0].field.zero())
+
+
+def _stream(stream, *args):
+    """The instances of stream(*args) over GF(p) or Q that a report reads:
+    the violated ones, substituted into the compiled run of their shape."""
+    run, values = _compiled_at(stream, args)
+    return run.substitute(values, args[0].field.canonical)
+
+
+def crossed_module_constraints(t, p):
+    """The polynomials over GF(p) that must vanish for t, a 2-algebra over
+    Z[x] whose structure constants are integers or free variables, to be a
+    2-algebra at an assignment of the variables (SymbolicRun.constraints)."""
+    run, values = _compiled_at(_crossed_module_instances, (t,))
+    return run.constraints(values, p)
+
+
+def morphism_constraints(t, t2, m, p):
+    """As crossed_module_constraints, for m: t -> t2 to be a morphism."""
+    run, values = _compiled_at(_morphism_instances, (t, t2, m))
+    return run.constraints(values, p)
 
 
 def crossed_module_stream(t):

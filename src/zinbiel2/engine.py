@@ -31,9 +31,10 @@ every map they determine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .core import (DEFAULT_VIOLATION_CAP, ConditionReport, FlagNote, SymbolicRun, map_values,
-                   variable_maps)
+                   value_maps)
 from .errors import DimError
 from .fields import PolynomialRing
 from .linalg import vadd, vbasis, vzero
@@ -124,10 +125,11 @@ class BaseCtx:
         ring = PolynomialRing()
         sym = object.__new__(type(self))
         BaseCtx.__init__(sym, ring, self.dims)
-        # variable_maps reads (dim a, dim b, dim c) or (rows, cols) = (cod, dom)
+        # value_maps reads (dim a, dim b, dim c) or (rows, cols) = (cod, dom)
         shapes = [tuple(self.dims[s] for s in (spaces if len(spaces) == 3 else spaces[::-1]))
                   for spaces, _ in self.maps.values()]
-        for (key, (spaces, _)), m in zip(self.maps.items(), variable_maps(ring, shapes)):
+        maps = value_maps(ring, shapes, map(ring.var, count()))
+        for (key, (spaces, _)), m in zip(self.maps.items(), maps):
             sym.maps[key] = (spaces, m)
         return sym
 
@@ -284,13 +286,6 @@ class ConditionTable:
             resolved = tuple(s.replace("i", str(i)) for s in spaces.split())
             self.conds.append(Condition(cid, i, resolved, make(i), suspect, None))
         self._runs.clear()
-
-    def ids(self):
-        seen = []
-        for c in self.conds:
-            if c.cid not in seen:
-                seen.append(c.cid)
-        return seen
 
     def instances(self, ctx):
         """The SymbolicRun of the table at the shape of ctx."""

@@ -7,10 +7,10 @@ field object so the rest of the library is field-generic.
 GF(2) and GF(3) are refused unless explicitly overridden, and fields built
 with the override mark every downstream report as non-conforming.
 
-PolynomialRing is not a field: it gives the constructors and the checks the
-ring operations they use, so that a check can run on structure constants
-that are polynomials over GF(p) (see classify.EnumerationSpec.checks), or
-over the integers (see engine: the catalogs run once over Z[x]).
+PolynomialRing is not a field: it is Z[x], and gives the constructors and
+the checks the ring operations they use, so that a check can run once on
+structure constants that are variables (core.SymbolicRun: the oracle and
+the catalogs run once per shape over Z[x]).
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class Rationals:
 
     def one(self):
         return Fraction(1)
-
-    def of_int(self, n):
-        return Fraction(n)
 
     def canonical(self, a):
         """a as a Fraction; TypeError unless a is an int or a Fraction."""
@@ -117,9 +114,6 @@ class PrimeField:
     def one(self):
         return 1
 
-    def of_int(self, n):
-        return n % self.p
-
     def canonical(self, a):
         """a as a residue in 0..p-1; TypeError unless a is an int."""
         if type(a) is not int:
@@ -165,31 +159,21 @@ class PrimeField:
 
 
 class PolynomialRing:
-    """GF(p)[x0, x1, ...], or Z[x0, x1, ...] when no field is given: enough
-    ring arithmetic to run the checks symbolically.
+    """Z[x0, x1, ...]: enough ring arithmetic to run the checks symbolically.
 
     A polynomial is a plain tuple of (monomial, coefficient) pairs sorted by
     monomial, where a monomial is the sorted tuple of its variable indices
-    (x0*x2*x2 is (0, 2, 2)) and every coefficient is a nonzero residue, or a
-    nonzero int over Z; the zero polynomial is ().  The form is canonical,
-    so == is equality of polynomials.
+    (x0*x2*x2 is (0, 2, 2)) and every coefficient is a nonzero int; the zero
+    polynomial is ().  The form is canonical, so == is equality of
+    polynomials.
     """
 
-    def __init__(self, field: PrimeField | None = None):
-        self.p = None if field is None else field.p
-        self.name = "z[x]" if field is None else f"{field.name}[x]"
-        self.char = 0 if field is None else field.p
-        self.conforming = True if field is None else field.conforming
+    name = "z[x]"
 
     def _collect(self, terms):
         acc = {}
-        p = self.p
-        if p is None:
-            for mono, c in terms:
-                acc[mono] = acc.get(mono, 0) + c
-        else:
-            for mono, c in terms:
-                acc[mono] = (acc.get(mono, 0) + c) % p
+        for mono, c in terms:
+            acc[mono] = acc.get(mono, 0) + c
         return tuple(sorted((m, c) for m, c in acc.items() if c))
 
     def zero(self):
@@ -216,9 +200,7 @@ class PolynomialRing:
         return self._collect(a + b) if b else a
 
     def neg(self, a):
-        if self.p is None:
-            return tuple((m, -c) for m, c in a)
-        return tuple((m, self.p - c) for m, c in a)
+        return tuple((m, -c) for m, c in a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -228,20 +210,18 @@ class PolynomialRing:
             a, b = b, a
         if len(a) == 1:     # a term times b: the products stay distinct and nonzero
             (ma, ca), = a
-            p = self.p
-            return tuple(sorted((tuple(sorted(ma + mb)), ca * cb if p is None else ca * cb % p)
-                                for mb, cb in b))
+            return tuple(sorted((tuple(sorted(ma + mb)), ca * cb) for mb, cb in b))
         return self._collect((tuple(sorted(ma + mb)), ca * cb)
                              for ma, ca in a for mb, cb in b)
 
     def __eq__(self, other):
-        return isinstance(other, PolynomialRing) and other.p == self.p
+        return isinstance(other, PolynomialRing)
 
     def __hash__(self):
-        return hash(("gf[x]", self.p))
+        return hash("z[x]")
 
     def __repr__(self):
-        return "PolynomialRing()" if self.p is None else f"PolynomialRing(PrimeField({self.p}))"
+        return "PolynomialRing()"
 
 
 def field_from_name(name: str, allow_small_char: bool = False):

@@ -37,11 +37,6 @@ def vscale(field, c, a):
     return tuple(mul(c, x) for x in a)
 
 
-def is_zero_vec(field, a):
-    z = field.zero()
-    return all(x == z for x in a)
-
-
 @dataclass(frozen=True, slots=True)
 class LinMap:
     """Dense cod_dim x dom_dim matrix over an exact field."""
@@ -261,11 +256,6 @@ def rref(field, rows):
         if r == len(rows):
             break
     return [tuple(row) for row in rows], pivots
-
-
-def rank(m: LinMap):
-    _, pivots = rref(m.field, m.entries)
-    return len(pivots)
 
 
 def inverse(m: LinMap):

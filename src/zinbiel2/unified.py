@@ -77,6 +77,8 @@ class ExtendingDatum:
             raise DimError(f"sigma must be {z.z0.dim}x{v.dim1}")
         if sigma.field != z.field:
             raise FieldMismatch("sigma over wrong field")
+        if v.d.field != z.field:
+            raise FieldMismatch("d over wrong field")
 
     @property
     def field(self):

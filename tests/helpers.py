@@ -8,13 +8,16 @@ direct oracle), never by assuming unchecked candidates are valid.
 from __future__ import annotations
 
 import random
+from itertools import count
 
-from zinbiel2.classify import RSData, morphism_from_rs
+from zinbiel2 import core
+from zinbiel2.classify import RSData, _lift, morphism_from_rs
 from zinbiel2.core import (DEFAULT_VIOLATION_CAP, BimodulePair, ConditionReport, FlagNote,
-                           ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism,
+                           TwoMorphism, ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism,
                            check_crossed_module, check_zinbiel)
 from zinbiel2.engine import _grid
-from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse
+from zinbiel2.fields import PolynomialRing
+from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum, build_unified_product,
                               check_datum_direct)
 
@@ -68,7 +71,7 @@ def nilpotent_families(field, dim):
     if dim >= 2:
         out.append(BilMap(field, dim, dim, dim, {(1, 0, 0): one}))
     if dim >= 3:
-        two = field.of_int(2)
+        two = field.canonical(2)
         out.append(BilMap(field, dim, dim, dim,
                           {(1, 0, 0): one, (2, 0, 1): one, (2, 1, 0): two}))
         out.append(BilMap(field, dim, dim, dim, {(2, 0, 0): one, (2, 1, 1): one}))
@@ -251,3 +254,56 @@ def interpreted_report(ctx, table, cap=DEFAULT_VIOLATION_CAP, strict_printed=Fal
         if cond.suspect is not None and (cond.level is None or cond.level == 0):
             report.flags.append(FlagNote(cond.cid, cond.suspect, cond.cid in disagrees))
     return report.finalize()
+
+
+def _levels_mod_p(instances, p, size):
+    """The distinct nonzero lhs - rhs components of instances over Z[x] in
+    the variables x0..x_(size-1), reduced mod p, as one set per highest
+    variable (the constant ones first)."""
+    ring = PolynomialRing()
+    levels = [set() for _ in range(size + 1)]
+    for _, _, lhs, rhs in instances:
+        for a, b in zip(lhs, rhs):
+            poly = tuple((mono, c % p) for mono, c in ring.sub(a, b) if c % p)
+            if poly:
+                levels[max((x for mono, _ in poly for x in mono), default=-1) + 1].add(poly)
+    return levels
+
+
+def reference_checks(spec):
+    """Reference for EnumerationSpec.checks, level by level as sets: the
+    interpreted crossed-module stream on the product of the datum whose
+    free scalar i is x_i of Z[x] (the families hr..st, each map in (k, i, j)
+    order, then sigma row-major), reduced mod p."""
+    ring = PolynomialRing()
+    var = map(ring.var, count())
+    d = spec.v.d
+    v = TwoVectorSpace(d.cols, d.rows, LinMap(ring, d.rows, d.cols, d.entries))
+    base = ExtendingDatum.trivial(_lift(ring, spec.z), v)
+    fams = {name: tuple(BilMap(ring, m.dim_a, m.dim_b, m.dim_c,
+                               {(k, i, j): next(var) for k in range(m.dim_c)
+                                for i in range(m.dim_a) for j in range(m.dim_b)})
+                        for m in getattr(base, name))
+            for name in ("hr", "hl", "tr", "tl", "om", "st")}
+    rows, cols = base.sigma.rows, base.sigma.cols
+    sigma = LinMap(ring, rows, cols, [[next(var) for _ in range(cols)] for _ in range(rows)])
+    e = build_unified_product(base.replace(sigma=sigma, **fams))
+    return _levels_mod_p(core._crossed_module_instances(e), spec.field.p, spec.size)
+
+
+def reference_rs_checks(e1, e2, shapes):
+    """Reference for classify._rs_checks, level by level as sets: the
+    interpreted morphism stream on the block map from e1 to e2 whose r1,
+    r0 (then s1, s0, else the identity) entries are x0, x1, ... of Z[x]
+    row-major, reduced mod p."""
+    ring = PolynomialRing()
+    var = map(ring.var, count())
+    blocks = [LinMap(ring, rows, cols, [[next(var) for _ in range(cols)] for _ in range(rows)])
+              for rows, cols in shapes]
+    if len(blocks) == 2:
+        blocks += [LinMap.identity(ring, m.cols) for m in blocks]
+    r1, r0, s1, s0 = blocks
+    phi = TwoMorphism(upper_block(LinMap.identity(ring, r1.rows), r1, s1),
+                      upper_block(LinMap.identity(ring, r0.rows), r0, s0))
+    instances = core._morphism_instances(_lift(ring, e1), _lift(ring, e2), phi)
+    return _levels_mod_p(instances, e1.field.p, sum(rows * cols for rows, cols in shapes))

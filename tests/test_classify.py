@@ -4,15 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (brute_force_equivalent, brute_force_valid, rand_sparse_datum,
-                     scalar_bilmap, zero_two_algebra)
+from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
+                     rand_sparse_datum, reference_checks, reference_rs_checks, scalar_bilmap,
+                     zero_two_algebra)
 from zinbiel2 import classify, cli
 from zinbiel2.classify import (EnumerationSpec, RSData, are_equivalent, census,
                                check_rs_conditions, check_rs_direct, compute_quotients,
                                enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
 from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra
-from zinbiel2.errors import BudgetExceeded, InfeasibleSearch, PreconditionError
+from zinbiel2.errors import BudgetExceeded, FieldMismatch, InfeasibleSearch, PreconditionError
 from zinbiel2.fields import PrimeField
 from zinbiel2.io import pretty_dumps
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse
@@ -210,6 +211,19 @@ def test_enumerate_budget():
     assert err.value.count == 5 ** 6
 
 
+def test_enumerate_refuses_inputs_over_another_field():
+    # GF(7) over a Z and d of GF(5) used to return 7 "data" at V = (0, 1)
+    f7 = PrimeField(7)
+    z5 = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    z7 = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(f7, 1))
+    for field, z, d in ((f7, z5, LinMap.zero(F5, 1, 0)), (F5, z7, LinMap.zero(f7, 1, 0)),
+                        (F5, z5, LinMap.zero(f7, 1, 0)), (F5, z7, LinMap.zero(F5, 1, 0))):
+        with pytest.raises(FieldMismatch):
+            list(enumerate_valid_data(field, z, (0, 1), d))
+        with pytest.raises(FieldMismatch):
+            EnumerationSpec(field, z, (0, 1), d)
+
+
 def test_compute_quotients_single_item():
     z = zero_z(1)
     d = zero_datum(z)
@@ -268,6 +282,47 @@ def test_search_matches_brute_force(zdims, vdims):
     assert list(classify._walk(5, spec.checks)) == brute_force_valid(spec)
 
 
+def _reference_z_cases(field):
+    return (ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(field, 1)),
+            zero_two_algebra(field, 1, 1, LinMap(field, 1, 1, [[1]])),
+            zero_two_algebra(field, 1, 0),
+            ZinbielTwoAlgebra.cone(ZinbielAlgebra(field, 2, nilpotent_families(field, 2)[1])))
+
+
+REFERENCE_VDIMS = ((0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 1))
+
+
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("zcase", range(4), ids=("shell01", "zero11phi", "zero10", "cone2"))
+def test_checks_match_reference(p, zcase):
+    # the constraints substituted into the compiled run are those the
+    # interpreted oracle stream gives on the symbolic datum, level by level
+    f = PrimeField(p)
+    z = _reference_z_cases(f)[zcase]
+    for m1, m0 in REFERENCE_VDIMS:
+        for d_val in (0, 2) if m1 and m0 else (0,):
+            spec = EnumerationSpec(f, z, (m1, m0), LinMap(f, m0, m1, [[d_val] * m1] * m0))
+            checks = spec.checks
+            assert [set(level) for level in checks] == reference_checks(spec), (m1, m0, d_val)
+            assert sum(map(len, checks)) == sum(map(len, map(set, checks)))
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_rs_checks_match_reference(p):
+    f = PrimeField(p)
+    rng = random.Random(p)
+    for z in _reference_z_cases(f):
+        for m1, m0 in REFERENCE_VDIMS:
+            v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
+            d1, d2 = (rand_sparse_datum(z, v, rng, 0.3) for _ in range(2))
+            e1, e2 = build_unified_product(d1), build_unified_product(d2)
+            for mode in ("equivalent", "cohomologous"):
+                shapes = classify._rs_shapes(d1, mode)
+                checks = classify._rs_checks(e1, e2, shapes)
+                assert [set(level) for level in checks] == reference_rs_checks(e1, e2, shapes)
+                assert sum(map(len, checks)) == sum(map(len, map(set, checks)))
+
+
 def test_spec_pickles_with_plain_tuple_checks():
     spec = shell_spec((0, 1))
     assert sum(map(len, spec.checks)) == 14
@@ -282,7 +337,7 @@ def test_search_agrees_with_oracle_next_to_every_hit(d_val, hit_count):
     # 5^12 assignments are out of brute force's reach; instead, every
     # assignment one slot away from an accepted one gets the oracle's verdict
     spec = shell_spec((1, 1), d_val)
-    n = len(spec.slots)
+    n = spec.size
     assert spec.total == 5 ** n == 5 ** 12
     hits = list(classify._walk(5, spec.checks))
     assert len(hits) == hit_count
@@ -314,7 +369,7 @@ def test_oracle_rejection_of_a_search_hit_is_raised(monkeypatch, capsys):
     # with no constraints every assignment is a leaf of the search; the
     # re-check must stop at the first invalid one instead of yielding it
     monkeypatch.setattr(EnumerationSpec, "checks",
-                        property(lambda spec: ((),) * (len(spec.slots) + 1)))
+                        property(lambda spec: ((),) * (spec.size + 1)))
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     yielded = []
     with pytest.raises(AssertionError, match="which the oracle rejects"):

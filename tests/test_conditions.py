@@ -41,11 +41,11 @@ def datum_0101(p, q, a, b, w, m):
 
 
 def test_table_sizes():
-    assert len(Z_TABLE.ids()) == 122   # Z1 split into a/b/c plus Z2..Z120
-    assert len(ZZ_TABLE.ids()) == 42   # ZZ1 split into a/b/c plus ZZ2..ZZ40
-    assert len(CZ_TABLE.ids()) == 61
-    assert len(BZ_TABLE.ids()) == 108  # BZ1 split into a/b/c plus BZ2..BZ106
-    assert len(H_TABLE.ids()) == 20
+    assert len({c.cid for c in Z_TABLE.conds}) == 122   # Z1 split into a/b/c plus Z2..Z120
+    assert len({c.cid for c in ZZ_TABLE.conds}) == 42   # ZZ1 split into a/b/c plus ZZ2..ZZ40
+    assert len({c.cid for c in CZ_TABLE.conds}) == 61
+    assert len({c.cid for c in BZ_TABLE.conds}) == 108  # BZ1 split into a/b/c plus BZ2..BZ106
+    assert len({c.cid for c in H_TABLE.conds}) == 20
 
 
 def test_trivial_datum_passes_everything():

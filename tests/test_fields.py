@@ -84,54 +84,26 @@ def test_gfp_agrees_with_integer_arithmetic():
                 assert f.mul(f.inv(br), br) == 1
 
 
-def _evaluate(poly, point, p):
+def _evaluate(poly, point):
     total = 0
     for mono, c in poly:
         for x in mono:
             c *= point[x]
         total += c
-    return total if p is None else total % p
-
-
-def test_polynomial_ring_agrees_with_evaluation():
-    # randomized oracle: evaluating at a point commutes with every ring op
-    rng = random.Random(21)
-    f = PrimeField(5)
-    r = PolynomialRing(f)
-    assert r == PolynomialRing(PrimeField(5)) != PolynomialRing(PrimeField(7))
-    assert r.canonical(7) == r.add(r.one(), r.one()) == (((), 2),)
-    assert r.canonical(5) == r.zero() == ()
-    assert r.sub(r.var(1), r.var(1)) == r.zero()
-    assert r.mul(r.var(2), r.var(0)) == r.mul(r.var(0), r.var(2)) == (((0, 2), 1),)
-    with pytest.raises(TypeError):
-        r.canonical(1.0)
-
-    def rand_poly():
-        acc = r.canonical(rng.randrange(5))
-        for _ in range(rng.randrange(4)):
-            acc = r.add(acc, r.mul(r.canonical(rng.randrange(1, 5)), r.var(rng.randrange(3))))
-        return acc
-
-    for _ in range(200):
-        a, b = rand_poly(), rand_poly()
-        point = [rng.randrange(5) for _ in range(3)]
-        ea, eb = _evaluate(a, point, 5), _evaluate(b, point, 5)
-        assert _evaluate(r.add(a, b), point, 5) == f.add(ea, eb)
-        assert _evaluate(r.sub(a, b), point, 5) == f.sub(ea, eb)
-        assert _evaluate(r.neg(a), point, 5) == f.neg(ea)
-        assert _evaluate(r.mul(a, b), point, 5) == f.mul(ea, eb)
-        assert r.canonical(r.mul(a, b)) == r.mul(b, a)
+    return total
 
 
 def test_integer_polynomial_ring_agrees_with_evaluation():
     # Z[x], the ring of the symbolic catalog runs: no coefficient is reduced
     rng = random.Random(22)
     r = PolynomialRing()
-    assert r == PolynomialRing() != PolynomialRing(PrimeField(5))
+    assert r == PolynomialRing() != PrimeField(5)
     assert r.canonical(7) == r.mul(r.canonical(7), r.one()) == (((), 7),)
     assert r.canonical(0) == r.zero() == ()
     assert r.neg(r.var(1)) == (((1,), -1),)
     assert r.sub(r.mul(r.var(0), r.var(2)), r.mul(r.var(2), r.var(0))) == r.zero()
+    with pytest.raises(TypeError):
+        r.canonical(1.0)
 
     def rand_poly():
         return r.canonical(tuple((tuple(sorted(rng.randrange(3) for _ in range(rng.randrange(3)))),
@@ -140,9 +112,9 @@ def test_integer_polynomial_ring_agrees_with_evaluation():
     for _ in range(200):
         a, b = rand_poly(), rand_poly()
         point = [rng.randint(-9, 9) for _ in range(3)]
-        ea, eb = _evaluate(a, point, None), _evaluate(b, point, None)
-        assert _evaluate(r.add(a, b), point, None) == ea + eb
-        assert _evaluate(r.sub(a, b), point, None) == ea - eb
-        assert _evaluate(r.neg(a), point, None) == -ea
-        assert _evaluate(r.mul(a, b), point, None) == ea * eb
+        ea, eb = _evaluate(a, point), _evaluate(b, point)
+        assert _evaluate(r.add(a, b), point) == ea + eb
+        assert _evaluate(r.sub(a, b), point) == ea - eb
+        assert _evaluate(r.neg(a), point) == -ea
+        assert _evaluate(r.mul(a, b), point) == ea * eb
         assert r.mul(a, b) == r.mul(b, a)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zinbiel2.errors import DimError
 from zinbiel2.fields import PrimeField, Rationals
-from zinbiel2.linalg import (BilMap, LinMap, inverse, kernel_basis, rank, rref,
+from zinbiel2.linalg import (BilMap, LinMap, inverse, kernel_basis, rref,
                              vadd, vbasis, vscale)
 
 F5 = PrimeField(5)
@@ -133,7 +133,7 @@ def test_rref_inverse_kernel_solve():
     assert len(ker) == 2
     for v in ker:
         assert proj.apply(v) == (0,)
-    assert rank(proj) == 1
+    assert len(rref(F5, proj.entries)[1]) == 1
     singular = LinMap(F5, 2, 2, [[1, 2], [2, 4]])
     assert inverse(singular) is None
 
@@ -153,7 +153,7 @@ def test_random_inverse_oracle():
         m = LinMap(F5, n, n, [[rng.randrange(5) for _ in range(n)] for _ in range(n)])
         minv = inverse(m)
         if minv is None:
-            assert rank(m) < n
+            assert len(rref(F5, m.entries)[1]) < n
         else:
             assert m.compose(minv) == LinMap.identity(F5, n)
             assert minv.compose(m) == LinMap.identity(F5, n)

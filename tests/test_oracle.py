@@ -15,8 +15,8 @@ import pytest
 
 from helpers import (nilpotent_families, rand_ambient_with_subalgebra, rand_invertible,
                      rand_split_of, transport_two_algebra)
-from zinbiel2 import core, special, unified
-from zinbiel2.classify import EnumerationSpec, _lift
+from zinbiel2 import classify, core, special, unified
+from zinbiel2.classify import EnumerationSpec
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_crossed_module)
 from zinbiel2.errors import DimError
@@ -201,27 +201,35 @@ def test_symbolic_pass_once_per_shape(monkeypatch):
     assert len(streams) == 4 and core._compiled.cache_info().currsize == 4
 
 
-def test_polynomial_ring_input_reads_the_stream(monkeypatch):
+def test_searches_substitute_into_the_compiled_runs(monkeypatch):
+    # spec.checks and _rs_checks run no stream of their own: the first
+    # search at a shape compiles its run once, later ones reuse it
+    core._compiled.cache_clear()
     streams = []
-    real = core._crossed_module_instances
+    real_cm, real_m = core._crossed_module_instances, core._morphism_instances
 
-    def counting(t):
-        streams.append(t.field)
-        return real(t)
+    def counting_cm(t):
+        streams.append("cm")
+        return real_cm(t)
 
-    monkeypatch.setattr(core, "_crossed_module_instances", counting)
-    ring = PolynomialRing(F5)
-    t = _lift(ring, _candidate(F5, 2, 1, random.Random(6), 0.5))
-    runs = core._compiled.cache_info()
-    got = check_crossed_module(t, cap=1000)
-    assert streams == [ring] and core._compiled.cache_info() == runs
-    assert got == _interpreted(ring, real(t), 1000) and not got.ok
-    # the golden census: its constraints come off the stream over GF(5)[x]
-    streams.clear()
-    spec = EnumerationSpec(F5, ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1)), (0, 1),
-                           LinMap.zero(F5, 1, 0))
-    assert sum(map(len, spec.checks)) == 14
-    assert streams == [ring] and core._compiled.cache_info() == runs
+    def counting_m(t, t2, m):
+        streams.append("m")
+        return real_m(t, t2, m)
+
+    monkeypatch.setattr(core, "_crossed_module_instances", counting_cm)
+    monkeypatch.setattr(core, "_morphism_instances", counting_m)
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    specs = [EnumerationSpec(F5, z, (0, 1), LinMap.zero(F5, 1, 0)) for _ in range(2)]
+    # the golden census
+    assert [sum(map(len, spec.checks)) for spec in specs] == [14, 14]
+    assert streams == ["cm"]
+    data = [specs[0].datum_at(index) for index in (0, 1, 7)]
+    products = [unified.build_unified_product(d) for d in data]
+    for mode in ("equivalent", "cohomologous"):
+        shapes = classify._rs_shapes(data[0], mode)
+        for e1, e2 in zip(products, products[1:]):
+            classify._rs_checks(e1, e2, shapes)
+    assert streams == ["cm", "m"] and core._compiled.cache_info().currsize == 2
 
 
 def test_verify_psi_refuses_datum_of_another_shape():
@@ -245,3 +253,25 @@ def test_kernel_reads_constant_terms():
     assert list(run.substitute([0, 3], f5.canonical)) == [("A", (0,), (1,), (0,))]
     assert list(run.substitute([2, 3], f5.canonical)) == [("A", (0,), (3,), (2,)),
                                                           ("B", (1,), (1,), (0,))]
+
+
+def test_kernel_reads_constraints_mod_p():
+    # values are integers or free variables of Z[x]; each component is
+    # summed before it is reduced mod p, and equal components collapse
+    ring = PolynomialRing()
+    y0, y1, y2, y3 = map(ring.var, range(4))
+    two_plus_three = ring.add(ring.mul(ring.canonical(2), ring.mul(y0, y1)),
+                              ring.mul(ring.canonical(3), ring.mul(y0, y2)))
+    zero = ring.zero()
+    run = core.SymbolicRun(ring, [
+        ("A", (0,), ((ring.add(ring.one(), y0), ring.mul(y1, y2)), (zero, zero))),
+        ("B", (1,), ((two_plus_three,), (zero,))),
+        ("C", (2,), ((ring.add(y0, y2),), (zero,))),
+        ("D", (3,), ((ring.mul(y0, y3),), (zero,)))])
+    values = [ring.var(0), ring.one(), ring.one(), zero]    # y0 = x0, y1 = y2 = 1, y3 = 0
+    one_plus_x0, one = (((), 1), ((0,), 1)), (((), 1),)
+    # B is 2 x0 + 3 x0: zero mod 5 only as a sum; C repeats A's 1 + x0
+    assert run.constraints(values, 5) == (one_plus_x0, one)
+    assert run.constraints(values, 7) == (one_plus_x0, one, (((0,), 5),))
+    with pytest.raises(ValueError):
+        run.constraints([ring.add(ring.var(0), ring.one())] + values[1:], 5)

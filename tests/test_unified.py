@@ -7,7 +7,7 @@ from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, scalar_bil
 from zinbiel2 import unified
 from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
                            check_crossed_module, check_zinbiel)
-from zinbiel2.errors import DimError, PreconditionError, SubalgebraError
+from zinbiel2.errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
 from zinbiel2.fields import PrimeField
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum,
@@ -41,6 +41,14 @@ def test_v_zero_returns_z_itself():
     e = build_unified_product(ExtendingDatum.trivial(z, v))
     assert e.z1.mult == z.z1.mult and e.z0.mult == z.z0.mult
     assert e.phi == z.phi and e.act == z.act
+
+
+def test_datum_refuses_d_over_another_field():
+    # a d over GF(7) used to construct, and the product reduced it mod 5
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    datum = ExtendingDatum.trivial(z, TwoVectorSpace(1, 1, LinMap.zero(F5, 1, 1)))
+    with pytest.raises(FieldMismatch):
+        datum.replace(v=TwoVectorSpace(1, 1, LinMap(F7, 1, 1, [[6]])))
 
 
 def test_build_matches_hand_expansion_tr2():
