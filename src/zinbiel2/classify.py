@@ -17,6 +17,7 @@ s = id.  The search is the same depth-first walk as the enumeration, over
 the morphism constraints read off the compiled morphism check at a block
 map whose r and s entries are variables; singular s blocks are cut as soon
 as they are bound, and the witness found is re-checked by the oracle.
+A quotient searches each datum against one representative per orbit.
 Searches and enumerations run in the calling process and are deterministic
 and lexicographic, budgets are hard limits, and nothing is silently sampled.
 """
@@ -36,12 +37,11 @@ from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField
 from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import (ExtendingDatum, _require_valid_z, build_unified_product,
+from .unified import (_FAMS, ExtendingDatum, _require_valid_z, build_unified_product,
                       check_datum_direct)
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
-_FAMILIES = ("hr", "hl", "tr", "tl", "om", "st")
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +59,12 @@ class RSData:
             raise DimError("s components must be square")
         if r1.cols != s1.cols or r0.cols != s0.cols:
             raise DimError("r and s domains disagree")
+        if any(m.field != r1.field for m in (r0, s1, s0)):
+            raise FieldMismatch("rs components over different fields")
+
+    @property
+    def field(self):
+        return self.r1.field
 
     @classmethod
     def identity(cls, field, datum: ExtendingDatum):
@@ -71,31 +77,34 @@ class RSData:
         return inverse(self.s1) is not None and inverse(self.s0) is not None
 
 
-def _require_compatible(d1: ExtendingDatum, d2: ExtendingDatum):
-    if d1.field != d2.field:
-        raise FieldMismatch("data over different fields")
+def _require_compatible(d1: ExtendingDatum, d2: ExtendingDatum, rs=None):
+    if d1.field != d2.field or (rs is not None and rs.field != d1.field):
+        raise FieldMismatch("data or rs over different fields")
     if d1.z != d2.z or d1.v != d2.v:
         raise DimError("data must share the same Z and the same (V1, V0, d)")
 
 
-def morphism_from_rs(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum) -> TwoMorphism:
+def _block_map(r1, r0, s1, s0):
     """The block map (x, u) -> (x + r(u), s(u)) at both levels."""
-    _require_compatible(d1, d2)
-    f = d1.field
-    out = []
+    return TwoMorphism(upper_block(LinMap.identity(r1.field, r1.rows), r1, s1),
+                       upper_block(LinMap.identity(r0.field, r0.rows), r0, s0))
+
+
+def morphism_from_rs(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum) -> TwoMorphism:
+    """The block map of rs, checked against the two data."""
+    _require_compatible(d1, d2, rs)
     for (r, s, nz, mv) in ((rs.r1, rs.s1, d1.z.z1.dim, d1.v.dim1),
                            (rs.r0, rs.s0, d1.z.z0.dim, d1.v.dim0)):
         if (r.rows, r.cols) != (nz, mv) or s.rows != mv:
             raise DimError("rs maps do not match the datum dimensions")
-        out.append(upper_block(LinMap.identity(f, nz), r, s))
-    return TwoMorphism(out[0], out[1])
+    return _block_map(rs.r1, rs.r0, rs.s1, rs.s0)
 
 
 def check_rs_conditions(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                         cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
     """Evaluate H1..H20 for the block map rs between the two data."""
     from .conds_morphism import H_TABLE
-    _require_compatible(d1, d2)
+    _require_compatible(d1, d2, rs)
     return evaluate_conditions(MorphismCtx(d1, d2, rs), H_TABLE, cap=cap,
                                strict_printed=strict_printed)
 
@@ -103,7 +112,6 @@ def check_rs_conditions(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
 def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                     cap=DEFAULT_VIOLATION_CAP):
     """Oracle: build both products and run the direct morphism check."""
-    _require_compatible(d1, d2)
     return check_2alg_morphism(build_unified_product(d1), build_unified_product(d2),
                                morphism_from_rs(rs, d1, d2), cap=cap)
 
@@ -134,20 +142,19 @@ def rs_search_space(field, datum: ExtendingDatum, mode):
     return field.char ** sum(rows * cols for rows, cols in _rs_shapes(datum, mode))
 
 
-def _rs_checks(e1: ZinbielTwoAlgebra, e2: ZinbielTwoAlgebra, shapes):
+def _rs_checks(l1: ZinbielTwoAlgebra, l2: ZinbielTwoAlgebra, shapes, p):
     """The morphism constraints on rs, read off the compiled oracle.
 
-    The block map from e1 to e2 whose rs entries are the variables x0, x1,
-    ... of Z[x] in _rs_maps order is substituted into the compiled morphism
-    check (core.morphism_constraints); the assignments over GF(p) at which
-    every returned polynomial vanishes are exactly the rs values that make
-    the block map a morphism.  Levelled as in _levelled.
+    The block map between the products lifted to Z[x] (_product) whose rs
+    entries are the variables x0, x1, ... in _rs_maps order is substituted
+    into the compiled morphism check (core.morphism_constraints); the
+    assignments over GF(p) at which every returned polynomial vanishes are
+    exactly the rs values that make the block map a morphism.  Levelled as
+    in _levelled.
     """
     ring = PolynomialRing()
-    r1, r0, s1, s0 = _rs_maps(ring, shapes, map(ring.var, count()))
-    phi = TwoMorphism(upper_block(LinMap.identity(ring, r1.rows), r1, s1),
-                      upper_block(LinMap.identity(ring, r0.rows), r0, s0))
-    polys = morphism_constraints(_lift(ring, e1), _lift(ring, e2), phi, e1.field.char)
+    phi = _block_map(*_rs_maps(ring, shapes, map(ring.var, count())))
+    polys = morphism_constraints(l1, l2, phi, p)
     return _levelled(polys, sum(rows * cols for rows, cols in shapes))
 
 
@@ -159,6 +166,59 @@ def _invertible_block(field, m, lo):
     return test
 
 
+def _search_shapes(data, mode, rs_budget, check_valid):
+    """The rs block shapes of a search among data, once it is well posed: a
+    known mode, one prime field, Z and V, valid data, rs space in budget."""
+    if mode not in ("equivalent", "cohomologous"):
+        raise ValueError(f"unknown mode {mode!r}")
+    first = data[0]
+    for d in data[1:]:
+        _require_compatible(first, d)
+    f = first.field
+    if not isinstance(f, PrimeField):
+        raise PreconditionError("equivalence search requires a prime field")
+    if check_valid:
+        for d in data:
+            rep = check_datum_direct(d, cap=1)
+            if not rep.ok:
+                raise PreconditionError("datum is not a valid extending structure", rep)
+    space = rs_search_space(f, first, mode)
+    if space > rs_budget:
+        raise InfeasibleSearch(
+            f"rs search space has {space} candidates (budget {rs_budget})", count=space)
+    return _rs_shapes(first, mode)
+
+
+def _product(datum):
+    """The unified product of datum and its lift to Z[x], as the search reads them."""
+    e = build_unified_product(datum)
+    return e, _lift(PolynomialRing(), e)
+
+
+def _search(shapes, source, target):
+    """The lexicographically first rs whose block map is a morphism from
+    source to target (_product pairs over GF(p)), or None: _walk over the
+    constraints of _rs_checks, cutting an s block as soon as it is bound and
+    singular.  The witness is re-checked by the oracle; a rejection raises.
+    """
+    (e1, l1), (e2, l2) = source, target
+    f = e1.field
+    guards, depth = {}, 0
+    for k, (rows, cols) in enumerate(shapes):
+        depth += rows * cols
+        if k >= 2 and rows:     # s1 or s0: cut when singular, once bound
+            guards[depth] = _invertible_block(f, rows, depth - rows * cols)
+    leaf = next(_walk(f.char, _rs_checks(l1, l2, shapes, f.char), guards=guards), None)
+    if leaf is None:
+        return None
+    values = _digits(leaf, f.char, depth)
+    maps = _rs_maps(f, shapes, values)
+    if not check_2alg_morphism(e1, e2, _block_map(*maps), cap=1).ok:
+        raise AssertionError(f"the rs search found the block map with entries {values}, "
+                             "which the oracle rejects")
+    return RSData(*maps)
+
+
 def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
                    rs_budget=DEFAULT_RS_BUDGET, check_valid=True):
     """Search for a stabilizing isomorphism between the products.
@@ -166,43 +226,11 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
     mode "equivalent": any rs with both s components invertible;
     mode "cohomologous": s fixed to the identity.  Returns (found, witness),
     the witness being the lexicographically first rs (r1, r0, s1, s0,
-    row-major).  The search is backtracking with forward checking over the
-    constraints of _rs_checks (see _walk); in mode "equivalent" an s block
-    is cut as soon as its entries are bound and it is singular.  The witness
-    is re-checked by the oracle, and a disagreement raises.
+    row-major), found by _search and re-checked by the oracle.
     """
-    if mode not in ("equivalent", "cohomologous"):
-        raise ValueError(f"unknown mode {mode!r}")
-    _require_compatible(d1, d2)
-    f = d1.field
-    if not isinstance(f, PrimeField):
-        raise PreconditionError("equivalence search requires a prime field")
-    if check_valid:
-        for d in (d1, d2):
-            rep = check_datum_direct(d, cap=1)
-            if not rep.ok:
-                raise PreconditionError("datum is not a valid extending structure", rep)
-    space = rs_search_space(f, d1, mode)
-    if space > rs_budget:
-        raise InfeasibleSearch(
-            f"rs search space has {space} candidates (budget {rs_budget})", count=space)
-    e1 = build_unified_product(d1)
-    e2 = build_unified_product(d2)
-    shapes = _rs_shapes(d1, mode)
-    guards, depth = {}, 0
-    for k, (rows, cols) in enumerate(shapes):
-        depth += rows * cols
-        if k >= 2 and rows:     # s1 or s0: cut when singular, once bound
-            guards[depth] = _invertible_block(f, rows, depth - rows * cols)
-    leaf = next(_walk(f.char, _rs_checks(e1, e2, shapes), guards=guards), None)
-    if leaf is None:
-        return False, None
-    values = _digits(leaf, f.char, depth)
-    rs = RSData(*_rs_maps(f, shapes, values))
-    if not check_2alg_morphism(e1, e2, morphism_from_rs(rs, d1, d2), cap=1).ok:
-        raise AssertionError(f"the rs search found the block map with entries {values}, "
-                             "which the oracle rejects")
-    return True, rs
+    shapes = _search_shapes((d1, d2), mode, rs_budget, check_valid)
+    rs = _search(shapes, _product(d1), _product(d2))
+    return rs is not None, rs
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +260,7 @@ class EnumerationSpec:
         self.v = TwoVectorSpace(m1, m0, d)
         dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": m0, "V1": m1}
         self.shapes = [tuple(dims[s] for s in spaces)
-                       for name in _FAMILIES for spaces in MAP_SPACES[name]]
+                       for name in _FAMS for spaces in MAP_SPACES[name]]
         self.shapes.append((z.z0.dim, m1))
         self.size = sum(map(math.prod, self.shapes))
         self.total = field.char ** self.size
@@ -240,7 +268,7 @@ class EnumerationSpec:
     def _datum(self, z, v, values):
         """The datum over z and v whose free scalars are read from values."""
         maps = value_maps(z.field, self.shapes, values)
-        fams = {name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMILIES)}
+        fams = {name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)}
         return ExtendingDatum(z, v, **fams, sigma=maps[-1])
 
     def datum_at(self, index):
@@ -379,58 +407,34 @@ class OrbitPartition:
         return tuple(min(self.items[i] for i in orbit) for orbit in self.orbits)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET):
-    """Partition valid data under the chosen relation via pairwise search.
+    """Partition valid data under the chosen relation.
 
-    Transitivity holds abstractly (witnesses compose); it is re-checked
-    empirically by confirming every member is directly related to its orbit
-    representative.
+    One pass in items order: each datum, its product built once, is searched
+    against the representative (first member) of every orbit so far, and
+    joins the orbit it is related to or opens one; orbits thus come sorted
+    by representative.  A datum related to two representatives raises
+    AssertionError.  With two data or more the search is validated up front,
+    as in are_equivalent with check_valid=False.
     """
     from .io import canonical_dumps, datum_to_json
     data = list(data)
     items = tuple(canonical_dumps(datum_to_json(d)) for d in data)
-    uf = _UnionFind(len(data))
-    for i in range(len(data)):
-        for j in range(i + 1, len(data)):
-            if uf.find(i) == uf.find(j):
-                continue
-            found, _ = are_equivalent(data[i], data[j], mode=mode,
-                                      rs_budget=rs_budget, check_valid=False)
-            if found:
-                uf.union(i, j)
-    groups = {}
-    for i in range(len(data)):
-        groups.setdefault(uf.find(i), []).append(i)
-    orbits = sorted((tuple(sorted(g)) for g in groups.values()),
-                    key=lambda orbit: min(items[i] for i in orbit))
-    for orbit in orbits:
-        rep = min(orbit, key=lambda i: items[i])
-        for i in orbit:
-            if i == rep:
-                continue
-            found, _ = are_equivalent(data[i], data[rep], mode=mode,
-                                      rs_budget=rs_budget, check_valid=False)
-            if not found:
-                raise AssertionError(
-                    f"transitivity breakdown: item {i} not directly related "
-                    f"to representative {rep}")
-    return OrbitPartition(items=items, orbits=tuple(orbits), relation=mode)
+    shapes = _search_shapes(data, mode, rs_budget, False) if len(data) > 1 else None
+    orbits = []         # (representative's product, members)
+    for i in sorted(range(len(data)), key=items.__getitem__):
+        product = _product(data[i])
+        hits = [members for rep, members in orbits if _search(shapes, product, rep)]
+        if len(hits) > 1:
+            raise AssertionError(f"item {i} is related to the representatives "
+                                 f"{hits[0][0]} and {hits[1][0]}")
+        if hits:
+            hits[0].append(i)
+        else:
+            orbits.append((product, [i]))
+    return OrbitPartition(items=items, orbits=tuple(tuple(sorted(members))
+                                                    for _, members in orbits),
+                          relation=mode)
 
 
 def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
@@ -452,15 +456,8 @@ def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
             "orbit_count": len(part.orbits),
             "orbits": [list(o) for o in part.orbits],
             "representatives": list(part.representatives)})
-    if len(parts["equivalent"].orbits) > len(parts["cohomologous"].orbits):
-        raise AssertionError("refinement violated: |HE2| > |HC2|")
-    # every equivalence orbit must be a union of cohomology orbits
-    coh_root = {}
-    for oi, orbit in enumerate(parts["cohomologous"].orbits):
-        for i in orbit:
-            coh_root[i] = oi
-    for orbit in parts["equivalent"].orbits:
-        for oi in {coh_root[i] for i in orbit}:
-            if not set(parts["cohomologous"].orbits[oi]) <= set(orbit):
-                raise AssertionError("cohomologous relation does not refine equivalence")
+    # each cohomology orbit lies inside one equivalence orbit (so |HE2| <= |HC2|)
+    eq_of = {i: k for k, orbit in enumerate(parts["equivalent"].orbits) for i in orbit}
+    if any(len({eq_of[i] for i in orbit}) > 1 for orbit in parts["cohomologous"].orbits):
+        raise AssertionError("cohomologous relation does not refine equivalence")
     return out

@@ -342,6 +342,10 @@ class TwoMorphism:
         if self.phi1.field != self.phi0.field:
             raise FieldMismatch("morphism components over different fields")
 
+    @property
+    def field(self):
+        return self.phi0.field
+
 
 def _prefixed(prefix, instances):
     """The instances with `prefix` put before each condition id."""
@@ -519,7 +523,10 @@ def _compiled(stream, dims):
 
 def _compiled_at(stream, args):
     """The compiled run of stream at the shape of args, and the structure
-    constants of args in its layout."""
+    constants of args in its layout; FieldMismatch unless all args share a
+    field."""
+    if any(a.field != args[0].field for a in args):
+        raise FieldMismatch("arguments over different fields")
     algebras, morphism = args[:2], args[2:]
     maps = [x for t in algebras for x in (t.z1.mult, t.z0.mult, t.phi, t.act.left, t.act.right)]
     maps += [x for m in morphism for x in (m.phi1, m.phi0)]
@@ -603,8 +610,7 @@ def _morphism_instances(t, t2, m):
 def check_2alg_morphism(t: ZinbielTwoAlgebra, t2: ZinbielTwoAlgebra, m: TwoMorphism,
                         cap=DEFAULT_VIOLATION_CAP):
     """Morphism conditions M1-M5 for m: t -> t2."""
-    f = t.field
-    if f != t2.field:
-        raise FieldMismatch("morphism between 2-algebras over different fields")
-    report = ConditionReport(conforming_field=f.conforming)
+    if t.field != t2.field or m.field != t.field:
+        raise FieldMismatch("morphism and 2-algebras over different fields")
+    report = ConditionReport(conforming_field=t.field.conforming)
     return report.fill(morphism_stream(t, t2, m), cap).finalize()

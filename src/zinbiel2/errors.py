@@ -25,56 +25,48 @@ class PreconditionError(Zinbiel2Error):
         self.report = report
 
 
-class SubalgebraError(Zinbiel2Error):
+class _WitnessError(Zinbiel2Error):
+    """A failed structural claim; carries a witness when one is available."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class SubalgebraError(_WitnessError):
     """A subspace claimed to be a subalgebra is not closed; carries a witness."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class NotAnIdeal(Zinbiel2Error):
+class NotAnIdeal(_WitnessError):
     """Two-sided ideal closure failed; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotComplementary(Zinbiel2Error):
     """The two given subspaces do not span the ambient space as a direct sum."""
 
 
-class NotSubalgebra(Zinbiel2Error):
+class NotSubalgebra(_WitnessError):
     """A factor image is not closed under the ambient operations."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class ObstructionNonzero(Zinbiel2Error):
+class ObstructionNonzero(_WitnessError):
     """Extraction produced a nonzero cocycle/sigma where the construction requires zero."""
 
-    def __init__(self, message, witness=None):
+
+class _CountError(Zinbiel2Error):
+    """A search space over its budget; carries the exact candidate count."""
+
+    def __init__(self, message, count=None):
         super().__init__(message)
-        self.witness = witness
+        self.count = count
 
 
-class BudgetExceeded(Zinbiel2Error):
+class BudgetExceeded(_CountError):
     """An enumeration would exceed the configured candidate budget."""
 
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
 
-
-class InfeasibleSearch(Zinbiel2Error):
+class InfeasibleSearch(_CountError):
     """An exhaustive search space exceeds the configured budget."""
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
 
 
 class SchemaError(Zinbiel2Error):

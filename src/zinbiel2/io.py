@@ -16,14 +16,18 @@ from .engine import MAP_SPACES
 from .errors import SchemaError
 from .fields import field_from_name
 from .linalg import BilMap, LinMap, TwoVectorSpace
-from .unified import ComplementSplit, ExtendingDatum
+from .unified import _FAMS, ComplementSplit, ExtendingDatum
 
-DATUM_FIELDS = tuple(
-    f"{name}_{j}" for name in ("harpoon_r", "harpoon_l", "tri_r", "tri_l", "omega", "star")
-    for j in range(4))
+_JSON_NAMES = {"hr": "harpoon_r", "hl": "harpoon_l", "tr": "tri_r",
+               "tl": "tri_l", "om": "omega", "st": "star"}
 
-_FAM_ATTR = {"harpoon_r": "hr", "harpoon_l": "hl", "tri_r": "tr",
-             "tri_l": "tl", "omega": "om", "star": "st"}
+
+def _map_keys(families):
+    """(family, j, JSON key) for the four maps of each family, in order."""
+    return [(fam, j, f"{_JSON_NAMES[fam]}_{j}") for fam in families for j in range(4)]
+
+
+DATUM_FIELDS = tuple(key for _, _, key in _map_keys(_FAMS))
 
 
 def canonical_dumps(obj) -> str:
@@ -72,9 +76,8 @@ def datum_to_json(d: ExtendingDatum, kind="extending_datum"):
     body = {"z": two_algebra_to_json(d.z, kind=None),
             "v": {"dim1": d.v.dim1, "dim0": d.v.dim0, "d": linmap_to_json(d.v.d)},
             "sigma": linmap_to_json(d.sigma)}
-    for fam, attr in _FAM_ATTR.items():
-        for j in range(4):
-            body[f"{fam}_{j}"] = bilmap_to_json(getattr(d, attr)[j])
+    for fam, j, key in _map_keys(_FAMS):
+        body[key] = bilmap_to_json(getattr(d, fam)[j])
     if kind:
         body["kind"] = kind
         body["field"] = d.field.name
@@ -94,10 +97,8 @@ def matched_pair_to_json(mp):
     body = {"kind": "matched_pair", "field": mp.field.name,
             "z": two_algebra_to_json(mp.z, kind=None),
             "v": two_algebra_to_json(mp.v, kind=None)}
-    for fam, attr in (("harpoon_r", "hr"), ("harpoon_l", "hl"),
-                      ("tri_r", "tr"), ("tri_l", "tl")):
-        for j in range(4):
-            body[f"{fam}_{j}"] = bilmap_to_json(getattr(mp, attr)[j])
+    for fam, j, key in _map_keys(_FAMS[:4]):
+        body[key] = bilmap_to_json(getattr(mp, fam)[j])
     return body
 
 
@@ -247,21 +248,19 @@ def parse_datum(field, obj, path, filename, require=DATUM_FIELDS):
     z = parse_two_algebra(field, _want(obj, "z", dict, path, filename), f"{path}.z", filename)
     v = parse_two_vector_space(field, _want(obj, "v", dict, path, filename),
                                f"{path}.v", filename)
-    fams = {attr: [None] * 4 for attr in _FAM_ATTR.values()}
+    fams = {fam: [] for fam in _FAMS}
     dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
-    for fam, attr in _FAM_ATTR.items():
-        for j in range(4):
-            key = f"{fam}_{j}"
-            if key in require or key in obj:
-                fams[attr][j] = parse_bilmap(field, _want(obj, key, dict, path, filename),
-                                             f"{path}.{key}", filename)
-            else:
-                la, lb, lc = MAP_SPACES[attr][j]
-                fams[attr][j] = BilMap.zero(field, dims[la], dims[lb], dims[lc])
+    for fam, j, key in _map_keys(_FAMS):
+        if key in require or key in obj:
+            fams[fam].append(parse_bilmap(field, _want(obj, key, dict, path, filename),
+                                          f"{path}.{key}", filename))
+        else:
+            la, lb, lc = MAP_SPACES[fam][j]
+            fams[fam].append(BilMap.zero(field, dims[la], dims[lb], dims[lc]))
     sigma = parse_linmap(field, _want(obj, "sigma", dict, path, filename),
                          f"{path}.sigma", filename)
     try:
-        return ExtendingDatum(z, v, **{k: tuple(vv) for k, vv in fams.items()}, sigma=sigma)
+        return ExtendingDatum(z, v, **fams, sigma=sigma)
     except Exception as exc:
         raise SchemaError(str(exc), path, filename) from None
 
@@ -329,12 +328,10 @@ def _parse_matched_pair(field, obj, filename):
     from .special import MatchedPairDatum
     z = parse_two_algebra(field, _want(obj, "z", dict, "$", filename), "$.z", filename)
     v = parse_two_algebra(field, _want(obj, "v", dict, "$", filename), "$.v", filename)
-    fams = {}
-    for fam, attr in (("harpoon_r", "hr"), ("harpoon_l", "hl"),
-                      ("tri_r", "tr"), ("tri_l", "tl")):
-        fams[attr] = tuple(
-            parse_bilmap(field, _want(obj, f"{fam}_{j}", dict, "$", filename),
-                         f"$.{fam}_{j}", filename) for j in range(4))
+    fams = {fam: [] for fam in _FAMS[:4]}
+    for fam, _, key in _map_keys(_FAMS[:4]):
+        fams[fam].append(parse_bilmap(field, _want(obj, key, dict, "$", filename),
+                                      f"$.{key}", filename))
     try:
         return MatchedPairDatum(z, v, **fams)
     except Exception as exc:

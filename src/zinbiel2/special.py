@@ -21,7 +21,7 @@ from .engine import MAP_SPACES, DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
 from .linalg import BilMap, LinMap, TwoVectorSpace
-from .unified import (ComplementSplit, ExtendingDatum, _require_valid_z,
+from .unified import (_FAMS, ComplementSplit, ExtendingDatum, _require_valid_z,
                       build_unified_product, extract_datum)
 
 
@@ -114,7 +114,7 @@ class MatchedPairDatum:
             vrep = check_crossed_module(self.v)
             if not vrep.ok:
                 raise PreconditionError("V is not a valid Zinbiel 2-algebra", vrep)
-        for name in ("hr", "hl", "tr", "tl"):
+        for name in _FAMS[:4]:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         self.embed()  # validates all map shapes
 

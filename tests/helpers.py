@@ -17,6 +17,7 @@ from zinbiel2.core import (DEFAULT_VIOLATION_CAP, BimodulePair, ConditionReport,
                            check_crossed_module, check_zinbiel)
 from zinbiel2.engine import _grid
 from zinbiel2.fields import PolynomialRing
+from zinbiel2.io import canonical_dumps, datum_to_json
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum, build_unified_product,
                               check_datum_direct)
@@ -226,6 +227,31 @@ def brute_force_equivalent(d1, d2, mode):
                                            cap=1).ok:
                         return True, rs
     return False, None
+
+
+def pairwise_partition(data, mode):
+    """Reference for classify.compute_quotients: brute_force_equivalent on
+    every pair not yet joined, the hits closed under a union-find; the
+    orbits as sorted index tuples, sorted by their least canonical
+    serialization."""
+    items = [canonical_dumps(datum_to_json(d)) for d in data]
+    parent = list(range(len(data)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(data)):
+        for j in range(i + 1, len(data)):
+            ri, rj = find(i), find(j)
+            if ri != rj and brute_force_equivalent(data[i], data[j], mode)[0]:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(data)):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(sorted((tuple(g) for g in groups.values()),
+                        key=lambda orbit: min(items[i] for i in orbit)))
 
 
 def interpreted_report(ctx, table, cap=DEFAULT_VIOLATION_CAP, strict_printed=False):

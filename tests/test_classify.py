@@ -5,17 +5,18 @@ from pathlib import Path
 import pytest
 
 from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
-                     rand_sparse_datum, reference_checks, reference_rs_checks, scalar_bilmap,
-                     zero_two_algebra)
+                     pairwise_partition, rand_sparse_datum, reference_checks,
+                     reference_rs_checks, scalar_bilmap, zero_two_algebra)
 from zinbiel2 import classify, cli
-from zinbiel2.classify import (EnumerationSpec, RSData, are_equivalent, census,
-                               check_rs_conditions, check_rs_direct, compute_quotients,
-                               enumerate_valid_data, morphism_from_rs,
+from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
+                               census, check_rs_conditions, check_rs_direct,
+                               compute_quotients, enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
 from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra
-from zinbiel2.errors import BudgetExceeded, FieldMismatch, InfeasibleSearch, PreconditionError
+from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
+                             PreconditionError)
 from zinbiel2.fields import PrimeField
-from zinbiel2.io import pretty_dumps
+from zinbiel2.io import canonical_dumps, datum_to_json, pretty_dumps
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse
 from zinbiel2.unified import ExtendingDatum, build_unified_product, check_datum_direct
 
@@ -184,6 +185,22 @@ def test_rs_budget_enforced():
     assert err.value.count == 5 ** 4
 
 
+def test_quotients_validate_before_searching(monkeypatch):
+    # the checks of are_equivalent, once for all the data, with its errors
+    def no_search(*args):
+        raise AssertionError("searched before validating")
+
+    monkeypatch.setattr(classify, "_search", no_search)
+    data = golden_data()
+    with pytest.raises(ValueError):
+        compute_quotients(data, mode="homotopic")
+    with pytest.raises(DimError):
+        compute_quotients(data + [zero_datum(zero_z(0))])
+    with pytest.raises(InfeasibleSearch) as err:
+        compute_quotients(data, rs_budget=10)
+    assert err.value.count == 5 ** 2
+
+
 def test_enumerate_v_zero():
     z = zero_z(2)
     data = list(enumerate_valid_data(F5, z, (0, 0), LinMap.zero(F5, 0, 0)))
@@ -315,10 +332,10 @@ def test_rs_checks_match_reference(p):
         for m1, m0 in REFERENCE_VDIMS:
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.3) for _ in range(2))
-            e1, e2 = build_unified_product(d1), build_unified_product(d2)
+            (e1, l1), (e2, l2) = classify._product(d1), classify._product(d2)
             for mode in ("equivalent", "cohomologous"):
                 shapes = classify._rs_shapes(d1, mode)
-                checks = classify._rs_checks(e1, e2, shapes)
+                checks = classify._rs_checks(l1, l2, shapes, p)
                 assert [set(level) for level in checks] == reference_rs_checks(e1, e2, shapes)
                 assert sum(map(len, checks)) == sum(map(len, map(set, checks)))
 
@@ -424,7 +441,7 @@ def test_oracle_rejection_of_an_rs_witness_is_raised(monkeypatch, capsys):
     # with no constraints the first leaf is r = 0 with the first invertible s,
     # here the identity, which is no morphism between different products
     monkeypatch.setattr(classify, "_rs_checks",
-                        lambda e1, e2, shapes: ((),) * (sum(r * c for r, c in shapes) + 1))
+                        lambda l1, l2, shapes, p: ((),) * (sum(r * c for r, c in shapes) + 1))
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     base = ExtendingDatum.trivial(z, TwoVectorSpace(0, 1, LinMap.zero(F5, 1, 0)))
     d_w = base.replace(om=(scalar_bilmap(F5, 1),) + base.om[1:])
@@ -434,3 +451,96 @@ def test_oracle_rejection_of_an_rs_witness_is_raised(monkeypatch, capsys):
                     out=io.StringIO())
     assert code == cli.EXIT_INTERNAL == 4
     assert "which the oracle rejects" in capsys.readouterr().err
+
+
+def test_rs_over_another_field_is_refused():
+    f7 = PrimeField(7)
+    d = zero_datum(zero_z(0))
+    rs7 = RSData(LinMap.zero(f7, 1, 1), LinMap.zero(f7, 1, 1),
+                 LinMap.identity(f7, 1), LinMap(f7, 1, 1, [[6]]))
+    for check in (check_rs_direct, check_rs_conditions, morphism_from_rs):
+        with pytest.raises(FieldMismatch):
+            check(rs7, d, d)
+    assert rs7.field == f7
+    with pytest.raises(FieldMismatch):
+        RSData(LinMap.zero(F5, 1, 1), LinMap.zero(f7, 1, 1),
+               LinMap.identity(F5, 1), LinMap.identity(F5, 1))
+
+
+def golden_data(vdims=(0, 1)):
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    m1, m0 = vdims
+    return list(enumerate_valid_data(F5, z, vdims, LinMap.zero(F5, m0, m1), budget=5 ** 18))
+
+
+@pytest.mark.parametrize("zdims,vdims,d_val", [((1, 1), (1, 1), 0), ((1, 1), (1, 1), 1),
+                                               ((0, 2), (0, 1), 0)])
+def test_quotients_match_pairwise_reference(zdims, vdims, d_val):
+    data = seeded_valid_data(zdims, vdims, d_val, 6, seed=1)
+    for mode in ("equivalent", "cohomologous"):
+        assert compute_quotients(data, mode=mode).orbits == pairwise_partition(data, mode)
+
+
+@pytest.mark.parametrize("vdims", [(0, 1), (1, 1)])
+def test_census_quotients_match_pairwise_reference(vdims):
+    data = golden_data(vdims)
+    for mode in ("equivalent", "cohomologous"):
+        assert compute_quotients(data, mode=mode).orbits == pairwise_partition(data, mode)
+
+
+def test_quotients_at_v20():
+    # Z = (0, 1) zero, V = (2, 0) over GF(5): the s1 block ranges over GL2(F5)
+    # (480 elements), so every equivalence orbit size divides 480, and the
+    # cohomologous relation (r and s0 are empty blocks) is trivial
+    data = golden_data((2, 0))
+    assert len(data) == 265
+    eq = compute_quotients(data, mode="equivalent")
+    assert sorted(map(len, eq.orbits)) == [1] + [24] * 7 + [96]
+    coh = compute_quotients(data, mode="cohomologous")
+    assert coh.orbits == tuple(sorted(((i,) for i in range(265)),
+                                      key=lambda orbit: coh.items[orbit[0]]))
+
+
+def test_quotients_build_each_product_once(monkeypatch):
+    data = golden_data((1, 1))
+    built = []
+    real = classify.build_unified_product
+    monkeypatch.setattr(classify, "build_unified_product",
+                        lambda datum: built.append(datum) or real(datum))
+    for mode in ("equivalent", "cohomologous"):
+        built.clear()
+        compute_quotients(data, mode=mode)
+        assert sorted(map(data.index, built)) == list(range(len(data)))
+
+
+def test_datum_related_to_two_representatives_is_raised(monkeypatch, capsys):
+    # the first two data in items order are not cohomologous; relating the
+    # third to every representative contradicts transitivity
+    data = golden_data()
+    third = sorted(data, key=lambda d: canonical_dumps(datum_to_json(d)))[2]
+    e_third = build_unified_product(third)
+    real = classify._search
+    monkeypatch.setattr(classify, "_search", lambda shapes, source, target:
+                        real(shapes, source, target) or source[0] == e_third)
+    with pytest.raises(AssertionError, match="is related to the representatives"):
+        compute_quotients(data, mode="cohomologous")
+    code = cli.main(["classify", "--field", "gf5", "--z", str(Z_ZERO01), "--vdims", "0,1"],
+                    out=io.StringIO())
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "is related to the representatives" in capsys.readouterr().err
+
+
+def test_census_refuses_quotients_that_do_not_refine(monkeypatch):
+    # one cohomology orbit holding all five data spans three equivalence orbits
+    real = classify.compute_quotients
+
+    def coarse(data, mode, rs_budget):
+        part = real(data, mode=mode, rs_budget=rs_budget)
+        if mode == "cohomologous":
+            part = OrbitPartition(part.items, (tuple(range(len(data))),), mode)
+        return part
+
+    monkeypatch.setattr(classify, "compute_quotients", coarse)
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    with pytest.raises(AssertionError, match="cohomologous relation does not refine"):
+        census(F5, z, (0, 1), LinMap.zero(F5, 1, 0))

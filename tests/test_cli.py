@@ -79,13 +79,13 @@ def test_cap_below_one_is_refused(cap):
 
 def test_internal_error_gets_its_own_exit_code(monkeypatch, capsys):
     def broken_census(*args, **kwargs):
-        raise AssertionError("refinement violated: |HE2| > |HC2|")
+        raise AssertionError("cohomologous relation does not refine equivalence")
     monkeypatch.setattr(cli, "run_census", broken_census)
     code, text = run_cli(["classify", "--field", "gf5", "--z", "data/z_zero_01.json",
                           "--vdims", "0,1"])
     assert code == cli.EXIT_INTERNAL == 4
     assert text == ""
-    assert ("internal error: AssertionError: refinement violated: |HE2| > |HC2|"
+    assert ("internal error: AssertionError: cohomologous relation does not refine equivalence"
             in capsys.readouterr().err.splitlines())
 
 

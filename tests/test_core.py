@@ -8,10 +8,10 @@ from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, rand_zinbi
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_action,
                            check_bimodule, check_crossed_module, check_zinbiel,
-                           semidirect_product)
+                           morphism_stream, semidirect_product)
 from zinbiel2.conds_unified import ZZ_TABLE
 from zinbiel2.engine import DatumCtx, evaluate_conditions
-from zinbiel2.errors import PreconditionError
+from zinbiel2.errors import FieldMismatch, PreconditionError
 from zinbiel2.fields import PrimeField, Rationals
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 from zinbiel2.unified import (ExtendingDatum, check_trivial_z1_conditions, extract_datum,
@@ -173,6 +173,22 @@ def test_morphism_detects_perturbed_constant():
     rep = check_2alg_morphism(t, t2, ident)
     assert not rep.ok
     assert any(v.cond == "M2" and v.witness == (0, 0) for v in rep.violations)
+
+
+def test_morphism_over_another_field_is_refused():
+    # over GF(7), 6 * 6 = 1 != 6, so [[6]] is no endomorphism of e.e = e;
+    # read with the algebra's field GF(5) it would be the identity
+    t = ZinbielTwoAlgebra.shell(ZinbielAlgebra(F5, 1, scalar_bilmap(F5, 1)))
+    m = TwoMorphism(LinMap.zero(F7, 0, 0), LinMap(F7, 1, 1, [[6]]))
+    with pytest.raises(FieldMismatch):
+        check_2alg_morphism(t, t, m)
+    assert m.field == F7
+    with pytest.raises(FieldMismatch):
+        list(morphism_stream(t, t, m))
+    with pytest.raises(FieldMismatch):
+        TwoMorphism(LinMap.zero(F5, 0, 0), LinMap(F7, 1, 1, [[6]]))
+    assert check_2alg_morphism(t, t, TwoMorphism(LinMap.zero(F5, 0, 0),
+                                                 LinMap(F5, 1, 1, [[1]]))).ok
 
 
 def test_multilinear_reduction_soundness():

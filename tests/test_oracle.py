@@ -224,11 +224,11 @@ def test_searches_substitute_into_the_compiled_runs(monkeypatch):
     assert [sum(map(len, spec.checks)) for spec in specs] == [14, 14]
     assert streams == ["cm"]
     data = [specs[0].datum_at(index) for index in (0, 1, 7)]
-    products = [unified.build_unified_product(d) for d in data]
+    lifts = [classify._product(d)[1] for d in data]
     for mode in ("equivalent", "cohomologous"):
         shapes = classify._rs_shapes(data[0], mode)
-        for e1, e2 in zip(products, products[1:]):
-            classify._rs_checks(e1, e2, shapes)
+        for l1, l2 in zip(lifts, lifts[1:]):
+            classify._rs_checks(l1, l2, shapes, 5)
     assert streams == ["cm", "m"] and core._compiled.cache_info().currsize == 2
 
 
