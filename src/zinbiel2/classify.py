@@ -17,7 +17,9 @@ s = id.  The search is the same depth-first walk as the enumeration, over
 the morphism constraints read off the compiled morphism check at a block
 map whose r and s entries are variables; singular s blocks are cut as soon
 as they are bound, and the witness found is re-checked by the oracle.
-A quotient searches each datum against one representative per orbit.
+Each are_equivalent or compute_quotients call poses the search once
+(_RSSearch); a pair then only substitutes its two products.  A quotient
+searches each datum against one representative per orbit.
 Searches and enumerations run in the calling process and are deterministic
 and lexicographic, budgets are hard limits, and nothing is silently sampled.
 """
@@ -121,41 +123,12 @@ def _rs_shapes(datum: ExtendingDatum, mode):
     r1 and r0, then s1 and s0 in mode "equivalent"."""
     n1, n0 = datum.z.z1.dim, datum.z.z0.dim
     m1, m0 = datum.v.dim1, datum.v.dim0
-    shapes = [(n1, m1), (n0, m0)]
-    if mode == "equivalent":
-        shapes += [(m1, m1), (m0, m0)]
-    return shapes
-
-
-def _rs_maps(ring, shapes, values):
-    """r1, r0, s1, s0 over ring, the blocks of shapes read from values in
-    the map_values layout; s1 and s0 are the identity when shapes holds r1
-    and r0 only."""
-    maps = value_maps(ring, shapes, values)
-    if len(maps) == 2:
-        maps += [LinMap.identity(ring, m.cols) for m in maps]
-    return maps
+    return [(n1, m1), (n0, m0)] + ([(m1, m1), (m0, m0)] if mode == "equivalent" else [])
 
 
 def rs_search_space(field, datum: ExtendingDatum, mode):
     """Number of candidate rs tuples for the given mode."""
     return field.char ** sum(rows * cols for rows, cols in _rs_shapes(datum, mode))
-
-
-def _rs_checks(l1: ZinbielTwoAlgebra, l2: ZinbielTwoAlgebra, shapes, p):
-    """The morphism constraints on rs, read off the compiled oracle.
-
-    The block map between the products lifted to Z[x] (_product) whose rs
-    entries are the variables x0, x1, ... in _rs_maps order is substituted
-    into the compiled morphism check (core.morphism_constraints); the
-    assignments over GF(p) at which every returned polynomial vanishes are
-    exactly the rs values that make the block map a morphism.  Levelled as
-    in _levelled.
-    """
-    ring = PolynomialRing()
-    phi = _block_map(*_rs_maps(ring, shapes, map(ring.var, count())))
-    polys = morphism_constraints(l1, l2, phi, p)
-    return _levelled(polys, sum(rows * cols for rows, cols in shapes))
 
 
 def _invertible_block(field, m, lo):
@@ -166,57 +139,79 @@ def _invertible_block(field, m, lo):
     return test
 
 
-def _search_shapes(data, mode, rs_budget, check_valid):
-    """The rs block shapes of a search among data, once it is well posed: a
-    known mode, one prime field, Z and V, valid data, rs space in budget."""
-    if mode not in ("equivalent", "cohomologous"):
-        raise ValueError(f"unknown mode {mode!r}")
-    first = data[0]
-    for d in data[1:]:
-        _require_compatible(first, d)
-    f = first.field
-    if not isinstance(f, PrimeField):
-        raise PreconditionError("equivalence search requires a prime field")
-    if check_valid:
-        for d in data:
-            rep = check_datum_direct(d, cap=1)
-            if not rep.ok:
-                raise PreconditionError("datum is not a valid extending structure", rep)
-    space = rs_search_space(f, first, mode)
-    if space > rs_budget:
-        raise InfeasibleSearch(
-            f"rs search space has {space} candidates (budget {rs_budget})", count=space)
-    return _rs_shapes(first, mode)
-
-
 def _product(datum):
     """The unified product of datum and its lift to Z[x], as the search reads them."""
     e = build_unified_product(datum)
     return e, _lift(PolynomialRing(), e)
 
 
-def _search(shapes, source, target):
-    """The lexicographically first rs whose block map is a morphism from
-    source to target (_product pairs over GF(p)), or None: _walk over the
-    constraints of _rs_checks, cutting an s block as soon as it is bound and
-    singular.  The witness is re-checked by the oracle; a rejection raises.
-    """
-    (e1, l1), (e2, l2) = source, target
-    f = e1.field
-    guards, depth = {}, 0
-    for k, (rows, cols) in enumerate(shapes):
-        depth += rows * cols
-        if k >= 2 and rows:     # s1 or s0: cut when singular, once bound
-            guards[depth] = _invertible_block(f, rows, depth - rows * cols)
-    leaf = next(_walk(f.char, _rs_checks(l1, l2, shapes, f.char), guards=guards), None)
-    if leaf is None:
-        return None
-    values = _digits(leaf, f.char, depth)
-    maps = _rs_maps(f, shapes, values)
-    if not check_2alg_morphism(e1, e2, _block_map(*maps), cap=1).ok:
-        raise AssertionError(f"the rs search found the block map with entries {values}, "
-                             "which the oracle rejects")
-    return RSData(*maps)
+class _RSSearch:
+    """The rs search among data of one shape, posed once: construction
+    checks that it is well posed (a known mode, one prime field, Z and V,
+    valid data if check_valid, rs space in budget, in that order) and builds
+    what depends only on the shape: phi, the block map over Z[x] whose r and
+    s entries are x0, x1, ... in _maps order, and the guards that cut a
+    singular s block once it is bound."""
+
+    def __init__(self, data, mode, rs_budget, check_valid):
+        if mode not in ("equivalent", "cohomologous"):
+            raise ValueError(f"unknown mode {mode!r}")
+        first = data[0]
+        for d in data[1:]:
+            _require_compatible(first, d)
+        f = first.field
+        if not isinstance(f, PrimeField):
+            raise PreconditionError("equivalence search requires a prime field")
+        if check_valid:
+            for d in data:
+                rep = check_datum_direct(d, cap=1)
+                if not rep.ok:
+                    raise PreconditionError("datum is not a valid extending structure", rep)
+        space = rs_search_space(f, first, mode)
+        if space > rs_budget:
+            raise InfeasibleSearch(
+                f"rs search space has {space} candidates (budget {rs_budget})", count=space)
+        self.field, self.shapes = f, _rs_shapes(first, mode)
+        self.size = sum(rows * cols for rows, cols in self.shapes)
+        ring = PolynomialRing()
+        self.phi = _block_map(*self._maps(ring, map(ring.var, count())))
+        self.guards, depth = {}, 0
+        for k, (rows, cols) in enumerate(self.shapes):
+            depth += rows * cols
+            if k >= 2 and rows:     # s1 or s0
+                self.guards[depth] = _invertible_block(f, rows, depth - rows * cols)
+
+    def _maps(self, ring, values):
+        """r1, r0, s1, s0 over ring, read row-major from values; s = id in
+        mode "cohomologous"."""
+        maps = value_maps(ring, self.shapes, values)
+        if len(maps) == 2:
+            maps += [LinMap.identity(ring, m.cols) for m in maps]
+        return maps
+
+    def checks(self, l1, l2):
+        """The morphism constraints on rs between the lifts l1 and l2:
+        self.phi substituted into the compiled morphism check
+        (core.morphism_constraints), levelled as in _levelled.  The rs over
+        GF(p) at which every polynomial vanishes are exactly those whose
+        block map is a morphism."""
+        return _levelled(morphism_constraints(l1, l2, self.phi, self.field.char), self.size)
+
+    def __call__(self, source, target):
+        """The lexicographically first rs whose block map is a morphism from
+        source to target (_product pairs), or None: the first leaf of _walk
+        over checks and guards, re-checked by the oracle; a rejection raises."""
+        (e1, l1), (e2, l2) = source, target
+        p = self.field.char
+        leaf = next(_walk(p, self.checks(l1, l2), guards=self.guards), None)
+        if leaf is None:
+            return None
+        values = _digits(leaf, p, self.size)
+        maps = self._maps(self.field, values)
+        if not check_2alg_morphism(e1, e2, _block_map(*maps), cap=1).ok:
+            raise AssertionError(f"the rs search found the block map with entries {values}, "
+                                 "which the oracle rejects")
+        return RSData(*maps)
 
 
 def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
@@ -226,10 +221,10 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
     mode "equivalent": any rs with both s components invertible;
     mode "cohomologous": s fixed to the identity.  Returns (found, witness),
     the witness being the lexicographically first rs (r1, r0, s1, s0,
-    row-major), found by _search and re-checked by the oracle.
+    row-major), found by _RSSearch and re-checked by the oracle.
     """
-    shapes = _search_shapes((d1, d2), mode, rs_budget, check_valid)
-    rs = _search(shapes, _product(d1), _product(d2))
+    search = _RSSearch((d1, d2), mode, rs_budget, check_valid)
+    rs = search(_product(d1), _product(d2))
     return rs is not None, rs
 
 
@@ -414,17 +409,17 @@ def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET):
     against the representative (first member) of every orbit so far, and
     joins the orbit it is related to or opens one; orbits thus come sorted
     by representative.  A datum related to two representatives raises
-    AssertionError.  With two data or more the search is validated up front,
-    as in are_equivalent with check_valid=False.
+    AssertionError.  With two data or more the search is posed once, up
+    front (_RSSearch, as in are_equivalent with check_valid=False).
     """
     from .io import canonical_dumps, datum_to_json
     data = list(data)
     items = tuple(canonical_dumps(datum_to_json(d)) for d in data)
-    shapes = _search_shapes(data, mode, rs_budget, False) if len(data) > 1 else None
+    search = _RSSearch(data, mode, rs_budget, False) if len(data) > 1 else None
     orbits = []         # (representative's product, members)
     for i in sorted(range(len(data)), key=items.__getitem__):
         product = _product(data[i])
-        hits = [members for rep, members in orbits if _search(shapes, product, rep)]
+        hits = [members for rep, members in orbits if search(product, rep)]
         if len(hits) > 1:
             raise AssertionError(f"item {i} is related to the representatives "
                                  f"{hits[0][0]} and {hits[1][0]}")

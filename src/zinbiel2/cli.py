@@ -15,9 +15,9 @@ import argparse
 import sys
 import traceback
 
+from .classify import DEFAULT_ENUM_BUDGET, check_rs_conditions, check_rs_direct
 from .classify import census as run_census
-from .classify import check_rs_conditions, check_rs_direct
-from .core import check_crossed_module, check_zinbiel
+from .core import DEFAULT_VIOLATION_CAP, check_crossed_module, check_zinbiel
 from .errors import (BudgetExceeded, InfeasibleSearch, PreconditionError,
                      SchemaError, Zinbiel2Error)
 from .fields import field_from_name
@@ -65,13 +65,18 @@ def _render_report(rep, fmt, out):
         out.write(f"  flag ({fl.cond}): {fl.note}{marker}\n")
 
 
-def _finish_report(rep, args, out):
-    _render_report(rep, args.format, out)
-    if not rep.ok:
-        return EXIT_VIOLATIONS
-    if args.typo_strict and any(fl.as_printed_disagrees for fl in rep.flags):
+def _verdict(args, *reports):
+    """Exit 1 on a violation in any report, or under --typo-strict on a flag
+    that disagrees as printed; else 0."""
+    flagged = any(fl.as_printed_disagrees for rep in reports for fl in rep.flags)
+    if not all(rep.ok for rep in reports) or (args.typo_strict and flagged):
         return EXIT_VIOLATIONS
     return EXIT_OK
+
+
+def _finish_report(rep, args, out):
+    _render_report(rep, args.format, out)
+    return _verdict(args, rep)
 
 
 def cmd_check_zinbiel(args, out):
@@ -99,11 +104,7 @@ def cmd_check_datum(args, out):
         out.write("== condition list Z1..Z120 ==\n")
         _render_report(conds, args.format, out)
         out.write(f"agreement: {direct.ok == conds.ok}\n")
-    if not direct.ok or not conds.ok:
-        return EXIT_VIOLATIONS
-    if args.typo_strict and any(fl.as_printed_disagrees for fl in conds.flags):
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+    return _verdict(args, direct, conds)
 
 
 def cmd_build_product(args, out):
@@ -180,11 +181,7 @@ def cmd_check_morphism(args, out):
         _render_report(drep, args.format, out)
         out.write(f"agreement: {hrep.ok == drep.ok}\n")
         out.write(f"is_isomorphism: {iso}\n")
-    if not hrep.ok or not drep.ok:
-        return EXIT_VIOLATIONS
-    if args.typo_strict and any(fl.as_printed_disagrees for fl in hrep.flags):
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+    return _verdict(args, hrep, drep)
 
 
 def cmd_classify(args, out):
@@ -257,7 +254,7 @@ def build_parser():
             p.add_argument("--z", required=True, help="zinbiel_2_algebra JSON file")
             p.add_argument("--vdims", required=True, help="complement dims n1,n0")
             p.add_argument("--d", default=None, help="optional linmap JSON for d")
-            p.add_argument("--budget", type=int, default=5 ** 8,
+            p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
                            help="bound on the number of coefficient assignments an "
                                 "enumeration may span; checked before the search")
             p.add_argument("--jobs", type=int, default=1,
@@ -266,7 +263,7 @@ def build_parser():
             p.add_argument("input", help="input JSON file")
             p.add_argument("--field", default=None, help="override field: q or gf<p>")
         if "--cap" in flags:
-            p.add_argument("--cap", type=positive_int, default=100,
+            p.add_argument("--cap", type=positive_int, default=DEFAULT_VIOLATION_CAP,
                            help="violation cap per report")
         if "--format" in flags:
             p.add_argument("--format", choices=("json", "text"), default="json")

@@ -13,7 +13,7 @@ import json
 from .core import (BimodulePair, ConditionReport, ZinbielAlgebra,
                    ZinbielTwoAlgebra)
 from .engine import MAP_SPACES
-from .errors import SchemaError
+from .errors import SchemaError, Zinbiel2Error
 from .fields import field_from_name
 from .linalg import BilMap, LinMap, TwoVectorSpace
 from .unified import _FAMS, ComplementSplit, ExtendingDatum
@@ -145,6 +145,15 @@ def _nonneg_int(obj, key, path, filename):
     return val
 
 
+def _construct(path, filename, make, *args, **kwargs):
+    """make(*args, **kwargs); a library error, which is how every constructor
+    refuses bad input, becomes a SchemaError at path."""
+    try:
+        return make(*args, **kwargs)
+    except Zinbiel2Error as exc:
+        raise SchemaError(str(exc), path, filename) from None
+
+
 def parse_scalar(field, s, path, filename):
     if not isinstance(s, str):
         raise SchemaError(f"scalar must be a string, got {type(s).__name__}", path, filename)
@@ -214,10 +223,7 @@ def parse_algebra(field, obj, path, filename):
     dim = _nonneg_int(obj, "dim", path, filename)
     mult = parse_bilmap(field, _want(obj, "mult", dict, path, filename),
                         f"{path}.mult", filename)
-    try:
-        return ZinbielAlgebra(field, dim, mult)
-    except Exception as exc:
-        raise SchemaError(str(exc), path, filename) from None
+    return _construct(path, filename, ZinbielAlgebra, field, dim, mult)
 
 
 def parse_two_algebra(field, obj, path, filename):
@@ -228,20 +234,15 @@ def parse_two_algebra(field, obj, path, filename):
                         f"{path}.act_left", filename)
     right = parse_bilmap(field, _want(obj, "act_right", dict, path, filename),
                          f"{path}.act_right", filename)
-    try:
-        return ZinbielTwoAlgebra(z1, z0, phi, BimodulePair(left, right))
-    except Exception as exc:
-        raise SchemaError(str(exc), path, filename) from None
+    return _construct(path, filename,
+                      lambda: ZinbielTwoAlgebra(z1, z0, phi, BimodulePair(left, right)))
 
 
 def parse_two_vector_space(field, obj, path, filename):
     dim1 = _nonneg_int(obj, "dim1", path, filename)
     dim0 = _nonneg_int(obj, "dim0", path, filename)
     d = parse_linmap(field, _want(obj, "d", dict, path, filename), f"{path}.d", filename)
-    try:
-        return TwoVectorSpace(dim1, dim0, d)
-    except Exception as exc:
-        raise SchemaError(str(exc), path, filename) from None
+    return _construct(path, filename, TwoVectorSpace, dim1, dim0, d)
 
 
 def parse_datum(field, obj, path, filename, require=DATUM_FIELDS):
@@ -259,10 +260,7 @@ def parse_datum(field, obj, path, filename, require=DATUM_FIELDS):
             fams[fam].append(BilMap.zero(field, dims[la], dims[lb], dims[lc]))
     sigma = parse_linmap(field, _want(obj, "sigma", dict, path, filename),
                          f"{path}.sigma", filename)
-    try:
-        return ExtendingDatum(z, v, **fams, sigma=sigma)
-    except Exception as exc:
-        raise SchemaError(str(exc), path, filename) from None
+    return _construct(path, filename, ExtendingDatum, z, v, **fams, sigma=sigma)
 
 
 def parse_split(field, obj, path, filename):
@@ -271,10 +269,8 @@ def parse_split(field, obj, path, filename):
     for key in ("iota1", "iota0", "p1", "p0"):
         maps[key] = parse_linmap(field, _want(obj, key, dict, path, filename),
                                  f"{path}.{key}", filename)
-    try:
-        return ComplementSplit(e, maps["iota1"], maps["iota0"], maps["p1"], maps["p0"])
-    except Exception as exc:
-        raise SchemaError(str(exc), path, filename) from None
+    return _construct(path, filename, ComplementSplit,
+                      e, maps["iota1"], maps["iota0"], maps["p1"], maps["p0"])
 
 
 def load_document(filename, expect_kind=None, field_override=None, allow_small_char=False):
@@ -309,10 +305,7 @@ def load_document(filename, expect_kind=None, field_override=None, allow_small_c
     elif kind == "crossed_system":
         from .special import CrossedSystem
         datum = parse_datum(field, obj, "$", filename, require=())
-        try:
-            val = CrossedSystem(datum)
-        except Exception as exc:
-            raise SchemaError(str(exc), "$", filename) from None
+        val = _construct("$", filename, CrossedSystem, datum)
     elif kind == "matched_pair":
         val = _parse_matched_pair(field, obj, filename)
     elif kind == "complement_split":
@@ -332,10 +325,7 @@ def _parse_matched_pair(field, obj, filename):
     for fam, _, key in _map_keys(_FAMS[:4]):
         fams[fam].append(parse_bilmap(field, _want(obj, key, dict, "$", filename),
                                       f"$.{key}", filename))
-    try:
-        return MatchedPairDatum(z, v, **fams)
-    except Exception as exc:
-        raise SchemaError(str(exc), "$", filename) from None
+    return _construct("$", filename, MatchedPairDatum, z, v, **fams)
 
 
 def _parse_rs_morphism(field, obj, filename):
@@ -347,8 +337,5 @@ def _parse_rs_morphism(field, obj, filename):
     for key in ("r1", "r0", "s1", "s0"):
         maps[key] = parse_linmap(field, _want(obj, key, dict, "$", filename),
                                  f"$.{key}", filename)
-    try:
-        rs = RSData(maps["r1"], maps["r0"], maps["s1"], maps["s0"])
-    except Exception as exc:
-        raise SchemaError(str(exc), "$", filename) from None
+    rs = _construct("$", filename, RSData, maps["r1"], maps["r0"], maps["s1"], maps["s0"])
     return (datum, datum_p, rs)

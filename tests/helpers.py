@@ -318,7 +318,7 @@ def reference_checks(spec):
 
 
 def reference_rs_checks(e1, e2, shapes):
-    """Reference for classify._rs_checks, level by level as sets: the
+    """Reference for classify._RSSearch.checks, level by level as sets: the
     interpreted morphism stream on the block map from e1 to e2 whose r1,
     r0 (then s1, s0, else the identity) entries are x0, x1, ... of Z[x]
     row-major, reduced mod p."""

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equi
 from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra
 from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                              PreconditionError)
-from zinbiel2.fields import PrimeField
+from zinbiel2.fields import PolynomialRing, PrimeField
 from zinbiel2.io import canonical_dumps, datum_to_json, pretty_dumps
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse
 from zinbiel2.unified import ExtendingDatum, build_unified_product, check_datum_direct
@@ -190,7 +191,7 @@ def test_quotients_validate_before_searching(monkeypatch):
     def no_search(*args):
         raise AssertionError("searched before validating")
 
-    monkeypatch.setattr(classify, "_search", no_search)
+    monkeypatch.setattr(classify._RSSearch, "__call__", no_search)
     data = golden_data()
     with pytest.raises(ValueError):
         compute_quotients(data, mode="homotopic")
@@ -334,9 +335,10 @@ def test_rs_checks_match_reference(p):
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.3) for _ in range(2))
             (e1, l1), (e2, l2) = classify._product(d1), classify._product(d2)
             for mode in ("equivalent", "cohomologous"):
-                shapes = classify._rs_shapes(d1, mode)
-                checks = classify._rs_checks(l1, l2, shapes, p)
-                assert [set(level) for level in checks] == reference_rs_checks(e1, e2, shapes)
+                search = classify._RSSearch((d1, d2), mode, math.inf, False)
+                checks = search.checks(l1, l2)
+                assert [set(level) for level in checks] == reference_rs_checks(e1, e2,
+                                                                               search.shapes)
                 assert sum(map(len, checks)) == sum(map(len, map(set, checks)))
 
 
@@ -399,18 +401,30 @@ def test_oracle_rejection_of_a_search_hit_is_raised(monkeypatch, capsys):
     assert "which the oracle rejects" in capsys.readouterr().err
 
 
-def seeded_valid_data(zdims, vdims, d_val, count, seed):
-    """count distinct valid data over the zero Z of zdims, by rejection sampling."""
+def seeded_valid_data(zdims, vdims, d_val, count, seed, draws=5000):
+    """count distinct valid data over the zero Z of zdims, by rejection
+    sampling; ValueError if draws samples do not hold that many."""
     rng = random.Random(seed)
     m1, m0 = vdims
     v = TwoVectorSpace(m1, m0, LinMap(F5, m0, m1, [[d_val] * m1 for _ in range(m0)]))
     z = zero_two_algebra(F5, *zdims)
-    data = []
+    data, drawn = [], 0
     while len(data) < count:
+        if drawn == draws:
+            raise ValueError(f"{draws} draws hold {len(data)} distinct valid data, "
+                             f"not {count}")
+        drawn += 1
         datum = rand_sparse_datum(z, v, rng, rng.choice([0.1, 0.2, 0.35]))
         if datum not in data and check_datum_direct(datum, first_only=True, check_z=False).ok:
             data.append(datum)
     return data
+
+
+def test_seeded_valid_data_stops_when_too_few_exist():
+    # Z = (0, 1) zero, V = (1, 1), d = 3 has 5 valid data
+    assert len(seeded_valid_data((0, 1), (1, 1), 3, 5, seed=1)) == 5
+    with pytest.raises(ValueError, match="5000 draws hold 5 distinct valid data, not 6"):
+        seeded_valid_data((0, 1), (1, 1), 3, 6, seed=1)
 
 
 @pytest.mark.parametrize("zdims,vdims,d_val", [((1, 1), (1, 1), 0), ((1, 1), (1, 1), 1),
@@ -440,8 +454,8 @@ def test_rs_search_matches_brute_force_with_2x2_s():
 def test_oracle_rejection_of_an_rs_witness_is_raised(monkeypatch, capsys):
     # with no constraints the first leaf is r = 0 with the first invertible s,
     # here the identity, which is no morphism between different products
-    monkeypatch.setattr(classify, "_rs_checks",
-                        lambda l1, l2, shapes, p: ((),) * (sum(r * c for r, c in shapes) + 1))
+    monkeypatch.setattr(classify._RSSearch, "checks",
+                        lambda search, l1, l2: ((),) * (search.size + 1))
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     base = ExtendingDatum.trivial(z, TwoVectorSpace(0, 1, LinMap.zero(F5, 1, 0)))
     d_w = base.replace(om=(scalar_bilmap(F5, 1),) + base.om[1:])
@@ -513,15 +527,34 @@ def test_quotients_build_each_product_once(monkeypatch):
         assert sorted(map(data.index, built)) == list(range(len(data)))
 
 
+def test_quotients_build_one_symbolic_block_map(monkeypatch):
+    # the block map over Z[x] depends only on the shapes: one per quotient
+    # call, not one per search
+    data = golden_data((1, 1))
+    built = []
+    real = classify._block_map
+
+    def counting(r1, r0, s1, s0):
+        if isinstance(r1.field, PolynomialRing):
+            built.append(r1)
+        return real(r1, r0, s1, s0)
+
+    monkeypatch.setattr(classify, "_block_map", counting)
+    for mode in ("equivalent", "cohomologous"):
+        built.clear()
+        compute_quotients(data, mode=mode)
+        assert len(built) == 1
+
+
 def test_datum_related_to_two_representatives_is_raised(monkeypatch, capsys):
     # the first two data in items order are not cohomologous; relating the
     # third to every representative contradicts transitivity
     data = golden_data()
     third = sorted(data, key=lambda d: canonical_dumps(datum_to_json(d)))[2]
     e_third = build_unified_product(third)
-    real = classify._search
-    monkeypatch.setattr(classify, "_search", lambda shapes, source, target:
-                        real(shapes, source, target) or source[0] == e_third)
+    real = classify._RSSearch.__call__
+    monkeypatch.setattr(classify._RSSearch, "__call__", lambda search, source, target:
+                        real(search, source, target) or source[0] == e_third)
     with pytest.raises(AssertionError, match="is related to the representatives"):
         compute_quotients(data, mode="cohomologous")
     code = cli.main(["classify", "--field", "gf5", "--z", str(Z_ZERO01), "--vdims", "0,1"],

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from zinbiel2 import cli
+from zinbiel2 import io as zio
 from zinbiel2.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -87,6 +88,20 @@ def test_internal_error_gets_its_own_exit_code(monkeypatch, capsys):
     assert text == ""
     assert ("internal error: AssertionError: cohomologous relation does not refine equivalence"
             in capsys.readouterr().err.splitlines())
+
+
+def test_defect_while_parsing_is_an_internal_error(monkeypatch, capsys):
+    # only library errors from a constructor are bad input; anything else is
+    # a defect, not a schema violation
+    def broken_datum(*args, **kwargs):
+        raise RuntimeError("defect")
+    monkeypatch.setattr(zio, "ExtendingDatum", broken_datum)
+    code, text = run_cli(["check-datum", "data/trivial_datum.json"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: defect" in err.splitlines()
+    assert "input error" not in err
 
 
 def test_text_report_cites_witness_one_based():

@@ -202,7 +202,7 @@ def test_symbolic_pass_once_per_shape(monkeypatch):
 
 
 def test_searches_substitute_into_the_compiled_runs(monkeypatch):
-    # spec.checks and _rs_checks run no stream of their own: the first
+    # spec.checks and _RSSearch.checks run no stream of their own: the first
     # search at a shape compiles its run once, later ones reuse it
     core._compiled.cache_clear()
     streams = []
@@ -226,9 +226,9 @@ def test_searches_substitute_into_the_compiled_runs(monkeypatch):
     data = [specs[0].datum_at(index) for index in (0, 1, 7)]
     lifts = [classify._product(d)[1] for d in data]
     for mode in ("equivalent", "cohomologous"):
-        shapes = classify._rs_shapes(data[0], mode)
+        search = classify._RSSearch(data, mode, classify.DEFAULT_RS_BUDGET, False)
         for l1, l2 in zip(lifts, lifts[1:]):
-            classify._rs_checks(l1, l2, shapes, 5)
+            search.checks(l1, l2)
     assert streams == ["cm", "m"] and core._compiled.cache_info().currsize == 2
 
 
