@@ -18,8 +18,12 @@ the morphism constraints read off the compiled morphism check at a block
 map whose r and s entries are variables; singular s blocks are cut as soon
 as they are bound, and the witness found is re-checked by the oracle.
 Each are_equivalent or compute_quotients call poses the search once
-(_RSSearch); a pair then only substitutes its two products.  A quotient
-searches each datum against one representative per orbit.
+(_RSSearch: the compiled morphism run, the layout of the block map, the
+guards) and reads each product's structure constants once (_product); a
+pair then pays for one sweep of the run, the walk, in which a bound s block
+is tested by elimination mod p on its digits, and the oracle re-check of
+the witness.  A quotient searches each datum against one representative per
+orbit.
 Searches and enumerations run in the calling process and are deterministic
 and lexicographic, budgets are hard limits, and nothing is silently sampled.
 """
@@ -33,7 +37,7 @@ from itertools import count
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
                    ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_constraints,
-                   morphism_constraints, value_maps)
+                   map_values, morphism_run, two_algebra_maps, value_maps)
 from .engine import MAP_SPACES, MorphismCtx, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
@@ -131,27 +135,38 @@ def rs_search_space(field, datum: ExtendingDatum, mode):
     return field.char ** sum(rows * cols for rows, cols in _rs_shapes(datum, mode))
 
 
-def _invertible_block(field, m, lo):
-    """Predicate on bound values: the m x m block starting at lo is invertible."""
+def _invertible_block(p, m, lo):
+    """Predicate on bound values, integers read mod p: the m x m block
+    starting at lo, row-major, has rank m (elimination on the rows)."""
     def test(values):
         rows = [values[lo + r * m:lo + (r + 1) * m] for r in range(m)]
-        return inverse(LinMap(field, m, m, rows)) is not None
+        for c in range(m):
+            pivot = next((row for row in rows if row[c] % p), None)
+            if pivot is None:
+                return False
+            rows.remove(pivot)
+            rows = [[(x * pivot[c] - row[c] * y) % p for x, y in zip(row, pivot)] for row in rows]
+        return True
     return test
 
 
 def _product(datum):
-    """The unified product of datum and its lift to Z[x], as the search reads them."""
+    """The unified product of datum and its structure constants as Z[x]
+    constants, in the layout of the compiled morphism run, as the search
+    reads them."""
     e = build_unified_product(datum)
-    return e, _lift(PolynomialRing(), e)
+    values = map_values(two_algebra_maps(e), e.field.zero())
+    return e, [(((), v),) if v else () for v in values]
 
 
 class _RSSearch:
     """The rs search among data of one shape, posed once: construction
     checks that it is well posed (a known mode, one prime field, Z and V,
-    valid data if check_valid, rs space in budget, in that order) and builds
-    what depends only on the shape: phi, the block map over Z[x] whose r and
-    s entries are x0, x1, ... in _maps order, and the guards that cut a
-    singular s block once it is bound."""
+    valid data if check_valid, rs space in budget, in that order) and holds
+    what depends only on the shape: the compiled morphism run between the
+    products, phi, the structure constants of the block map over Z[x] whose
+    r and s entries are x0, x1, ... in _maps order, and the guards that cut
+    a singular s block once it is bound."""
 
     def __init__(self, data, mode, rs_budget, check_valid):
         if mode not in ("equivalent", "cohomologous"):
@@ -174,12 +189,15 @@ class _RSSearch:
         self.field, self.shapes = f, _rs_shapes(first, mode)
         self.size = sum(rows * cols for rows, cols in self.shapes)
         ring = PolynomialRing()
-        self.phi = _block_map(*self._maps(ring, map(ring.var, count())))
+        phi = _block_map(*self._maps(ring, map(ring.var, count())))
+        self.phi = map_values((phi.phi1, phi.phi0), ring.zero())
+        dims = (phi.phi1.rows, phi.phi0.rows)
+        self.run = morphism_run(dims, dims)
         self.guards, depth = {}, 0
         for k, (rows, cols) in enumerate(self.shapes):
             depth += rows * cols
             if k >= 2 and rows:     # s1 or s0
-                self.guards[depth] = _invertible_block(f, rows, depth - rows * cols)
+                self.guards[depth] = _invertible_block(f.char, rows, depth - rows * cols)
 
     def _maps(self, ring, values):
         """r1, r0, s1, s0 over ring, read row-major from values; s = id in
@@ -189,21 +207,22 @@ class _RSSearch:
             maps += [LinMap.identity(ring, m.cols) for m in maps]
         return maps
 
-    def checks(self, l1, l2):
-        """The morphism constraints on rs between the lifts l1 and l2:
-        self.phi substituted into the compiled morphism check
-        (core.morphism_constraints), levelled as in _levelled.  The rs over
-        GF(p) at which every polynomial vanishes are exactly those whose
-        block map is a morphism."""
-        return _levelled(morphism_constraints(l1, l2, self.phi, self.field.char), self.size)
+    def checks(self, v1, v2):
+        """The morphism constraints on rs between the products whose
+        structure constants are v1 and v2 (_product): v1, v2 and self.phi
+        substituted into the compiled morphism run (SymbolicRun.constraints),
+        levelled as in _levelled.  The rs over GF(p) at which every
+        polynomial vanishes are exactly those whose block map is a
+        morphism."""
+        return _levelled(self.run.constraints(v1 + v2 + self.phi, self.field.char), self.size)
 
     def __call__(self, source, target):
         """The lexicographically first rs whose block map is a morphism from
         source to target (_product pairs), or None: the first leaf of _walk
         over checks and guards, re-checked by the oracle; a rejection raises."""
-        (e1, l1), (e2, l2) = source, target
+        (e1, v1), (e2, v2) = source, target
         p = self.field.char
-        leaf = next(_walk(p, self.checks(l1, l2), guards=self.guards), None)
+        leaf = next(_walk(p, self.checks(v1, v2), guards=self.guards), None)
         if leaf is None:
             return None
         values = _digits(leaf, p, self.size)

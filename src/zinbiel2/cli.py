@@ -36,10 +36,17 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+def _field(name, args):
+    """The field a --field flag names; SchemaError for a bad name."""
+    try:
+        return field_from_name(name, allow_small_char=args.allow_small_char)
+    except ValueError as exc:
+        raise SchemaError(str(exc), "--field", None) from None
+
+
 def _load(args, kind):
     """The value of the given kind in args.input, over the --field override if set."""
-    override = (None if args.field is None else
-                field_from_name(args.field, allow_small_char=args.allow_small_char))
+    override = None if args.field is None else _field(args.field, args)
     _, val, _ = load_document(args.input, expect_kind=kind, field_override=override,
                               allow_small_char=args.allow_small_char)
     return val
@@ -185,7 +192,7 @@ def cmd_check_morphism(args, out):
 
 
 def cmd_classify(args, out):
-    field = field_from_name(args.field_req, allow_small_char=args.allow_small_char)
+    field = _field(args.field_req, args)
     _, z, _ = load_document(args.z, expect_kind="zinbiel_2_algebra",
                             field_override=field,
                             allow_small_char=args.allow_small_char)

@@ -17,7 +17,7 @@ kernel the catalogs of engine share, serves every use of that run: over
 GF(p) or Q check_crossed_module and check_2alg_morphism substitute each
 input into it, and the searches of classify read their constraints off it
 by substituting an input whose structure constants are integers or free
-variables (crossed_module_constraints, morphism_constraints).
+variables (crossed_module_constraints, morphism_run).
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -212,7 +212,7 @@ class SymbolicRun:
         mod p, in run order.  values are Z[x] polynomials of one term at
         most, so each structure constant is an integer constant or a free
         variable, and each swept monomial stays one term."""
-        if any(len(v) > 1 for v in values):
+        if max(map(len, values), default=0) > 1:
             raise ValueError("each value must be a constant or a single term")
         terms = [v[0] if v else None for v in values]
         acc = {}        # component -> monomial -> coefficient
@@ -228,7 +228,8 @@ class SymbolicRun:
                         break
                     mono, m = mono + term[0], m * term[1]
                 else:
-                    mono = tuple(sorted(mono))
+                    if len(mono) > 1:
+                        mono = tuple(sorted(mono))
                     for comp, c in entries:
                         poly = acc.setdefault(comp, {})
                         poly[mono] = poly.get(mono, 0) + c * m
@@ -503,7 +504,8 @@ def _crossed_module_instances(t):
 def _compiled(stream, dims):
     """stream run once over Z[x] on a 2-algebra of level dims (n1, n0) per
     pair in dims and, for two pairs, a morphism from the first to the second,
-    every structure constant a variable, in the map order of _stream."""
+    every structure constant a variable, in the order of two_algebra_maps
+    and then phi1, phi0."""
     ring = PolynomialRing()
     shapes = [s for n1, n0 in dims
               for s in ((n1, n1, n1), (n0, n0, n0), (n0, n1), (n0, n1, n1), (n1, n0, n1))]
@@ -521,38 +523,43 @@ def _compiled(stream, dims):
     return SymbolicRun(ring, ((c, w, (l, r)) for c, w, l, r in stream(*args)))
 
 
-def _compiled_at(stream, args):
-    """The compiled run of stream at the shape of args, and the structure
-    constants of args in its layout; FieldMismatch unless all args share a
-    field."""
-    if any(a.field != args[0].field for a in args):
-        raise FieldMismatch("arguments over different fields")
-    algebras, morphism = args[:2], args[2:]
-    maps = [x for t in algebras for x in (t.z1.mult, t.z0.mult, t.phi, t.act.left, t.act.right)]
-    maps += [x for m in morphism for x in (m.phi1, m.phi0)]
-    run = _compiled(stream, tuple((t.z1.dim, t.z0.dim) for t in algebras))
-    return run, map_values(maps, args[0].field.zero())
+def two_algebra_maps(t):
+    """The maps of the 2-algebra t in the order the compiled runs lay out
+    their variables (map_values of each in turn)."""
+    return (t.z1.mult, t.z0.mult, t.phi, t.act.left, t.act.right)
+
+
+def _dims(t):
+    return (t.z1.dim, t.z0.dim)
+
+
+def morphism_run(dims, dims2):
+    """The compiled morphism run from 2-algebras of level dims (n1, n0) to
+    those of level dims2.  Its variables are map_values of the source's and
+    the target's two_algebra_maps, then of phi1 and phi0."""
+    return _compiled(_morphism_instances, (dims, dims2))
 
 
 def _stream(stream, *args):
     """The instances of stream(*args) over GF(p) or Q that a report reads:
-    the violated ones, substituted into the compiled run of their shape."""
-    run, values = _compiled_at(stream, args)
-    return run.substitute(values, args[0].field.canonical)
+    the violated ones, substituted into the compiled run of their shape;
+    FieldMismatch unless all args share a field."""
+    f = args[0].field
+    if any(a.field != f for a in args):
+        raise FieldMismatch("arguments over different fields")
+    algebras, morphism = args[:2], args[2:]
+    maps = [x for t in algebras for x in two_algebra_maps(t)]
+    maps += [x for m in morphism for x in (m.phi1, m.phi0)]
+    run = _compiled(stream, tuple(map(_dims, algebras)))
+    return run.substitute(map_values(maps, f.zero()), f.canonical)
 
 
 def crossed_module_constraints(t, p):
     """The polynomials over GF(p) that must vanish for t, a 2-algebra over
     Z[x] whose structure constants are integers or free variables, to be a
     2-algebra at an assignment of the variables (SymbolicRun.constraints)."""
-    run, values = _compiled_at(_crossed_module_instances, (t,))
-    return run.constraints(values, p)
-
-
-def morphism_constraints(t, t2, m, p):
-    """As crossed_module_constraints, for m: t -> t2 to be a morphism."""
-    run, values = _compiled_at(_morphism_instances, (t, t2, m))
-    return run.constraints(values, p)
+    run = _compiled(_crossed_module_instances, (_dims(t),))
+    return run.constraints(map_values(two_algebra_maps(t), t.field.zero()), p)
 
 
 def crossed_module_stream(t):

@@ -1,22 +1,27 @@
+import dataclasses
+import functools
 import io
+import itertools
 import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
                      pairwise_partition, rand_sparse_datum, reference_checks,
                      reference_rs_checks, scalar_bilmap, zero_two_algebra)
-from zinbiel2 import classify, cli
+from zinbiel2 import classify, cli, linalg
 from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
                                census, check_rs_conditions, check_rs_direct,
                                compute_quotients, enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
-from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra
+from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism
 from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                              PreconditionError)
-from zinbiel2.fields import PolynomialRing, PrimeField
+from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
 from zinbiel2.io import canonical_dumps, datum_to_json, pretty_dumps
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse
 from zinbiel2.unified import ExtendingDatum, build_unified_product, check_datum_direct
@@ -333,10 +338,10 @@ def test_rs_checks_match_reference(p):
         for m1, m0 in REFERENCE_VDIMS:
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.3) for _ in range(2))
-            (e1, l1), (e2, l2) = classify._product(d1), classify._product(d2)
+            (e1, v1), (e2, v2) = classify._product(d1), classify._product(d2)
             for mode in ("equivalent", "cohomologous"):
                 search = classify._RSSearch((d1, d2), mode, math.inf, False)
-                checks = search.checks(l1, l2)
+                checks = search.checks(v1, v2)
                 assert [set(level) for level in checks] == reference_rs_checks(e1, e2,
                                                                                search.shapes)
                 assert sum(map(len, checks)) == sum(map(len, map(set, checks)))
@@ -455,7 +460,7 @@ def test_oracle_rejection_of_an_rs_witness_is_raised(monkeypatch, capsys):
     # with no constraints the first leaf is r = 0 with the first invertible s,
     # here the identity, which is no morphism between different products
     monkeypatch.setattr(classify._RSSearch, "checks",
-                        lambda search, l1, l2: ((),) * (search.size + 1))
+                        lambda search, v1, v2: ((),) * (search.size + 1))
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     base = ExtendingDatum.trivial(z, TwoVectorSpace(0, 1, LinMap.zero(F5, 1, 0)))
     d_w = base.replace(om=(scalar_bilmap(F5, 1),) + base.om[1:])
@@ -479,6 +484,93 @@ def test_rs_over_another_field_is_refused():
     with pytest.raises(FieldMismatch):
         RSData(LinMap.zero(F5, 1, 1), LinMap.zero(f7, 1, 1),
                LinMap.identity(F5, 1), LinMap.identity(F5, 1))
+
+
+def _rebuilt(value, leaf):
+    """value with leaf(x) in place of each map (LinMap, BilMap) and each
+    field x in it, in traversal order; value classes are rebuilt through
+    their constructors."""
+    if isinstance(value, (LinMap, BilMap, PrimeField, Rationals)):
+        return leaf(value)
+    if isinstance(value, tuple):
+        return tuple(_rebuilt(v, leaf) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value)(**{f.name: _rebuilt(getattr(value, f.name), leaf)
+                              for f in dataclasses.fields(value)})
+    return value
+
+
+def _over(field, x):
+    """The map or field x over field, entries unchanged."""
+    if isinstance(x, LinMap):
+        return LinMap(field, x.rows, x.cols, x.entries)
+    if isinstance(x, BilMap):
+        return BilMap(field, x.dim_a, x.dim_b, x.dim_c, {(k, i, j): v for k, i, j, v in x.items})
+    return field
+
+
+@functools.cache
+def _v11_data():
+    return tuple(golden_data((1, 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_map_over_another_field_is_refused(data):
+    # valid inputs of each checker, then one map, or one whole argument, over
+    # another field: FieldMismatch, from a constructor or from the checker
+    d1, d2 = (data.draw(st.sampled_from(_v11_data())) for _ in range(2))
+    r0, s1, s0 = (LinMap(F5, 1, 1, [[data.draw(st.integers(0, 4))]]) for _ in range(3))
+    rs = RSData(LinMap.zero(F5, 0, 1), r0, s1, s0)
+    products = (build_unified_product(d1), build_unified_product(d2))
+    check, args = data.draw(st.sampled_from([
+        (check_2alg_morphism, products + (morphism_from_rs(rs, d1, d2),)),
+        (morphism_from_rs, (rs, d1, d2)),
+        (check_rs_conditions, (rs, d1, d2)),
+        (check_rs_direct, (rs, d1, d2))]))
+    check(*args)
+    other = data.draw(st.sampled_from((PrimeField(7), Rationals())))
+    i = data.draw(st.integers(0, len(args) - 1))
+    whole = args[:i] + (_rebuilt(args[i], functools.partial(_over, other)),) + args[i + 1:]
+    with pytest.raises(FieldMismatch):
+        check(*whole)
+    leaves = []
+    _rebuilt(args, lambda x: leaves.append(x) or x)
+    n_maps = sum(isinstance(x, (LinMap, BilMap)) for x in leaves)
+    k, position = data.draw(st.integers(0, n_maps - 1)), itertools.count()
+
+    def swap_kth_map(x):
+        if isinstance(x, (LinMap, BilMap)) and next(position) == k:
+            return _over(other, x)
+        return x
+
+    with pytest.raises(FieldMismatch):
+        check(*_rebuilt(args, swap_kth_map))
+
+
+def _block_is_invertible(f, m, values):
+    return inverse(LinMap(f, m, m, [values[r * m:(r + 1) * m] for r in range(m)])) is not None
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("lo", (0, 3))
+def test_invertible_block_matches_inverse(m, lo):
+    # every 1x1 and 2x2 block over GF(5), after lo bound values and before
+    # one stale one
+    test = classify._invertible_block(5, m, lo)
+    for block in itertools.product(range(5), repeat=m * m):
+        assert test([4, 1, 2][:lo] + list(block) + [3]) == _block_is_invertible(F5, m, block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=9, max_size=9), st.integers(0, 3),
+       st.booleans(), st.integers(0, 6), st.integers(0, 6))
+def test_invertible_3x3_block_matches_inverse(block, lo, dependent, a, b):
+    # over GF(7), with the third row a*row0 + b*row1 when dependent
+    if dependent:
+        block[6:] = [(a * x + b * y) % 7 for x, y in zip(block[:3], block[3:6])]
+    test = classify._invertible_block(7, 3, lo)
+    assert test([5] * lo + block) == _block_is_invertible(PrimeField(7), 3, block)
 
 
 def golden_data(vdims=(0, 1)):
@@ -544,6 +636,19 @@ def test_quotients_build_one_symbolic_block_map(monkeypatch):
         built.clear()
         compute_quotients(data, mode=mode)
         assert len(built) == 1
+
+
+def test_quotients_call_neither_lift_nor_inverse(monkeypatch):
+    # a search reads each product's constants as they are and tests a bound
+    # s block by elimination on its digits
+    data = golden_data((1, 1))
+    calls = []
+    monkeypatch.setattr(classify, "_lift", lambda *args: calls.append("_lift"))
+    for module in (classify, linalg):
+        monkeypatch.setattr(module, "inverse", lambda *args: calls.append("inverse"))
+    parts = [compute_quotients(data, mode=mode) for mode in ("equivalent", "cohomologous")]
+    assert calls == []
+    assert [len(part.orbits) for part in parts] == [6, 25]
 
 
 def test_datum_related_to_two_representatives_is_raised(monkeypatch, capsys):

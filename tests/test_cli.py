@@ -104,6 +104,29 @@ def test_defect_while_parsing_is_an_internal_error(monkeypatch, capsys):
     assert "input error" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--field", "gf4", "--z", "data/z_zero_01.json", "--vdims", "0,1"],
+     "4 is not prime"),
+    (["classify", "--field", "gf3", "--z", "data/z_zero_01.json", "--vdims", "0,1"],
+     "GF(3) has characteristic 3"),
+    (["check-2alg", "data/z_z_id.json", "--field", "gf9"], "9 is not prime"),
+    (["check-2alg", "data/z_z_id.json", "--field", "gf3"], "GF(3) has characteristic 3"),
+    (["check-zinbiel", "data/dim1_idempotent.json", "--field", "r"], "bad field name 'r'"),
+])
+def test_bad_field_name_is_an_input_error(argv, message, capsys):
+    code, text = run_cli(argv)
+    assert code == cli.EXIT_INPUT == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --field: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_small_char_field_name_with_its_flag_is_accepted():
+    assert run_cli(["check-2alg", "data/z_z_id.json", "--field", "gf3",
+                    "--allow-small-char"])[0] == 0
+
+
 def test_text_report_cites_witness_one_based():
     code, text = run_cli(["check-zinbiel", "data/dim1_idempotent.json",
                           "--format", "text"])

@@ -224,11 +224,11 @@ def test_searches_substitute_into_the_compiled_runs(monkeypatch):
     assert [sum(map(len, spec.checks)) for spec in specs] == [14, 14]
     assert streams == ["cm"]
     data = [specs[0].datum_at(index) for index in (0, 1, 7)]
-    lifts = [classify._product(d)[1] for d in data]
+    values = [classify._product(d)[1] for d in data]
     for mode in ("equivalent", "cohomologous"):
         search = classify._RSSearch(data, mode, classify.DEFAULT_RS_BUDGET, False)
-        for l1, l2 in zip(lifts, lifts[1:]):
-            search.checks(l1, l2)
+        for v1, v2 in zip(values, values[1:]):
+            search.checks(v1, v2)
     assert streams == ["cm", "m"] and core._compiled.cache_info().currsize == 2
 
 
