@@ -17,13 +17,19 @@ s = id.  The search is the same depth-first walk as the enumeration, over
 the morphism constraints read off the compiled morphism check at a block
 map whose r and s entries are variables; singular s blocks are cut as soon
 as they are bound, and the witness found is re-checked by the oracle.
-Each are_equivalent or compute_quotients call poses the search once
-(_RSSearch: the compiled morphism run, the layout of the block map, the
-guards) and reads each product's structure constants once (_product); a
-pair then pays for one sweep of the run, the walk, in which a bound s block
-is tested by elimination mod p on its digits, and the oracle re-check of
-the witness.  A quotient searches each datum against one representative per
-orbit.
+
+What depends only on the shape is derived once per shape: the gather that
+reads a unified product's structure constants off its datum's (_gather),
+and the posed search (_posed: the layout of the block map, the compiled
+morphism run split into the half whose monomials carry a source constant
+and the half whose monomials carry a target constant, the guards).  A
+datum costs one serialization and one gather (_Product), and in each
+search object at most one sweep of each half; its product is built only
+if a witness involving it is re-checked.  A pair costs the sum of its two
+halves reduced mod p, the walk, in which a bound s block is tested by
+elimination mod p on its digits, and the oracle re-check of the witness.
+A quotient searches each datum against one representative per orbit, and
+census reads each datum once for both relations.
 Searches and enumerations run in the calling process and are deterministic
 and lexicographic, budgets are hard limits, and nothing is silently sampled.
 """
@@ -32,13 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
                    ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_constraints,
-                   map_values, morphism_run, two_algebra_maps, value_maps)
-from .engine import MAP_SPACES, MorphismCtx, evaluate_conditions
+                   map_values, morphism_run, reduced, two_algebra_maps, value_maps)
+from .engine import MAP_SPACES, DatumCtx, MorphismCtx, datum_maps, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField
@@ -138,6 +144,9 @@ def rs_search_space(field, datum: ExtendingDatum, mode):
 def _invertible_block(p, m, lo):
     """Predicate on bound values, integers read mod p: the m x m block
     starting at lo, row-major, has rank m (elimination on the rows)."""
+    if m == 1:      # the walk's most frequent test: one entry
+        return lambda values: values[lo] % p != 0
+
     def test(values):
         rows = [values[lo + r * m:lo + (r + 1) * m] for r in range(m)]
         for c in range(m):
@@ -150,23 +159,91 @@ def _invertible_block(p, m, lo):
     return test
 
 
-def _product(datum):
-    """The unified product of datum and its structure constants as Z[x]
-    constants, in the layout of the compiled morphism run, as the search
-    reads them."""
-    e = build_unified_product(datum)
-    values = map_values(two_algebra_maps(e), e.field.zero())
-    return e, [(((), v),) if v else () for v in values]
+@cache
+def _gather(dims):
+    """Where each structure constant of a unified product at dims (n1, n0,
+    m1, m0) comes from: for each entry of map_values(two_algebra_maps(E)),
+    the position of the datum constant it equals in the layout of
+    engine.datum_maps, or -1 where it is 0.  Read off the product of the
+    datum whose constants are the variables x0, x1, ... (DatumCtx.symbolic);
+    AssertionError unless each entry is 0 or one variable with coefficient 1."""
+    n1, n0, m1, m0 = dims
+    ring = PolynomialRing()
+    z = ZinbielTwoAlgebra(ZinbielAlgebra.zero(ring, n1), ZinbielAlgebra.zero(ring, n0),
+                          LinMap.zero(ring, n0, n1), BimodulePair.trivial(ring, n0, n1))
+    zero = ExtendingDatum.trivial(z, TwoVectorSpace(m1, m0, LinMap.zero(ring, m0, m1)))
+    maps = {key: m for key, (_, m) in DatumCtx(zero).symbolic().maps.items()}
+    mult0, mult1, left, right = (maps["z", j] for j in range(4))
+    z = ZinbielTwoAlgebra(ZinbielAlgebra(ring, n1, mult1), ZinbielAlgebra(ring, n0, mult0),
+                          maps["phi"], BimodulePair(left, right))
+    datum = ExtendingDatum(z, TwoVectorSpace(m1, m0, maps["d"]), sigma=maps["sig"],
+                           **{name: tuple(maps[name, j] for j in range(4)) for name in _FAMS})
+    table = []
+    for v in map_values(two_algebra_maps(build_unified_product(datum)), ring.zero()):
+        if v and (len(v) > 1 or v[0][1] != 1 or len(v[0][0]) != 1):
+            raise AssertionError(f"a constant of the unified product is {v}, "
+                                 "not 0 or one datum constant")
+        table.append(v[0][0][0] if v else -1)
+    return tuple(table)
+
+
+class _Product:
+    """The unified product E of datum as the rs search reads it: values,
+    E's structure constants as Z[x] constants in the layout of the compiled
+    morphism run (map_values of two_algebra_maps), filled from the datum's
+    own through _gather; and e, E itself, built on first use, when the
+    oracle re-checks a witness."""
+
+    def __init__(self, datum):
+        z, v = datum.z, datum.v
+        flat = map_values(datum_maps(datum), datum.field.zero())
+        consts = [(((), c),) if c else () for c in flat] + [()]
+        self.datum = datum
+        self.values = tuple([consts[i] for i in _gather((z.z1.dim, z.z0.dim, v.dim1, v.dim0))])
+
+    @cached_property
+    def e(self):
+        return build_unified_product(self.datum)
+
+
+def _rs_maps(ring, shapes, values):
+    """r1, r0, s1, s0 over ring, read row-major from values into the blocks
+    of shapes (_rs_shapes); s = id in mode "cohomologous"."""
+    maps = value_maps(ring, shapes, values)
+    if len(maps) == 2:
+        maps += [LinMap.identity(ring, m.cols) for m in maps]
+    return maps
+
+
+@cache
+def _posed(p, shapes):
+    """What an rs search over GF(p) with the blocks of shapes depends on,
+    derived once: phi, the structure constants of the block map over Z[x]
+    whose r and s entries are x0, x1, ... (_rs_maps order); the compiled
+    morphism run between the products and its halves (SymbolicRun.halves,
+    which asserts that every monomial carries exactly one constant of the
+    source or of the target product); and the guards that cut a singular s
+    block once it is bound."""
+    ring = PolynomialRing()
+    phi = _block_map(*_rs_maps(ring, shapes, map(ring.var, count())))
+    dims = (phi.phi1.rows, phi.phi0.rows)
+    (n1, m1), (n0, m0) = shapes[:2]
+    run = morphism_run(dims, dims)
+    halves = run.halves(len(_gather((n1, n0, m1, m0))))
+    guards, depth = {}, 0
+    for k, (rows, cols) in enumerate(shapes):
+        depth += rows * cols
+        if k >= 2 and rows:     # s1 or s0
+            guards[depth] = _invertible_block(p, rows, depth - rows * cols)
+    return tuple(map_values((phi.phi1, phi.phi0), ring.zero())), run, halves, guards
 
 
 class _RSSearch:
-    """The rs search among data of one shape, posed once: construction
-    checks that it is well posed (a known mode, one prime field, Z and V,
-    valid data if check_valid, rs space in budget, in that order) and holds
-    what depends only on the shape: the compiled morphism run between the
-    products, phi, the structure constants of the block map over Z[x] whose
-    r and s entries are x0, x1, ... in _maps order, and the guards that cut
-    a singular s block once it is bound."""
+    """The rs search among data of one shape: construction checks that it
+    is well posed (a known mode, one prime field, Z and V, valid data if
+    check_valid, rs space in budget, in that order) and takes what depends
+    only on the shape from _posed.  Each product's half of the morphism run
+    is swept at most once per search object, as source and as target."""
 
     def __init__(self, data, mode, rs_budget, check_valid):
         if mode not in ("equivalent", "cohomologous"):
@@ -186,48 +263,41 @@ class _RSSearch:
         if space > rs_budget:
             raise InfeasibleSearch(
                 f"rs search space has {space} candidates (budget {rs_budget})", count=space)
-        self.field, self.shapes = f, _rs_shapes(first, mode)
+        self.field, self.shapes = f, tuple(_rs_shapes(first, mode))
         self.size = sum(rows * cols for rows, cols in self.shapes)
-        ring = PolynomialRing()
-        phi = _block_map(*self._maps(ring, map(ring.var, count())))
-        self.phi = map_values((phi.phi1, phi.phi0), ring.zero())
-        dims = (phi.phi1.rows, phi.phi0.rows)
-        self.run = morphism_run(dims, dims)
-        self.guards, depth = {}, 0
-        for k, (rows, cols) in enumerate(self.shapes):
-            depth += rows * cols
-            if k >= 2 and rows:     # s1 or s0
-                self.guards[depth] = _invertible_block(f.char, rows, depth - rows * cols)
+        self.phi, self.run, self.halves, self.guards = _posed(f.char, self.shapes)
+        self._swept = {}        # (product, 0 as source or 1 as target) -> its sweep
 
-    def _maps(self, ring, values):
-        """r1, r0, s1, s0 over ring, read row-major from values; s = id in
-        mode "cohomologous"."""
-        maps = value_maps(ring, self.shapes, values)
-        if len(maps) == 2:
-            maps += [LinMap.identity(ring, m.cols) for m in maps]
-        return maps
+    def _sweep(self, product, k):
+        """The sweep of half k of the run at product's constants and phi."""
+        acc = self._swept.get((product, k))
+        if acc is None:
+            pad = ((),) * len(product.values)
+            values = (product.values + pad if k == 0 else pad + product.values) + self.phi
+            acc = self._swept[product, k] = self.run.sweep(values, self.halves[k])
+        return acc
 
-    def checks(self, v1, v2):
-        """The morphism constraints on rs between the products whose
-        structure constants are v1 and v2 (_product): v1, v2 and self.phi
-        substituted into the compiled morphism run (SymbolicRun.constraints),
-        levelled as in _levelled.  The rs over GF(p) at which every
-        polynomial vanishes are exactly those whose block map is a
-        morphism."""
-        return _levelled(self.run.constraints(v1 + v2 + self.phi, self.field.char), self.size)
+    def checks(self, source, target):
+        """The morphism constraints on rs between the _Products source and
+        target: the source half swept at source, the target half at target,
+        summed and reduced mod p, which is run.constraints(source.values +
+        target.values + phi, p); levelled as in _levelled.  The rs over GF(p)
+        at which every polynomial vanishes are exactly those whose block map
+        is a morphism."""
+        polys = reduced(self.field.char, self._sweep(source, 0), self._sweep(target, 1))
+        return _levelled(polys, self.size)
 
     def __call__(self, source, target):
         """The lexicographically first rs whose block map is a morphism from
-        source to target (_product pairs), or None: the first leaf of _walk
-        over checks and guards, re-checked by the oracle; a rejection raises."""
-        (e1, v1), (e2, v2) = source, target
+        source to target (_Products), or None: the first leaf of _walk over
+        checks and guards, re-checked by the oracle; a rejection raises."""
         p = self.field.char
-        leaf = next(_walk(p, self.checks(v1, v2), guards=self.guards), None)
+        leaf = next(_walk(p, self.checks(source, target), guards=self.guards), None)
         if leaf is None:
             return None
         values = _digits(leaf, p, self.size)
-        maps = self._maps(self.field, values)
-        if not check_2alg_morphism(e1, e2, _block_map(*maps), cap=1).ok:
+        maps = _rs_maps(self.field, self.shapes, values)
+        if not check_2alg_morphism(source.e, target.e, _block_map(*maps), cap=1).ok:
             raise AssertionError(f"the rs search found the block map with entries {values}, "
                                  "which the oracle rejects")
         return RSData(*maps)
@@ -243,7 +313,7 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
     row-major), found by _RSSearch and re-checked by the oracle.
     """
     search = _RSSearch((d1, d2), mode, rs_budget, check_valid)
-    rs = search(_product(d1), _product(d2))
+    rs = search(_Product(d1), _Product(d2))
     return rs is not None, rs
 
 
@@ -340,12 +410,14 @@ def _levelled(polys, size):
 
 def _walk(p, checks, guards=None):
     """The leaves of a depth-first search over GF(p)^n, n = len(checks) - 1,
-    as indices (digits big-endian in variable order), ascending.
+    as indices (digits big-endian in variable order), ascending, each found
+    as it is read.
 
     Backtracking with forward checking: variable i is bound at depth i with
     values 0..p-1 ascending, and a node at depth k (variables below k bound)
     is cut when a polynomial of checks[k] does not vanish or when the
-    predicate guards[k] (if any) rejects the bound values.
+    predicate guards[k] (if any) rejects the bound values.  The path is an
+    explicit stack, the bound values; each node is tested in one place.
     """
     n = len(checks) - 1
     guards = guards or {}
@@ -363,17 +435,23 @@ def _walk(p, checks, guards=None):
         guard = guards.get(depth)
         return guard is None or guard(values)
 
-    def walk(depth, index):
-        if not holds(depth):
+    depth = index = 0       # the node: values[:depth] bound, index their digits
+    while True:
+        if holds(depth):
+            if depth == n:
+                yield index
+            else:           # bind the next variable to 0
+                values[depth] = 0
+                depth += 1
+                index *= p
+                continue
+        while depth and values[depth - 1] == p - 1:     # its last value: back up
+            depth -= 1
+            index //= p
+        if not depth:
             return
-        if depth == n:
-            yield index
-            return
-        for value in range(p):
-            values[depth] = value
-            yield from walk(depth + 1, index * p + value)
-
-    return walk(0, 0)
+        values[depth - 1] += 1
+        index += 1
 
 
 def _rechecked(spec, indices):
@@ -424,38 +502,49 @@ class OrbitPartition:
 def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET):
     """Partition valid data under the chosen relation.
 
-    One pass in items order: each datum, its product built once, is searched
-    against the representative (first member) of every orbit so far, and
-    joins the orbit it is related to or opens one; orbits thus come sorted
-    by representative.  A datum related to two representatives raises
-    AssertionError.  With two data or more the search is posed once, up
+    One pass in items order: each datum is searched against the
+    representative (first member) of every orbit so far, and joins the
+    orbit it is related to or opens one; orbits thus come sorted by
+    representative.  A datum related to two representatives raises
+    AssertionError.  With two data or more the inputs are checked once, up
     front (_RSSearch, as in are_equivalent with check_valid=False).
     """
-    from .io import canonical_dumps, datum_to_json
     data = list(data)
-    items = tuple(canonical_dumps(datum_to_json(d)) for d in data)
+    return _quotients(data, _serialized(data), list(map(_Product, data)), mode, rs_budget)
+
+
+def _serialized(data):
+    """The canonical serializations of data, in order."""
+    from .io import canonical_dumps, datum_to_json
+    return tuple(canonical_dumps(datum_to_json(d)) for d in data)
+
+
+def _quotients(data, items, products, mode, rs_budget):
+    """compute_quotients on data whose canonical serializations (items) and
+    _Products are given, so that census reads each datum once for both
+    relations."""
     search = _RSSearch(data, mode, rs_budget, False) if len(data) > 1 else None
-    orbits = []         # (representative's product, members)
+    orbits = []         # members, the representative first
     for i in sorted(range(len(data)), key=items.__getitem__):
-        product = _product(data[i])
-        hits = [members for rep, members in orbits if search(product, rep)]
+        hits = [members for members in orbits if search(products[i], products[members[0]])]
         if len(hits) > 1:
             raise AssertionError(f"item {i} is related to the representatives "
                                  f"{hits[0][0]} and {hits[1][0]}")
         if hits:
             hits[0].append(i)
         else:
-            orbits.append((product, [i]))
-    return OrbitPartition(items=items, orbits=tuple(tuple(sorted(members))
-                                                    for _, members in orbits),
+            orbits.append([i])
+    return OrbitPartition(items=items, orbits=tuple(tuple(sorted(members)) for members in orbits),
                           relation=mode)
 
 
 def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
            budget=DEFAULT_ENUM_BUDGET, rs_budget=DEFAULT_RS_BUDGET):
-    """Enumerate valid data and compute both quotients; returns census JSON."""
+    """Enumerate valid data and compute both quotients; returns census JSON.
+    Each datum is serialized and its product read once, for both relations."""
     from .io import two_algebra_to_json
     data = list(enumerate_valid_data(field, z, vdims, d, budget=budget))
+    items, products = _serialized(data), list(map(_Product, data))
     out = {"field": field.name,
            "Z": two_algebra_to_json(z, kind=None),
            "Vdims": list(vdims),
@@ -463,7 +552,7 @@ def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
            "quotients": []}
     parts = {}
     for mode in ("equivalent", "cohomologous"):
-        part = compute_quotients(data, mode=mode, rs_budget=rs_budget)
+        part = _quotients(data, items, products, mode, rs_budget)
         parts[mode] = part
         out["quotients"].append({
             "relation": mode,

@@ -207,16 +207,17 @@ class SymbolicRun:
                 comp += len(vec)
             yield (cid, witness, *out)
 
-    def constraints(self, values, p):
-        """The distinct nonzero lhs - rhs components at x = values, reduced
-        mod p, in run order.  values are Z[x] polynomials of one term at
-        most, so each structure constant is an integer constant or a free
-        variable, and each swept monomial stays one term."""
+    def sweep(self, values, index=None):
+        """component -> monomial -> coefficient: the lhs - rhs components at
+        x = values, summed over the monomials of index (the whole run by
+        default, or one of its halves).  values are Z[x] polynomials of one
+        term at most, so each structure constant is an integer constant or a
+        free variable, and each swept monomial stays one term."""
         if max(map(len, values), default=0) > 1:
             raise ValueError("each value must be a constant or a single term")
         terms = [v[0] if v else None for v in values]
-        acc = {}        # component -> monomial -> coefficient
-        for x, group in self._index:
+        acc = {}
+        for x, group in self._index if index is None else index:
             first = ((), 1) if x is None else terms[x]
             if first is None:
                 continue
@@ -233,12 +234,48 @@ class SymbolicRun:
                     for comp, c in entries:
                         poly = acc.setdefault(comp, {})
                         poly[mono] = poly.get(mono, 0) + c * m
-        out = {}
-        for comp in sorted(acc):
-            poly = tuple(sorted((mono, c % p) for mono, c in acc[comp].items() if c % p))
-            if poly:
-                out[poly] = None
-        return tuple(out)
+        return acc
+
+    def halves(self, n):
+        """The index in two halves, for a run whose variables are n constants
+        of a source, n of a target, then others, and whose every monomial
+        carries exactly one source or target constant (its first variable,
+        as monomials are sorted): the monomials of a source constant, then
+        those of a target constant.  A monomial that carries none or two
+        raises AssertionError, since the halves would not sum to the run."""
+        halves = ([], [])
+        for x, group in self._index:
+            if x is None or x >= 2 * n or any(rest and rest[0] < 2 * n for rest, _ in group):
+                raise AssertionError("a monomial of the run carries no source or target "
+                                     "constant, or more than one")
+            halves[x >= n].append((x, group))
+        return tuple(map(tuple, halves))
+
+    def constraints(self, values, p):
+        """The distinct nonzero lhs - rhs components at x = values (sweep),
+        reduced mod p, in run order."""
+        return reduced(p, self.sweep(values))
+
+
+def reduced(p, *sweeps):
+    """The distinct nonzero polynomials mod p of the sum of the sweeps
+    (SymbolicRun.sweep), in component order."""
+    total = {}
+    for acc in sweeps:
+        for comp, poly in acc.items():
+            have = total.get(comp)
+            if have is None:
+                total[comp] = poly
+            else:
+                total[comp] = have = dict(have)     # the sweeps stay as they are
+                for mono, c in poly.items():
+                    have[mono] = have.get(mono, 0) + c
+    out = {}
+    for comp in sorted(total):
+        poly = tuple(sorted((mono, c % p) for mono, c in total[comp].items() if c % p))
+        if poly:
+            out[poly] = None
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -152,13 +152,35 @@ class BaseCtx:
         return Elt(cod, linmap.apply(a.vec), self)
 
 
-def _datum_maps(datum, mark):
-    """key, (spaces, map) for the 24 family maps and sigma of datum; mark
-    is "" for the source datum of a context and "p" for the target."""
+def _family_keys(mark):
+    """key, spaces of the 24 family maps and sigma of a datum, in
+    _family_maps order; mark is "" for the source datum of a context and
+    "p" for the target."""
+    return ([((name + mark, j), MAP_SPACES[name][j]) for _, name in _BLOCKS[1:] for j in range(4)]
+            + [("sig" + mark, ("V1", "Z0"))])
+
+
+def _family_maps(datum):
+    """The 24 family maps of datum in _BLOCKS order, then sigma."""
+    maps = []
     for _, name in _BLOCKS[1:]:
-        for j, m in enumerate(getattr(datum, name)):
-            yield (name + mark, j), (MAP_SPACES[name][j], m)
-    yield "sig" + mark, (("V1", "Z0"), datum.sigma)
+        maps += getattr(datum, name)
+    maps.append(datum.sigma)
+    return maps
+
+
+# key, spaces of every structure map of a datum in datum_maps order, and of
+# the family maps and sigma of a context's target datum
+_DATUM_KEYS = ([(("z", j), spaces) for j, spaces in enumerate(MAP_SPACES["z"])]
+               + [("phi", ("Z1", "Z0")), ("d", ("V1", "V0"))] + _family_keys(""))
+_TARGET_KEYS = _family_keys("p")
+
+
+def datum_maps(datum):
+    """Every structure map of datum in the order DatumCtx lists them, the
+    layout of its values() and symbolic(): the four operations of Z, phi,
+    d, then the 24 family maps and sigma (_DATUM_KEYS names each)."""
+    return [*_ops(datum.z), datum.z.phi, datum.v.d, *_family_maps(datum)]
 
 
 class DatumCtx(BaseCtx):
@@ -168,9 +190,8 @@ class DatumCtx(BaseCtx):
         z, v = datum.z, datum.v
         super().__init__(z.field, {"Z0": z.z0.dim, "Z1": z.z1.dim,
                                    "V0": v.dim0, "V1": v.dim1})
-        self.maps.update((("z", j), (MAP_SPACES["z"][j], t)) for j, t in enumerate(_ops(z)))
-        self.maps.update(phi=(("Z1", "Z0"), z.phi), d=(("V1", "V0"), v.d))
-        self.maps.update(_datum_maps(datum, ""))
+        self.maps.update((key, (spaces, m))
+                         for (key, spaces), m in zip(_DATUM_KEYS, datum_maps(datum)))
 
     # The overloaded product of the source formulas: multiplication on a
     # level, or the fixed action across levels.
@@ -217,7 +238,8 @@ class MorphismCtx(DatumCtx):
 
     def __init__(self, datum, datum_p, rs):
         super().__init__(datum)
-        self.maps.update(_datum_maps(datum_p, "p"))
+        self.maps.update((key, (spaces, m))
+                         for (key, spaces), m in zip(_TARGET_KEYS, _family_maps(datum_p)))
         self.maps.update({("r", 1): (("V1", "Z1"), rs.r1), ("r", 0): (("V0", "Z0"), rs.r0),
                           ("s", 1): (("V1", "V1"), rs.s1), ("s", 0): (("V0", "V0"), rs.s0)})
 

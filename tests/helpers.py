@@ -333,3 +333,35 @@ def reference_rs_checks(e1, e2, shapes):
                       upper_block(LinMap.identity(ring, r0.rows), r0, s0))
     instances = core._morphism_instances(_lift(ring, e1), _lift(ring, e2), phi)
     return _levels_mod_p(instances, e1.field.p, sum(rows * cols for rows, cols in shapes))
+
+
+def recursive_walk(p, checks, guards=None):
+    """Reference for classify._walk: the same depth-first search written
+    with one nested generator per depth."""
+    n = len(checks) - 1
+    guards = guards or {}
+    values = [0] * n
+
+    def holds(depth):
+        for poly in checks[depth]:
+            total = 0
+            for mono, c in poly:
+                for x in mono:
+                    c *= values[x]
+                total += c
+            if total % p:
+                return False
+        guard = guards.get(depth)
+        return guard is None or guard(values)
+
+    def walk(depth, index):
+        if not holds(depth):
+            return
+        if depth == n:
+            yield index
+            return
+        for value in range(p):
+            values[depth] = value
+            yield from walk(depth + 1, index * p + value)
+
+    return walk(0, 0)

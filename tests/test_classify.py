@@ -11,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
-                     pairwise_partition, rand_sparse_datum, reference_checks,
+                     pairwise_partition, rand_sparse_datum, recursive_walk, reference_checks,
                      reference_rs_checks, scalar_bilmap, zero_two_algebra)
-from zinbiel2 import classify, cli, linalg
+from zinbiel2 import classify, cli, core, linalg
+from zinbiel2 import io as zio
 from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
                                census, check_rs_conditions, check_rs_direct,
                                compute_quotients, enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
-from zinbiel2.core import ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism
+from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism, map_values,
+                           two_algebra_maps)
 from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                              PreconditionError)
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
@@ -338,10 +340,11 @@ def test_rs_checks_match_reference(p):
         for m1, m0 in REFERENCE_VDIMS:
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.3) for _ in range(2))
-            (e1, v1), (e2, v2) = classify._product(d1), classify._product(d2)
+            e1, e2 = build_unified_product(d1), build_unified_product(d2)
+            source, target = classify._Product(d1), classify._Product(d2)
             for mode in ("equivalent", "cohomologous"):
                 search = classify._RSSearch((d1, d2), mode, math.inf, False)
-                checks = search.checks(v1, v2)
+                checks = search.checks(source, target)
                 assert [set(level) for level in checks] == reference_rs_checks(e1, e2,
                                                                                search.shapes)
                 assert sum(map(len, checks)) == sum(map(len, map(set, checks)))
@@ -460,7 +463,7 @@ def test_oracle_rejection_of_an_rs_witness_is_raised(monkeypatch, capsys):
     # with no constraints the first leaf is r = 0 with the first invertible s,
     # here the identity, which is no morphism between different products
     monkeypatch.setattr(classify._RSSearch, "checks",
-                        lambda search, v1, v2: ((),) * (search.size + 1))
+                        lambda search, source, target: ((),) * (search.size + 1))
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     base = ExtendingDatum.trivial(z, TwoVectorSpace(0, 1, LinMap.zero(F5, 1, 0)))
     d_w = base.replace(om=(scalar_bilmap(F5, 1),) + base.om[1:])
@@ -608,20 +611,36 @@ def test_quotients_at_v20():
 
 
 def test_quotients_build_each_product_once(monkeypatch):
+    # at most once per datum, and exactly for the data whose witness the
+    # oracle re-checks (as source or as representative); the gather of the
+    # shape is built before
     data = golden_data((1, 1))
-    built = []
-    real = classify.build_unified_product
+    classify._gather((0, 1, 1, 1))
+    built, rechecked = [], set()
+    real_build, real_call = classify.build_unified_product, classify._RSSearch.__call__
+
+    def call(search, source, target):
+        rs = real_call(search, source, target)
+        if rs is not None:
+            rechecked.update((data.index(source.datum), data.index(target.datum)))
+        return rs
+
     monkeypatch.setattr(classify, "build_unified_product",
-                        lambda datum: built.append(datum) or real(datum))
-    for mode in ("equivalent", "cohomologous"):
+                        lambda datum: built.append(datum) or real_build(datum))
+    monkeypatch.setattr(classify._RSSearch, "__call__", call)
+    # one of the six equivalence classes is a singleton; the cohomology
+    # classes all are
+    for mode, count in (("equivalent", 24), ("cohomologous", 0)):
         built.clear()
+        rechecked.clear()
         compute_quotients(data, mode=mode)
-        assert sorted(map(data.index, built)) == list(range(len(data)))
+        assert sorted(map(data.index, built)) == sorted(rechecked)
+        assert len(built) == count
 
 
 def test_quotients_build_one_symbolic_block_map(monkeypatch):
-    # the block map over Z[x] depends only on the shapes: one per quotient
-    # call, not one per search
+    # the block map over Z[x] depends only on the shapes: one per shape, not
+    # one per quotient call or per search
     data = golden_data((1, 1))
     built = []
     real = classify._block_map
@@ -633,7 +652,9 @@ def test_quotients_build_one_symbolic_block_map(monkeypatch):
 
     monkeypatch.setattr(classify, "_block_map", counting)
     for mode in ("equivalent", "cohomologous"):
+        classify._posed.cache_clear()
         built.clear()
+        compute_quotients(data, mode=mode)
         compute_quotients(data, mode=mode)
         assert len(built) == 1
 
@@ -656,10 +677,9 @@ def test_datum_related_to_two_representatives_is_raised(monkeypatch, capsys):
     # third to every representative contradicts transitivity
     data = golden_data()
     third = sorted(data, key=lambda d: canonical_dumps(datum_to_json(d)))[2]
-    e_third = build_unified_product(third)
     real = classify._RSSearch.__call__
     monkeypatch.setattr(classify._RSSearch, "__call__", lambda search, source, target:
-                        real(search, source, target) or source[0] == e_third)
+                        real(search, source, target) or source.datum == third)
     with pytest.raises(AssertionError, match="is related to the representatives"):
         compute_quotients(data, mode="cohomologous")
     code = cli.main(["classify", "--field", "gf5", "--z", str(Z_ZERO01), "--vdims", "0,1"],
@@ -670,15 +690,163 @@ def test_datum_related_to_two_representatives_is_raised(monkeypatch, capsys):
 
 def test_census_refuses_quotients_that_do_not_refine(monkeypatch):
     # one cohomology orbit holding all five data spans three equivalence orbits
-    real = classify.compute_quotients
+    real = classify._quotients
 
-    def coarse(data, mode, rs_budget):
-        part = real(data, mode=mode, rs_budget=rs_budget)
+    def coarse(data, items, products, mode, rs_budget):
+        part = real(data, items, products, mode, rs_budget)
         if mode == "cohomologous":
             part = OrbitPartition(part.items, (tuple(range(len(data))),), mode)
         return part
 
-    monkeypatch.setattr(classify, "compute_quotients", coarse)
+    monkeypatch.setattr(classify, "_quotients", coarse)
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     with pytest.raises(AssertionError, match="cohomologous relation does not refine"):
         census(F5, z, (0, 1), LinMap.zero(F5, 1, 0))
+
+
+def test_census_reads_each_datum_once(monkeypatch):
+    # one serialization and one product per valid datum, for both relations
+    calls = []
+    real_json, real_product = zio.datum_to_json, classify._Product.__init__
+    monkeypatch.setattr(zio, "datum_to_json",
+                        lambda datum: calls.append("json") or real_json(datum))
+    monkeypatch.setattr(classify._Product, "__init__",
+                        lambda product, datum: calls.append("product") or real_product(product, datum))
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    out = census(F5, z, (1, 1), LinMap.zero(F5, 1, 1), budget=5 ** 12)
+    assert pretty_dumps(out) == GOLDEN_V11.read_text()
+    assert calls.count("json") == calls.count("product") == 25
+
+
+def test_cohomologous_quotient_at_v20_sweeps_each_datum_at_most_twice(monkeypatch):
+    # the search space there has size 0 (r1 is 0x2, r0 is 1x0, s = id); a
+    # datum's half of the morphism run is swept once as source and once as
+    # target, not once for each of the 34,980 pairs
+    data = golden_data((2, 0))
+    sweeps = []
+    real = core.SymbolicRun.sweep
+    monkeypatch.setattr(core.SymbolicRun, "sweep", lambda run, values, index=None:
+                        sweeps.append(index is None) or real(run, values, index))
+    assert len(compute_quotients(data, mode="cohomologous").orbits) == 265
+    assert len(sweeps) <= 2 * len(data) and not any(sweeps)
+
+
+def _random_system(rng, p, n):
+    """Random checks for _walk over GF(p)^n: level k holds polynomials in
+    x0..x_(k-1), level 0 (rarely) a constant."""
+    checks = []
+    for k in range(n + 1):
+        level = []
+        for _ in range(rng.choice((0, 1, 1, 2)) if k else rng.random() < 0.1):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                mono = tuple(sorted(rng.randrange(k) for _ in range(rng.randint(1, 2)))) if k else ()
+                terms[mono] = rng.randrange(1, p)
+            level.append(tuple(sorted(terms.items())))
+        checks.append(tuple(level))
+    return tuple(checks)
+
+
+def _sum_guard(p, k, shift, values):
+    return (shift + sum(values[:k])) % p != 0
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_walk_matches_the_recursive_walk(p):
+    # random systems with n = 0..4 variables, with and without guards
+    rng = random.Random(p)
+    for trial in range(80):
+        n = trial % 5
+        checks = _random_system(rng, p, n)
+        guards = None
+        if trial % 2:
+            guards = {k: functools.partial(_sum_guard, p, k, rng.randrange(p))
+                      for k in range(n + 1) if rng.random() < 0.4}
+            if n >= 4 and rng.random() < 0.5:
+                guards[4] = classify._invertible_block(p, 2, 0)
+        leaves = list(classify._walk(p, checks, guards))
+        assert leaves == list(recursive_walk(p, checks, guards)), (trial, checks)
+        assert leaves == sorted(set(leaves))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_walk_finds_its_first_leaf_lazily(p):
+    # with no constraints the first leaf is 0, reached through one node per
+    # depth, and the second is one node further on
+    n = 4
+    for walk in (classify._walk, recursive_walk):
+        visited = []
+        guards = {k: (lambda values, k=k: visited.append(k) or True) for k in range(n + 1)}
+        leaves = walk(p, ((),) * (n + 1), guards)
+        assert visited == []
+        assert next(leaves) == 0 and visited == list(range(n + 1))
+        assert next(leaves) == 1 and visited == list(range(n + 1)) + [n]
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_gathered_products_match_the_built_ones(p):
+    # the constants of E filled from the datum's through the gather of its
+    # shape, on every reference shape, zero dims included
+    f = PrimeField(p)
+    rng = random.Random(p)
+    for z in _reference_z_cases(f):
+        for m1, m0 in REFERENCE_VDIMS + ((0, 0),):
+            d = LinMap(f, m0, m1, [[rng.randrange(p) for _ in range(m1)] for _ in range(m0)])
+            datum = rand_sparse_datum(z, TwoVectorSpace(m1, m0, d), rng, 0.5)
+            e = build_unified_product(datum)
+            product = classify._Product(datum)
+            assert product.values == tuple((((), c),) if c else ()
+                                           for c in map_values(two_algebra_maps(e), f.zero()))
+            assert product.e == e
+
+
+@pytest.mark.parametrize("doctor", ["doubled", "summed"])
+def test_gather_refuses_a_constant_that_is_not_one_datum_constant(monkeypatch, doctor):
+    real = classify.build_unified_product
+
+    def doctored(datum):
+        e = real(datum)
+        ring = e.field
+        other = (lambda x: x) if doctor == "doubled" else (lambda x: ring.var(0))
+        phi = LinMap(ring, e.phi.rows, e.phi.cols,
+                     [[ring.add(x, other(x)) for x in row] for row in e.phi.entries])
+        return dataclasses.replace(e, phi=phi)
+
+    monkeypatch.setattr(classify, "build_unified_product", doctored)
+    with pytest.raises(AssertionError, match="not 0 or one datum constant"):
+        classify._gather.__wrapped__((1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_merged_halves_are_the_full_sweep(p):
+    # a pair sums the source half swept at the source and the target half
+    # swept at the target: the constraints of one sweep of the whole run
+    f = PrimeField(p)
+    rng = random.Random(10 + p)
+    for z in _reference_z_cases(f):
+        for m1, m0 in REFERENCE_VDIMS:
+            v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
+            d1, d2 = (rand_sparse_datum(z, v, rng, 0.4) for _ in range(2))
+            products = classify._Product(d1), classify._Product(d2)
+            for mode in ("equivalent", "cohomologous"):
+                search = classify._RSSearch((d1, d2), mode, math.inf, False)
+                for source, target in itertools.product(products, repeat=2):
+                    full = search.run.constraints(source.values + target.values + search.phi, p)
+                    merged = core.reduced(p, search._sweep(source, 0), search._sweep(target, 1))
+                    assert merged == full
+                    assert search.checks(source, target) == classify._levelled(full, search.size)
+
+
+@pytest.mark.parametrize("mono", [(0, 1), (), (10 ** 6,)], ids=["two", "constant", "rs only"])
+def test_posing_refuses_a_run_whose_halves_do_not_sum_to_it(monkeypatch, mono):
+    # a monomial of the morphism run with two datum constants, or none
+    ring = PolynomialRing()
+    doctored = core.SymbolicRun(ring, [("M1", (0,), ((((mono, 1),),), ((),)))])
+    monkeypatch.setattr(classify, "morphism_run", lambda dims, dims2: doctored)
+    classify._posed.cache_clear()
+    d = zero_datum(zero_z(0))
+    try:
+        with pytest.raises(AssertionError, match="carries no source or target constant"):
+            are_equivalent(d, d)
+    finally:
+        classify._posed.cache_clear()

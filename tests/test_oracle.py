@@ -205,6 +205,7 @@ def test_searches_substitute_into_the_compiled_runs(monkeypatch):
     # spec.checks and _RSSearch.checks run no stream of their own: the first
     # search at a shape compiles its run once, later ones reuse it
     core._compiled.cache_clear()
+    classify._posed.cache_clear()
     streams = []
     real_cm, real_m = core._crossed_module_instances, core._morphism_instances
 
@@ -224,11 +225,11 @@ def test_searches_substitute_into_the_compiled_runs(monkeypatch):
     assert [sum(map(len, spec.checks)) for spec in specs] == [14, 14]
     assert streams == ["cm"]
     data = [specs[0].datum_at(index) for index in (0, 1, 7)]
-    values = [classify._product(d)[1] for d in data]
+    products = [classify._Product(d) for d in data]
     for mode in ("equivalent", "cohomologous"):
         search = classify._RSSearch(data, mode, classify.DEFAULT_RS_BUDGET, False)
-        for v1, v2 in zip(values, values[1:]):
-            search.checks(v1, v2)
+        for source, target in zip(products, products[1:]):
+            search.checks(source, target)
     assert streams == ["cm", "m"] and core._compiled.cache_info().currsize == 2
 
 
