@@ -18,14 +18,17 @@ the morphism constraints read off the compiled morphism check at a block
 map whose r and s entries are variables; singular s blocks are cut as soon
 as they are bound, and the witness found is re-checked by the oracle.
 
-What depends only on the shape is derived once per shape: the gather that
-reads a unified product's structure constants off its datum's (_gather),
-and the posed search (_posed: the layout of the block map, the compiled
-morphism run split into the half whose monomials carry a source constant
-and the half whose monomials carry a target constant, the guards).  A
-datum costs one serialization and one gather (_Product), and in each
-search object at most one sweep of each half; its product is built only
-if a witness involving it is re-checked.  A pair costs the sum of its two
+What depends only on the shape is derived once per shape: the skeleton of
+the canonical serialization, read off io's encoder (_skeleton), the gather
+that reads a unified product's structure constants off its datum's
+(_gather), and the posed search (_posed: the layout of the block map, the
+compiled morphism run split into the half whose monomials carry a source
+constant and the half whose monomials carry a target constant, the
+guards).  A datum's structure constants are read once (_Product): its
+serialization, a quotient's item, is spliced from them into the skeleton
+and its product's constants are gathered from them; in each search object
+it costs at most one sweep of each half, and its product is built only if
+a witness involving it is re-checked.  A pair costs the sum of its two
 halves reduced mod p, the walk, in which a bound s block is tested by
 elimination mod p on its digits, and the oracle re-check of the witness.
 A quotient searches each datum against one representative per orbit, and
@@ -37,9 +40,11 @@ and lexicographic, budgets are hard limits, and nothing is silently sampled.
 from __future__ import annotations
 
 import math
+import os
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import count
+from itertools import count, repeat
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
                    ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_constraints,
@@ -47,7 +52,7 @@ from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlge
 from .engine import MAP_SPACES, DatumCtx, MorphismCtx, datum_maps, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
-from .fields import PolynomialRing, PrimeField
+from .fields import PolynomialRing, PrimeField, Rationals
 from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
 from .unified import (_FAMS, ExtendingDatum, _require_valid_z, build_unified_product,
                       check_datum_direct)
@@ -159,25 +164,33 @@ def _invertible_block(p, m, lo):
     return test
 
 
+def _datum_at(ring, dims, values):
+    """The datum over ring at dims (n1, n0, m1, m0) whose structure constants,
+    in the layout of engine.datum_maps, are read from the iterable values."""
+    n1, n0, m1, m0 = dims
+    z = ZinbielTwoAlgebra(ZinbielAlgebra.zero(ring, n1), ZinbielAlgebra.zero(ring, n0),
+                          LinMap.zero(ring, n0, n1), BimodulePair.trivial(ring, n0, n1))
+    zero = ExtendingDatum.trivial(z, TwoVectorSpace(m1, m0, LinMap.zero(ring, m0, m1)))
+    shapes = [(m.dim_a, m.dim_b, m.dim_c) if isinstance(m, BilMap) else (m.rows, m.cols)
+              for m in datum_maps(zero)]
+    maps = dict(zip(DatumCtx(zero).maps, value_maps(ring, shapes, values)))
+    mult0, mult1, left, right = (maps["z", j] for j in range(4))
+    z = ZinbielTwoAlgebra(ZinbielAlgebra(ring, n1, mult1), ZinbielAlgebra(ring, n0, mult0),
+                          maps["phi"], BimodulePair(left, right))
+    return ExtendingDatum(z, TwoVectorSpace(m1, m0, maps["d"]), sigma=maps["sig"],
+                          **{name: tuple(maps[name, j] for j in range(4)) for name in _FAMS})
+
+
 @cache
 def _gather(dims):
     """Where each structure constant of a unified product at dims (n1, n0,
     m1, m0) comes from: for each entry of map_values(two_algebra_maps(E)),
     the position of the datum constant it equals in the layout of
     engine.datum_maps, or -1 where it is 0.  Read off the product of the
-    datum whose constants are the variables x0, x1, ... (DatumCtx.symbolic);
+    datum whose constants are the variables x0, x1, ... (_datum_at);
     AssertionError unless each entry is 0 or one variable with coefficient 1."""
-    n1, n0, m1, m0 = dims
     ring = PolynomialRing()
-    z = ZinbielTwoAlgebra(ZinbielAlgebra.zero(ring, n1), ZinbielAlgebra.zero(ring, n0),
-                          LinMap.zero(ring, n0, n1), BimodulePair.trivial(ring, n0, n1))
-    zero = ExtendingDatum.trivial(z, TwoVectorSpace(m1, m0, LinMap.zero(ring, m0, m1)))
-    maps = {key: m for key, (_, m) in DatumCtx(zero).symbolic().maps.items()}
-    mult0, mult1, left, right = (maps["z", j] for j in range(4))
-    z = ZinbielTwoAlgebra(ZinbielAlgebra(ring, n1, mult1), ZinbielAlgebra(ring, n0, mult0),
-                          maps["phi"], BimodulePair(left, right))
-    datum = ExtendingDatum(z, TwoVectorSpace(m1, m0, maps["d"]), sigma=maps["sig"],
-                           **{name: tuple(maps[name, j] for j in range(4)) for name in _FAMS})
+    datum = _datum_at(ring, dims, map(ring.var, count()))
     table = []
     for v in map_values(two_algebra_maps(build_unified_product(datum)), ring.zero()):
         if v and (len(v) > 1 or v[0][1] != 1 or len(v[0][0]) != 1):
@@ -187,19 +200,79 @@ def _gather(dims):
     return tuple(table)
 
 
+# an entry of a serialized map: its indices, then its value as a string
+_ENTRY = re.compile(r'(\[(?:\d+,)+")(\d+)"\]')
+
+
+@cache
+def _skeleton(field, dims):
+    """The canonical serialization (io.canonical_dumps of io.datum_to_json)
+    of the data over field at dims (n1, n0, m1, m0), as a function of their
+    structure constants in the layout of engine.datum_maps.
+
+    It splices the nonzero constants, formatted by field.fmt, into the
+    serialization of the zero datum: each entry where its list opens, after
+    its indices ('[k,i,j,"' or '[r,c,"').  Read off the encoder at two data,
+    the zero datum over field and a probe over Q whose constant s is s + 1,
+    so that each entry of the probe names its constant; AssertionError
+    unless each constant is named once and each list of the probe lies where
+    the two serializations agree."""
+    from .io import canonical_dumps, datum_to_json
+    zero_datum = _datum_at(field, dims, repeat(0))
+    probe = canonical_dumps(datum_to_json(_datum_at(Rationals(), dims, count(1))))
+    zero = canonical_dumps(datum_to_json(zero_datum))
+    text, entries, end, length = [], [], 0, 0   # the probe without its entries
+    for m in _ENTRY.finditer(probe):
+        gap = probe[end:m.start()]
+        if not (entries and gap == ","):        # not the next entry of a list
+            text.append(gap)
+            length += len(gap)
+        entries.append((length, m[1], int(m[2]) - 1))
+        end = m.end()
+    text = "".join(text) + probe[end:]
+    # the two agree but for a middle run, the field's name
+    head = len(os.path.commonprefix([text, zero]))
+    tail = len(text) - len(os.path.commonprefix([text[head:][::-1], zero[head:][::-1]]))
+    layout = []
+    for at, prefix, slot in entries:
+        if head < at < tail:
+            raise AssertionError(f"the entry {prefix}{slot + 1}\"] of the probe lies where "
+                                 "it and the zero datum are serialized differently")
+        layout.append((at if at <= head else at + len(zero) - len(text), prefix, slot))
+    size = len(map_values(datum_maps(zero_datum), 0))
+    if sorted(slot for _, _, slot in entries) != list(range(size)):
+        raise AssertionError(f"the {len(entries)} entries of the serialized probe do not "
+                             f"name each of its {size} constants once")
+    fmt = field.fmt
+
+    def spliced(values):
+        parts, at = [], 0
+        for offset, prefix, slot in layout:
+            c = values[slot]
+            if c:
+                parts += (zero[at:offset] if offset != at else ",", prefix, fmt(c), '"]')
+                at = offset
+        parts.append(zero[at:])
+        return "".join(parts)
+    return spliced
+
+
 class _Product:
-    """The unified product E of datum as the rs search reads it: values,
-    E's structure constants as Z[x] constants in the layout of the compiled
-    morphism run (map_values of two_algebra_maps), filled from the datum's
-    own through _gather; and e, E itself, built on first use, when the
-    oracle re-checks a witness."""
+    """A datum as a quotient reads it, from its structure constants read
+    once: item, its canonical serialization, spliced by _skeleton; values,
+    the structure constants of its unified product E as Z[x] constants in
+    the layout of the compiled morphism run (map_values of
+    two_algebra_maps), filled from the datum's own through _gather; and e,
+    E itself, built on first use, when the oracle re-checks a witness."""
 
     def __init__(self, datum):
         z, v = datum.z, datum.v
+        dims = (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
         flat = map_values(datum_maps(datum), datum.field.zero())
         consts = [(((), c),) if c else () for c in flat] + [()]
         self.datum = datum
-        self.values = tuple([consts[i] for i in _gather((z.z1.dim, z.z0.dim, v.dim1, v.dim0))])
+        self.item = _skeleton(datum.field, dims)(flat)
+        self.values = tuple([consts[i] for i in _gather(dims)])
 
     @cached_property
     def e(self):
@@ -238,6 +311,11 @@ def _posed(p, shapes):
     return tuple(map_values((phi.phi1, phi.phi0), ring.zero())), run, halves, guards
 
 
+def _require_mode(mode):
+    if mode not in ("equivalent", "cohomologous"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 class _RSSearch:
     """The rs search among data of one shape: construction checks that it
     is well posed (a known mode, one prime field, Z and V, valid data if
@@ -246,8 +324,7 @@ class _RSSearch:
     is swept at most once per search object, as source and as target."""
 
     def __init__(self, data, mode, rs_budget, check_valid):
-        if mode not in ("equivalent", "cohomologous"):
-            raise ValueError(f"unknown mode {mode!r}")
+        _require_mode(mode)
         first = data[0]
         for d in data[1:]:
             _require_compatible(first, d)
@@ -506,23 +583,20 @@ def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET):
     representative (first member) of every orbit so far, and joins the
     orbit it is related to or opens one; orbits thus come sorted by
     representative.  A datum related to two representatives raises
-    AssertionError.  With two data or more the inputs are checked once, up
-    front (_RSSearch, as in are_equivalent with check_valid=False).
+    AssertionError.  The mode is checked first, whatever the number of data;
+    with two data or more the inputs are checked once, up front (_RSSearch,
+    as in are_equivalent with check_valid=False).  The items are the data's
+    canonical serializations, spliced from their constants (_Product).
     """
-    data = list(data)
-    return _quotients(data, _serialized(data), list(map(_Product, data)), mode, rs_budget)
+    _require_mode(mode)
+    return _quotients(list(map(_Product, data)), mode, rs_budget)
 
 
-def _serialized(data):
-    """The canonical serializations of data, in order."""
-    from .io import canonical_dumps, datum_to_json
-    return tuple(canonical_dumps(datum_to_json(d)) for d in data)
-
-
-def _quotients(data, items, products, mode, rs_budget):
-    """compute_quotients on data whose canonical serializations (items) and
-    _Products are given, so that census reads each datum once for both
-    relations."""
+def _quotients(products, mode, rs_budget):
+    """compute_quotients on the data of the _Products given, so that census
+    reads each datum once for both relations."""
+    data = [product.datum for product in products]
+    items = tuple(product.item for product in products)
     search = _RSSearch(data, mode, rs_budget, False) if len(data) > 1 else None
     orbits = []         # members, the representative first
     for i in sorted(range(len(data)), key=items.__getitem__):
@@ -541,18 +615,17 @@ def _quotients(data, items, products, mode, rs_budget):
 def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
            budget=DEFAULT_ENUM_BUDGET, rs_budget=DEFAULT_RS_BUDGET):
     """Enumerate valid data and compute both quotients; returns census JSON.
-    Each datum is serialized and its product read once, for both relations."""
+    Each datum is read once (_Product), for both relations."""
     from .io import two_algebra_to_json
-    data = list(enumerate_valid_data(field, z, vdims, d, budget=budget))
-    items, products = _serialized(data), list(map(_Product, data))
+    products = list(map(_Product, enumerate_valid_data(field, z, vdims, d, budget=budget)))
     out = {"field": field.name,
            "Z": two_algebra_to_json(z, kind=None),
            "Vdims": list(vdims),
-           "valid_count": len(data),
+           "valid_count": len(products),
            "quotients": []}
     parts = {}
     for mode in ("equivalent", "cohomologous"):
-        part = _quotients(data, items, products, mode, rs_budget)
+        part = _quotients(products, mode, rs_budget)
         parts[mode] = part
         out["quotients"].append({
             "relation": mode,

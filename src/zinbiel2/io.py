@@ -4,6 +4,12 @@ Encoders are deterministic: tensor coefficient lists are emitted in sorted
 key order and canonical_dumps uses sorted keys with fixed separators, so
 equal values serialize byte-identically.  Parsers validate shape and types
 and raise SchemaError carrying a JSON-path location.
+
+These encoders are the only statement of the layout.  The canonical
+serializations that order a quotient's data (classify.OrbitPartition.items)
+are spliced from each datum's structure constants into a skeleton that
+classify._skeleton reads off datum_to_json and canonical_dumps, once per
+field and shape, and they are byte-identical to what these produce.
 """
 
 from __future__ import annotations

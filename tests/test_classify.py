@@ -21,6 +21,7 @@ from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equi
                                rs_search_space)
 from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism, map_values,
                            two_algebra_maps)
+from zinbiel2.engine import datum_maps
 from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                              PreconditionError)
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
@@ -692,10 +693,10 @@ def test_census_refuses_quotients_that_do_not_refine(monkeypatch):
     # one cohomology orbit holding all five data spans three equivalence orbits
     real = classify._quotients
 
-    def coarse(data, items, products, mode, rs_budget):
-        part = real(data, items, products, mode, rs_budget)
+    def coarse(products, mode, rs_budget):
+        part = real(products, mode, rs_budget)
         if mode == "cohomologous":
-            part = OrbitPartition(part.items, (tuple(range(len(data))),), mode)
+            part = OrbitPartition(part.items, (tuple(range(len(products))),), mode)
         return part
 
     monkeypatch.setattr(classify, "_quotients", coarse)
@@ -705,17 +706,36 @@ def test_census_refuses_quotients_that_do_not_refine(monkeypatch):
 
 
 def test_census_reads_each_datum_once(monkeypatch):
-    # one serialization and one product per valid datum, for both relations
+    # one _Product per valid datum, for both relations; the encoder runs
+    # only to read off the skeleton of the one shape
     calls = []
     real_json, real_product = zio.datum_to_json, classify._Product.__init__
     monkeypatch.setattr(zio, "datum_to_json",
                         lambda datum: calls.append("json") or real_json(datum))
     monkeypatch.setattr(classify._Product, "__init__",
                         lambda product, datum: calls.append("product") or real_product(product, datum))
+    classify._skeleton.cache_clear()
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     out = census(F5, z, (1, 1), LinMap.zero(F5, 1, 1), budget=5 ** 12)
     assert pretty_dumps(out) == GOLDEN_V11.read_text()
-    assert calls.count("json") == calls.count("product") == 25
+    assert calls.count("product") == 25
+    assert calls.count("json") == 2
+
+
+def test_quotients_encode_only_to_read_off_the_skeleton(monkeypatch):
+    # the probe and the zero datum of the one shape, once for both modes;
+    # not once per datum
+    data = golden_data((1, 1))
+    calls = []
+    real = zio.datum_to_json
+    monkeypatch.setattr(zio, "datum_to_json", lambda datum: calls.append(datum) or real(datum))
+    classify._skeleton.cache_clear()
+    parts = [compute_quotients(data, mode=mode) for mode in ("equivalent", "cohomologous")]
+    assert len(calls) == 2
+    assert {d.field for d in calls} == {F5, Rationals()}
+    monkeypatch.undo()
+    for part in parts:
+        assert part.items == tuple(canonical_dumps(datum_to_json(d)) for d in data)
 
 
 def test_cohomologous_quotient_at_v20_sweeps_each_datum_at_most_twice(monkeypatch):
@@ -815,6 +835,70 @@ def test_gather_refuses_a_constant_that_is_not_one_datum_constant(monkeypatch, d
     monkeypatch.setattr(classify, "build_unified_product", doctored)
     with pytest.raises(AssertionError, match="not 0 or one datum constant"):
         classify._gather.__wrapped__((1, 1, 1, 1))
+
+
+# (n1, n0, m1, m0): all dims zero, Z = (0, 1) with V = (2, 0), (1, 1) with
+# (1, 1), and (2, 1) with (1, 2)
+ITEM_DIMS = ((0, 0, 0, 0), (0, 1, 2, 0), (1, 1, 1, 1), (2, 1, 1, 2))
+
+
+def _drawn_datum(data, field, values):
+    """A datum at drawn dims over field, its constants drawn from values."""
+    dims = data.draw(st.sampled_from(ITEM_DIMS))
+    size = len(map_values(datum_maps(classify._datum_at(field, dims, itertools.repeat(0))), 0))
+    return classify._datum_at(field, dims, data.draw(st.lists(values, min_size=size,
+                                                              max_size=size)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spliced_item_is_the_encoders(data):
+    f = PrimeField(data.draw(st.sampled_from((5, 7))))
+    sparse = st.sampled_from([0] * 3 * (f.char - 1) + list(range(1, f.char)))
+    d = _drawn_datum(data, f, data.draw(st.sampled_from((sparse, st.integers(0, f.char - 1)))))
+    assert classify._Product(d).item == canonical_dumps(datum_to_json(d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_one_datum_quotient_over_q_has_the_encoders_item(data):
+    values = st.just(0) | st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    d = _drawn_datum(data, Rationals(), values)
+    part = compute_quotients([d])
+    assert part.items == (canonical_dumps(datum_to_json(d)),)
+    assert part.orbits == ((0,),)
+
+
+@pytest.mark.parametrize("doctor,message", [("doubled", "not name each of its"),
+                                            ("dropped", "not name each of its"),
+                                            ("elided", "serialized differently")])
+def test_skeleton_refuses_an_encoder_it_cannot_read_off(monkeypatch, doctor, message):
+    # an entry of sigma repeated or left out, or a zero sigma left out
+    real = zio.datum_to_json
+
+    def doctored(datum):
+        body = real(datum)
+        entries = body["sigma"]["entries"]
+        if doctor == "doubled":
+            entries += entries[:1]
+        elif doctor == "dropped":
+            del entries[:1]
+        elif not entries:
+            del body["sigma"]
+        return body
+
+    monkeypatch.setattr(zio, "datum_to_json", doctored)
+    with pytest.raises(AssertionError, match=message):
+        classify._skeleton.__wrapped__(F5, (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("field", [F5, Rationals()], ids=["gf5", "q"])
+def test_quotients_refuse_an_unknown_mode_for_any_number_of_data(field):
+    z = zero_two_algebra(field, 1, 1)
+    d = ExtendingDatum.trivial(z, TwoVectorSpace(1, 1, LinMap.zero(field, 1, 1)))
+    for data in ([], [d], [d, d]):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            compute_quotients(data, mode="bogus")
 
 
 @pytest.mark.parametrize("p", (5, 7))
