@@ -15,22 +15,25 @@ components are invertible (criterion H1..H20, cross-validated against the
 direct morphism check).  The cohomologous relation additionally fixes
 s = id.  The search is the same depth-first walk as the enumeration, over
 the morphism constraints read off the compiled morphism check at a block
-map whose r and s entries are variables; singular s blocks are cut as soon
-as they are bound, and the witness found is re-checked by the oracle.
+map whose r and s entries are variables, bound fail-first: s before r, so
+that singular s blocks are cut before any r is bound.  A related pair is
+walked again in the slot order (r before s) for its lexicographically
+first witness, which the oracle re-checks.
 
 What depends only on the shape is derived once per shape: the skeleton of
 the canonical serialization, read off io's encoder (_skeleton), the gather
 that reads a unified product's structure constants off its datum's
 (_gather), and the posed search (_posed: the layout of the block map, the
 compiled morphism run split into the half whose monomials carry a source
-constant and the half whose monomials carry a target constant, the
-guards).  A datum's structure constants are read once (_Product): its
-serialization, a quotient's item, is spliced from them into the skeleton
-and its product's constants are gathered from them; in each search object
-it costs at most one sweep of each half, and its product is built only if
-a witness involving it is re-checked.  A pair costs the sum of its two
-halves reduced mod p, the walk, in which a bound s block is tested by
-elimination mod p on its digits, and the oracle re-check of the witness.
+constant and the half whose monomials carry a target constant, both at
+the block map, the guards).  A datum's structure constants are read once
+(_Product): its serialization, a quotient's item, is spliced from them into
+the skeleton and its product's constants are gathered from them; in each
+search object it costs at most one sweep of each half, and its product is
+built only if a witness involving it is re-checked.  A pair costs the sum
+of its two halves reduced mod p, the walk, in which a bound s block is
+tested by elimination mod p on its digits, and for a related pair the
+slot-order walk and the oracle re-check of the witness.
 A quotient searches each datum against one representative per orbit, and
 census reads each datum once for both relations.
 Searches and enumerations run in the calling process and are deterministic
@@ -44,11 +47,12 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
                    ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_constraints,
-                   map_values, morphism_run, reduced, two_algebra_maps, value_maps)
+                   half_sweep, map_values, morphism_run, reduced, two_algebra_maps,
+                   value_maps)
 from .engine import MAP_SPACES, DatumCtx, MorphismCtx, datum_maps, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
@@ -134,8 +138,9 @@ def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
 
 
 def _rs_shapes(datum: ExtendingDatum, mode):
-    """(rows, cols) of the blocks the rs search binds, in binding order:
-    r1 and r0, then s1 and s0 in mode "equivalent"."""
+    """(rows, cols) of the blocks of rs in slot order, the order of its
+    lexicographic witnesses: r1 and r0, then s1 and s0 in mode
+    "equivalent"."""
     n1, n0 = datum.z.z1.dim, datum.z.z0.dim
     m1, m0 = datum.v.dim1, datum.v.dim0
     return [(n1, m1), (n0, m0)] + ([(m1, m1), (m0, m0)] if mode == "equivalent" else [])
@@ -288,27 +293,54 @@ def _rs_maps(ring, shapes, values):
     return maps
 
 
-@cache
-def _posed(p, shapes):
-    """What an rs search over GF(p) with the blocks of shapes depends on,
-    derived once: phi, the structure constants of the block map over Z[x]
-    whose r and s entries are x0, x1, ... (_rs_maps order); the compiled
-    morphism run between the products and its halves (SymbolicRun.halves,
-    which asserts that every monomial carries exactly one constant of the
-    source or of the target product); and the guards that cut a singular s
-    block once it is bound."""
-    ring = PolynomialRing()
-    phi = _block_map(*_rs_maps(ring, shapes, map(ring.var, count())))
-    dims = (phi.phi1.rows, phi.phi0.rows)
-    (n1, m1), (n0, m0) = shapes[:2]
-    run = morphism_run(dims, dims)
-    halves = run.halves(len(_gather((n1, n0, m1, m0))))
+def _guards(p, shapes, order):
+    """The guards of a walk that binds the blocks of shapes (_rs_shapes) in
+    the given order of their indices, each row-major: at the depth where an
+    s block is bound in full, the test that it is invertible."""
     guards, depth = {}, 0
-    for k, (rows, cols) in enumerate(shapes):
+    for k in order:
+        rows, cols = shapes[k]
         depth += rows * cols
         if k >= 2 and rows:     # s1 or s0
             guards[depth] = _invertible_block(p, rows, depth - rows * cols)
-    return tuple(map_values((phi.phi1, phi.phi0), ring.zero())), run, halves, guards
+    return guards
+
+
+@cache
+def _posed(p, shapes):
+    """What an rs search over GF(p) with the blocks of shapes depends on,
+    derived once.  The entries of the blocks are the variables x0, x1, ...
+    of Z[x] in the binding order, fail first: s1, s0, then r1, r0, each
+    block row-major, so that a singular s is cut before any r is bound and
+    most constraints are complete once s is.  slot[i] is the position of
+    x_i in the slot order of _rs_maps (r1, r0, s1, s0), the order in which
+    witnesses are lexicographic; slot is None where the two orders agree (in
+    mode "cohomologous", and wherever r is empty).
+
+    Derived: phi, the structure constants of the block map over Z[x]; the
+    compiled morphism run between the products; its halves at phi
+    (SymbolicRun.halves, which asserts that every monomial carries exactly
+    one constant of the source or of the target product), so that a
+    product's sweep reads only its own constants; and the guards that cut a
+    singular s block once it is bound, in the binding order and in the slot
+    order."""
+    ring = PolynomialRing()
+    sizes = [rows * cols for rows, cols in shapes]
+    starts = list(accumulate(sizes, initial=0))     # of the blocks in slot order
+    order = (*range(2, len(shapes)), 0, 1)
+    slot = tuple(starts[k] + i for k in order for i in range(sizes[k]))
+    entries = [None] * len(slot)
+    for x, at in enumerate(slot):
+        entries[at] = ring.var(x)
+    phi = _block_map(*_rs_maps(ring, shapes, entries))
+    phi = tuple(map_values((phi.phi1, phi.phi0), ring.zero()))
+    (n1, m1), (n0, m0) = shapes[:2]
+    n = len(_gather((n1, n0, m1, m0)))
+    run = morphism_run((n1 + m1, n0 + m0), (n1 + m1, n0 + m0))
+    if slot == tuple(range(len(slot))):
+        slot = None
+    return (phi, run, run.halves(n, phi), _guards(p, shapes, order), slot,
+            _guards(p, shapes, range(len(shapes))))
 
 
 def _require_mode(mode):
@@ -342,36 +374,45 @@ class _RSSearch:
                 f"rs search space has {space} candidates (budget {rs_budget})", count=space)
         self.field, self.shapes = f, tuple(_rs_shapes(first, mode))
         self.size = sum(rows * cols for rows, cols in self.shapes)
-        self.phi, self.run, self.halves, self.guards = _posed(f.char, self.shapes)
+        (self.phi, self.run, self._halves, self.guards, self.slot,
+         self.slot_guards) = _posed(f.char, self.shapes)
         self._swept = {}        # (product, 0 as source or 1 as target) -> its sweep
 
     def _sweep(self, product, k):
         """The sweep of half k of the run at product's constants and phi."""
         acc = self._swept.get((product, k))
         if acc is None:
-            pad = ((),) * len(product.values)
-            values = (product.values + pad if k == 0 else pad + product.values) + self.phi
-            acc = self._swept[product, k] = self.run.sweep(values, self.halves[k])
+            acc = self._swept[product, k] = half_sweep(self._halves[k], product.values)
         return acc
 
     def checks(self, source, target):
         """The morphism constraints on rs between the _Products source and
         target: the source half swept at source, the target half at target,
         summed and reduced mod p, which is run.constraints(source.values +
-        target.values + phi, p); levelled as in _levelled.  The rs over GF(p)
-        at which every polynomial vanishes are exactly those whose block map
-        is a morphism."""
+        target.values + phi, p); levelled as in _levelled, over the variables
+        in the binding order (_posed).  The rs over GF(p) at which every
+        polynomial vanishes are exactly those whose block map is a morphism."""
         polys = reduced(self.field.char, self._sweep(source, 0), self._sweep(target, 1))
         return _levelled(polys, self.size)
 
     def __call__(self, source, target):
         """The lexicographically first rs whose block map is a morphism from
-        source to target (_Products), or None: the first leaf of _walk over
-        checks and guards, re-checked by the oracle; a rejection raises."""
+        source to target (_Products), or None.  The pair is decided by the
+        first leaf of _walk over checks and guards, in the binding order; if
+        there is one and the binding order is not the slot order, the checks
+        relabelled to the slot order are walked again for the first leaf in
+        that order.  The witness is re-checked by the oracle; a rejection
+        raises."""
         p = self.field.char
-        leaf = next(_walk(p, self.checks(source, target), guards=self.guards), None)
+        checks = self.checks(source, target)
+        leaf = next(_walk(p, checks, self.guards), None)
         if leaf is None:
             return None
+        if self.slot is not None:
+            leaf = next(_walk(p, _relabelled(checks, self.slot), self.slot_guards), None)
+            if leaf is None:
+                raise AssertionError("the rs search found a witness in the binding order "
+                                     "and none in the slot order")
         values = _digits(leaf, p, self.size)
         maps = _rs_maps(self.field, self.shapes, values)
         if not check_2alg_morphism(source.e, target.e, _block_map(*maps), cap=1).ok:
@@ -485,6 +526,14 @@ def _levelled(polys, size):
     return tuple(map(tuple, levels))
 
 
+def _relabelled(checks, slot):
+    """The levelled checks with each variable x_i renamed x_slot[i] (slot a
+    permutation), levelled anew."""
+    polys = (tuple(sorted((tuple(sorted(slot[x] for x in mono)), c) for mono, c in poly))
+             for level in checks for poly in level)
+    return _levelled(polys, len(checks) - 1)
+
+
 def _walk(p, checks, guards=None):
     """The leaves of a depth-first search over GF(p)^n, n = len(checks) - 1,
     as indices (digits big-endian in variable order), ascending, each found
@@ -545,13 +594,16 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
                          budget=DEFAULT_ENUM_BUDGET):
     """All valid extending data for (z, V) in lexicographic order.
 
-    Raises BudgetExceeded (with the exact candidate count) before searching
-    anything if the assignment space is too large, and PreconditionError if
-    z itself is not a valid 2-algebra.  The search (_walk over spec.checks,
-    free scalars bound in index order) visits only assignments that pass every
-    check so far; each datum it accepts is rebuilt and re-checked by the
-    oracle, and a disagreement raises.
+    Raises ValueError for a negative budget, BudgetExceeded (with the exact
+    candidate count) before searching anything if the assignment space is
+    too large, and PreconditionError if z itself is not a valid 2-algebra.
+    The search (_walk over spec.checks, free scalars bound in index order)
+    visits only assignments that pass every check so far; each datum it
+    accepts is rebuilt and re-checked by the oracle, and a disagreement
+    raises.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     _require_valid_z(z, DEFAULT_VIOLATION_CAP)
     spec = EnumerationSpec(field, z, vdims, d)
     if spec.total > budget:

@@ -3,10 +3,11 @@ emit deterministic reports.
 
 Exit codes: 0 all checks clean / construction succeeded; 1 violations found
 (report still emitted); 2 input or schema error, including --cap below 1, a
-negative --vdims entry or a --d of the wrong shape; 3 budget exceeded; 4
-internal error (a defect, not a verdict).  Each command accepts only the
-flags it reads, except that classify, which runs in one process, accepts
---jobs N and ignores it.
+negative --budget, a negative --vdims entry or a --d of the wrong shape; 3
+budget exceeded (with --budget 0, by any search space); 4 internal error (a
+defect, not a verdict).  Each command accepts only the flags it reads,
+except that classify, which runs in one process, accepts --jobs N and
+ignores it.
 """
 
 from __future__ import annotations
@@ -199,9 +200,9 @@ def cmd_classify(args, out):
     try:
         n1, n0 = (int(x) for x in args.vdims.split(","))
     except ValueError:
-        raise SchemaError("expected --vdims n1,n0", "$", None) from None
+        raise SchemaError(f"expected n1,n0, got {args.vdims}", "--vdims", None) from None
     if n1 < 0 or n0 < 0:
-        raise SchemaError(f"--vdims entries must be nonnegative, got {args.vdims}", "$", None)
+        raise SchemaError(f"entries must be nonnegative, got {args.vdims}", "--vdims", None)
     if args.d is not None:
         _, dmap, _ = load_document(args.d, expect_kind="linmap", field_override=field)
         if (dmap.rows, dmap.cols) != (n0, n1):
@@ -247,6 +248,14 @@ def positive_int(text):
     return value
 
 
+def nonnegative_int(text):
+    """argparse type of --budget: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zinbiel2",
@@ -261,7 +270,7 @@ def build_parser():
             p.add_argument("--z", required=True, help="zinbiel_2_algebra JSON file")
             p.add_argument("--vdims", required=True, help="complement dims n1,n0")
             p.add_argument("--d", default=None, help="optional linmap JSON for d")
-            p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+            p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_ENUM_BUDGET,
                            help="bound on the number of coefficient assignments an "
                                 "enumeration may span; checked before the search")
             p.add_argument("--jobs", type=int, default=1,

@@ -207,17 +207,16 @@ class SymbolicRun:
                 comp += len(vec)
             yield (cid, witness, *out)
 
-    def sweep(self, values, index=None):
+    def sweep(self, values):
         """component -> monomial -> coefficient: the lhs - rhs components at
-        x = values, summed over the monomials of index (the whole run by
-        default, or one of its halves).  values are Z[x] polynomials of one
-        term at most, so each structure constant is an integer constant or a
-        free variable, and each swept monomial stays one term."""
+        x = values.  values are Z[x] polynomials of one term at most, so each
+        structure constant is an integer constant or a free variable, and
+        each swept monomial stays one term."""
         if max(map(len, values), default=0) > 1:
             raise ValueError("each value must be a constant or a single term")
         terms = [v[0] if v else None for v in values]
         acc = {}
-        for x, group in self._index if index is None else index:
+        for x, group in self._index:
             first = ((), 1) if x is None else terms[x]
             if first is None:
                 continue
@@ -236,25 +235,59 @@ class SymbolicRun:
                         poly[mono] = poly.get(mono, 0) + c * m
         return acc
 
-    def halves(self, n):
-        """The index in two halves, for a run whose variables are n constants
-        of a source, n of a target, then others, and whose every monomial
+    def halves(self, n, values):
+        """The run in two halves, for a run whose variables are n constants
+        of a source, n of a target, then others, fixed here at values[y -
+        2n] (Z[x] polynomials of one term at most), and whose every monomial
         carries exactly one source or target constant (its first variable,
-        as monomials are sorted): the monomials of a source constant, then
-        those of a target constant.  A monomial that carries none or two
-        raises AssertionError, since the halves would not sum to the run."""
-        halves = ([], [])
+        as monomials are sorted).  A half holds, for each of its n constants
+        in order, the (component, monomial, coefficient) terms that constant
+        adds to the sweep per unit of its value; the sweep at a source's and
+        a target's constants is the sum of both halves'.  A monomial that
+        carries none or two raises AssertionError, since the halves would
+        not sum to the run."""
+        if max(map(len, values), default=0) > 1:
+            raise ValueError("each value must be a constant or a single term")
+        terms = [v[0] if v else None for v in values]
+        halves = [[[] for _ in range(n)] for _ in range(2)]
         for x, group in self._index:
             if x is None or x >= 2 * n or any(rest and rest[0] < 2 * n for rest, _ in group):
                 raise AssertionError("a monomial of the run carries no source or target "
                                      "constant, or more than one")
-            halves[x >= n].append((x, group))
-        return tuple(map(tuple, halves))
+            out = halves[x >= n][x % n]
+            for rest, entries in group:
+                mono, m = (), 1
+                for y in rest:
+                    term = terms[y - 2 * n]
+                    if term is None:
+                        break
+                    mono, m = mono + term[0], m * term[1]
+                else:
+                    mono = tuple(sorted(mono))
+                    out += ((comp, mono, c * m) for comp, c in entries)
+        return tuple(tuple(map(tuple, half)) for half in halves)
 
     def constraints(self, values, p):
         """The distinct nonzero lhs - rhs components at x = values (sweep),
         reduced mod p, in run order."""
         return reduced(p, self.sweep(values))
+
+
+def half_sweep(half, values):
+    """The sweep (SymbolicRun.sweep) of a half of a run (SymbolicRun.halves)
+    at the constants values of a source or target, Z[x] constants (each ()
+    or one constant term) in the order of the half's constants."""
+    acc = {}
+    for value, terms in zip(values, half):
+        if value and terms:
+            v = value[0][1]
+            for comp, mono, c in terms:
+                poly = acc.get(comp)
+                if poly is None:
+                    acc[comp] = {mono: c * v}
+                else:
+                    poly[mono] = poly.get(mono, 0) + c * v
+    return acc
 
 
 def reduced(p, *sweeps):

@@ -317,15 +317,20 @@ def reference_checks(spec):
     return _levels_mod_p(core._crossed_module_instances(e), spec.field.p, spec.size)
 
 
-def reference_rs_checks(e1, e2, shapes):
+def reference_rs_checks(e1, e2, shapes, binding=None):
     """Reference for classify._RSSearch.checks, level by level as sets: the
     interpreted morphism stream on the block map from e1 to e2 whose r1,
-    r0 (then s1, s0, else the identity) entries are x0, x1, ... of Z[x]
-    row-major, reduced mod p."""
+    r0 (then s1, s0, else the identity) entries are variables of Z[x],
+    reduced mod p.  The variables are x0, x1, ... row-major through the
+    blocks taken in the order binding (indices into shapes; by default r1,
+    r0, s1, s0)."""
     ring = PolynomialRing()
     var = map(ring.var, count())
-    blocks = [LinMap(ring, rows, cols, [[next(var) for _ in range(cols)] for _ in range(rows)])
-              for rows, cols in shapes]
+    blocks = [None] * len(shapes)
+    for k in range(len(shapes)) if binding is None else binding:
+        rows, cols = shapes[k]
+        blocks[k] = LinMap(ring, rows, cols,
+                           [[next(var) for _ in range(cols)] for _ in range(rows)])
     if len(blocks) == 2:
         blocks += [LinMap.identity(ring, m.cols) for m in blocks]
     r1, r0, s1, s0 = blocks

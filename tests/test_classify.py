@@ -235,6 +235,10 @@ def test_enumerate_budget():
     with pytest.raises(BudgetExceeded) as err:
         list(enumerate_valid_data(F5, z, (0, 1), LinMap.zero(F5, 1, 0), budget=100))
     assert err.value.count == 5 ** 6
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -5"):
+        list(enumerate_valid_data(F5, z, (0, 1), LinMap.zero(F5, 1, 0), budget=-5))
+    with pytest.raises(BudgetExceeded):
+        list(enumerate_valid_data(F5, z, (0, 1), LinMap.zero(F5, 1, 0), budget=0))
 
 
 def test_enumerate_refuses_inputs_over_another_field():
@@ -343,11 +347,13 @@ def test_rs_checks_match_reference(p):
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.3) for _ in range(2))
             e1, e2 = build_unified_product(d1), build_unified_product(d2)
             source, target = classify._Product(d1), classify._Product(d2)
-            for mode in ("equivalent", "cohomologous"):
+            # the search numbers its variables in the binding order: s1, s0,
+            # then r1, r0
+            for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
                 search = classify._RSSearch((d1, d2), mode, math.inf, False)
                 checks = search.checks(source, target)
-                assert [set(level) for level in checks] == reference_rs_checks(e1, e2,
-                                                                               search.shapes)
+                assert [set(level) for level in checks] == reference_rs_checks(
+                    e1, e2, search.shapes, binding)
                 assert sum(map(len, checks)) == sum(map(len, map(set, checks)))
 
 
@@ -458,6 +464,61 @@ def test_rs_search_matches_brute_force_with_2x2_s():
             assert found == brute_force_equivalent(data[i], data[j], mode)
             verdicts.append(found[0])
     assert verdicts == [True, True, True, False, False, False]
+
+
+class _CountingLevels(tuple):
+    """Levelled checks that count the nodes a walk tests: a walk reads the
+    level of a node's depth once per node."""
+
+    def __new__(cls, levels, counter):
+        self = super().__new__(cls, levels)
+        self.counter = counter
+        return self
+
+    def __getitem__(self, depth):
+        self.counter.append(depth)
+        return super().__getitem__(depth)
+
+
+def test_binding_s_first_tests_fewer_nodes_than_slot_order(monkeypatch):
+    # every ordered pair in mode "equivalent": the search's walks, the
+    # slot-order re-walks of related pairs included, against the first leaf
+    # of the slot-order walk (r1, r0, s1, s0) over the reference constraints
+    data = seeded_valid_data((1, 1), (1, 1), 0, 6, seed=1)
+    searched, reference = [], []
+    real = classify._walk
+    monkeypatch.setattr(classify, "_walk", lambda p, checks, guards=None:
+                        real(p, _CountingLevels(checks, searched), guards))
+    slot_guards = {3: lambda values: values[2] % 5 != 0, 4: lambda values: values[3] % 5 != 0}
+    shapes = ((1, 1),) * 4
+    related = 0
+    for d1 in data:
+        for d2 in data:
+            found, _ = are_equivalent(d1, d2, check_valid=False)
+            levels = reference_rs_checks(build_unified_product(d1), build_unified_product(d2),
+                                         shapes)
+            leaf = next(recursive_walk(5, _CountingLevels(map(tuple, levels), reference),
+                                       slot_guards), None)
+            assert found == (leaf is not None)
+            related += found
+    assert 6 < related < 36
+    assert 0 < len(searched) < len(reference)
+
+
+def test_witness_stays_lexicographic_when_s_is_bound_first():
+    # the first leaf in the binding order (s1, s0, r1, r0) of this related
+    # pair is s = 1, r0 = 3; the lexicographically first witness in (r1, r0,
+    # s1, s0) order, which the slot-order re-walk finds, is r0 = 1, s = 2
+    data = seeded_valid_data((1, 1), (1, 1), 1, 6, seed=3)
+    d1, d2 = data[:2]
+    search = classify._RSSearch((d1, d2), "equivalent", math.inf, False)
+    checks = search.checks(classify._Product(d1), classify._Product(d2))
+    s1, s0, r1, r0 = classify._digits(next(classify._walk(5, checks, search.guards)), 5, 4)
+    assert (r1, r0, s1, s0) == (0, 3, 1, 1)
+    found, rs = are_equivalent(d1, d2)
+    assert (found, rs) == brute_force_equivalent(d1, d2, "equivalent")
+    assert [m.entries for m in (rs.r1, rs.r0, rs.s1, rs.s0)] == [((0,),), ((1,),), ((2,),),
+                                                                  ((2,),)]
 
 
 def test_oracle_rejection_of_an_rs_witness_is_raised(monkeypatch, capsys):
@@ -741,14 +802,16 @@ def test_quotients_encode_only_to_read_off_the_skeleton(monkeypatch):
 def test_cohomologous_quotient_at_v20_sweeps_each_datum_at_most_twice(monkeypatch):
     # the search space there has size 0 (r1 is 0x2, r0 is 1x0, s = id); a
     # datum's half of the morphism run is swept once as source and once as
-    # target, not once for each of the 34,980 pairs
+    # target, not once for each of the 34,980 pairs, and straight off the
+    # half at phi, not through SymbolicRun.sweep
     data = golden_data((2, 0))
     sweeps = []
-    real = core.SymbolicRun.sweep
-    monkeypatch.setattr(core.SymbolicRun, "sweep", lambda run, values, index=None:
-                        sweeps.append(index is None) or real(run, values, index))
+    real = classify.half_sweep
+    monkeypatch.setattr(classify, "half_sweep",
+                        lambda half, values: sweeps.append(values) or real(half, values))
+    monkeypatch.setattr(core.SymbolicRun, "sweep", lambda *args: sweeps.append("run"))
     assert len(compute_quotients(data, mode="cohomologous").orbits) == 265
-    assert len(sweeps) <= 2 * len(data) and not any(sweeps)
+    assert 0 < len(sweeps) <= 2 * len(data) and "run" not in sweeps
 
 
 def _random_system(rng, p, n):
@@ -919,6 +982,15 @@ def test_merged_halves_are_the_full_sweep(p):
                     merged = core.reduced(p, search._sweep(source, 0), search._sweep(target, 1))
                     assert merged == full
                     assert search.checks(source, target) == classify._levelled(full, search.size)
+
+
+def test_halves_refuse_a_block_map_constant_of_two_terms():
+    # the block map's constants are checked once, where the halves are posed
+    ring = PolynomialRing()
+    run = core.morphism_run((1, 1), (1, 1))
+    n = len(classify._gather((0, 1, 1, 0)))
+    with pytest.raises(ValueError, match="a constant or a single term"):
+        run.halves(n, [ring.add(ring.var(0), ring.var(1))])
 
 
 @pytest.mark.parametrize("mono", [(0, 1), (), (10 ** 6,)], ids=["two", "constant", "rs only"])

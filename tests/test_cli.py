@@ -168,6 +168,26 @@ def test_classify_refuses_negative_vdims(capsys):
     assert "--vdims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vdims,message", [
+    ("1", "input error: --vdims: expected n1,n0, got 1"),
+    ("0,-1", "input error: --vdims: entries must be nonnegative, got 0,-1")])
+def test_classify_vdims_errors_name_the_flag(capsys, vdims, message):
+    code, text = run_cli(["classify", "--field", "gf5", "--z", "data/z_zero_01.json",
+                          "--vdims", vdims])
+    assert (code, text) == (cli.EXIT_INPUT, "")
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_classify_refuses_a_negative_budget(capsys):
+    # an input error, not an exceeded budget; --budget 0 is exceeded by any space
+    argv = ["classify", "--field", "gf5", "--z", "data/z_zero_01.json", "--vdims", "0,1"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--budget", "-5"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "--budget: must be at least 0, got -5" in capsys.readouterr().err
+    assert run_cli(argv + ["--budget", "0"]) == (cli.EXIT_BUDGET, "")
+
+
 def test_classify_refuses_d_of_the_wrong_shape(tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text(json.dumps({"kind": "linmap", "field": "gf5",
