@@ -24,14 +24,15 @@ What depends only on the shape is derived once per shape: the skeleton of
 the canonical serialization, read off io's encoder (_skeleton), the gather
 that reads a unified product's structure constants off its datum's
 (_gather), and the posed search (_posed: the layout of the block map, the
-compiled morphism run split into the half whose monomials carry a source
-constant and the half whose monomials carry a target constant, both at
-the block map, the guards).  A datum's structure constants are read once
-(_Product): its serialization, a quotient's item, is spliced from them into
-the skeleton and its product's constants are gathered from them; in each
-search object it costs at most one sweep of each half, and its product is
-built only if a witness involving it is re-checked.  A pair costs the sum
-of its two halves reduced mod p, the walk, in which a bound s block is
+compiled morphism run at the block map split into a source half and a
+target half, each a table from a datum constant to its terms, the guards).
+A datum's nonzero structure constants are read once, sparsely (_Product);
+its serialization, a quotient's item, is spliced from them, each half is
+swept at them and reduced mod p at most once per search object, and its
+product is built only if a witness involving it is re-checked.  A pair
+costs one pass over the components of its two reduced halves, which merges
+only those both carry and stops at the first nonzero constant (the pair is
+then refuted with no walk); else the walk, in which a bound s block is
 tested by elimination mod p on its digits, and for a related pair the
 slot-order walk and the oracle re-check of the witness.
 A quotient searches each datum against one representative per orbit, and
@@ -51,7 +52,7 @@ from itertools import accumulate, count, repeat
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
                    ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_constraints,
-                   half_sweep, map_values, morphism_run, reduced, two_algebra_maps,
+                   map_items, map_values, morphism_run, reduced, two_algebra_maps,
                    value_maps)
 from .engine import MAP_SPACES, DatumCtx, MorphismCtx, datum_maps, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
@@ -213,9 +214,9 @@ _ENTRY = re.compile(r'(\[(?:\d+,)+")(\d+)"\]')
 def _skeleton(field, dims):
     """The canonical serialization (io.canonical_dumps of io.datum_to_json)
     of the data over field at dims (n1, n0, m1, m0), as a function of their
-    structure constants in the layout of engine.datum_maps.
+    nonzero constants, (slot, value) in the layout of engine.datum_maps.
 
-    It splices the nonzero constants, formatted by field.fmt, into the
+    It splices those constants, formatted by field.fmt, into the
     serialization of the zero datum: each entry where its list opens, after
     its indices ('[k,i,j,"' or '[r,c,"').  Read off the encoder at two data,
     the zero datum over field and a probe over Q whose constant s is s + 1,
@@ -248,36 +249,32 @@ def _skeleton(field, dims):
     if sorted(slot for _, _, slot in entries) != list(range(size)):
         raise AssertionError(f"the {len(entries)} entries of the serialized probe do not "
                              f"name each of its {size} constants once")
+    rank = {slot: n for n, (_, _, slot) in enumerate(layout)}     # in the serialization
     fmt = field.fmt
 
-    def spliced(values):
+    def spliced(constants):
         parts, at = [], 0
-        for offset, prefix, slot in layout:
-            c = values[slot]
-            if c:
-                parts += (zero[at:offset] if offset != at else ",", prefix, fmt(c), '"]')
-                at = offset
+        for n, c in sorted((rank[slot], c) for slot, c in constants):
+            offset, prefix, _ = layout[n]
+            parts += (zero[at:offset] if offset != at else ",", prefix, fmt(c), '"]')
+            at = offset
         parts.append(zero[at:])
         return "".join(parts)
     return spliced
 
 
 class _Product:
-    """A datum as a quotient reads it, from its structure constants read
-    once: item, its canonical serialization, spliced by _skeleton; values,
-    the structure constants of its unified product E as Z[x] constants in
-    the layout of the compiled morphism run (map_values of
-    two_algebra_maps), filled from the datum's own through _gather; and e,
-    E itself, built on first use, when the oracle re-checks a witness."""
+    """A datum as a quotient reads it: constants, its nonzero structure
+    constants read once, (slot, value) in the layout of engine.datum_maps
+    (map_items); item, its canonical serialization, spliced from them by
+    _skeleton; and e, its unified product, built on first use, when the
+    oracle re-checks a witness."""
 
     def __init__(self, datum):
         z, v = datum.z, datum.v
-        dims = (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
-        flat = map_values(datum_maps(datum), datum.field.zero())
-        consts = [(((), c),) if c else () for c in flat] + [()]
         self.datum = datum
-        self.item = _skeleton(datum.field, dims)(flat)
-        self.values = tuple([consts[i] for i in _gather(dims)])
+        self.constants = tuple(map_items(datum_maps(datum)))
+        self.item = _skeleton(datum.field, (z.z1.dim, z.z0.dim, v.dim1, v.dim0))(self.constants)
 
     @cached_property
     def e(self):
@@ -320,10 +317,10 @@ def _posed(p, shapes):
     Derived: phi, the structure constants of the block map over Z[x]; the
     compiled morphism run between the products; its halves at phi
     (SymbolicRun.halves, which asserts that every monomial carries exactly
-    one constant of the source or of the target product), so that a
-    product's sweep reads only its own constants; and the guards that cut a
-    singular s block once it is bound, in the binding order and in the slot
-    order."""
+    one constant of the source or of the target product), each read through
+    _gather as a table from a datum constant's slot to the (component,
+    monomial, coefficient) terms it adds per unit; and the guards that cut a
+    singular s block once bound, in the binding order and in the slot order."""
     ring = PolynomialRing()
     sizes = [rows * cols for rows, cols in shapes]
     starts = list(accumulate(sizes, initial=0))     # of the blocks in slot order
@@ -335,11 +332,16 @@ def _posed(p, shapes):
     phi = _block_map(*_rs_maps(ring, shapes, entries))
     phi = tuple(map_values((phi.phi1, phi.phi0), ring.zero()))
     (n1, m1), (n0, m0) = shapes[:2]
-    n = len(_gather((n1, n0, m1, m0)))
+    gather = _gather((n1, n0, m1, m0))
     run = morphism_run((n1 + m1, n0 + m0), (n1 + m1, n0 + m0))
+    tables = ({}, {})
+    for table, half in zip(tables, run.halves(len(gather), phi)):
+        for at, terms in zip(gather, half):
+            if at >= 0 and terms:
+                table[at] = table.get(at, ()) + terms
     if slot == tuple(range(len(slot))):
         slot = None
-    return (phi, run, run.halves(n, phi), _guards(p, shapes, order), slot,
+    return (phi, run, tables, _guards(p, shapes, order), slot,
             _guards(p, shapes, range(len(shapes))))
 
 
@@ -353,7 +355,7 @@ class _RSSearch:
     is well posed (a known mode, one prime field, Z and V, valid data if
     check_valid, rs space in budget, in that order) and takes what depends
     only on the shape from _posed.  Each product's half of the morphism run
-    is swept at most once per search object, as source and as target."""
+    is swept and reduced at most once per search object, as either side."""
 
     def __init__(self, data, mode, rs_budget, check_valid):
         _require_mode(mode)
@@ -374,26 +376,37 @@ class _RSSearch:
                 f"rs search space has {space} candidates (budget {rs_budget})", count=space)
         self.field, self.shapes = f, tuple(_rs_shapes(first, mode))
         self.size = sum(rows * cols for rows, cols in self.shapes)
-        (self.phi, self.run, self._halves, self.guards, self.slot,
+        (self.phi, self.run, self._tables, self.guards, self.slot,
          self.slot_guards) = _posed(f.char, self.shapes)
         self._swept = {}        # (product, 0 as source or 1 as target) -> its sweep
 
     def _sweep(self, product, k):
-        """The sweep of half k of the run at product's constants and phi."""
+        """Half k of the run swept at product's constants (_half_sweep)."""
         acc = self._swept.get((product, k))
         if acc is None:
-            acc = self._swept[product, k] = half_sweep(self._halves[k], product.values)
+            acc = self._swept[product, k] = _half_sweep(self._tables[k], product, self.field.char)
         return acc
 
     def checks(self, source, target):
         """The morphism constraints on rs between the _Products source and
-        target: the source half swept at source, the target half at target,
-        summed and reduced mod p, which is run.constraints(source.values +
-        target.values + phi, p); levelled as in _levelled, over the variables
-        in the binding order (_posed).  The rs over GF(p) at which every
-        polynomial vanishes are exactly those whose block map is a morphism."""
-        polys = reduced(self.field.char, self._sweep(source, 0), self._sweep(target, 1))
-        return _levelled(polys, self.size)
+        target, run.constraints at their constants and phi levelled over the
+        variables in the binding order (_levelled, _posed): one pass over the
+        components of the source half swept at source and the target half at
+        target merges only those both carry, and stops at the first nonzero
+        constant, returned alone.  The rs over GF(p) at which every polynomial
+        vanishes are exactly those whose block map is a morphism."""
+        a, b = self._sweep(source, 0), self._sweep(target, 1)
+        levels = [{} for _ in range(self.size + 1)]     # dicts as ordered sets
+        for comp in sorted(a.keys() | b.keys()):
+            poly, level = a.get(comp) or b[comp]
+            if comp in a and comp in b:
+                poly = reduced(a[comp][0] + b[comp][0], self.field.char)
+                level = _level(poly)
+            if level:
+                levels[level][poly] = None
+            elif poly:
+                return ((poly,),) + ((),) * self.size
+        return tuple(map(tuple, levels))
 
     def __call__(self, source, target):
         """The lexicographically first rs whose block map is a morphism from
@@ -405,6 +418,8 @@ class _RSSearch:
         raises."""
         p = self.field.char
         checks = self.checks(source, target)
+        if checks[0]:       # a nonzero constant: no rs at all
+            return None
         leaf = next(_walk(p, checks, self.guards), None)
         if leaf is None:
             return None
@@ -516,14 +531,30 @@ def _lift(ring, z: ZinbielTwoAlgebra):
                              BimodulePair(bil(z.act.left), bil(z.act.right)))
 
 
+def _level(poly):
+    """k where x_(k-1) is the highest variable of poly, 0 if it has none."""
+    return max((mono[-1] for mono, _ in poly if mono), default=-1) + 1
+
+
 def _levelled(polys, size):
-    """The polynomials over the variables x0..x_(size-1) by level:
+    """The polynomials over the variables x0..x_(size-1) by level (_level):
     levels[k] holds those whose highest variable is x_(k-1), levels[0] the
     constant ones."""
     levels = [[] for _ in range(size + 1)]
     for poly in polys:
-        levels[max((x for mono, _ in poly for x in mono), default=-1) + 1].append(poly)
+        levels[_level(poly)].append(poly)
     return tuple(map(tuple, levels))
+
+
+def _half_sweep(table, product, p):
+    """A half of the morphism run (a table of _posed) swept at a _Product's
+    constants: component -> (its terms summed mod p, _level) unless that is 0."""
+    acc = {}
+    for at, v in product.constants:
+        for comp, mono, c in table.get(at, ()):
+            acc.setdefault(comp, []).append((mono, c * v))
+    return {comp: (poly, _level(poly)) for comp, terms in acc.items()
+            if (poly := reduced(terms, p))}
 
 
 def _relabelled(checks, slot):

@@ -11,12 +11,12 @@ a report holds the first `cap` violations, sorted, and cap=1 asks for a
 verdict only.
 
 The streams are the only definition of each axiom.  Each runs once per
-shape with every structure constant a variable of Z[x] (layout:
-map_values, inverted by value_maps), and SymbolicRun, the substitution
-kernel the catalogs of engine share, serves every use of that run: over
-GF(p) or Q check_crossed_module and check_2alg_morphism substitute each
-input into it, and the searches of classify read their constraints off it
-by substituting an input whose structure constants are integers or free
+shape with every structure constant a variable of Z[x] (layout: map_values,
+read sparsely by map_items, inverted by value_maps), and SymbolicRun, the
+substitution kernel the catalogs of engine share, serves every use of that
+run: over GF(p) or Q check_crossed_module and check_2alg_morphism substitute
+each input into it, and the searches of classify read their constraints off
+it by substituting an input whose structure constants are integers or free
 variables (crossed_module_constraints, morphism_run).
 
 Condition IDs are namespaced so a nested report localizes failures:
@@ -114,6 +114,19 @@ class ConditionReport:
         self.violations.sort(key=Violation.sort_key)
         self.flags.sort(key=lambda f: _id_sort_key(f.cond))
         return self
+
+
+def map_items(maps):
+    """(position, entry) of each nonzero entry of the maps, ascending, as map_values lays them."""
+    base = 0
+    for m in maps:
+        if isinstance(m, BilMap):
+            for k, i, j, v in m.items:
+                yield base + (k * m.dim_a + i) * m.dim_b + j, v
+            base += m.dim_a * m.dim_b * m.dim_c
+        else:
+            yield from ((at, v) for at, v in enumerate(chain.from_iterable(m.entries), base) if v)
+            base += m.rows * m.cols
 
 
 def map_values(maps, zero):
@@ -270,45 +283,16 @@ class SymbolicRun:
     def constraints(self, values, p):
         """The distinct nonzero lhs - rhs components at x = values (sweep),
         reduced mod p, in run order."""
-        return reduced(p, self.sweep(values))
+        polys = (reduced(poly.items(), p) for _, poly in sorted(self.sweep(values).items()))
+        return tuple(dict.fromkeys(poly for poly in polys if poly))
 
 
-def half_sweep(half, values):
-    """The sweep (SymbolicRun.sweep) of a half of a run (SymbolicRun.halves)
-    at the constants values of a source or target, Z[x] constants (each ()
-    or one constant term) in the order of the half's constants."""
-    acc = {}
-    for value, terms in zip(values, half):
-        if value and terms:
-            v = value[0][1]
-            for comp, mono, c in terms:
-                poly = acc.get(comp)
-                if poly is None:
-                    acc[comp] = {mono: c * v}
-                else:
-                    poly[mono] = poly.get(mono, 0) + c * v
-    return acc
-
-
-def reduced(p, *sweeps):
-    """The distinct nonzero polynomials mod p of the sum of the sweeps
-    (SymbolicRun.sweep), in component order."""
+def reduced(terms, p):
+    """The sum of the (monomial, coefficient) terms mod p, sorted; () if 0."""
     total = {}
-    for acc in sweeps:
-        for comp, poly in acc.items():
-            have = total.get(comp)
-            if have is None:
-                total[comp] = poly
-            else:
-                total[comp] = have = dict(have)     # the sweeps stay as they are
-                for mono, c in poly.items():
-                    have[mono] = have.get(mono, 0) + c
-    out = {}
-    for comp in sorted(total):
-        poly = tuple(sorted((mono, c % p) for mono, c in total[comp].items() if c % p))
-        if poly:
-            out[poly] = None
-    return tuple(out)
+    for mono, c in terms:
+        total[mono] = total.get(mono, 0) + c
+    return tuple(sorted((mono, c % p) for mono, c in total.items() if c % p))
 
 
 @dataclass(frozen=True, slots=True)
