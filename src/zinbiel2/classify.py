@@ -1,12 +1,13 @@
 """Morphisms between unified products, equivalence of extending data, and
 desk-scale classification over GF(p).
 
-Valid data are enumerated by backtracking with forward checking: the
-validity constraints are read off the direct oracle's compiled run, by
-substituting the datum whose free coefficients are variables of Z[x] and
-reducing mod p (core.crossed_module_constraints), and a depth-first
-assignment of the coefficients cuts every branch on which a fully bound
-constraint fails.  Each accepted datum is re-checked by the oracle.
+Valid data are enumerated by backtracking with forward checking in the one
+layout of a datum's constants, engine.datum_maps: Z's, phi and d fixed, then
+the free scalars.  The validity constraints are read off the direct oracle's
+compiled run (core.crossed_module_run) at the product gathered from the datum
+(_gather), the free scalars variables of Z[x], reduced mod p; a depth-first
+assignment cuts every branch on which a fully bound constraint fails.  Each
+accepted datum is re-checked by the oracle.
 
 Equivalence testing searches block maps (x, u) -> (x + r(u), s(u)) rather
 than all linear maps of the ambient product: a morphism that stabilizes Z
@@ -43,7 +44,6 @@ and lexicographic, budgets are hard limits, and nothing is silently sampled.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -51,14 +51,14 @@ from functools import cache, cached_property
 from itertools import accumulate, count, repeat
 
 from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
-                   ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_constraints,
-                   map_items, map_values, morphism_run, reduced, two_algebra_maps,
-                   value_maps)
-from .engine import MAP_SPACES, DatumCtx, MorphismCtx, datum_maps, evaluate_conditions
+                   ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_run, map_items,
+                   map_values, morphism_run, reduced, two_algebra_maps, value_maps)
+from .engine import (_DATUM_KEYS, MorphismCtx, datum_maps, evaluate_conditions,
+                     map_shape)
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField, Rationals
-from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
+from .linalg import LinMap, TwoVectorSpace, inverse, upper_block
 from .unified import (_FAMS, ExtendingDatum, _require_valid_z, build_unified_product,
                       check_datum_direct)
 
@@ -170,16 +170,21 @@ def _invertible_block(p, m, lo):
     return test
 
 
+@cache
+def _layout(dims):
+    """The keys (engine._DATUM_KEYS) and shapes (engine.map_shape) of the maps
+    of a datum at dims (n1, n0, m1, m0), in the order of engine.datum_maps."""
+    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
+    return (tuple(key for key, _ in _DATUM_KEYS),
+            tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS))
+
+
 def _datum_at(ring, dims, values):
     """The datum over ring at dims (n1, n0, m1, m0) whose structure constants,
     in the layout of engine.datum_maps, are read from the iterable values."""
     n1, n0, m1, m0 = dims
-    z = ZinbielTwoAlgebra(ZinbielAlgebra.zero(ring, n1), ZinbielAlgebra.zero(ring, n0),
-                          LinMap.zero(ring, n0, n1), BimodulePair.trivial(ring, n0, n1))
-    zero = ExtendingDatum.trivial(z, TwoVectorSpace(m1, m0, LinMap.zero(ring, m0, m1)))
-    shapes = [(m.dim_a, m.dim_b, m.dim_c) if isinstance(m, BilMap) else (m.rows, m.cols)
-              for m in datum_maps(zero)]
-    maps = dict(zip(DatumCtx(zero).maps, value_maps(ring, shapes, values)))
+    keys, shapes = _layout(dims)
+    maps = dict(zip(keys, value_maps(ring, shapes, values)))
     mult0, mult1, left, right = (maps["z", j] for j in range(4))
     z = ZinbielTwoAlgebra(ZinbielAlgebra(ring, n1, mult1), ZinbielAlgebra(ring, n0, mult0),
                           maps["phi"], BimodulePair(left, right))
@@ -458,10 +463,10 @@ class EnumerationSpec:
     """Deterministic indexing of all coefficient assignments over GF(p),
     and the validity constraints the search prunes with.
 
-    The free scalars are the entries of the maps of shapes, in the
-    map_values layout: the families hr, hl, tr, tl, om, st with j = 0..3
-    (coefficients in (k, i, j) order), then sigma row-major; size counts
-    them, and assignment index digits are big-endian in that order.
+    A datum's constants, in the layout of engine.datum_maps, are fixed (Z's
+    operations, phi, d) up to its first family map; the free scalars are the
+    rest: hr, hl, tr, tl, om, st with j = 0..3 (each in (k, i, j) order), then
+    sigma row-major.  size counts them; index digits are big-endian.
     """
 
     def __init__(self, field, z: ZinbielTwoAlgebra, vdims, d: LinMap):
@@ -475,40 +480,36 @@ class EnumerationSpec:
         self.field = field
         self.z = z
         self.v = TwoVectorSpace(m1, m0, d)
-        dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": m0, "V1": m1}
-        self.shapes = [tuple(dims[s] for s in spaces)
-                       for name in _FAMS for spaces in MAP_SPACES[name]]
-        self.shapes.append((z.z0.dim, m1))
-        self.size = sum(map(math.prod, self.shapes))
+        self.dims = (z.z1.dim, z.z0.dim, m1, m0)
+        first = _layout(self.dims)[0].index((_FAMS[0], 0))
+        maps = datum_maps(ExtendingDatum.trivial(z, self.v))
+        self.fixed = tuple(map_values(maps[:first], field.zero()))
+        self.size = len(map_values(maps[first:], field.zero()))
         self.total = field.char ** self.size
-
-    def _datum(self, z, v, values):
-        """The datum over z and v whose free scalars are read from values."""
-        maps = value_maps(z.field, self.shapes, values)
-        fams = {name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)}
-        return ExtendingDatum(z, v, **fams, sigma=maps[-1])
 
     def datum_at(self, index):
         if not (0 <= index < self.total):
             raise IndexError(f"index {index} out of range ({self.total} assignments)")
-        return self._datum(self.z, self.v, _digits(index, self.field.char, self.size))
+        p = self.field.char
+        return _datum_at(self.field, self.dims, [*self.fixed, *_digits(index, p, self.size)])
 
     @cached_property
     def checks(self):
         """The validity constraints, read off the compiled oracle.
 
-        The product of the datum whose free scalar i is the variable x_i of
-        Z[x] is substituted into the compiled crossed-module check
-        (core.crossed_module_constraints); the assignments at which every
-        constraint vanishes mod p are exactly the valid ones.  checks[k]
-        holds the constraints whose highest variable is x_(k-1) (see
-        _levelled).
+        The product's constants, gathered (_gather) from the datum's with the
+        fixed ones constants of Z[x] and free scalar i the variable x_i, are
+        substituted into the compiled crossed-module check
+        (core.crossed_module_run); the assignments at which every constraint
+        vanishes mod p are exactly the valid ones.  checks[k] holds those
+        whose highest variable is x_(k-1) (see _levelled).
         """
         ring = PolynomialRing()
-        d = self.v.d
-        v = TwoVectorSpace(d.cols, d.rows, LinMap(ring, d.rows, d.cols, d.entries))
-        datum = self._datum(_lift(ring, self.z), v, map(ring.var, count()))
-        polys = crossed_module_constraints(build_unified_product(datum), self.field.char)
+        values = [*map(ring.canonical, self.fixed), *map(ring.var, range(self.size))]
+        n1, n0, m1, m0 = self.dims
+        run = crossed_module_run((n1 + m1, n0 + m0))
+        polys = run.constraints([values[at] if at >= 0 else () for at in _gather(self.dims)],
+                                self.field.char)
         return _levelled(polys, self.size)
 
 
@@ -518,17 +519,6 @@ def _digits(index, p, n):
     for i in reversed(range(n)):
         index, digits[i] = divmod(index, p)
     return digits
-
-
-def _lift(ring, z: ZinbielTwoAlgebra):
-    """z over ring, every scalar read as a constant."""
-    def bil(m):
-        return BilMap(ring, m.dim_a, m.dim_b, m.dim_c, {(k, i, j): v for k, i, j, v in m.items})
-
-    return ZinbielTwoAlgebra(ZinbielAlgebra(ring, z.z1.dim, bil(z.z1.mult)),
-                             ZinbielAlgebra(ring, z.z0.dim, bil(z.z0.mult)),
-                             LinMap(ring, z.phi.rows, z.phi.cols, z.phi.entries),
-                             BimodulePair(bil(z.act.left), bil(z.act.right)))
 
 
 def _level(poly):

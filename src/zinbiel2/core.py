@@ -16,8 +16,8 @@ read sparsely by map_items, inverted by value_maps), and SymbolicRun, the
 substitution kernel the catalogs of engine share, serves every use of that
 run: over GF(p) or Q check_crossed_module and check_2alg_morphism substitute
 each input into it, and the searches of classify read their constraints off
-it by substituting an input whose structure constants are integers or free
-variables (crossed_module_constraints, morphism_run).
+it (crossed_module_run, morphism_run) at a unified product's constants,
+gathered from its datum's, each an integer or a free variable.
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -587,6 +587,12 @@ def _dims(t):
     return (t.z1.dim, t.z0.dim)
 
 
+def crossed_module_run(dims):
+    """The compiled crossed-module run on 2-algebras of level dims (n1, n0).
+    Its variables are map_values of their two_algebra_maps."""
+    return _compiled(_crossed_module_instances, (dims,))
+
+
 def morphism_run(dims, dims2):
     """The compiled morphism run from 2-algebras of level dims (n1, n0) to
     those of level dims2.  Its variables are map_values of the source's and
@@ -606,14 +612,6 @@ def _stream(stream, *args):
     maps += [x for m in morphism for x in (m.phi1, m.phi0)]
     run = _compiled(stream, tuple(map(_dims, algebras)))
     return run.substitute(map_values(maps, f.zero()), f.canonical)
-
-
-def crossed_module_constraints(t, p):
-    """The polynomials over GF(p) that must vanish for t, a 2-algebra over
-    Z[x] whose structure constants are integers or free variables, to be a
-    2-algebra at an assignment of the variables (SymbolicRun.constraints)."""
-    run = _compiled(_crossed_module_instances, (_dims(t),))
-    return run.constraints(map_values(two_algebra_maps(t), t.field.zero()), p)
 
 
 def crossed_module_stream(t):

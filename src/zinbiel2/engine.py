@@ -45,9 +45,10 @@ _OP_LEVELS = ((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))
 
 # The blocks of an operation on Z + V as (slot a, slot b, result), each 0 for
 # Z and 1 for V, with the datum family that fills the block ("z" is the
-# operation of Z itself).  Z x Z -> V is the one block left out: it vanishes
-# exactly when Z is closed under the operation.
-_BLOCKS = (((0, 0, 0), "z"), ((0, 1, 0), "hl"), ((0, 1, 1), "tr"), ((1, 0, 0), "hr"),
+# operation of Z itself), in the one order of the families, that of
+# datum_maps and of the census.  Z x Z -> V is the one block left out: it
+# vanishes exactly when Z is closed under the operation.
+_BLOCKS = (((0, 0, 0), "z"), ((1, 0, 0), "hr"), ((0, 1, 0), "hl"), ((0, 1, 1), "tr"),
            ((1, 0, 1), "tl"), ((1, 1, 0), "om"), ((1, 1, 1), "st"))
 
 # Family name -> (left space, right space, result space) of its map j: the
@@ -63,6 +64,12 @@ _DOT = {spaces[:2]: j for j, spaces in enumerate(MAP_SPACES["z"])}
 def _ops(t):
     """The four structure tensors of a 2-algebra t in operation order."""
     return (t.z0.mult, t.z1.mult, t.act.left, t.act.right)
+
+
+def map_shape(dims, spaces):
+    """The shape value_maps reads for a map between spaces at dims: (dim a,
+    dim b, dim c) if bilinear, else (rows, cols) = (dim codomain, dim domain)."""
+    return tuple(dims[s] for s in (spaces if len(spaces) == 3 else spaces[::-1]))
 
 
 class Elt:
@@ -125,9 +132,7 @@ class BaseCtx:
         ring = PolynomialRing()
         sym = object.__new__(type(self))
         BaseCtx.__init__(sym, ring, self.dims)
-        # value_maps reads (dim a, dim b, dim c) or (rows, cols) = (cod, dom)
-        shapes = [tuple(self.dims[s] for s in (spaces if len(spaces) == 3 else spaces[::-1]))
-                  for spaces, _ in self.maps.values()]
+        shapes = [map_shape(self.dims, spaces) for spaces, _ in self.maps.values()]
         maps = value_maps(ring, shapes, map(ring.var, count()))
         for (key, (spaces, _)), m in zip(self.maps.items(), maps):
             sym.maps[key] = (spaces, m)
@@ -161,7 +166,7 @@ def _family_keys(mark):
 
 
 def _family_maps(datum):
-    """The 24 family maps of datum in _BLOCKS order, then sigma."""
+    """The 24 family maps of datum in _BLOCKS order, j = 0..3 each, then sigma."""
     maps = []
     for _, name in _BLOCKS[1:]:
         maps += getattr(datum, name)
@@ -179,7 +184,8 @@ _TARGET_KEYS = _family_keys("p")
 def datum_maps(datum):
     """Every structure map of datum in the order DatumCtx lists them, the
     layout of its values() and symbolic(): the four operations of Z, phi,
-    d, then the 24 family maps and sigma (_DATUM_KEYS names each)."""
+    d, then the 24 family maps and sigma, a census's free scalars in its
+    order (_DATUM_KEYS names each)."""
     return [*_ops(datum.z), datum.z.phi, datum.v.d, *_family_maps(datum)]
 
 

@@ -31,7 +31,8 @@ from .errors import (DimError, FieldMismatch, NotComplementary, PreconditionErro
 from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, upper_block,
                      vbasis)
 
-_FAMS = ("hr", "hl", "tr", "tl", "om", "st")
+# the datum families in the one order of _BLOCKS
+_FAMS = tuple(name for _, name in _BLOCKS[1:])
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,7 +11,7 @@ import random
 from itertools import count
 
 from zinbiel2 import core
-from zinbiel2.classify import RSData, _lift, morphism_from_rs
+from zinbiel2.classify import RSData, morphism_from_rs
 from zinbiel2.core import (DEFAULT_VIOLATION_CAP, BimodulePair, ConditionReport, FlagNote,
                            TwoMorphism, ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism,
                            check_crossed_module, check_zinbiel)
@@ -196,6 +196,25 @@ def brute_force_valid(spec):
             if check_datum_direct(spec.datum_at(index), first_only=True, check_z=False).ok]
 
 
+def reference_datum_at(spec, index):
+    """Reference for EnumerationSpec.datum_at: the datum over spec.z and
+    spec.v whose free scalars are the base-p digits of index, most
+    significant first, read into the families hr, hl, tr, tl, om, st, each
+    map in (k, i, j) order, then into sigma row-major."""
+    f, p, n = spec.field, spec.field.p, spec.size
+    digits = iter([index // p ** (n - 1 - k) % p for k in range(n)])
+    base = ExtendingDatum.trivial(spec.z, spec.v)
+    fams = {name: tuple(BilMap(f, m.dim_a, m.dim_b, m.dim_c,
+                               {(k, i, j): next(digits) for k in range(m.dim_c)
+                                for i in range(m.dim_a) for j in range(m.dim_b)})
+                        for m in getattr(base, name))
+            for name in ("hr", "hl", "tr", "tl", "om", "st")}
+    rows, cols = base.sigma.rows, base.sigma.cols
+    sigma = LinMap(f, rows, cols, [[next(digits) for _ in range(cols)] for _ in range(rows)])
+    assert next(digits, None) is None
+    return ExtendingDatum(spec.z, spec.v, **fams, sigma=sigma)
+
+
 def _iter_matrices(field, rows, cols):
     """All rows x cols matrices over GF(p) in lexicographic row-major entry order."""
     p, n = field.p, rows * cols
@@ -294,6 +313,17 @@ def _levels_mod_p(instances, p, size):
             if poly:
                 levels[max((x for mono, _ in poly for x in mono), default=-1) + 1].add(poly)
     return levels
+
+
+def _lift(ring, z: ZinbielTwoAlgebra):
+    """z over ring, every scalar read as a constant."""
+    def bil(m):
+        return BilMap(ring, m.dim_a, m.dim_b, m.dim_c, {(k, i, j): v for k, i, j, v in m.items})
+
+    return ZinbielTwoAlgebra(ZinbielAlgebra(ring, z.z1.dim, bil(z.z1.mult)),
+                             ZinbielAlgebra(ring, z.z0.dim, bil(z.z0.mult)),
+                             LinMap(ring, z.phi.rows, z.phi.cols, z.phi.entries),
+                             BimodulePair(bil(z.act.left), bil(z.act.right)))
 
 
 def reference_checks(spec):

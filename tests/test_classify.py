@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
                      pairwise_partition, rand_sparse_datum, recursive_walk, reference_checks,
-                     reference_rs_checks, scalar_bilmap, zero_two_algebra)
+                     reference_datum_at, reference_rs_checks, scalar_bilmap, zero_two_algebra)
 from zinbiel2 import classify, cli, core, linalg
 from zinbiel2 import io as zio
 from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
@@ -35,6 +35,7 @@ F5 = PrimeField(5)
 GOLDEN = Path(__file__).parent / "goldens" / "census_gf5_zero01.json"
 GOLDEN_V11 = Path(__file__).parent / "goldens" / "census_gf5_zero01_v11.json"
 Z_ZERO01 = Path(__file__).parent.parent / "data" / "z_zero_01.json"
+Z_Z_ID = Path(__file__).parent.parent / "data" / "z_z_id.json"
 
 
 def zero_z(phi_val=0):
@@ -339,6 +340,42 @@ def test_checks_match_reference(p, zcase):
             assert sum(map(len, checks)) == sum(map(len, map(set, checks)))
 
 
+@pytest.mark.parametrize("p", (5, 7))
+def test_datum_at_reads_the_census_order(p):
+    # the free scalars follow Z's constants, phi and d in the layout of
+    # datum_maps, in the census's order: the first and the last index and
+    # every one-digit index with digit 1 or p - 1, on every reference case
+    f = PrimeField(p)
+    for z in _reference_z_cases(f):
+        for m1, m0 in REFERENCE_VDIMS:
+            for d_val in (0, 2) if m1 and m0 else (0,):
+                spec = EnumerationSpec(f, z, (m1, m0), LinMap(f, m0, m1, [[d_val] * m1] * m0))
+                indices = {0, spec.total - 1}
+                indices.update(c * p ** k for k in range(spec.size) for c in (1, p - 1))
+                for index in sorted(indices):
+                    assert spec.datum_at(index) == reference_datum_at(spec, index), (
+                        m1, m0, d_val, index)
+
+
+def test_a_warmed_shape_builds_no_unified_product(monkeypatch):
+    # a spec reads its product's constants through the gather of its shape:
+    # once one spec has built that, a spec at the same dims with another Z
+    # or another d builds no product at all
+    def spec(phi_val, d_val):
+        z = zero_two_algebra(F5, 1, 1, LinMap(F5, 1, 1, [[phi_val]]))
+        return EnumerationSpec(F5, z, (1, 1), LinMap(F5, 1, 1, [[d_val]]))
+
+    assert spec(1, 0).checks
+    built = []
+    real = classify.build_unified_product
+    monkeypatch.setattr(classify, "build_unified_product",
+                        lambda datum: built.append(datum) or real(datum))
+    for other in (spec(0, 0), spec(1, 2), spec(0, 2)):
+        checks = other.checks
+        assert built == []
+        assert [set(level) for level in checks] == reference_checks(other)
+
+
 def _refuted_alone(checks, reference):
     """Whether the levelled reference holds a nonzero constant; if it does,
     checks (_RSSearch.checks) must hold one of them alone, since the pass
@@ -405,6 +442,20 @@ def test_search_agrees_with_oracle_next_to_every_hit(d_val, hit_count):
                 assert oracle == (neighbour in accepted), neighbour
                 checked += value != digit
     assert checked == 48 * hit_count
+
+
+@pytest.mark.parametrize("vdims,budget,counts", [((0, 1), 5 ** 23, (125, 8, 25)),
+                                                 ((1, 0), 5 ** 29, (25, 1, 1))],
+                         ids=["v01", "v10"])
+def test_census_over_z_z_id_matches_golden(vdims, budget, counts):
+    # a nonzero Z: its constants are the fixed prefix of every datum, and at
+    # V = (0, 1) each cohomology class holds several data
+    _, z, f = zio.load_document(str(Z_Z_ID))
+    m1, m0 = vdims
+    out = census(f, z, vdims, LinMap.zero(f, m0, m1), budget=budget)
+    golden = Path(__file__).parent / "goldens" / f"census_gf5_z_z_id_v{m1}{m0}.json"
+    assert pretty_dumps(out) == golden.read_text()
+    assert (out["valid_count"], *(q["orbit_count"] for q in out["quotients"])) == counts
 
 
 def test_census_next_size_matches_golden():
@@ -764,12 +815,10 @@ def test_quotients_build_one_symbolic_block_map(monkeypatch):
         assert len(built) == 1
 
 
-def test_quotients_call_neither_lift_nor_inverse(monkeypatch):
-    # a search reads each product's constants as they are and tests a bound
-    # s block by elimination on its digits
+def test_quotients_call_no_inverse(monkeypatch):
+    # a search tests a bound s block by elimination on its digits
     data = golden_data((1, 1))
     calls = []
-    monkeypatch.setattr(classify, "_lift", lambda *args: calls.append("_lift"))
     for module in (classify, linalg):
         monkeypatch.setattr(module, "inverse", lambda *args: calls.append("inverse"))
     parts = [compute_quotients(data, mode=mode) for mode in ("equivalent", "cohomologous")]
