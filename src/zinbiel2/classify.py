@@ -2,12 +2,13 @@
 desk-scale classification over GF(p).
 
 Valid data are enumerated by backtracking with forward checking in the one
-layout of a datum's constants, engine.datum_maps: Z's, phi and d fixed, then
-the free scalars.  The validity constraints are read off the direct oracle's
-compiled run (core.crossed_module_run) at the product gathered from the datum
-(_gather), the free scalars variables of Z[x], reduced mod p; a depth-first
-assignment cuts every branch on which a fully bound constraint fails.  Each
-accepted datum is re-checked by the oracle.
+layout of a datum's constants, engine.datum_maps: Z's (core.two_algebra_maps)
+and d fixed, then the free scalars, from which each leaf's datum is built
+over the spec's own Z and V.  The validity constraints are read off the
+direct oracle's compiled run (core.crossed_module_run) at the product
+gathered from the datum (_gather), the free scalars variables of Z[x],
+reduced mod p; a depth-first assignment cuts every branch on which a fully
+bound constraint fails.  Each accepted datum is re-checked by the oracle.
 
 Equivalence testing searches block maps (x, u) -> (x + r(u), s(u)) rather
 than all linear maps of the ambient product: a morphism that stabilizes Z
@@ -25,8 +26,9 @@ What depends only on the shape is derived once per shape: the skeleton of
 the canonical serialization, read off io's encoder (_skeleton), the gather
 that reads a unified product's structure constants off its datum's
 (_gather), and the posed search (_posed: the layout of the block map, the
-compiled morphism run at the block map split into a source half and a
-target half, each a table from a datum constant to its terms, the guards).
+compiled morphism run read off one sweep at the block map into a source half
+and a target half, each a table from a datum constant to its terms, the
+guards).
 A datum's nonzero structure constants are read once, sparsely (_Product);
 its serialization, a quotient's item, is spliced from them, each half is
 swept at them and reduced mod p at most once per search object, and its
@@ -50,17 +52,16 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, count, repeat
 
-from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, TwoMorphism, ZinbielAlgebra,
-                   ZinbielTwoAlgebra, check_2alg_morphism, crossed_module_run, map_items,
-                   map_values, morphism_run, reduced, two_algebra_maps, value_maps)
-from .engine import (_DATUM_KEYS, MorphismCtx, datum_maps, evaluate_conditions,
+from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra, check_2alg_morphism,
+                   crossed_module_run, map_items, map_values, morphism_run, reduced, two_algebra,
+                   two_algebra_maps, value_maps)
+from .engine import (_DATUM_KEYS, _FAMS, MorphismCtx, datum_maps, evaluate_conditions,
                      map_shape)
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField, Rationals
 from .linalg import LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import (_FAMS, ExtendingDatum, _require_valid_z, build_unified_product,
-                      check_datum_direct)
+from .unified import ExtendingDatum, _require_valid_z, build_unified_product, check_datum_direct
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
@@ -170,26 +171,33 @@ def _invertible_block(p, m, lo):
     return test
 
 
+# where the free scalars of a datum's maps start in the order of
+# engine.datum_maps: after Z's two_algebra_maps and d, at the first family map
+_FREE = [key for key, _ in _DATUM_KEYS].index((_FAMS[0], 0))
+
+
 @cache
 def _layout(dims):
-    """The keys (engine._DATUM_KEYS) and shapes (engine.map_shape) of the maps
-    of a datum at dims (n1, n0, m1, m0), in the order of engine.datum_maps."""
+    """The shapes (engine.map_shape) of the maps of a datum at dims (n1, n0,
+    m1, m0), in the order of engine.datum_maps."""
     sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
-    return (tuple(key for key, _ in _DATUM_KEYS),
-            tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS))
+    return tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS)
+
+
+def _families(maps):
+    """The ExtendingDatum keyword arguments of the maps of a datum from _FREE
+    on: the families in _FAMS order, four maps each, then sigma."""
+    return {**{name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)},
+            "sigma": maps[4 * len(_FAMS)]}
 
 
 def _datum_at(ring, dims, values):
     """The datum over ring at dims (n1, n0, m1, m0) whose structure constants,
     in the layout of engine.datum_maps, are read from the iterable values."""
-    n1, n0, m1, m0 = dims
-    keys, shapes = _layout(dims)
-    maps = dict(zip(keys, value_maps(ring, shapes, values)))
-    mult0, mult1, left, right = (maps["z", j] for j in range(4))
-    z = ZinbielTwoAlgebra(ZinbielAlgebra(ring, n1, mult1), ZinbielAlgebra(ring, n0, mult0),
-                          maps["phi"], BimodulePair(left, right))
-    return ExtendingDatum(z, TwoVectorSpace(m1, m0, maps["d"]), sigma=maps["sig"],
-                          **{name: tuple(maps[name, j] for j in range(4)) for name in _FAMS})
+    maps = value_maps(ring, _layout(dims), values)
+    *z, d = maps[:_FREE]
+    return ExtendingDatum(two_algebra(ring, z), TwoVectorSpace(*dims[2:], d),
+                          **_families(maps[_FREE:]))
 
 
 @cache
@@ -320,12 +328,16 @@ def _posed(p, shapes):
     mode "cohomologous", and wherever r is empty).
 
     Derived: phi, the structure constants of the block map over Z[x]; the
-    compiled morphism run between the products; its halves at phi
-    (SymbolicRun.halves, which asserts that every monomial carries exactly
-    one constant of the source or of the target product), each read through
-    _gather as a table from a datum constant's slot to the (component,
-    monomial, coefficient) terms it adds per unit; and the guards that cut a
-    singular s block once bound, in the binding order and in the slot order."""
+    compiled morphism run between the products; its two halves, read off one
+    sweep of the run at phi, the product constants numbered after phi's
+    variables (constant e is x_(top+e), top the number of phi's), each a
+    table from a datum constant's slot to the (component, monomial,
+    coefficient) terms it adds per unit; and the guards that cut a singular
+    s block once bound, in the binding order and in the slot order.  A swept
+    monomial must carry exactly one product constant, its last variable:
+    divmod(e, n) gives its half and its slot in the product, which _gather
+    maps to a datum constant.  One that carries none or two raises
+    AssertionError, since the halves would not sum to the run."""
     ring = PolynomialRing()
     sizes = [rows * cols for rows, cols in shapes]
     starts = list(accumulate(sizes, initial=0))     # of the blocks in slot order
@@ -338,12 +350,17 @@ def _posed(p, shapes):
     phi = tuple(map_values((phi.phi1, phi.phi0), ring.zero()))
     (n1, m1), (n0, m0) = shapes[:2]
     gather = _gather((n1, n0, m1, m0))
+    n, top = len(gather), len(slot)
     run = morphism_run((n1 + m1, n0 + m0), (n1 + m1, n0 + m0))
     tables = ({}, {})
-    for table, half in zip(tables, run.halves(len(gather), phi)):
-        for at, terms in zip(gather, half):
-            if at >= 0 and terms:
-                table[at] = table.get(at, ()) + terms
+    for comp, poly in run.sweep([*map(ring.var, range(top, top + 2 * n)), *phi]).items():
+        for mono, c in poly.items():
+            if not mono or mono[-1] < top or len(mono) > 1 and mono[-2] >= top:
+                raise AssertionError("a monomial of the run carries no source or target "
+                                     "constant, or more than one")
+            half, e = divmod(mono[-1] - top, n)
+            if gather[e] >= 0 and c:
+                tables[half].setdefault(gather[e], []).append((comp, mono[:-1], c))
     if slot == tuple(range(len(slot))):
         slot = None
     return (phi, run, tables, _guards(p, shapes, order), slot,
@@ -464,9 +481,10 @@ class EnumerationSpec:
     and the validity constraints the search prunes with.
 
     A datum's constants, in the layout of engine.datum_maps, are fixed (Z's
-    operations, phi, d) up to its first family map; the free scalars are the
-    rest: hr, hl, tr, tl, om, st with j = 0..3 (each in (k, i, j) order), then
-    sigma row-major.  size counts them; index digits are big-endian.
+    two_algebra_maps, then d) up to _FREE, its first family map; the free
+    scalars are the rest: hr, hl, tr, tl, om, st with j = 0..3 (each in (k, i,
+    j) order), then sigma row-major.  size counts them; index digits are
+    big-endian.  The data at the indices share the spec's own z and v.
     """
 
     def __init__(self, field, z: ZinbielTwoAlgebra, vdims, d: LinMap):
@@ -481,17 +499,17 @@ class EnumerationSpec:
         self.z = z
         self.v = TwoVectorSpace(m1, m0, d)
         self.dims = (z.z1.dim, z.z0.dim, m1, m0)
-        first = _layout(self.dims)[0].index((_FAMS[0], 0))
         maps = datum_maps(ExtendingDatum.trivial(z, self.v))
-        self.fixed = tuple(map_values(maps[:first], field.zero()))
-        self.size = len(map_values(maps[first:], field.zero()))
+        self.fixed = tuple(map_values(maps[:_FREE], field.zero()))
+        self.size = len(map_values(maps[_FREE:], field.zero()))
         self.total = field.char ** self.size
 
     def datum_at(self, index):
         if not (0 <= index < self.total):
             raise IndexError(f"index {index} out of range ({self.total} assignments)")
-        p = self.field.char
-        return _datum_at(self.field, self.dims, [*self.fixed, *_digits(index, p, self.size)])
+        digits = _digits(index, self.field.char, self.size)
+        free = value_maps(self.field, _layout(self.dims)[_FREE:], digits)
+        return ExtendingDatum(self.z, self.v, **_families(free))
 
     @cached_property
     def checks(self):

@@ -11,13 +11,15 @@ a report holds the first `cap` violations, sorted, and cap=1 asks for a
 verdict only.
 
 The streams are the only definition of each axiom.  Each runs once per
-shape with every structure constant a variable of Z[x] (layout: map_values,
-read sparsely by map_items, inverted by value_maps), and SymbolicRun, the
+shape with every structure constant a variable of Z[x] (layout: map_values
+of two_algebra_maps, the one order of a 2-algebra's constants, read sparsely
+by map_items, inverted by value_maps and two_algebra), and SymbolicRun, the
 substitution kernel the catalogs of engine share, serves every use of that
 run: over GF(p) or Q check_crossed_module and check_2alg_morphism substitute
-each input into it, and the searches of classify read their constraints off
-it (crossed_module_run, morphism_run) at a unified product's constants,
-gathered from its datum's, each an integer or a free variable.
+each input into it (substitute), and the searches of classify read their
+constraints off it (crossed_module_run, morphism_run) at a unified product's
+constants, gathered from its datum's, each an integer or a free variable
+(sweep, its one symbolic reading).
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -167,7 +169,9 @@ class SymbolicRun:
     both routes.  Built from the instances (id, witness, sides), sides read
     in pairs (lhs, rhs[, lhs, rhs of a second form]); every lhs - rhs
     component is numbered in run order, and the index maps each monomial,
-    grouped by its first variable, to its components and coefficients."""
+    grouped by its first variable, to its components and coefficients.
+    substitute reads the run at values of a field, sweep (and constraints,
+    which reduces it mod p) at values of Z[x]."""
 
     def __init__(self, ring, instances):
         self._rows = rows = []      # (id, witness, first component, rhs vectors)
@@ -247,38 +251,6 @@ class SymbolicRun:
                         poly = acc.setdefault(comp, {})
                         poly[mono] = poly.get(mono, 0) + c * m
         return acc
-
-    def halves(self, n, values):
-        """The run in two halves, for a run whose variables are n constants
-        of a source, n of a target, then others, fixed here at values[y -
-        2n] (Z[x] polynomials of one term at most), and whose every monomial
-        carries exactly one source or target constant (its first variable,
-        as monomials are sorted).  A half holds, for each of its n constants
-        in order, the (component, monomial, coefficient) terms that constant
-        adds to the sweep per unit of its value; the sweep at a source's and
-        a target's constants is the sum of both halves'.  A monomial that
-        carries none or two raises AssertionError, since the halves would
-        not sum to the run."""
-        if max(map(len, values), default=0) > 1:
-            raise ValueError("each value must be a constant or a single term")
-        terms = [v[0] if v else None for v in values]
-        halves = [[[] for _ in range(n)] for _ in range(2)]
-        for x, group in self._index:
-            if x is None or x >= 2 * n or any(rest and rest[0] < 2 * n for rest, _ in group):
-                raise AssertionError("a monomial of the run carries no source or target "
-                                     "constant, or more than one")
-            out = halves[x >= n][x % n]
-            for rest, entries in group:
-                mono, m = (), 1
-                for y in rest:
-                    term = terms[y - 2 * n]
-                    if term is None:
-                        break
-                    mono, m = mono + term[0], m * term[1]
-                else:
-                    mono = tuple(sorted(mono))
-                    out += ((comp, mono, c * m) for comp, c in entries)
-        return tuple(tuple(map(tuple, half)) for half in halves)
 
     def constraints(self, values, p):
         """The distinct nonzero lhs - rhs components at x = values (sweep),
@@ -554,33 +526,46 @@ def _crossed_module_instances(t):
             yield "CM5", (i, j), phi.apply(mij), mult0.eval(phi_b[i], phi_b[j])
 
 
+# Operation j of a 2-algebra (0: level-0 mult, 1: level-1 mult, 2: left
+# action, 3: right action) as (level of slot a, level of slot b, result level).
+_OP_LEVELS = ((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))
+
+
+def two_algebra_maps(t):
+    """The five maps of the 2-algebra t in the one order of its constants:
+    its four operations in _OP_LEVELS order, then phi.  The compiled runs lay
+    out their variables as map_values of these, and a datum's constants
+    begin with them (engine.datum_maps); two_algebra is the inverse."""
+    return (t.z0.mult, t.z1.mult, t.act.left, t.act.right, t.phi)
+
+
+def two_algebra(ring, maps):
+    """The 2-algebra over ring whose two_algebra_maps are maps."""
+    mult0, mult1, left, right, phi = maps
+    return ZinbielTwoAlgebra(ZinbielAlgebra(ring, mult1.dim_a, mult1),
+                             ZinbielAlgebra(ring, mult0.dim_a, mult0), phi,
+                             BimodulePair(left, right))
+
+
 @functools.cache
 def _compiled(stream, dims):
     """stream run once over Z[x] on a 2-algebra of level dims (n1, n0) per
     pair in dims and, for two pairs, a morphism from the first to the second,
     every structure constant a variable, in the order of two_algebra_maps
-    and then phi1, phi0."""
+    and then phi1, phi0.  The shapes of the operations are read off
+    _OP_LEVELS."""
     ring = PolynomialRing()
-    shapes = [s for n1, n0 in dims
-              for s in ((n1, n1, n1), (n0, n0, n0), (n0, n1), (n0, n1, n1), (n1, n0, n1))]
+    shapes = []
+    for n1, n0 in dims:
+        shapes += [tuple((n0, n1)[level] for level in levels) for levels in _OP_LEVELS]
+        shapes.append((n0, n1))     # phi
     if len(dims) == 2:      # phi1 and phi0
         shapes += [(b, a) for a, b in zip(*dims)]
     maps = value_maps(ring, shapes, map(ring.var, count()))
-    args = []
-    for k in range(len(dims)):
-        m1, m0, phi, left, right = maps[5 * k:5 * k + 5]
-        args.append(ZinbielTwoAlgebra(ZinbielAlgebra(ring, m1.dim_a, m1),
-                                      ZinbielAlgebra(ring, m0.dim_a, m0), phi,
-                                      BimodulePair(left, right)))
+    args = [two_algebra(ring, maps[5 * k:5 * k + 5]) for k in range(len(dims))]
     if len(dims) == 2:
         args.append(TwoMorphism(*maps[10:]))
     return SymbolicRun(ring, ((c, w, (l, r)) for c, w, l, r in stream(*args)))
-
-
-def two_algebra_maps(t):
-    """The maps of the 2-algebra t in the order the compiled runs lay out
-    their variables (map_values of each in turn)."""
-    return (t.z1.mult, t.z0.mult, t.phi, t.act.left, t.act.right)
 
 
 def _dims(t):

@@ -22,10 +22,12 @@ field.canonical, so GF(p) for every p and Q go through one evaluator.  The
 polynomials come from the catalog lambdas, never from the product E, so the
 catalog route stays independent of the oracle.
 
-The shapes of the structure maps come from one table: _OP_LEVELS gives the
-levels of the four operations of a 2-algebra, _BLOCKS the datum family that
-fills each block of an operation on Z + V, and MAP_SPACES the spaces of
-every map they determine.
+The shapes of the structure maps come from one table: core._OP_LEVELS gives
+the levels of the four operations of a 2-algebra, in the order of
+core.two_algebra_maps, _BLOCKS the datum family that fills each block of an
+operation on Z + V (_FAMS lists the families), and MAP_SPACES the spaces of
+every map they determine.  A datum's constants (datum_maps) are its Z's in
+the one order of two_algebra_maps, then d, the families and sigma.
 """
 
 from __future__ import annotations
@@ -33,15 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .core import (DEFAULT_VIOLATION_CAP, ConditionReport, FlagNote, SymbolicRun, map_values,
-                   value_maps)
+from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, FlagNote, SymbolicRun,
+                   map_values, two_algebra_maps, value_maps)
 from .errors import DimError
 from .fields import PolynomialRing
 from .linalg import vadd, vbasis, vzero
-
-# Operation j of a 2-algebra (0: level-0 mult, 1: level-1 mult, 2: left
-# action, 3: right action) as (level of slot a, level of slot b, result level).
-_OP_LEVELS = ((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))
 
 # The blocks of an operation on Z + V as (slot a, slot b, result), each 0 for
 # Z and 1 for V, with the datum family that fills the block ("z" is the
@@ -51,6 +49,9 @@ _OP_LEVELS = ((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))
 _BLOCKS = (((0, 0, 0), "z"), ((1, 0, 0), "hr"), ((0, 1, 0), "hl"), ((0, 1, 1), "tr"),
            ((1, 0, 1), "tl"), ((1, 1, 0), "om"), ((1, 1, 1), "st"))
 
+# the datum families in the one order of _BLOCKS
+_FAMS = tuple(name for _, name in _BLOCKS[1:])
+
 # Family name -> (left space, right space, result space) of its map j: the
 # sides of the family's block at the levels of operation j.
 MAP_SPACES = {name: tuple(tuple("ZV"[side] + str(level) for side, level in zip(block, levels))
@@ -59,11 +60,6 @@ MAP_SPACES = {name: tuple(tuple("ZV"[side] + str(level) for side, level in zip(b
 
 # Operand spaces of the overloaded product -> the operation of Z it applies.
 _DOT = {spaces[:2]: j for j, spaces in enumerate(MAP_SPACES["z"])}
-
-
-def _ops(t):
-    """The four structure tensors of a 2-algebra t in operation order."""
-    return (t.z0.mult, t.z1.mult, t.act.left, t.act.right)
 
 
 def map_shape(dims, spaces):
@@ -161,14 +157,14 @@ def _family_keys(mark):
     """key, spaces of the 24 family maps and sigma of a datum, in
     _family_maps order; mark is "" for the source datum of a context and
     "p" for the target."""
-    return ([((name + mark, j), MAP_SPACES[name][j]) for _, name in _BLOCKS[1:] for j in range(4)]
+    return ([((name + mark, j), MAP_SPACES[name][j]) for name in _FAMS for j in range(4)]
             + [("sig" + mark, ("V1", "Z0"))])
 
 
 def _family_maps(datum):
-    """The 24 family maps of datum in _BLOCKS order, j = 0..3 each, then sigma."""
+    """The 24 family maps of datum in _FAMS order, j = 0..3 each, then sigma."""
     maps = []
-    for _, name in _BLOCKS[1:]:
+    for name in _FAMS:
         maps += getattr(datum, name)
     maps.append(datum.sigma)
     return maps
@@ -183,10 +179,10 @@ _TARGET_KEYS = _family_keys("p")
 
 def datum_maps(datum):
     """Every structure map of datum in the order DatumCtx lists them, the
-    layout of its values() and symbolic(): the four operations of Z, phi,
-    d, then the 24 family maps and sigma, a census's free scalars in its
-    order (_DATUM_KEYS names each)."""
-    return [*_ops(datum.z), datum.z.phi, datum.v.d, *_family_maps(datum)]
+    layout of its values() and symbolic(): Z's two_algebra_maps (its four
+    operations, then phi), d, then the 24 family maps and sigma, a census's
+    free scalars in its order (_DATUM_KEYS names each)."""
+    return [*two_algebra_maps(datum.z), datum.v.d, *_family_maps(datum)]
 
 
 class DatumCtx(BaseCtx):

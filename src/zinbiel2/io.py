@@ -18,11 +18,11 @@ import json
 
 from .core import (BimodulePair, ConditionReport, ZinbielAlgebra,
                    ZinbielTwoAlgebra)
-from .engine import MAP_SPACES
+from .engine import _FAMS, MAP_SPACES
 from .errors import SchemaError, Zinbiel2Error
 from .fields import field_from_name
 from .linalg import BilMap, LinMap, TwoVectorSpace
-from .unified import _FAMS, ComplementSplit, ExtendingDatum
+from .unified import ComplementSplit, ExtendingDatum
 
 _JSON_NAMES = {"hr": "harpoon_r", "hl": "harpoon_l", "tr": "tri_r",
                "tl": "tri_l", "om": "omega", "st": "star"}

@@ -14,24 +14,20 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 
-from .core import (DEFAULT_VIOLATION_CAP, BimodulePair, ZinbielAlgebra,
-                   ZinbielTwoAlgebra, _prefixed, check_crossed_module,
-                   crossed_module_stream)
-from .engine import MAP_SPACES, DatumCtx, evaluate_conditions
+from .core import (DEFAULT_VIOLATION_CAP, ZinbielTwoAlgebra, _prefixed, check_crossed_module,
+                   crossed_module_stream, two_algebra, two_algebra_maps)
+from .engine import _FAMS, MAP_SPACES, DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
 from .linalg import BilMap, LinMap, TwoVectorSpace
-from .unified import (_FAMS, ComplementSplit, ExtendingDatum, _require_valid_z,
-                      build_unified_product, extract_datum)
+from .unified import (ComplementSplit, ExtendingDatum, _require_valid_z, build_unified_product,
+                      extract_datum)
 
 
 def star_structure(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
-    """The candidate 2-algebra carried by the star family on (V1, V0, d)."""
-    f = datum.field
-    v = datum.v
-    v1 = ZinbielAlgebra(f, v.dim1, datum.st[1])
-    v0 = ZinbielAlgebra(f, v.dim0, datum.st[0])
-    return ZinbielTwoAlgebra(v1, v0, v.d, BimodulePair(datum.st[2], datum.st[3]))
+    """The candidate 2-algebra carried by the star family on (V1, V0, d):
+    st[j] is its operation j, in the order of two_algebra_maps."""
+    return two_algebra(datum.field, [*datum.st, datum.v.d])
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +125,7 @@ class MatchedPairDatum:
         dims = {"Z0": self.z.z0.dim, "Z1": self.z.z1.dim,
                 "V0": self.v.z0.dim, "V1": self.v.z1.dim}
         om = tuple(BilMap.zero(f, dims[a], dims[b], dims[c]) for a, b, c in MAP_SPACES["om"])
-        st = (self.v.z0.mult, self.v.z1.mult, self.v.act.left, self.v.act.right)
+        st = two_algebra_maps(self.v)[:4]
         return ExtendingDatum(self.z, v2, self.hr, self.hl, self.tr, self.tl,
                               om, st, LinMap.zero(f, n0, m1))
 

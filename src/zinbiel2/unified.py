@@ -11,7 +11,9 @@ One block table, engine._BLOCKS, says which datum family fills each block
 of an operation on Z + V.  build_unified_product writes the blocks through
 it, and extract_datum is its inverse: it rewrites E in the basis [iota |
 V-basis] that a ComplementSplit stores and reads the blocks back through
-the same table.  The oracle and verify_psi fill their reports from core's
+the same table.  Both take a 2-algebra's operations apart with
+core.two_algebra_maps and put Z and E together with its inverse,
+core.two_algebra.  The oracle and verify_psi fill their reports from core's
 instance streams, so each report holds the first `cap` violations in
 evaluation order, sorted.
 """
@@ -22,17 +24,14 @@ import dataclasses
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
-from .core import (ConditionReport, ZinbielAlgebra, ZinbielTwoAlgebra,
-                   BimodulePair, TwoMorphism, DEFAULT_VIOLATION_CAP,
-                   check_crossed_module, morphism_stream)
-from .engine import _BLOCKS, _OP_LEVELS, MAP_SPACES, DatumCtx, _ops, evaluate_conditions
+from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism,
+                   ZinbielTwoAlgebra, check_crossed_module, morphism_stream, two_algebra,
+                   two_algebra_maps)
+from .engine import _BLOCKS, _FAMS, MAP_SPACES, DatumCtx, evaluate_conditions
 from .errors import (DimError, FieldMismatch, NotComplementary, PreconditionError,
                      SubalgebraError)
 from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, upper_block,
                      vbasis)
-
-# the datum families in the one order of _BLOCKS
-_FAMS = tuple(name for _, name in _BLOCKS[1:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,13 +149,11 @@ def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
     z, v = datum.z, datum.v
     f = datum.field
     nz, nv = (z.z0.dim, z.z1.dim), (v.dim0, v.dim1)
-    fams = [_ops(z) if name == "z" else getattr(datum, name) for _, name in _BLOCKS]
-    mult0, mult1, act_left, act_right = (_assemble(f, j, nz, nv, fams) for j in range(4))
+    fams = [two_algebra_maps(z)[:4] if name == "z" else getattr(datum, name)
+            for _, name in _BLOCKS]
+    ops = [_assemble(f, j, nz, nv, fams) for j in range(4)]
     # phi_E(x, u) = (phi(x) + sigma(u), d(u))
-    phi_e = upper_block(z.phi, datum.sigma, v.d)
-    return ZinbielTwoAlgebra(ZinbielAlgebra(f, nz[1] + nv[1], mult1),
-                             ZinbielAlgebra(f, nz[0] + nv[0], mult0),
-                             phi_e, BimodulePair(act_left, act_right))
+    return two_algebra(f, [*ops, upper_block(z.phi, datum.sigma, v.d)])
 
 
 def _require_valid_z(z: ZinbielTwoAlgebra, cap):
@@ -293,7 +290,7 @@ def extract_datum(split: ComplementSplit, check_e=True,
     binv = (b0inv, b1inv)
     cols = tuple([b.column(i) for i in range(b.cols)] for b in (b0, b1))
     blocks = []
-    for j, tensor in enumerate(_ops(e)):
+    for j, tensor in enumerate(two_algebra_maps(e)[:4]):
         la, lb, lc = _OP_LEVELS[j]
         rebased = BilMap.from_basis_function(
             f, len(cols[la]), len(cols[lb]), len(cols[lc]),
@@ -305,10 +302,7 @@ def extract_datum(split: ComplementSplit, check_e=True,
             raise SubalgebraError("phi_E does not restrict to the Z levels",
                                   witness=("phi", i))
     fams = {name: fam for (_, name), fam in zip(_BLOCKS, zip(*blocks))}
-    mult0, mult1, act_l, act_r = fams.pop("z")
-    z = ZinbielTwoAlgebra(ZinbielAlgebra(f, n1, mult1), ZinbielAlgebra(f, n0, mult0),
-                          LinMap(f, n0, n1, [row[:n1] for row in phi_e[:n0]]),
-                          BimodulePair(act_l, act_r))
+    z = two_algebra(f, [*fams.pop("z"), LinMap(f, n0, n1, [row[:n1] for row in phi_e[:n0]])])
     d = LinMap(f, m0, m1, [row[n1:] for row in phi_e[n0:]])
     return ExtendingDatum(z, TwoVectorSpace(m1, m0, d), **fams,
                           sigma=LinMap(f, n0, m1, [row[n1:] for row in phi_e[:n0]]))

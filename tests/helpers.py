@@ -7,7 +7,6 @@ direct oracle), never by assuming unchecked candidates are valid.
 
 from __future__ import annotations
 
-import random
 from itertools import count
 
 from zinbiel2 import core

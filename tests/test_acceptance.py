@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; each test asserts the criterion and prints a summary with runtime.
 """
 
-import io
 import itertools
 import json
 import random

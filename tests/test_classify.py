@@ -458,6 +458,16 @@ def test_census_over_z_z_id_matches_golden(vdims, budget, counts):
     assert (out["valid_count"], *(q["orbit_count"] for q in out["quotients"])) == counts
 
 
+def test_datum_at_keeps_the_specs_z_and_v():
+    # a leaf's datum is built over the spec's own Z and V, not a copy of them
+    _, z, f = zio.load_document(str(Z_Z_ID))
+    spec = EnumerationSpec(f, z, (0, 1), LinMap.zero(f, 1, 0))
+    for index in (0, 1, spec.total - 1):
+        datum = spec.datum_at(index)
+        assert datum.z is spec.z and datum.v is spec.v
+        assert datum == reference_datum_at(spec, index)
+
+
 def test_census_next_size_matches_golden():
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     out = census(F5, z, (1, 1), LinMap.zero(F5, 1, 1), budget=5 ** 12)
@@ -895,8 +905,10 @@ def test_cohomologous_quotient_at_v20_sweeps_each_datum_at_most_twice(monkeypatc
     # the search space there has size 0 (r1 is 0x2, r0 is 1x0, s = id); a
     # datum's half of the morphism run is swept and reduced once as source
     # and once as target, not once for each of the 34,980 pairs, and
-    # straight off the half at phi, not through SymbolicRun.sweep
+    # straight off the half at phi, not through SymbolicRun.sweep: posing
+    # the search sweeps the run once, before the count starts
     data = golden_data((2, 0))
+    compute_quotients(data[:2], mode="cohomologous")
     sweeps = []
     real = classify._half_sweep
     monkeypatch.setattr(classify, "_half_sweep", lambda table, product, p:
@@ -1097,18 +1109,11 @@ def test_merged_halves_are_the_full_sweep(p):
     assert 0 < sum(refuted) < len(refuted)
 
 
-def test_halves_refuse_a_block_map_constant_of_two_terms():
-    # the block map's constants are checked once, where the halves are posed
-    ring = PolynomialRing()
-    run = core.morphism_run((1, 1), (1, 1))
-    n = len(classify._gather((0, 1, 1, 0)))
-    with pytest.raises(ValueError, match="a constant or a single term"):
-        run.halves(n, [ring.add(ring.var(0), ring.var(1))])
-
-
-@pytest.mark.parametrize("mono", [(0, 1), (), (10 ** 6,)], ids=["two", "constant", "rs only"])
+@pytest.mark.parametrize("mono", [(0, 1), (), (2 * len(classify._gather((1, 1, 1, 1))),)],
+                         ids=["two", "constant", "rs only"])
 def test_posing_refuses_a_run_whose_halves_do_not_sum_to_it(monkeypatch, mono):
-    # a monomial of the morphism run with two datum constants, or none
+    # a monomial of the morphism run with two product constants, or none:
+    # "rs only" is the first constant of the block map
     ring = PolynomialRing()
     doctored = core.SymbolicRun(ring, [("M1", (0,), ((((mono, 1),),), ((),)))])
     monkeypatch.setattr(classify, "morphism_run", lambda dims, dims2: doctored)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,12 +8,13 @@ from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, rand_zinbi
                      scalar_bilmap, zero_two_algebra)
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_action,
-                           check_bimodule, check_crossed_module, check_zinbiel,
-                           morphism_stream, semidirect_product)
+                           check_bimodule, check_crossed_module, check_zinbiel, map_values,
+                           morphism_stream, semidirect_product, two_algebra, two_algebra_maps,
+                           value_maps)
 from zinbiel2.conds_unified import ZZ_TABLE
 from zinbiel2.engine import DatumCtx, evaluate_conditions
 from zinbiel2.errors import FieldMismatch, PreconditionError
-from zinbiel2.fields import PrimeField, Rationals
+from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 from zinbiel2.unified import (ExtendingDatum, check_trivial_z1_conditions, extract_datum,
                               verify_psi)
@@ -430,3 +432,25 @@ def test_cap_keeps_the_first_violations(name):
         assert set(rep.violations) <= set(full.violations)
         assert rep.truncated == (total >= k)
         assert rep.ok == full.ok
+
+
+@pytest.mark.parametrize("ring", [F5, Q, PolynomialRing()], ids=["gf5", "q", "zx"])
+@pytest.mark.parametrize("n1,n0", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)])
+def test_two_algebra_inverts_two_algebra_maps(ring, n1, n0):
+    # level-0 mult, level-1 mult, left and right action, then phi, read from
+    # and written to the map_values layout
+    rng = random.Random(10 * n1 + n0)
+    shapes = ((n0, n0, n0), (n1, n1, n1), (n0, n1, n1), (n1, n0, n1), (n0, n1))
+    size = sum(math.prod(shape) for shape in shapes)
+    if isinstance(ring, PolynomialRing):
+        values = [ring.var(i) if rng.random() < 0.7 else ring.zero() for i in range(size)]
+    else:
+        values = [ring.canonical(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if ring is Q
+                                 else rng.randrange(5)) for _ in range(size)]
+    maps = value_maps(ring, shapes, values)
+    t = two_algebra(ring, maps)
+    assert (t.z1.dim, t.z0.dim) == (n1, n0)
+    assert (t.z0.mult, t.z1.mult, t.act.left, t.act.right, t.phi) == tuple(maps)
+    assert two_algebra_maps(t) == tuple(maps)
+    assert map_values(two_algebra_maps(t), ring.zero()) == values
+    assert two_algebra(ring, two_algebra_maps(t)) == t

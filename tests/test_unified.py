@@ -5,8 +5,7 @@ import pytest
 from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, scalar_bilmap,
                      standard_split, zero_two_algebra)
 from zinbiel2 import unified
-from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
-                           check_crossed_module, check_zinbiel)
+from zinbiel2.core import BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra, check_crossed_module
 from zinbiel2.errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
 from zinbiel2.fields import PrimeField
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
