@@ -51,6 +51,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, count, repeat
+from math import prod
 
 from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra, check_2alg_morphism,
                    crossed_module_run, map_items, map_values, morphism_run, reduced, two_algebra,
@@ -499,9 +500,8 @@ class EnumerationSpec:
         self.z = z
         self.v = TwoVectorSpace(m1, m0, d)
         self.dims = (z.z1.dim, z.z0.dim, m1, m0)
-        maps = datum_maps(ExtendingDatum.trivial(z, self.v))
-        self.fixed = tuple(map_values(maps[:_FREE], field.zero()))
-        self.size = len(map_values(maps[_FREE:], field.zero()))
+        self.fixed = tuple(map_values([*two_algebra_maps(z), d], field.zero()))
+        self.size = sum(map(prod, _layout(self.dims)[_FREE:]))
         self.total = field.char ** self.size
 
     def datum_at(self, index):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from contextvars import ContextVar
+from functools import cache
 
 from .classify import DEFAULT_ENUM_BUDGET, check_rs_conditions, check_rs_direct
 from .classify import census as run_census
@@ -256,8 +258,15 @@ def nonnegative_int(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    out = ContextVar("out", default=None)    # main's out stream, where --help writes
+
+    def print_help(self, file=None):
+        super().print_help(file or self.out.get())
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zinbiel2",
         description="Exact checks, products, and classification for Zinbiel 2-algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,10 +300,17 @@ def build_parser():
     return parser
 
 
+# main's parser, built on its first call and reused: parse_args leaves it as it was
+_parser = cache(build_parser)
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    token = _Parser.out.set(out)    # --help goes to out; usage errors to stderr
+    try:
+        args = _parser().parse_args(argv)
+    finally:
+        _Parser.out.reset(token)
     try:
         return args.fn(args, out)
     except SchemaError as exc:

@@ -1124,3 +1124,32 @@ def test_posing_refuses_a_run_whose_halves_do_not_sum_to_it(monkeypatch, mono):
             are_equivalent(d, d)
     finally:
         classify._posed.cache_clear()
+
+
+def test_spec_constants_match_the_trivial_datum():
+    # fixed and size are read off Z, d and the layout; the reference reads
+    # them off the datum_maps of the trivial datum
+    def reference(spec):
+        maps = datum_maps(ExtendingDatum.trivial(spec.z, spec.v))
+        zero = spec.field.zero()
+        return tuple(map_values(maps[:classify._FREE], zero)), len(
+            map_values(maps[classify._FREE:], zero))
+
+    specs = [shell_spec((1, 1), 3)]
+    for zdims, vdims in [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 0)),
+                         ((1, 0), (0, 1)), ((1, 0), (1, 0))]:
+        specs.append(EnumerationSpec(F5, zero_two_algebra(F5, *zdims), vdims,
+                                     LinMap.zero(F5, vdims[1], vdims[0])))
+    for p in (5, 7):
+        f = PrimeField(p)
+        for z in _reference_z_cases(f):
+            for m1, m0 in REFERENCE_VDIMS:
+                for d_val in (0, 2) if m1 and m0 else (0,):
+                    specs.append(EnumerationSpec(f, z, (m1, m0),
+                                                 LinMap(f, m0, m1, [[d_val] * m1] * m0)))
+    _, z, f = zio.load_document(str(Z_Z_ID))
+    specs += [EnumerationSpec(f, z, (0, 1), LinMap.zero(f, 1, 0)),
+              EnumerationSpec(f, z, (1, 0), LinMap.zero(f, 0, 1)),
+              EnumerationSpec(f, z, (1, 1), LinMap(f, 1, 1, [[4]]))]
+    for spec in specs:
+        assert (spec.fixed, spec.size) == reference(spec), spec.dims

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -267,3 +268,78 @@ def test_allow_small_char_marks_nonconforming(tmp_path):
     code, text = run_cli(["check-zinbiel", str(path), "--allow-small-char"])
     assert code == 0
     assert json.loads(text)["conforming_field"] is False
+
+
+@pytest.mark.parametrize("argv,usage", [(["--help"], "usage: zinbiel2 [-h]"),
+                                        (["classify", "--help"], "usage: zinbiel2 classify")])
+def test_help_goes_to_out(argv, usage, capsys):
+    # help is written straight to out: sys.stdout is the same object throughout,
+    # so concurrent main calls cannot route each other's output
+    stdout, seen = sys.stdout, []
+
+    class Out(io.StringIO):
+        def write(self, text):
+            seen.append(sys.stdout)
+            return super().write(text)
+    out = Out()
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=out)
+    assert exc.value.code == 0
+    assert out.getvalue().startswith(usage)
+    assert seen and all(s is stdout for s in seen) and sys.stdout is stdout
+    assert capsys.readouterr() == ("", "")
+    if argv == ["--help"]:
+        assert out.getvalue() == cli.build_parser().format_help()
+
+
+def test_main_builds_one_parser(monkeypatch):
+    # one parser and a subparser per command on the first call, none after;
+    # build_parser still builds a new parser for each caller
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    golden = (0, (GOLDEN_DIR / "classify_zero01.out").read_text())
+    assert run_cli(DOCUMENTED["classify_zero01"]) == golden
+    assert built.count("zinbiel2") == 1 and len(built) == len(cli._COMMANDS) + 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["check-zinbiel", "data/dim1_idempotent.json", "--cap", "0"])
+    assert exc.value.code == cli.EXIT_INPUT
+    census = cli.run_census
+    monkeypatch.setattr(cli, "run_census", lambda *args, **kwargs: 1 / 0)
+    assert run_cli(DOCUMENTED["classify_zero01"]) == (cli.EXIT_INTERNAL, "")
+    monkeypatch.setattr(cli, "run_census", census)
+    assert run_cli(DOCUMENTED["classify_zero01"]) == golden
+    assert len(built) == len(cli._COMMANDS) + 1
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second and first is not cli._parser()
+    assert first.format_help() == second.format_help() == cli._parser().format_help()
+
+
+def test_import_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import zinbiel2.cli\n"
+            "assert not built, built\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTED))
+def test_documented_command_matches_golden_in_a_fresh_process(name):
+    # the in-process tests reuse one parser after their first call; this one
+    # builds it anew and enters through the module's __main__ guard
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "zinbiel2.cli", *DOCUMENTED[name]],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert str(proc.returncode) == (GOLDEN_DIR / f"{name}.exit").read_text().strip()
+    assert proc.stdout == (GOLDEN_DIR / f"{name}.out").read_text()
