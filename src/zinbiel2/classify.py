@@ -1,47 +1,34 @@
 """Morphisms between unified products, equivalence of extending data, and
 desk-scale classification over GF(p).
 
-Valid data are enumerated by backtracking with forward checking in the one
-layout of a datum's constants, engine.datum_maps: Z's (core.two_algebra_maps)
-and d fixed, then the free scalars, from which each leaf's datum is built
-over the spec's own Z and V.  The validity constraints are read off the
-direct oracle's compiled run (core.crossed_module_run) at the product
-gathered from the datum (_gather), the free scalars variables of Z[x],
-reduced mod p; a depth-first assignment cuts every branch on which a fully
-bound constraint fails.  Each accepted datum is re-checked by the oracle.
+A census walks a datum's constants in the one layout of engine.datum_maps,
+Z's (core.two_algebra_maps) and d fixed, the free scalars bound depth-first
+with forward checking against the validity constraints, read off the direct
+oracle's compiled run (core.crossed_module_run) at the product gathered from
+the constants (_gather), the free scalars variables of Z[x], reduced mod p.
+A leaf is its constants plus one product built from them and re-checked by
+the oracle (_leaves); its datum is built only on request.
 
 Equivalence testing searches block maps (x, u) -> (x + r(u), s(u)) rather
 than all linear maps of the ambient product: a morphism that stabilizes Z
 has exactly this form, and it is an isomorphism precisely when both s
 components are invertible (criterion H1..H20, cross-validated against the
 direct morphism check).  The cohomologous relation additionally fixes
-s = id.  The search is the same depth-first walk as the enumeration, over
-the morphism constraints read off the compiled morphism check at a block
-map whose r and s entries are variables, bound fail-first: s before r, so
-that singular s blocks are cut before any r is bound.  A related pair is
-walked again in the slot order (r before s) for its lexicographically
-first witness, which the oracle re-checks.
+s = id.  The search is the same walk over the morphism constraints read off
+the compiled morphism check at a block map of variables, bound fail-first,
+s before r, so that a singular s block is cut before any r is bound.  A
+related pair is walked again in the slot order (r before s) for its
+lexicographically first witness, which the oracle re-checks.
 
-What depends only on the shape is derived once per shape: the skeleton of
-the canonical serialization, read off io's encoder (_skeleton), the gather
-that reads a unified product's structure constants off its datum's
-(_gather), and the posed search (_posed: the layout of the block map, the
-compiled morphism run read off one sweep at the block map into a source half
-and a target half, each a table from a datum constant to its terms, the
-guards).
-A datum's nonzero structure constants are read once, sparsely (_Product);
-its serialization, a quotient's item, is spliced from them, each half is
-swept at them and reduced mod p at most once per search object, and its
-product is built only if a witness involving it is re-checked.  A pair
-costs one pass over the components of its two reduced halves, which merges
-only those both carry and stops at the first nonzero constant (the pair is
-then refuted with no walk); else the walk, in which a bound s block is
-tested by elimination mod p on its digits, and for a related pair the
-slot-order walk and the oracle re-check of the witness.
-A quotient searches each datum against one representative per orbit, and
-census reads each datum once for both relations.
-Searches and enumerations run in the calling process and are deterministic
-and lexicographic, budgets are hard limits, and nothing is silently sampled.
+What depends only on the shape is derived once (_skeleton, _gather,
+_posed).  A datum is read as its nonzero constants (_Product): its item is
+spliced from them, each half of the morphism run is swept at them once per
+search object, and its product is built from them at most once.  A pair
+costs one pass over its two swept halves, which stops at the first nonzero
+constant (the pair is then refuted with no walk); else the walk.  A quotient
+searches each datum against one representative per orbit.  Everything runs
+in the calling process, deterministic and lexicographic; budgets are hard
+limits, and nothing is silently sampled.
 """
 
 from __future__ import annotations
@@ -54,8 +41,8 @@ from itertools import accumulate, count, repeat
 from math import prod
 
 from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra, check_2alg_morphism,
-                   crossed_module_run, map_items, map_values, morphism_run, reduced, two_algebra,
-                   two_algebra_maps, value_maps)
+                   check_crossed_module, crossed_module_run, map_items, map_values, morphism_run,
+                   reduced, two_algebra, two_algebra_maps, value_maps)
 from .engine import (_DATUM_KEYS, _FAMS, MorphismCtx, datum_maps, evaluate_conditions,
                      map_shape)
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
@@ -101,7 +88,7 @@ class RSData:
         return inverse(self.s1) is not None and inverse(self.s0) is not None
 
 
-def _require_compatible(d1: ExtendingDatum, d2: ExtendingDatum, rs=None):
+def _require_compatible(d1, d2, rs=None):
     if d1.field != d2.field or (rs is not None and rs.field != d1.field):
         raise FieldMismatch("data or rs over different fields")
     if d1.z != d2.z or d1.v != d2.v:
@@ -140,10 +127,10 @@ def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                                morphism_from_rs(rs, d1, d2), cap=cap)
 
 
-def _rs_shapes(datum: ExtendingDatum, mode):
+def _rs_shapes(datum, mode):
     """(rows, cols) of the blocks of rs in slot order, the order of its
     lexicographic witnesses: r1 and r0, then s1 and s0 in mode
-    "equivalent"."""
+    "equivalent".  datum may be a _Product."""
     n1, n0 = datum.z.z1.dim, datum.z.z0.dim
     m1, m0 = datum.v.dim1, datum.v.dim0
     return [(n1, m1), (n0, m0)] + ([(m1, m1), (m0, m0)] if mode == "equivalent" else [])
@@ -185,20 +172,21 @@ def _layout(dims):
     return tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS)
 
 
-def _families(maps):
-    """The ExtendingDatum keyword arguments of the maps of a datum from _FREE
-    on: the families in _FAMS order, four maps each, then sigma."""
-    return {**{name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)},
-            "sigma": maps[4 * len(_FAMS)]}
+def _datum_over(z, v, free):
+    """The datum over z and v whose free scalars, its constants from _FREE on
+    in the layout of engine.datum_maps (the families in _FAMS order, four
+    maps each, then sigma), are read from the iterable free."""
+    maps = value_maps(z.field, _layout((z.z1.dim, z.z0.dim, v.dim1, v.dim0))[_FREE:], free)
+    return ExtendingDatum(z, v, sigma=maps.pop(),
+                          **{name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)})
 
 
 def _datum_at(ring, dims, values):
     """The datum over ring at dims (n1, n0, m1, m0) whose structure constants,
     in the layout of engine.datum_maps, are read from the iterable values."""
-    maps = value_maps(ring, _layout(dims), values)
-    *z, d = maps[:_FREE]
-    return ExtendingDatum(two_algebra(ring, z), TwoVectorSpace(*dims[2:], d),
-                          **_families(maps[_FREE:]))
+    values = iter(values)
+    *z, d = value_maps(ring, _layout(dims)[:_FREE], values)
+    return _datum_over(two_algebra(ring, z), TwoVectorSpace(*dims[2:], d), values)
 
 
 @cache
@@ -278,21 +266,36 @@ def _skeleton(field, dims):
 
 
 class _Product:
-    """A datum as a quotient reads it: constants, its nonzero structure
-    constants read once, (slot, value) in the layout of engine.datum_maps
-    (map_items); item, its canonical serialization, spliced from them by
-    _skeleton; and e, its unified product, built on first use, when the
-    oracle re-checks a witness."""
+    """A datum over the 2-algebra z and the space v as the census and the
+    quotients read it: constants, its nonzero constants, (slot, value) in the
+    layout of engine.datum_maps; item, its canonical serialization, spliced
+    from them (_skeleton); e, its unified product, built from them once, each
+    of its own constants read through _gather; datum, built from them only on
+    request (_Product.of)."""
 
-    def __init__(self, datum):
-        z, v = datum.z, datum.v
-        self.datum = datum
-        self.constants = tuple(map_items(datum_maps(datum)))
-        self.item = _skeleton(datum.field, (z.z1.dim, z.z0.dim, v.dim1, v.dim0))(self.constants)
+    def __init__(self, z, v, constants):
+        self.z, self.v, self.constants = z, v, constants
+        self.field, self.dims = z.field, (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
+        self.item = _skeleton(self.field, self.dims)(constants)
+
+    @classmethod
+    def of(cls, datum):
+        """The _Product of datum, its constants read once, sparsely (map_items)."""
+        product = cls(datum.z, datum.v, tuple(map_items(datum_maps(datum))))
+        product.datum = datum
+        return product
 
     @cached_property
     def e(self):
-        return build_unified_product(self.datum)
+        n1, n0, m1, m0 = self.dims
+        shapes = _layout((n1 + m1, n0 + m0, 0, 0))[:_FREE - 1]     # E's two_algebra_maps
+        values = map(dict(self.constants).get, _gather(self.dims), repeat(0))
+        return two_algebra(self.field, value_maps(self.field, shapes, values))
+
+    @cached_property
+    def datum(self):
+        start = sum(map(prod, _layout(self.dims)[:_FREE]))     # the first free scalar
+        return _datum_over(self.z, self.v, map(dict(self.constants).get, count(start), repeat(0)))
 
 
 def _rs_maps(ring, shapes, values):
@@ -374,23 +377,23 @@ def _require_mode(mode):
 
 
 class _RSSearch:
-    """The rs search among data of one shape: construction checks that it
-    is well posed (a known mode, one prime field, Z and V, valid data if
+    """The rs search among _Products of one shape: construction checks that
+    it is well posed (a known mode, one prime field, Z and V, valid data if
     check_valid, rs space in budget, in that order) and takes what depends
     only on the shape from _posed.  Each product's half of the morphism run
     is swept and reduced at most once per search object, as either side."""
 
-    def __init__(self, data, mode, rs_budget, check_valid):
+    def __init__(self, products, mode, rs_budget, check_valid):
         _require_mode(mode)
-        first = data[0]
-        for d in data[1:]:
-            _require_compatible(first, d)
+        first = products[0]
+        for product in products[1:]:
+            _require_compatible(first, product)
         f = first.field
         if not isinstance(f, PrimeField):
             raise PreconditionError("equivalence search requires a prime field")
         if check_valid:
-            for d in data:
-                rep = check_datum_direct(d, cap=1)
+            for product in products:
+                rep = check_datum_direct(product.datum, cap=1)
                 if not rep.ok:
                     raise PreconditionError("datum is not a valid extending structure", rep)
         space = rs_search_space(f, first, mode)
@@ -468,8 +471,8 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
     the witness being the lexicographically first rs (r1, r0, s1, s0,
     row-major), found by _RSSearch and re-checked by the oracle.
     """
-    search = _RSSearch((d1, d2), mode, rs_budget, check_valid)
-    rs = search(_Product(d1), _Product(d2))
+    products = _Product.of(d1), _Product.of(d2)
+    rs = _RSSearch(products, mode, rs_budget, check_valid)(*products)
     return rs is not None, rs
 
 
@@ -507,9 +510,7 @@ class EnumerationSpec:
     def datum_at(self, index):
         if not (0 <= index < self.total):
             raise IndexError(f"index {index} out of range ({self.total} assignments)")
-        digits = _digits(index, self.field.char, self.size)
-        free = value_maps(self.field, _layout(self.dims)[_FREE:], digits)
-        return ExtendingDatum(self.z, self.v, **_families(free))
+        return _datum_over(self.z, self.v, _digits(index, self.field.char, self.size))
 
     @cached_property
     def checks(self):
@@ -619,27 +620,14 @@ def _walk(p, checks, guards=None):
         index += 1
 
 
-def _rechecked(spec, indices):
-    """The data at the indices, each confirmed by the oracle."""
-    for index in indices:
-        datum = spec.datum_at(index)
-        if not check_datum_direct(datum, cap=1, check_z=False).ok:
-            raise AssertionError(f"the search accepted assignment {index}, "
-                                 "which the oracle rejects")
-        yield datum
-
-
-def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
-                         budget=DEFAULT_ENUM_BUDGET):
-    """All valid extending data for (z, V) in lexicographic order.
+def _leaves(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
+    """The leaves of _walk over spec.checks for (z, V), in lexicographic order:
+    each a _Product over z and V of the spec's fixed constants and its digits,
+    its e re-checked by the oracle as check_datum_direct does; a rejection raises.
 
     Raises ValueError for a negative budget, BudgetExceeded (with the exact
     candidate count) before searching anything if the assignment space is
     too large, and PreconditionError if z itself is not a valid 2-algebra.
-    The search (_walk over spec.checks, free scalars bound in index order)
-    visits only assignments that pass every check so far; each datum it
-    accepts is rebuilt and re-checked by the oracle, and a disagreement
-    raises.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -649,7 +637,21 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
         raise BudgetExceeded(
             f"enumeration space has {spec.total} candidates (budget {budget})",
             count=spec.total)
-    yield from _rechecked(spec, _walk(field.char, spec.checks))
+    for index in _walk(field.char, spec.checks):
+        values = enumerate((*spec.fixed, *_digits(index, field.char, spec.size)))
+        product = _Product(z, spec.v, tuple((at, c) for at, c in values if c))
+        if not check_crossed_module(product.e, cap=1).ok:
+            raise AssertionError(f"the search accepted assignment {index}, "
+                                 "which the oracle rejects")
+        yield product
+
+
+def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
+                         budget=DEFAULT_ENUM_BUDGET):
+    """All valid extending data for (z, V) in lexicographic order, raising as
+    _leaves: the datum of each leaf (its constants plus one re-checked
+    product), built on request."""
+    return (product.datum for product in _leaves(field, z, vdims, d, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -675,22 +677,20 @@ def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET):
     orbit it is related to or opens one; orbits thus come sorted by
     representative.  A datum related to two representatives raises
     AssertionError.  The mode is checked first, whatever the number of data;
-    with two data or more the inputs are checked once, up front (_RSSearch,
-    as in are_equivalent with check_valid=False).  The items are the data's
-    canonical serializations, spliced from their constants (_Product).
+    with two data or more the inputs are checked once, up front (_RSSearch).
+    The items are their canonical serializations (_Product.of).
     """
     _require_mode(mode)
-    return _quotients(list(map(_Product, data)), mode, rs_budget)
+    return _quotients(list(map(_Product.of, data)), mode, rs_budget)
 
 
 def _quotients(products, mode, rs_budget):
-    """compute_quotients on the data of the _Products given, so that census
-    reads each datum once for both relations."""
-    data = [product.datum for product in products]
+    """compute_quotients on the _Products given; census calls it on its
+    leaves, each read once for both relations."""
     items = tuple(product.item for product in products)
-    search = _RSSearch(data, mode, rs_budget, False) if len(data) > 1 else None
+    search = _RSSearch(products, mode, rs_budget, False) if len(products) > 1 else None
     orbits = []         # members, the representative first
-    for i in sorted(range(len(data)), key=items.__getitem__):
+    for i in sorted(range(len(products)), key=items.__getitem__):
         hits = [members for members in orbits if search(products[i], products[members[0]])]
         if len(hits) > 1:
             raise AssertionError(f"item {i} is related to the representatives "
@@ -705,10 +705,11 @@ def _quotients(products, mode, rs_budget):
 
 def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
            budget=DEFAULT_ENUM_BUDGET, rs_budget=DEFAULT_RS_BUDGET):
-    """Enumerate valid data and compute both quotients; returns census JSON.
-    Each datum is read once (_Product), for both relations."""
+    """Enumerate the valid leaves and compute both quotients; returns census
+    JSON.  A leaf is its constants plus one product re-checked by the oracle
+    (_leaves), read for both relations; no datum is built."""
     from .io import two_algebra_to_json
-    products = list(map(_Product, enumerate_valid_data(field, z, vdims, d, budget=budget)))
+    products = list(_leaves(field, z, vdims, d, budget))
     out = {"field": field.name,
            "Z": two_algebra_to_json(z, kind=None),
            "Vdims": list(vdims),
@@ -716,8 +717,7 @@ def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
            "quotients": []}
     parts = {}
     for mode in ("equivalent", "cohomologous"):
-        part = _quotients(products, mode, rs_budget)
-        parts[mode] = part
+        parts[mode] = part = _quotients(products, mode, rs_budget)
         out["quotients"].append({
             "relation": mode,
             "orbit_count": len(part.orbits),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
                      pairwise_partition, rand_sparse_datum, recursive_walk, reference_checks,
                      reference_datum_at, reference_rs_checks, scalar_bilmap, zero_two_algebra)
-from zinbiel2 import classify, cli, core, linalg
+from zinbiel2 import classify, cli, core, linalg, unified
 from zinbiel2 import io as zio
 from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
                                census, check_rs_conditions, check_rs_direct,
@@ -397,11 +398,11 @@ def test_rs_checks_match_reference(p):
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.3) for _ in range(2))
             e1, e2 = build_unified_product(d1), build_unified_product(d2)
-            source, target = classify._Product(d1), classify._Product(d2)
+            source, target = classify._Product.of(d1), classify._Product.of(d2)
             # the search numbers its variables in the binding order: s1, s0,
             # then r1, r0
             for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
-                search = classify._RSSearch((d1, d2), mode, math.inf, False)
+                search = classify._RSSearch((source, target), mode, math.inf, False)
                 checks = search.checks(source, target)
                 reference = reference_rs_checks(e1, e2, search.shapes, binding)
                 refuted.append(_refuted_alone(checks, reference))
@@ -541,10 +542,10 @@ def test_rs_solution_sets_match_the_reference():
                                       ((0, 1), (1, 1), 3, 1), ((0, 2), (0, 1), 0, 1),
                                       ((0, 1), (0, 2), 0, 4)):
         data = seeded_valid_data(zdims, vdims, d_val, 4, seed)
-        products = list(map(classify._Product, data))
+        products = list(map(classify._Product.of, data))
         e = list(map(build_unified_product, data))
         for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
-            search = classify._RSSearch(data, mode, math.inf, False)
+            search = classify._RSSearch(products, mode, math.inf, False)
             for i, j in itertools.product(range(len(data)), repeat=2):
                 checks = search.checks(products[i], products[j])
                 leaves = list(classify._walk(5, checks, search.guards))
@@ -615,8 +616,9 @@ def test_witness_stays_lexicographic_when_s_is_bound_first():
     # s1, s0) order, which the slot-order re-walk finds, is r0 = 1, s = 2
     data = seeded_valid_data((1, 1), (1, 1), 1, 6, seed=3)
     d1, d2 = data[:2]
-    search = classify._RSSearch((d1, d2), "equivalent", math.inf, False)
-    checks = search.checks(classify._Product(d1), classify._Product(d2))
+    source, target = classify._Product.of(d1), classify._Product.of(d2)
+    search = classify._RSSearch((source, target), "equivalent", math.inf, False)
+    checks = search.checks(source, target)
     s1, s0, r1, r0 = classify._digits(next(classify._walk(5, checks, search.guards)), 5, 4)
     assert (r1, r0, s1, s0) == (0, 3, 1, 1)
     found, rs = are_equivalent(d1, d2)
@@ -776,14 +778,20 @@ def test_quotients_at_v20():
                                       key=lambda orbit: coh.items[orbit[0]]))
 
 
+def _record_products_built(monkeypatch, built):
+    """Patch _Product.e to append each _Product whose e it builds to built."""
+    real = classify._Product.e.func
+    prop = functools.cached_property(lambda product: built.append(product) or real(product))
+    prop.__set_name__(classify._Product, "e")
+    monkeypatch.setattr(classify._Product, "e", prop)
+
+
 def test_quotients_build_each_product_once(monkeypatch):
     # at most once per datum, and exactly for the data whose witness the
-    # oracle re-checks (as source or as representative); the gather of the
-    # shape is built before
+    # oracle re-checks (as source or as representative)
     data = golden_data((1, 1))
-    classify._gather((0, 1, 1, 1))
-    built, rechecked = [], set()
-    real_build, real_call = classify.build_unified_product, classify._RSSearch.__call__
+    products, rechecked = [], set()
+    real_call = classify._RSSearch.__call__
 
     def call(search, source, target):
         rs = real_call(search, source, target)
@@ -791,16 +799,16 @@ def test_quotients_build_each_product_once(monkeypatch):
             rechecked.update((data.index(source.datum), data.index(target.datum)))
         return rs
 
-    monkeypatch.setattr(classify, "build_unified_product",
-                        lambda datum: built.append(datum) or real_build(datum))
+    _record_products_built(monkeypatch, products)
     monkeypatch.setattr(classify._RSSearch, "__call__", call)
     # one of the six equivalence classes is a singleton; the cohomology
     # classes all are
     for mode, count in (("equivalent", 24), ("cohomologous", 0)):
-        built.clear()
+        products.clear()
         rechecked.clear()
         compute_quotients(data, mode=mode)
-        assert sorted(map(data.index, built)) == sorted(rechecked)
+        built = [data.index(product.datum) for product in products]
+        assert sorted(built) == sorted(rechecked)
         assert len(built) == count
 
 
@@ -869,20 +877,70 @@ def test_census_refuses_quotients_that_do_not_refine(monkeypatch):
 
 
 def test_census_reads_each_datum_once(monkeypatch):
-    # one _Product per valid datum, for both relations; the encoder runs
+    # one _Product per valid leaf, for both relations; the encoder runs
     # only to read off the skeleton of the one shape
     calls = []
     real_json, real_product = zio.datum_to_json, classify._Product.__init__
     monkeypatch.setattr(zio, "datum_to_json",
                         lambda datum: calls.append("json") or real_json(datum))
-    monkeypatch.setattr(classify._Product, "__init__",
-                        lambda product, datum: calls.append("product") or real_product(product, datum))
+    monkeypatch.setattr(classify._Product, "__init__", lambda product, z, v, constants:
+                        calls.append("product") or real_product(product, z, v, constants))
     classify._skeleton.cache_clear()
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     out = census(F5, z, (1, 1), LinMap.zero(F5, 1, 1), budget=5 ** 12)
     assert pretty_dumps(out) == GOLDEN_V11.read_text()
     assert calls.count("product") == 25
     assert calls.count("json") == 2
+
+
+def test_census_builds_no_datum_and_one_product_per_leaf(monkeypatch):
+    # a leaf is its constants plus one product, re-checked by the oracle once
+    # and reused by the quotients' witness re-checks; no ExtendingDatum is
+    # built and build_unified_product is not called, but for what a shape
+    # derives once (the gather and the skeleton), here on the first census
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    d = LinMap.zero(F5, 1, 0)
+    counts, products = collections.Counter(), []
+    real_init, real_build = ExtendingDatum.__post_init__, unified.build_unified_product
+    real_check = classify.check_crossed_module
+    monkeypatch.setattr(ExtendingDatum, "__post_init__",
+                        lambda datum: counts.update(["datum"]) or real_init(datum))
+    for module in (classify, unified):
+        monkeypatch.setattr(module, "build_unified_product",
+                            lambda datum: counts.update(["build"]) or real_build(datum))
+    monkeypatch.setattr(classify, "check_crossed_module",
+                        lambda e, cap: counts.update([f"check cap {cap}"]) or real_check(e, cap=cap))
+    _record_products_built(monkeypatch, products)
+    classify._gather.cache_clear()
+    classify._skeleton.cache_clear()
+    for derived in ({"datum": 3, "build": 1}, {}):
+        counts.clear()
+        products.clear()
+        out = census(F5, z, (0, 1), d)
+        assert pretty_dumps(out) == GOLDEN.read_text()
+        assert counts == {**derived, "check cap 1": 5}
+        assert len(products) == len(set(map(id, products))) == out["valid_count"] == 5
+
+
+@pytest.mark.parametrize("zfile,vdims,count", [(Z_ZERO01, (0, 1), 5), (Z_ZERO01, (1, 1), 25),
+                                               (Z_ZERO01, (2, 0), 265), (Z_Z_ID, (0, 1), 125),
+                                               (Z_Z_ID, (1, 0), 25)],
+                         ids=["zero01-v01", "zero01-v11", "zero01-v20", "z_z_id-v01",
+                              "z_z_id-v10"])
+def test_leaves_are_the_reference_data(zfile, vdims, count):
+    # each census leaf, built from constants, against the reference datum at
+    # its index: its product, its lazily built datum and its item
+    _, z, f = zio.load_document(str(zfile))
+    d = LinMap.zero(f, vdims[1], vdims[0])
+    spec = EnumerationSpec(f, z, vdims, d)
+    indices = list(classify._walk(5, spec.checks))
+    leaves = list(classify._leaves(f, z, vdims, d, spec.total))
+    assert len(indices) == len(leaves) == count
+    for index, product in zip(indices, leaves):
+        datum = reference_datum_at(spec, index)
+        assert product.e == build_unified_product(datum), index
+        assert product.datum == datum, index
+        assert product.item == canonical_dumps(datum_to_json(datum)), index
 
 
 def test_quotients_encode_only_to_read_off_the_skeleton(monkeypatch):
@@ -993,7 +1051,7 @@ def test_gathered_products_match_the_built_ones(p):
             d = LinMap(f, m0, m1, [[rng.randrange(p) for _ in range(m1)] for _ in range(m0)])
             datum = rand_sparse_datum(z, TwoVectorSpace(m1, m0, d), rng, 0.5)
             e = build_unified_product(datum)
-            product = classify._Product(datum)
+            product = classify._Product.of(datum)
             constants = dict(product.constants)
             gather = classify._gather((z.z1.dim, z.z0.dim, m1, m0))
             assert {i: constants[at] for i, at in enumerate(gather) if at in constants} == {
@@ -1037,7 +1095,7 @@ def test_spliced_item_is_the_encoders(data):
     f = PrimeField(data.draw(st.sampled_from((5, 7))))
     sparse = st.sampled_from([0] * 3 * (f.char - 1) + list(range(1, f.char)))
     d = _drawn_datum(data, f, data.draw(st.sampled_from((sparse, st.integers(0, f.char - 1)))))
-    assert classify._Product(d).item == canonical_dumps(datum_to_json(d))
+    assert classify._Product.of(d).item == canonical_dumps(datum_to_json(d))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1094,11 +1152,11 @@ def test_merged_halves_are_the_full_sweep(p):
         for m1, m0 in REFERENCE_VDIMS:
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.4) for _ in range(2))
-            products = classify._Product(d1), classify._Product(d2)
+            products = classify._Product.of(d1), classify._Product.of(d2)
             values = {product: tuple((((), c),) if c else () for c in map_values(
                 two_algebra_maps(product.e), f.zero())) for product in products}
             for mode in ("equivalent", "cohomologous"):
-                search = classify._RSSearch((d1, d2), mode, math.inf, False)
+                search = classify._RSSearch(products, mode, math.inf, False)
                 for source, target in itertools.product(products, repeat=2):
                     full = search.run.constraints(values[source] + values[target] + search.phi, p)
                     reference = classify._levelled(full, search.size)

@@ -225,9 +225,9 @@ def test_searches_substitute_into_the_compiled_runs(monkeypatch):
     assert [sum(map(len, spec.checks)) for spec in specs] == [14, 14]
     assert streams == ["cm"]
     data = [specs[0].datum_at(index) for index in (0, 1, 7)]
-    products = [classify._Product(d) for d in data]
+    products = [classify._Product.of(d) for d in data]
     for mode in ("equivalent", "cohomologous"):
-        search = classify._RSSearch(data, mode, classify.DEFAULT_RS_BUDGET, False)
+        search = classify._RSSearch(products, mode, classify.DEFAULT_RS_BUDGET, False)
         for source, target in zip(products, products[1:]):
             search.checks(source, target)
     assert streams == ["cm", "m"] and core._compiled.cache_info().currsize == 2
