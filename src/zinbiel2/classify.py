@@ -4,10 +4,10 @@ desk-scale classification over GF(p).
 A census walks a datum's constants in the one layout of engine.datum_maps,
 Z's (core.two_algebra_maps) and d fixed, the free scalars bound depth-first
 with forward checking against the validity constraints, read off the direct
-oracle's compiled run (core.crossed_module_run) at the product gathered from
-the constants (_gather), the free scalars variables of Z[x], reduced mod p.
-A leaf is its constants plus one product built from them and re-checked by
-the oracle (_leaves); its datum is built only on request.
+oracle's compiled run (core.crossed_module_run) at the product built from
+the constants (unified._product), the free scalars variables of Z[x],
+reduced mod p.  A leaf is its constants plus one product built from them
+and re-checked by the oracle (_leaves); its datum is built only on request.
 
 Equivalence testing searches block maps (x, u) -> (x + r(u), s(u)) rather
 than all linear maps of the ambient product: a morphism that stabilizes Z
@@ -20,10 +20,11 @@ s before r, so that a singular s block is cut before any r is bound.  A
 related pair is walked again in the slot order (r before s) for its
 lexicographically first witness, which the oracle re-checks.
 
-What depends only on the shape is derived once (_skeleton, _gather,
-_posed).  A datum is read as its nonzero constants (_Product): its item is
-spliced from them, each half of the morphism run is swept at them once per
-search object, and its product is built from them at most once.  A pair
+What depends only on the shape is derived once (_skeleton, _posed, and
+unified._places, where each datum constant sits in the product).  A datum
+is read as its nonzero constants (_Product): its item is spliced from them,
+each half of the morphism run is swept at them once per search object, and
+its product is built from them at most once (unified._product).  A pair
 costs one pass over its two swept halves, which stops at the first nonzero
 constant (the pair is then refuted with no walk); else the walk.  A quotient
 searches each datum against one representative per orbit.  Everything runs
@@ -42,14 +43,14 @@ from math import prod
 
 from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra, check_2alg_morphism,
                    check_crossed_module, crossed_module_run, map_items, map_values, morphism_run,
-                   reduced, two_algebra, two_algebra_maps, value_maps)
-from .engine import (_DATUM_KEYS, _FAMS, MorphismCtx, datum_maps, evaluate_conditions,
-                     map_shape)
+                   reduced, two_algebra_maps, value_maps)
+from .engine import MorphismCtx, datum_maps, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField, Rationals
 from .linalg import LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import ExtendingDatum, _require_valid_z, build_unified_product, check_datum_direct
+from .unified import (_FREE, ExtendingDatum, _datum_at, _datum_over, _layout, _places, _product,
+                      _require_valid_z, build_unified_product, check_datum_direct)
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
@@ -159,55 +160,6 @@ def _invertible_block(p, m, lo):
     return test
 
 
-# where the free scalars of a datum's maps start in the order of
-# engine.datum_maps: after Z's two_algebra_maps and d, at the first family map
-_FREE = [key for key, _ in _DATUM_KEYS].index((_FAMS[0], 0))
-
-
-@cache
-def _layout(dims):
-    """The shapes (engine.map_shape) of the maps of a datum at dims (n1, n0,
-    m1, m0), in the order of engine.datum_maps."""
-    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
-    return tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS)
-
-
-def _datum_over(z, v, free):
-    """The datum over z and v whose free scalars, its constants from _FREE on
-    in the layout of engine.datum_maps (the families in _FAMS order, four
-    maps each, then sigma), are read from the iterable free."""
-    maps = value_maps(z.field, _layout((z.z1.dim, z.z0.dim, v.dim1, v.dim0))[_FREE:], free)
-    return ExtendingDatum(z, v, sigma=maps.pop(),
-                          **{name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)})
-
-
-def _datum_at(ring, dims, values):
-    """The datum over ring at dims (n1, n0, m1, m0) whose structure constants,
-    in the layout of engine.datum_maps, are read from the iterable values."""
-    values = iter(values)
-    *z, d = value_maps(ring, _layout(dims)[:_FREE], values)
-    return _datum_over(two_algebra(ring, z), TwoVectorSpace(*dims[2:], d), values)
-
-
-@cache
-def _gather(dims):
-    """Where each structure constant of a unified product at dims (n1, n0,
-    m1, m0) comes from: for each entry of map_values(two_algebra_maps(E)),
-    the position of the datum constant it equals in the layout of
-    engine.datum_maps, or -1 where it is 0.  Read off the product of the
-    datum whose constants are the variables x0, x1, ... (_datum_at);
-    AssertionError unless each entry is 0 or one variable with coefficient 1."""
-    ring = PolynomialRing()
-    datum = _datum_at(ring, dims, map(ring.var, count()))
-    table = []
-    for v in map_values(two_algebra_maps(build_unified_product(datum)), ring.zero()):
-        if v and (len(v) > 1 or v[0][1] != 1 or len(v[0][0]) != 1):
-            raise AssertionError(f"a constant of the unified product is {v}, "
-                                 "not 0 or one datum constant")
-        table.append(v[0][0][0] if v else -1)
-    return tuple(table)
-
-
 # an entry of a serialized map: its indices, then its value as a string
 _ENTRY = re.compile(r'(\[(?:\d+,)+")(\d+)"\]')
 
@@ -269,9 +221,9 @@ class _Product:
     """A datum over the 2-algebra z and the space v as the census and the
     quotients read it: constants, its nonzero constants, (slot, value) in the
     layout of engine.datum_maps; item, its canonical serialization, spliced
-    from them (_skeleton); e, its unified product, built from them once, each
-    of its own constants read through _gather; datum, built from them only on
-    request (_Product.of)."""
+    from them (_skeleton); e, its unified product, built from them once
+    (unified._product); datum, built from them only on request
+    (_Product.of)."""
 
     def __init__(self, z, v, constants):
         self.z, self.v, self.constants = z, v, constants
@@ -287,10 +239,7 @@ class _Product:
 
     @cached_property
     def e(self):
-        n1, n0, m1, m0 = self.dims
-        shapes = _layout((n1 + m1, n0 + m0, 0, 0))[:_FREE - 1]     # E's two_algebra_maps
-        values = map(dict(self.constants).get, _gather(self.dims), repeat(0))
-        return two_algebra(self.field, value_maps(self.field, shapes, values))
+        return _product(self.field, self.dims, self.constants)
 
     @cached_property
     def datum(self):
@@ -333,14 +282,15 @@ def _posed(p, shapes):
 
     Derived: phi, the structure constants of the block map over Z[x]; the
     compiled morphism run between the products; its two halves, read off one
-    sweep of the run at phi, the product constants numbered after phi's
-    variables (constant e is x_(top+e), top the number of phi's), each a
-    table from a datum constant's slot to the (component, monomial,
-    coefficient) terms it adds per unit; and the guards that cut a singular
-    s block once bound, in the binding order and in the slot order.  A swept
-    monomial must carry exactly one product constant, its last variable:
-    divmod(e, n) gives its half and its slot in the product, which _gather
-    maps to a datum constant.  One that carries none or two raises
+    sweep of the run at phi and at the source and target products
+    (unified._product) of data whose constants are variables numbered after
+    phi's (datum constant at of half h is x_(top+h*n+at), top the number of
+    phi's variables and n of a datum's constants), each a table from a datum
+    constant's slot to the (component, monomial, coefficient) terms it adds
+    per unit; and the guards that cut a singular s block once bound, in the
+    binding order and in the slot order.  A swept monomial must carry
+    exactly one datum constant, its last variable: divmod(x - top, n) gives
+    its half and its slot.  One that carries none or two raises
     AssertionError, since the halves would not sum to the run."""
     ring = PolynomialRing()
     sizes = [rows * cols for rows, cols in shapes]
@@ -353,18 +303,21 @@ def _posed(p, shapes):
     phi = _block_map(*_rs_maps(ring, shapes, entries))
     phi = tuple(map_values((phi.phi1, phi.phi0), ring.zero()))
     (n1, m1), (n0, m0) = shapes[:2]
-    gather = _gather((n1, n0, m1, m0))
-    n, top = len(gather), len(slot)
+    dims = (n1, n0, m1, m0)
+    n, top = len(_places(dims)), len(slot)
+    products = (_product(ring, dims, ((at, ring.var(top + half * n + at)) for at in range(n)))
+                for half in (0, 1))
     run = morphism_run((n1 + m1, n0 + m0), (n1 + m1, n0 + m0))
     tables = ({}, {})
-    for comp, poly in run.sweep([*map(ring.var, range(top, top + 2 * n)), *phi]).items():
+    values = [x for e in products for x in map_values(two_algebra_maps(e), ring.zero())]
+    for comp, poly in run.sweep([*values, *phi]).items():
         for mono, c in poly.items():
             if not mono or mono[-1] < top or len(mono) > 1 and mono[-2] >= top:
                 raise AssertionError("a monomial of the run carries no source or target "
                                      "constant, or more than one")
-            half, e = divmod(mono[-1] - top, n)
-            if gather[e] >= 0 and c:
-                tables[half].setdefault(gather[e], []).append((comp, mono[:-1], c))
+            if c:
+                half, at = divmod(mono[-1] - top, n)
+                tables[half].setdefault(at, []).append((comp, mono[:-1], c))
     if slot == tuple(range(len(slot))):
         slot = None
     return (phi, run, tables, _guards(p, shapes, order), slot,
@@ -516,19 +469,17 @@ class EnumerationSpec:
     def checks(self):
         """The validity constraints, read off the compiled oracle.
 
-        The product's constants, gathered (_gather) from the datum's with the
-        fixed ones constants of Z[x] and free scalar i the variable x_i, are
+        The product (unified._product) of the datum whose fixed constants
+        are constants of Z[x] and whose free scalar i is the variable x_i is
         substituted into the compiled crossed-module check
         (core.crossed_module_run); the assignments at which every constraint
         vanishes mod p are exactly the valid ones.  checks[k] holds those
         whose highest variable is x_(k-1) (see _levelled).
         """
         ring = PolynomialRing()
-        values = [*map(ring.canonical, self.fixed), *map(ring.var, range(self.size))]
-        n1, n0, m1, m0 = self.dims
-        run = crossed_module_run((n1 + m1, n0 + m0))
-        polys = run.constraints([values[at] if at >= 0 else () for at in _gather(self.dims)],
-                                self.field.char)
+        e = _product(ring, self.dims, enumerate([*self.fixed, *map(ring.var, range(self.size))]))
+        run = crossed_module_run((e.z1.dim, e.z0.dim))
+        polys = run.constraints(map_values(two_algebra_maps(e), ring.zero()), self.field.char)
         return _levelled(polys, self.size)
 
 

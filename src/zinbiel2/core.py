@@ -18,8 +18,8 @@ substitution kernel the catalogs of engine share, serves every use of that
 run: over GF(p) or Q check_crossed_module and check_2alg_morphism substitute
 each input into it (substitute), and the searches of classify read their
 constraints off it (crossed_module_run, morphism_run) at a unified product's
-constants, gathered from its datum's, each an integer or a free variable
-(sweep, its one symbolic reading).
+constants, placed from its datum's (unified._places), each an integer or a
+free variable (sweep, its one symbolic reading).
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -147,6 +147,19 @@ def map_values(maps, zero):
     return out
 
 
+@functools.cache
+def _keys(na, nb, nc):
+    """The keys (k, i, j) of a bilinear map na x nb -> nc in map_values order."""
+    return tuple(product(range(nc), range(na), range(nb)))
+
+
+@functools.cache
+def _zero(ring, shape):
+    """The zero bilinear map of shape (dim a, dim b, dim c) over ring, shared:
+    a BilMap is immutable."""
+    return BilMap(ring, *shape, {})
+
+
 def value_maps(ring, shapes, values):
     """The inverse of map_values: maps over ring whose entries are read from
     the iterable values in the map_values layout, a BilMap for a shape (dim
@@ -155,9 +168,8 @@ def value_maps(ring, shapes, values):
     maps = []
     for shape in shapes:
         if len(shape) == 3:
-            na, nb, nc = shape
-            keys = product(range(nc), range(na), range(nb))
-            maps.append(BilMap(ring, na, nb, nc, {key: v for key, v in zip(keys, values) if v}))
+            coeffs = {key: v for key, v in zip(_keys(*shape), values) if v}
+            maps.append(BilMap(ring, *shape, coeffs) if coeffs else _zero(ring, shape))
         else:
             rows, cols = shape
             maps.append(LinMap(ring, rows, cols, [list(islice(values, cols)) for _ in range(rows)]))

@@ -7,31 +7,35 @@ check_datum_direct is the ground-truth oracle: build, then verify every
 2-algebra axiom on the result.  The transcribed condition lists live in
 conds_unified.py and are cross-validated against the oracle.
 
-One block table, engine._BLOCKS, says which datum family fills each block
-of an operation on Z + V.  build_unified_product writes the blocks through
-it, and extract_datum is its inverse: it rewrites E in the basis [iota |
-V-basis] that a ComplementSplit stores and reads the blocks back through
-the same table.  Both take a 2-algebra's operations apart with
-core.two_algebra_maps and put Z and E together with its inverse,
-core.two_algebra.  The oracle and verify_psi fill their reports from core's
-instance streams, so each report holds the first `cap` violations in
-evaluation order, sorted.
+One table, _places, says where each constant of a datum (in the layout of
+engine.datum_maps) sits in its unified product E, read off the spaces of
+its map alone.  _product places a datum's nonzero constants through it:
+build_unified_product reads them off a datum, and classify builds from
+constants over GF(p) and, with variables of Z[x] for constants, poses its
+searches.  extract_datum is its inverse: it rewrites E in the basis [iota |
+V-basis] that a ComplementSplit stores and reads each constant back
+through the same table.  A datum is read from its flat constants by
+_datum_at (_datum_over for the free scalars over a given Z and V), and Z and
+E are put together with core.two_algebra.  The oracle and verify_psi fill
+their reports from core's instance streams, so each report holds the first
+`cap` violations in evaluation order, sorted.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
+from functools import cache
+from itertools import chain, product, repeat
 
 from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism,
-                   ZinbielTwoAlgebra, check_crossed_module, morphism_stream, two_algebra,
-                   two_algebra_maps)
-from .engine import _BLOCKS, _FAMS, MAP_SPACES, DatumCtx, evaluate_conditions
+                   ZinbielTwoAlgebra, check_crossed_module, map_items, morphism_stream,
+                   two_algebra, two_algebra_maps, value_maps)
+from .engine import (_DATUM_KEYS, _FAMS, MAP_SPACES, DatumCtx, datum_maps, evaluate_conditions,
+                     map_shape)
 from .errors import (DimError, FieldMismatch, NotComplementary, PreconditionError,
                      SubalgebraError)
-from .linalg import (BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, upper_block,
-                     vbasis)
+from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, vbasis
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,11 +91,7 @@ class ExtendingDatum:
     @classmethod
     def trivial(cls, z: ZinbielTwoAlgebra, v: TwoVectorSpace):
         """All maps zero (including sigma)."""
-        f = z.field
-        dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
-        fams = {name: tuple(BilMap.zero(f, dims[a], dims[b], dims[c])
-                            for a, b, c in MAP_SPACES[name]) for name in _FAMS}
-        return cls(z, v, **fams, sigma=LinMap.zero(f, z.z0.dim, v.dim1))
+        return _datum_over(z, v, repeat(z.field.zero()))
 
     def replace(self, **kwargs):
         """Copy with some map families replaced."""
@@ -102,58 +102,84 @@ class ExtendingDatum:
         return f"ExtendingDatum({self.field.name}, dims Z1,Z0,V1,V0={dims})"
 
 
-def _assemble(field, j, nz, nv, fams):
-    """Operation j on Z + V from the families filling its blocks, given in
-    _BLOCKS order.
-
-    nz and nv are the (level-0, level-1) dims of Z and V; the basis of each
-    level is the Z indices, then the V indices.
-    """
-    la, lb, lc = _OP_LEVELS[j]
-    za, zb, zc = nz[la], nz[lb], nz[lc]
-    coeffs = {}
-    for ((a, b, c), _), fam in zip(_BLOCKS, fams):
-        items = fam[j].items
-        if items:
-            a_off, b_off, c_off = a * za, b * zb, c * zc
-            for (k, i, jj, val) in items:
-                coeffs[(k + c_off, i + a_off, jj + b_off)] = val
-    return BilMap(field, za + nv[la], zb + nv[lb], zc + nv[lc], coeffs)
+# where the free scalars of a datum's maps start in the order of
+# engine.datum_maps: after Z's two_algebra_maps and d, at the first family map
+_FREE = [key for key, _ in _DATUM_KEYS].index((_FAMS[0], 0))
 
 
-def _split(field, j, tensor, nz, nv):
-    """The blocks of operation j on Z + V in _BLOCKS order: the inverse of
-    _assemble.  A nonzero Z x Z -> V block raises SubalgebraError with the
-    least (i, k) of its entries as witness."""
-    la, lb, lc = _OP_LEVELS[j]
-    za, zb, zc = nz[la], nz[lb], nz[lc]
-    coeffs = {}
-    for (k, i, jj, val) in tensor.items:
-        a, b, c = int(i >= za), int(jj >= zb), int(k >= zc)
-        coeffs.setdefault((a, b, c), {})[(k - c * zc, i - a * za, jj - b * zb)] = val
-    if (0, 0, 1) in coeffs:
-        i, k = min((i, k) for _, i, k in coeffs[(0, 0, 1)])
-        raise SubalgebraError(f"iota(Z) is not closed under operation {j}",
-                              witness=(j, i, k))
-    dims = ((nz[la], nv[la]), (nz[lb], nv[lb]), (nz[lc], nv[lc]))
-    return tuple(BilMap(field, dims[0][a], dims[1][b], dims[2][c], coeffs.get((a, b, c), {}))
-                 for (a, b, c), _ in _BLOCKS)
+@cache
+def _layout(dims):
+    """The shapes (engine.map_shape) of the maps of a datum at dims (n1, n0,
+    m1, m0), in the order of engine.datum_maps."""
+    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
+    return tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS)
+
+
+def _datum_over(z, v, free):
+    """The datum over z and v whose free scalars, its constants from _FREE on
+    in the layout of engine.datum_maps (the families in _FAMS order, four
+    maps each, then sigma), are read from the iterable free."""
+    maps = value_maps(z.field, _layout((z.z1.dim, z.z0.dim, v.dim1, v.dim0))[_FREE:], free)
+    return ExtendingDatum(z, v, sigma=maps.pop(),
+                          **{name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)})
+
+
+def _datum_at(ring, dims, values):
+    """The datum over ring at dims (n1, n0, m1, m0) whose structure constants,
+    in the layout of engine.datum_maps, are read from the iterable values."""
+    values = iter(values)
+    *z, d = value_maps(ring, _layout(dims)[:_FREE], values)
+    return _datum_over(two_algebra(ring, z), TwoVectorSpace(*dims[2:], d), values)
+
+
+@cache
+def _places(dims):
+    """Where each constant of a datum at dims (n1, n0, m1, m0), in the layout
+    of engine.datum_maps, sits in its unified product E: (m, key), m the
+    index of its map in two_algebra_maps(E) and key its (k, i, j) there, or
+    its (row, col) in phi_E (m = 4).  Read off the map's spaces alone: their
+    levels name the operation of E, and a V index follows the Z of its
+    level, so phi, sigma and d are the blocks of phi_E = [[phi, sigma], [0, d]]."""
+    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
+    offset = {"Z1": 0, "Z0": 0, "V1": sizes["Z1"], "V0": sizes["Z0"]}
+    places = []
+    for _, spaces in _DATUM_KEYS:
+        m = _OP_LEVELS.index(tuple(int(s[1]) for s in spaces)) if len(spaces) == 3 else 4
+        axes = (spaces[2], *spaces[:2]) if len(spaces) == 3 else spaces[::-1]     # of its key
+        places += [(m, tuple(offset[s] + i for s, i in zip(axes, key)))
+                   for key in product(*(range(sizes[s]) for s in axes))]
+    return tuple(places)
+
+
+def _product(field, dims, constants):
+    """The unified product over field of the datum at dims (n1, n0, m1, m0)
+    whose constants are the (slot, value) pairs constants, slots in the
+    layout of engine.datum_maps, each placed through _places; a slot left
+    out is 0."""
+    places = _places(dims)
+    coeffs = [{} for _ in range(5)]
+    for at, v in constants:
+        m, key = places[at]
+        coeffs[m][key] = v
+    n1, n0, m1, m0 = dims
+    size = (n0 + m0, n1 + m1)
+    ops = [BilMap(field, size[a], size[b], size[c], coeffs[j])
+           for j, (a, b, c) in enumerate(_OP_LEVELS)]
+    zero, phi = field.zero(), coeffs[4]
+    return two_algebra(field, [*ops, LinMap(field, size[0], size[1], [
+        [phi.get((r, c), zero) for c in range(size[1])] for r in range(size[0])])])
 
 
 def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
     """Assemble the candidate 2-algebra on (Z1+V1, Z0+V0); no validity check.
 
-    Each operation is written block by block through _BLOCKS: the Z
-    operation, hl/hr cross terms and omega into Z, and tr/tl/st into V.
+    Each constant of the datum (engine.datum_maps, read sparsely) is placed
+    through _places: the Z operations, hl/hr cross terms and omega into Z,
+    tr/tl/st into V, and phi_E(x, u) = (phi(x) + sigma(u), d(u)).
     """
     z, v = datum.z, datum.v
-    f = datum.field
-    nz, nv = (z.z0.dim, z.z1.dim), (v.dim0, v.dim1)
-    fams = [two_algebra_maps(z)[:4] if name == "z" else getattr(datum, name)
-            for _, name in _BLOCKS]
-    ops = [_assemble(f, j, nz, nv, fams) for j in range(4)]
-    # phi_E(x, u) = (phi(x) + sigma(u), d(u))
-    return two_algebra(f, [*ops, upper_block(z.phi, datum.sigma, v.d)])
+    return _product(datum.field, (z.z1.dim, z.z0.dim, v.dim1, v.dim0),
+                    map_items(datum_maps(datum)))
 
 
 def _require_valid_z(z: ZinbielTwoAlgebra, cap):
@@ -271,12 +297,13 @@ def extract_datum(split: ComplementSplit, check_e=True,
     """Read an extending datum off an ambient E along the split.
 
     The inverse of build_unified_product: each operation of E is rewritten
-    in the basis [iota | V-basis] of the split, B^-1 t(B x, B y), and cut
-    into its blocks with _split; B0^-1 phi_E B1 is cut into
-    [[phi, sigma], [0, d]].  The Z x Z -> V blocks and the lower-left block
-    of phi_E must vanish (that is the subalgebra condition; SubalgebraError
-    with witness (j, i, k) or ("phi", i) otherwise), and the Z blocks are
-    the induced structure on Z.
+    in the basis [iota | V-basis] of the split, B^-1 t(B x, B y), and phi_E
+    as B0^-1 phi_E B1; each nonzero constant of the result is read back to
+    its datum constant through _places.  A constant with no place lies in a
+    Z x Z -> V block or the lower-left block of phi_E, which must vanish:
+    that is the subalgebra condition (SubalgebraError with witness (j, i, k)
+    or ("phi", i) otherwise, the least operation j, then the least (i, k) or
+    column i).  The Z constants are the induced structure on Z.
     """
     e = split.e
     f = e.field
@@ -285,27 +312,33 @@ def extract_datum(split: ComplementSplit, check_e=True,
         if not rep.ok:
             raise PreconditionError("ambient E is not a valid Zinbiel 2-algebra", rep)
     (b1, b1inv), (b0, b0inv) = split._bases
-    n1, n0 = split.iota1.cols, split.iota0.cols
-    m1, m0 = len(split.vbasis1), len(split.vbasis0)
+    dims = (split.iota1.cols, split.iota0.cols, len(split.vbasis1), len(split.vbasis0))
     binv = (b0inv, b1inv)
     cols = tuple([b.column(i) for i in range(b.cols)] for b in (b0, b1))
-    blocks = []
+    entries = []        # (m, key, value) of each nonzero constant, as _places names them
     for j, tensor in enumerate(two_algebra_maps(e)[:4]):
         la, lb, lc = _OP_LEVELS[j]
-        rebased = BilMap.from_basis_function(
-            f, len(cols[la]), len(cols[lb]), len(cols[lc]),
-            lambda i, k: binv[lc].apply(tensor.eval(cols[la][i], cols[lb][k])))
-        blocks.append(_split(f, j, rebased, (n0, n1), (m0, m1)))
+        entries += [(j, (k, i, jj), v) for i, x in enumerate(cols[la])
+                    for jj, y in enumerate(cols[lb])
+                    for k, v in enumerate(binv[lc].apply(tensor.eval(x, y))) if v]
     phi_e = b0inv.compose(e.phi.compose(b1)).entries
-    for i in range(n1):
-        if any(row[i] != f.zero() for row in phi_e[n0:]):
+    entries += [(4, (r, c), v) for r, row in enumerate(phi_e) for c, v in enumerate(row) if v]
+    slot = {place: at for at, place in enumerate(_places(dims))}
+    values, strays = [f.zero()] * len(slot), []
+    for m, key, v in entries:
+        at = slot.get((m, key))
+        if at is None:
+            strays.append((m, key[1:]))
+        else:
+            values[at] = v
+    if strays:
+        m, witness = min(strays)
+        if m == 4:
             raise SubalgebraError("phi_E does not restrict to the Z levels",
-                                  witness=("phi", i))
-    fams = {name: fam for (_, name), fam in zip(_BLOCKS, zip(*blocks))}
-    z = two_algebra(f, [*fams.pop("z"), LinMap(f, n0, n1, [row[:n1] for row in phi_e[:n0]])])
-    d = LinMap(f, m0, m1, [row[n1:] for row in phi_e[n0:]])
-    return ExtendingDatum(z, TwoVectorSpace(m1, m0, d), **fams,
-                          sigma=LinMap(f, n0, m1, [row[n1:] for row in phi_e[:n0]]))
+                                  witness=("phi", *witness))
+        raise SubalgebraError(f"iota(Z) is not closed under operation {m}",
+                              witness=(m, *witness))
+    return _datum_at(f, dims, values)
 
 
 def verify_psi(split: ComplementSplit, datum: ExtendingDatum,

@@ -7,6 +7,7 @@ direct oracle), never by assuming unchecked candidates are valid.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import count
 
 from zinbiel2 import core
@@ -17,7 +18,7 @@ from zinbiel2.core import (DEFAULT_VIOLATION_CAP, BimodulePair, ConditionReport,
 from zinbiel2.engine import _grid
 from zinbiel2.fields import PolynomialRing
 from zinbiel2.io import canonical_dumps, datum_to_json
-from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block
+from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block, vbasis
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum, build_unified_product,
                               check_datum_direct)
 
@@ -122,6 +123,46 @@ def rand_sparse_datum(z, v, rng, density):
                    [[rng.randrange(f.p) if rng.random() < density else f.zero()
                      for _ in range(v.dim1)] for _ in range(z.z0.dim)])
     return base.replace(sigma=sigma, **kwargs)
+
+
+def reference_product(datum):
+    """Reference for build_unified_product, from the formula of the paper on
+    basis pairs: operation j of E = Z + V is
+
+        (x, u).(y, w) = (x.y + hr(u, y) + hl(x, w) + om(u, w),
+                         tr(x, w) + tl(u, y) + st(u, w))
+
+    with the maps j of each family, and phi_E(x, u) = (phi(x) + sigma(u), d(u))."""
+    z, v, f = datum.z, datum.v, datum.field
+    nz, nv = (z.z0.dim, z.z1.dim), (v.dim0, v.dim1)
+    zops = (z.z0.mult, z.z1.mult, z.act.left, z.act.right)
+
+    def pair(level, i):
+        """The basis vector i of E at level as (x, u)."""
+        e = vbasis(f, nz[level] + nv[level], i)
+        return e[:nz[level]], e[nz[level]:]
+
+    def add(*vectors):
+        return tuple(reduce(f.add, column, f.zero()) for column in zip(*vectors))
+
+    ops = []
+    for j, (la, lb, lc) in enumerate(((0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1))):
+        def product(a, b, j=j, la=la, lb=lb):
+            (x, u), (y, w) = pair(la, a), pair(lb, b)
+            return (add(zops[j].eval(x, y), datum.hr[j].eval(u, y), datum.hl[j].eval(x, w),
+                        datum.om[j].eval(u, w))
+                    + add(datum.tr[j].eval(x, w), datum.tl[j].eval(u, y), datum.st[j].eval(u, w)))
+
+        ops.append(BilMap.from_basis_function(f, nz[la] + nv[la], nz[lb] + nv[lb],
+                                              nz[lc] + nv[lc], product))
+    columns = []
+    for i in range(nz[1] + nv[1]):
+        x, u = pair(1, i)
+        columns.append(add(z.phi.apply(x), datum.sigma.apply(u)) + v.d.apply(u))
+    phi = LinMap.from_columns(f, columns, nz[0] + nv[0])
+    return ZinbielTwoAlgebra(ZinbielAlgebra(f, nz[1] + nv[1], ops[1]),
+                             ZinbielAlgebra(f, nz[0] + nv[0], ops[0]), phi,
+                             BimodulePair(ops[2], ops[3]))
 
 
 def rand_valid_datum_1111(field, rng, max_tries=400):
@@ -327,9 +368,9 @@ def _lift(ring, z: ZinbielTwoAlgebra):
 
 def reference_checks(spec):
     """Reference for EnumerationSpec.checks, level by level as sets: the
-    interpreted crossed-module stream on the product of the datum whose
-    free scalar i is x_i of Z[x] (the families hr..st, each map in (k, i, j)
-    order, then sigma row-major), reduced mod p."""
+    interpreted crossed-module stream on the reference product of the datum
+    whose free scalar i is x_i of Z[x] (the families hr..st, each map in
+    (k, i, j) order, then sigma row-major), reduced mod p."""
     ring = PolynomialRing()
     var = map(ring.var, count())
     d = spec.v.d
@@ -342,7 +383,7 @@ def reference_checks(spec):
             for name in ("hr", "hl", "tr", "tl", "om", "st")}
     rows, cols = base.sigma.rows, base.sigma.cols
     sigma = LinMap(ring, rows, cols, [[next(var) for _ in range(cols)] for _ in range(rows)])
-    e = build_unified_product(base.replace(sigma=sigma, **fams))
+    e = reference_product(base.replace(sigma=sigma, **fams))
     return _levels_mod_p(core._crossed_module_instances(e), spec.field.p, spec.size)
 
 

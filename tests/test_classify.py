@@ -14,16 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
-                     pairwise_partition, rand_sparse_datum, recursive_walk, reference_checks,
-                     reference_datum_at, reference_rs_checks, scalar_bilmap, zero_two_algebra)
+                     pairwise_partition, rand_scalar, rand_sparse_datum, recursive_walk,
+                     reference_checks, reference_datum_at, reference_product, reference_rs_checks,
+                     scalar_bilmap, zero_two_algebra)
 from zinbiel2 import classify, cli, core, linalg, unified
 from zinbiel2 import io as zio
 from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
                                census, check_rs_conditions, check_rs_direct,
                                compute_quotients, enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
-from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism, map_values,
-                           two_algebra_maps)
+from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism, map_items,
+                           map_values, two_algebra_maps)
 from zinbiel2.engine import datum_maps
 from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                              PreconditionError)
@@ -359,9 +360,10 @@ def test_datum_at_reads_the_census_order(p):
 
 
 def test_a_warmed_shape_builds_no_unified_product(monkeypatch):
-    # a spec reads its product's constants through the gather of its shape:
-    # once one spec has built that, a spec at the same dims with another Z
-    # or another d builds no product at all
+    # a spec builds its symbolic product from constants, placed through the
+    # table of its shape (unified._product), never from a datum: once one
+    # spec has derived that table, a spec at the same dims with another Z or
+    # another d calls build_unified_product not at all
     def spec(phi_val, d_val):
         z = zero_two_algebra(F5, 1, 1, LinMap(F5, 1, 1, [[phi_val]]))
         return EnumerationSpec(F5, z, (1, 1), LinMap(F5, 1, 1, [[d_val]]))
@@ -896,8 +898,8 @@ def test_census_reads_each_datum_once(monkeypatch):
 def test_census_builds_no_datum_and_one_product_per_leaf(monkeypatch):
     # a leaf is its constants plus one product, re-checked by the oracle once
     # and reused by the quotients' witness re-checks; no ExtendingDatum is
-    # built and build_unified_product is not called, but for what a shape
-    # derives once (the gather and the skeleton), here on the first census
+    # built and build_unified_product is not called, but for the two data
+    # the skeleton of a shape is read off once, here on the first census
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     d = LinMap.zero(F5, 1, 0)
     counts, products = collections.Counter(), []
@@ -911,9 +913,8 @@ def test_census_builds_no_datum_and_one_product_per_leaf(monkeypatch):
     monkeypatch.setattr(classify, "check_crossed_module",
                         lambda e, cap: counts.update([f"check cap {cap}"]) or real_check(e, cap=cap))
     _record_products_built(monkeypatch, products)
-    classify._gather.cache_clear()
     classify._skeleton.cache_clear()
-    for derived in ({"datum": 3, "build": 1}, {}):
+    for derived in ({"datum": 2}, {}):
         counts.clear()
         products.clear()
         out = census(F5, z, (0, 1), d)
@@ -929,7 +930,8 @@ def test_census_builds_no_datum_and_one_product_per_leaf(monkeypatch):
                               "z_z_id-v10"])
 def test_leaves_are_the_reference_data(zfile, vdims, count):
     # each census leaf, built from constants, against the reference datum at
-    # its index: its product, its lazily built datum and its item
+    # its index: its product (also against the reference product), its
+    # lazily built datum and its item
     _, z, f = zio.load_document(str(zfile))
     d = LinMap.zero(f, vdims[1], vdims[0])
     spec = EnumerationSpec(f, z, vdims, d)
@@ -938,7 +940,7 @@ def test_leaves_are_the_reference_data(zfile, vdims, count):
     assert len(indices) == len(leaves) == count
     for index, product in zip(indices, leaves):
         datum = reference_datum_at(spec, index)
-        assert product.e == build_unified_product(datum), index
+        assert product.e == build_unified_product(datum) == reference_product(datum), index
         assert product.datum == datum, index
         assert product.item == canonical_dumps(datum_to_json(datum)), index
 
@@ -1040,40 +1042,23 @@ def test_walk_finds_its_first_leaf_lazily(p):
         assert next(leaves) == 1 and visited == list(range(n + 1)) + [n]
 
 
-@pytest.mark.parametrize("p", (5, 7))
-def test_gathered_products_match_the_built_ones(p):
-    # the nonzero constants of E read from the datum's sparse ones through
-    # the gather of its shape, on every reference shape, zero dims included
-    f = PrimeField(p)
-    rng = random.Random(p)
-    for z in _reference_z_cases(f):
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(7), Rationals()],
+                         ids=["5", "7", "q"])
+def test_gathered_products_match_the_built_ones(field):
+    # both builders of the unified product, from a datum and from its
+    # constants, against the reference built from the formula on basis
+    # pairs, on every reference shape, zero dims included
+    rng = random.Random(str(field))
+    values = (rand_scalar(field, rng) if rng.random() < 0.5 else 0 for _ in itertools.count())
+    for z in _reference_z_cases(field):
         for m1, m0 in REFERENCE_VDIMS + ((0, 0),):
-            d = LinMap(f, m0, m1, [[rng.randrange(p) for _ in range(m1)] for _ in range(m0)])
-            datum = rand_sparse_datum(z, TwoVectorSpace(m1, m0, d), rng, 0.5)
-            e = build_unified_product(datum)
-            product = classify._Product.of(datum)
-            constants = dict(product.constants)
-            gather = classify._gather((z.z1.dim, z.z0.dim, m1, m0))
-            assert {i: constants[at] for i, at in enumerate(gather) if at in constants} == {
-                i: c for i, c in enumerate(map_values(two_algebra_maps(e), f.zero())) if c}
+            d = LinMap(field, m0, m1, [[rand_scalar(field, rng) for _ in range(m1)]
+                                       for _ in range(m0)])
+            datum = unified._datum_over(z, TwoVectorSpace(m1, m0, d), values)
+            e = reference_product(datum)
+            assert build_unified_product(datum) == e
+            product = classify._Product(z, datum.v, tuple(map_items(datum_maps(datum))))
             assert product.e == e
-
-
-@pytest.mark.parametrize("doctor", ["doubled", "summed"])
-def test_gather_refuses_a_constant_that_is_not_one_datum_constant(monkeypatch, doctor):
-    real = classify.build_unified_product
-
-    def doctored(datum):
-        e = real(datum)
-        ring = e.field
-        other = (lambda x: x) if doctor == "doubled" else (lambda x: ring.var(0))
-        phi = LinMap(ring, e.phi.rows, e.phi.cols,
-                     [[ring.add(x, other(x)) for x in row] for row in e.phi.entries])
-        return dataclasses.replace(e, phi=phi)
-
-    monkeypatch.setattr(classify, "build_unified_product", doctored)
-    with pytest.raises(AssertionError, match="not 0 or one datum constant"):
-        classify._gather.__wrapped__((1, 1, 1, 1))
 
 
 # (n1, n0, m1, m0): all dims zero, Z = (0, 1) with V = (2, 0), (1, 1) with
@@ -1084,8 +1069,8 @@ ITEM_DIMS = ((0, 0, 0, 0), (0, 1, 2, 0), (1, 1, 1, 1), (2, 1, 1, 2))
 def _drawn_datum(data, field, values):
     """A datum at drawn dims over field, its constants drawn from values."""
     dims = data.draw(st.sampled_from(ITEM_DIMS))
-    size = len(map_values(datum_maps(classify._datum_at(field, dims, itertools.repeat(0))), 0))
-    return classify._datum_at(field, dims, data.draw(st.lists(values, min_size=size,
+    size = len(map_values(datum_maps(unified._datum_at(field, dims, itertools.repeat(0))), 0))
+    return unified._datum_at(field, dims, data.draw(st.lists(values, min_size=size,
                                                               max_size=size)))
 
 
@@ -1167,11 +1152,15 @@ def test_merged_halves_are_the_full_sweep(p):
     assert 0 < sum(refuted) < len(refuted)
 
 
-@pytest.mark.parametrize("mono", [(0, 1), (), (2 * len(classify._gather((1, 1, 1, 1))),)],
-                         ids=["two", "constant", "rs only"])
+# the constants of a product at level dims (2, 2), that of the data below
+E_SIZE = len(map_values(two_algebra_maps(zero_two_algebra(F5, 2, 2)), 0))
+
+
+@pytest.mark.parametrize("mono", [(0, 1), (), (2 * E_SIZE,)], ids=["two", "constant", "rs only"])
 def test_posing_refuses_a_run_whose_halves_do_not_sum_to_it(monkeypatch, mono):
     # a monomial of the morphism run with two product constants, or none:
-    # "rs only" is the first constant of the block map
+    # "rs only" is the first constant of the block map, after those of both
+    # products
     ring = PolynomialRing()
     doctored = core.SymbolicRun(ring, [("M1", (0,), ((((mono, 1),),), ((),)))])
     monkeypatch.setattr(classify, "morphism_run", lambda dims, dims2: doctored)
@@ -1190,8 +1179,8 @@ def test_spec_constants_match_the_trivial_datum():
     def reference(spec):
         maps = datum_maps(ExtendingDatum.trivial(spec.z, spec.v))
         zero = spec.field.zero()
-        return tuple(map_values(maps[:classify._FREE], zero)), len(
-            map_values(maps[classify._FREE:], zero))
+        return tuple(map_values(maps[:unified._FREE], zero)), len(
+            map_values(maps[unified._FREE:], zero))
 
     specs = [shell_spec((1, 1), 3)]
     for zdims, vdims in [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 0)),

@@ -6,9 +6,11 @@ from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, scalar_bil
                      standard_split, zero_two_algebra)
 from zinbiel2 import unified
 from zinbiel2.core import BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra, check_crossed_module
-from zinbiel2.errors import DimError, FieldMismatch, PreconditionError, SubalgebraError
+from zinbiel2.errors import (DimError, FieldMismatch, NotAnIdeal, NotSubalgebra, PreconditionError,
+                             SubalgebraError)
 from zinbiel2.fields import PrimeField
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
+from zinbiel2.special import check_ideal_extension, factorize
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum,
                               build_unified_product, check_datum_direct,
                               extract_datum, verify_psi)
@@ -143,6 +145,33 @@ def test_extract_rejects_non_subalgebra():
     with pytest.raises(SubalgebraError) as err:
         extract_datum(split)
     assert err.value.witness is not None
+
+
+def test_extract_witnesses_phi_leaving_z():
+    # E of zero algebras at level dims (1, 2), phi_E(e0) = e1: with Z1 = E1
+    # and Z0 the line of e0, phi_E carries Z1 out of Z0, which only the
+    # lower-left block of phi_E shows
+    e = zero_two_algebra(F5, 1, 2, LinMap(F5, 2, 1, [[0], [1]]))
+    iota1, iota0 = LinMap.identity(F5, 1), LinMap(F5, 2, 1, [[1], [0]])
+    split = ComplementSplit(e, iota1, iota0, LinMap.identity(F5, 1), LinMap(F5, 1, 2, [[1, 0]]))
+    for call, error in ((extract_datum, SubalgebraError), (check_ideal_extension, NotAnIdeal),
+                        (lambda split: factorize(e, (iota1, iota0), (
+                            LinMap.zero(F5, 1, 0), LinMap(F5, 2, 1, [[0], [1]]))), NotSubalgebra)):
+        with pytest.raises(error, match="phi_E does not restrict to the Z levels") as err:
+            call(split)
+        assert err.value.witness == ("phi", 0)
+
+
+def test_extract_witnesses_the_least_pair():
+    # e1.e0 and e0.e1 leave Z = span(e0, e1) at (1, 0) and (0, 1); the
+    # witness is the least (i, k), also where e1.e0 = e2 comes first in the
+    # layout of the product's constants and e0.e1 = e3 after it
+    for n, coeffs in ((3, {(2, 1, 0): 1, (2, 0, 1): 3}), (4, {(2, 1, 0): 1, (3, 0, 1): 1})):
+        e = ZinbielTwoAlgebra.shell(ZinbielAlgebra(F5, n, BilMap(F5, n, n, n, coeffs)))
+        assert check_crossed_module(e).ok
+        with pytest.raises(SubalgebraError, match="not closed under operation 0") as err:
+            extract_datum(standard_split(e, 0, 2))
+        assert err.value.witness == (0, 0, 1)
 
 
 def test_verify_psi_inverts_each_level_once(monkeypatch):
