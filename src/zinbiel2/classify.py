@@ -41,16 +41,17 @@ from functools import cache, cached_property
 from itertools import accumulate, count, repeat
 from math import prod
 
-from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra, check_2alg_morphism,
-                   check_crossed_module, crossed_module_run, map_items, map_values, morphism_run,
-                   reduced, two_algebra_maps, value_maps)
-from .engine import MorphismCtx, datum_maps, evaluate_conditions
+from .core import (DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism, ZinbielTwoAlgebra,
+                   _morphism_instances, check_2alg_morphism, check_crossed_module, compiled_run,
+                   crossed_module_run, map_items, map_values, morphism_run, reduced,
+                   two_algebra_maps, value_maps)
+from .engine import MorphismCtx, _family_maps, datum_maps, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField, Rationals
 from .linalg import LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import (_FREE, ExtendingDatum, _datum_at, _datum_over, _layout, _places, _product,
-                      _require_valid_z, build_unified_product, check_datum_direct)
+from .unified import (_FREE, ExtendingDatum, _datum_at, _datum_over, _dims, _layout, _places,
+                      _product, _require_valid_z, _symbolic, check_datum_direct)
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
@@ -102,13 +103,18 @@ def _block_map(r1, r0, s1, s0):
                        upper_block(LinMap.identity(r0.field, r0.rows), r0, s0))
 
 
-def morphism_from_rs(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum) -> TwoMorphism:
-    """The block map of rs, checked against the two data."""
+def _require_rs(rs, d1, d2):
+    """_require_compatible, then DimError unless the blocks of rs fit the data."""
     _require_compatible(d1, d2, rs)
     for (r, s, nz, mv) in ((rs.r1, rs.s1, d1.z.z1.dim, d1.v.dim1),
                            (rs.r0, rs.s0, d1.z.z0.dim, d1.v.dim0)):
         if (r.rows, r.cols) != (nz, mv) or s.rows != mv:
             raise DimError("rs maps do not match the datum dimensions")
+
+
+def morphism_from_rs(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum) -> TwoMorphism:
+    """The block map of rs, checked against the two data."""
+    _require_rs(rs, d1, d2)
     return _block_map(rs.r1, rs.r0, rs.s1, rs.s0)
 
 
@@ -121,11 +127,34 @@ def check_rs_conditions(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                                strict_printed=strict_printed)
 
 
+@cache
+def _rs_run(dims):
+    """The morphism run between the unified products of two data at dims (n1,
+    n0, m1, m0) sharing Z and d, under the block map of rs, in the layout of
+    MorphismCtx.values(): x_at is the source datum's constant at (layout of
+    engine.datum_maps), the target's family maps and sigma follow, then r1,
+    r0, s1, s0, each row-major."""
+    n1, n0, m1, m0 = dims
+    n, top = len(_places(dims)), sum(map(prod, _layout(dims)[:_FREE]))     # top: Z's and d
+    ring = PolynomialRing()
+    end = 2 * n - top       # past the target's families and sigma
+    rs = value_maps(ring, [(n1, m1), (n0, m0), (m1, m1), (m0, m0)], map(ring.var, count(end)))
+    return compiled_run(_morphism_instances, _symbolic(dims, range(n)),
+                        _symbolic(dims, [*range(top), *range(n, end)]), _block_map(*rs))
+
+
 def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                     cap=DEFAULT_VIOLATION_CAP):
-    """Oracle: build both products and run the direct morphism check."""
-    return check_2alg_morphism(build_unified_product(d1), build_unified_product(d2),
-                               morphism_from_rs(rs, d1, d2), cap=cap)
+    """Oracle: the direct morphism check of the block map of rs between the
+    unified products of the two data, read in their own constants as the
+    H1..H20 catalog reads them (MorphismCtx.values()) and substituted into
+    _rs_run: the report is that of check_2alg_morphism on the two products,
+    which are not built."""
+    _require_rs(rs, d1, d2)
+    f = d1.field
+    instances = _rs_run(_dims(d1)).at(f, [*datum_maps(d1), *_family_maps(d2),
+                                          rs.r1, rs.r0, rs.s1, rs.s0])
+    return ConditionReport(conforming_field=f.conforming).fill(instances, cap).finalize()
 
 
 def _rs_shapes(datum, mode):
@@ -283,7 +312,7 @@ def _posed(p, shapes):
     Derived: phi, the structure constants of the block map over Z[x]; the
     compiled morphism run between the products; its two halves, read off one
     sweep of the run at phi and at the source and target products
-    (unified._product) of data whose constants are variables numbered after
+    (unified._symbolic) of data whose constants are variables numbered after
     phi's (datum constant at of half h is x_(top+h*n+at), top the number of
     phi's variables and n of a datum's constants), each a table from a datum
     constant's slot to the (component, monomial, coefficient) terms it adds
@@ -305,8 +334,7 @@ def _posed(p, shapes):
     (n1, m1), (n0, m0) = shapes[:2]
     dims = (n1, n0, m1, m0)
     n, top = len(_places(dims)), len(slot)
-    products = (_product(ring, dims, ((at, ring.var(top + half * n + at)) for at in range(n)))
-                for half in (0, 1))
+    products = (_symbolic(dims, range(top + half * n, top + half * n + n)) for half in (0, 1))
     run = morphism_run((n1 + m1, n0 + m0), (n1 + m1, n0 + m0))
     tables = ({}, {})
     values = [x for e in products for x in map_values(two_algebra_maps(e), ring.zero())]

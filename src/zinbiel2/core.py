@@ -11,15 +11,19 @@ a report holds the first `cap` violations, sorted, and cap=1 asks for a
 verdict only.
 
 The streams are the only definition of each axiom.  Each runs once per
-shape with every structure constant a variable of Z[x] (layout: map_values
-of two_algebra_maps, the one order of a 2-algebra's constants, read sparsely
-by map_items, inverted by value_maps and two_algebra), and SymbolicRun, the
-substitution kernel the catalogs of engine share, serves every use of that
-run: over GF(p) or Q check_crossed_module and check_2alg_morphism substitute
-each input into it (substitute), and the searches of classify read their
-constraints off it (crossed_module_run, morphism_run) at a unified product's
-constants, placed from its datum's (unified._places), each an integer or a
-free variable (sweep, its one symbolic reading).
+shape over Z[x] (compiled_run) into a SymbolicRun, the substitution kernel
+the catalogs of engine share.  For check_crossed_module and
+check_2alg_morphism every structure constant is a variable (layout:
+map_values of two_algebra_maps, the one order of a 2-algebra's constants,
+read sparsely by map_items, inverted by value_maps and two_algebra), and
+each input over GF(p) or Q is substituted into the run (substitute).  The
+oracles on extending data run the same streams on unified products whose
+datum constants are the variables (unified._datum_run, unified._psi_run,
+classify._rs_run) and substitute a datum's constants: they check the
+product without building it.  The searches of classify read their
+constraints off the runs (crossed_module_run, morphism_run) at a unified
+product's constants, placed from its datum's (unified._places), each an
+integer or a free variable (sweep, its one symbolic reading).
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, count, islice, product
 
@@ -53,15 +58,14 @@ def _id_sort_key(cond_id):
                  for t in _ID_TOKEN.findall(cond_id))
 
 
-@dataclass(frozen=True)
-class Violation:
-    cond: str
-    witness: tuple
-    lhs: tuple
-    rhs: tuple
+class Violation(namedtuple("Violation", "cond witness lhs rhs")):
+    """A violated instance: an immutable tuple (cond, witness, lhs, rhs), so
+    it also equals the plain tuple of its fields."""
+
+    __slots__ = ()
 
     def sort_key(self):
-        return (_id_sort_key(self.cond), self.witness)
+        return (_id_sort_key(self[0]), self[1])
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,15 @@ class ConditionReport:
         all for a cap below 1 (ValueError).  Returns self."""
         if cap < 1:
             raise ValueError(f"violation cap must be at least 1, got {cap}")
+        violations, new = self.violations, tuple.__new__
         for cond, witness, lhs, rhs in instances:
-            if lhs != rhs and not self.add(cond, witness, lhs, rhs, cap):
+            if lhs != rhs:      # add's rules, inline: a Violation is a tuple
+                if len(violations) < cap:
+                    violations.append(new(Violation, (cond, tuple(witness), tuple(lhs),
+                                                      tuple(rhs))))
+                    if len(violations) < cap:
+                        continue
+                self.truncated = True
                 break
         return self
 
@@ -119,16 +130,21 @@ class ConditionReport:
 
 
 def map_items(maps):
-    """(position, entry) of each nonzero entry of the maps, ascending, as map_values lays them."""
-    base = 0
+    """The (position, entry) of each nonzero entry of the maps, ascending, as
+    map_values lays them, in a list; an all-zero map adds nothing and is not
+    walked."""
+    items, base = [], 0
     for m in maps:
         if isinstance(m, BilMap):
-            for k, i, j, v in m.items:
-                yield base + (k * m.dim_a + i) * m.dim_b + j, v
-            base += m.dim_a * m.dim_b * m.dim_c
+            na, nb = m.dim_a, m.dim_b
+            if m.items:
+                items += [(base + (k * na + i) * nb + j, v) for k, i, j, v in m.items]
+            base += na * nb * m.dim_c
         else:
-            yield from ((at, v) for at, v in enumerate(chain.from_iterable(m.entries), base) if v)
+            if any(map(any, m.entries)):
+                items += [(at, v) for at, v in enumerate(chain.from_iterable(m.entries), base) if v]
             base += m.rows * m.cols
+    return items
 
 
 def map_values(maps, zero):
@@ -218,12 +234,12 @@ class SymbolicRun:
                 if m:
                     for comp, c in entries:
                         acc[comp] = acc.get(comp, 0) + c * m
-        owner, rows = self._owner, self._rows
+        owner, rows, swept = self._owner, self._rows, acc.get
         for n in sorted({owner[comp] for comp, total in acc.items() if canonical(total)}):
             cid, witness, comp, rhss = rows[n]
-            out = []
+            sides = [cid, witness]
             for rhs in rhss:
-                vec = []
+                lhs, vec = [], []
                 for poly in rhs:
                     total = 0
                     for mono, c in poly:
@@ -231,10 +247,15 @@ class SymbolicRun:
                             c *= values[x]
                         total += c
                     vec.append(canonical(total))
-                out += (tuple([canonical(r + acc.get(c, 0)) for c, r in enumerate(vec, comp)]),
-                        tuple(vec))
-                comp += len(vec)
-            yield (cid, witness, *out)
+                    lhs.append(canonical(total + swept(comp, 0)))
+                    comp += 1
+                sides += (tuple(lhs), tuple(vec))
+            yield tuple(sides)
+
+    def at(self, field, maps):
+        """substitute at the constants of maps over field, GF(p) or Q, in
+        the map_values layout."""
+        return self.substitute(map_values(maps, field.zero()), field.canonical)
 
     def sweep(self, values):
         """component -> monomial -> coefficient: the lhs - rhs components at
@@ -273,6 +294,9 @@ class SymbolicRun:
 
 def reduced(terms, p):
     """The sum of the (monomial, coefficient) terms mod p, sorted; () if 0."""
+    if len(terms) == 1:     # most swept components: the one coefficient mod p
+        (mono, c), = terms
+        return ((mono, c % p),) if c % p else ()
     total = {}
     for mono, c in terms:
         total[mono] = total.get(mono, 0) + c
@@ -577,7 +601,13 @@ def _compiled(stream, dims):
     args = [two_algebra(ring, maps[5 * k:5 * k + 5]) for k in range(len(dims))]
     if len(dims) == 2:
         args.append(TwoMorphism(*maps[10:]))
-    return SymbolicRun(ring, ((c, w, (l, r)) for c, w, l, r in stream(*args)))
+    return compiled_run(stream, *args)
+
+
+def compiled_run(stream, *args):
+    """The SymbolicRun of stream(*args), run once: args are a 2-algebra, or
+    two and a morphism, over Z[x]."""
+    return SymbolicRun(PolynomialRing(), ((c, w, (l, r)) for c, w, l, r in stream(*args)))
 
 
 def _dims(t):
@@ -607,8 +637,7 @@ def _stream(stream, *args):
     algebras, morphism = args[:2], args[2:]
     maps = [x for t in algebras for x in two_algebra_maps(t)]
     maps += [x for m in morphism for x in (m.phi1, m.phi0)]
-    run = _compiled(stream, tuple(map(_dims, algebras)))
-    return run.substitute(map_values(maps, f.zero()), f.canonical)
+    return _compiled(stream, tuple(map(_dims, algebras))).at(f, maps)
 
 
 def crossed_module_stream(t):
@@ -619,12 +648,16 @@ def crossed_module_stream(t):
 def morphism_stream(t, t2, m):
     """The morphism instances of m: t -> t2 that a report reads (see _stream);
     DimError unless m maps the levels of t to those of t2."""
-    p1, p0 = m.phi1, m.phi0
-    if (p1.cols, p1.rows) != (t.z1.dim, t2.z1.dim):
-        raise DimError(f"phi1 must be {t2.z1.dim}x{t.z1.dim}")
-    if (p0.cols, p0.rows) != (t.z0.dim, t2.z0.dim):
-        raise DimError(f"phi0 must be {t2.z0.dim}x{t.z0.dim}")
+    require_levels((m.phi1, m.phi0), _dims(t), _dims(t2))
     return _stream(_morphism_instances, t, t2, m)
+
+
+def require_levels(maps, dims, dims2):
+    """DimError unless the maps (phi1, phi0) of a morphism map level dims
+    (n1, n0) to level dims2."""
+    for k, p in enumerate(maps):
+        if (p.cols, p.rows) != (dims[k], dims2[k]):
+            raise DimError(f"phi{1 - k} must be {dims2[k]}x{dims[k]}")
 
 
 def check_crossed_module(t: ZinbielTwoAlgebra, cap=DEFAULT_VIOLATION_CAP):

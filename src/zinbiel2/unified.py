@@ -3,9 +3,10 @@
 An ExtendingDatum packages the 24 bilinear maps and sigma that parameterize
 candidate 2-algebra structures on (Z1+V1, Z0+V0) containing a fixed
 2-algebra Z; build_unified_product assembles the candidate, and
-check_datum_direct is the ground-truth oracle: build, then verify every
-2-algebra axiom on the result.  The transcribed condition lists live in
-conds_unified.py and are cross-validated against the oracle.
+check_datum_direct is the ground-truth oracle: every 2-algebra axiom on
+that candidate, checked in the datum's own constants.  The transcribed
+condition lists live in conds_unified.py and are cross-validated against
+the oracle.
 
 One table, _places, says where each constant of a datum (in the layout of
 engine.datum_maps) sits in its unified product E, read off the spaces of
@@ -16,9 +17,14 @@ searches.  extract_datum is its inverse: it rewrites E in the basis [iota |
 V-basis] that a ComplementSplit stores and reads each constant back
 through the same table.  A datum is read from its flat constants by
 _datum_at (_datum_over for the free scalars over a given Z and V), and Z and
-E are put together with core.two_algebra.  The oracle and verify_psi fill
-their reports from core's instance streams, so each report holds the first
-`cap` violations in evaluation order, sorted.
+E are put together with core.two_algebra.
+
+The oracle and verify_psi build no product: core's instance streams are run
+once per shape on the product over Z[x] whose datum constants are variables
+(_symbolic; _datum_run, _psi_run), and a datum's constants, in the layout
+the catalogs read (DatumCtx.values()), are substituted into that run.  Each
+report holds the first `cap` violations in evaluation order, sorted, as the
+same check on the built product would.
 """
 
 from __future__ import annotations
@@ -26,15 +32,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import chain, product, repeat
+from itertools import chain, count, product, repeat
 
 from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism,
-                   ZinbielTwoAlgebra, check_crossed_module, map_items, morphism_stream,
+                   ZinbielTwoAlgebra, _crossed_module_instances, _morphism_instances,
+                   check_crossed_module, compiled_run, map_items, require_levels,
                    two_algebra, two_algebra_maps, value_maps)
 from .engine import (_DATUM_KEYS, _FAMS, MAP_SPACES, DatumCtx, datum_maps, evaluate_conditions,
                      map_shape)
 from .errors import (DimError, FieldMismatch, NotComplementary, PreconditionError,
                      SubalgebraError)
+from .fields import PolynomialRing
 from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, vbasis
 
 
@@ -170,6 +178,12 @@ def _product(field, dims, constants):
         [phi.get((r, c), zero) for c in range(size[1])] for r in range(size[0])])])
 
 
+def _dims(datum):
+    """The dims (n1, n0, m1, m0) of a datum."""
+    z, v = datum.z, datum.v
+    return (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
+
+
 def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
     """Assemble the candidate 2-algebra on (Z1+V1, Z0+V0); no validity check.
 
@@ -177,9 +191,37 @@ def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
     through _places: the Z operations, hl/hr cross terms and omega into Z,
     tr/tl/st into V, and phi_E(x, u) = (phi(x) + sigma(u), d(u)).
     """
-    z, v = datum.z, datum.v
-    return _product(datum.field, (z.z1.dim, z.z0.dim, v.dim1, v.dim0),
-                    map_items(datum_maps(datum)))
+    return _product(datum.field, _dims(datum), map_items(datum_maps(datum)))
+
+
+def _symbolic(dims, variables):
+    """The unified product over Z[x] of the datum at dims whose constant at,
+    in the layout of engine.datum_maps, is the variable x_(variables[at])."""
+    ring = PolynomialRing()
+    return _product(ring, dims, ((at, ring.var(x)) for at, x in enumerate(variables)))
+
+
+@cache
+def _datum_run(dims):
+    """The crossed-module run of the unified product at dims (n1, n0, m1, m0)
+    in its datum's constants: x_at is constant at, in the layout of
+    engine.datum_maps (DatumCtx.values())."""
+    return compiled_run(_crossed_module_instances, _symbolic(dims, range(len(_places(dims)))))
+
+
+@cache
+def _psi_run(dims):
+    """The morphism run from the unified product at dims, in its datum's
+    constants x_0 .. x_(n-1), to a 2-algebra of its level dims (the product
+    at V = 0) whose constants, in two_algebra_maps order, follow, under a
+    morphism whose phi1 and phi0 come last, each row-major."""
+    n1, n0, m1, m0 = dims
+    level = (n1 + m1, n0 + m0, 0, 0)
+    n, size = len(_places(dims)), len(_places(level))
+    ring = PolynomialRing()
+    psi = value_maps(ring, [(n1 + m1,) * 2, (n0 + m0,) * 2], map(ring.var, count(n + size)))
+    return compiled_run(_morphism_instances, _symbolic(dims, range(n)),
+                        _symbolic(level, range(n, n + size)), TwoMorphism(*psi))
 
 
 def _require_valid_z(z: ZinbielTwoAlgebra, cap):
@@ -190,13 +232,21 @@ def _require_valid_z(z: ZinbielTwoAlgebra, cap):
 
 def check_datum_direct(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
                        first_only=False, check_z=True) -> ConditionReport:
-    """Oracle verdict: build the unified product and check every axiom on it.
+    """Oracle verdict: every 2-algebra axiom on the unified product, checked
+    in the datum's own constants.  They are read as the catalogs read them
+    (DatumCtx.values()) and substituted into the crossed-module run of the
+    product at the datum's dims (_datum_run), so the report is that of
+    check_crossed_module on build_unified_product(datum), and no product is
+    built.
 
     first_only=True means cap=1 for the datum: a verdict only.
     """
     if check_z:
         _require_valid_z(datum.z, cap)
-    return check_crossed_module(build_unified_product(datum), cap=1 if first_only else cap)
+    f = datum.field
+    report = ConditionReport(conforming_field=f.conforming)
+    return report.fill(_datum_run(_dims(datum)).at(f, datum_maps(datum)),
+                       1 if first_only else cap).finalize()
 
 
 def check_datum_conditions(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
@@ -350,10 +400,15 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
     PSI-COSTAB (proj_V o psi = pr_V), evaluated in that order until the cap.
     psi is the split's change of basis [iota | V-basis] at each level,
     invertible because ComplementSplit refuses a V-basis that does not span
-    E with the image of iota.
+    E with the image of iota.  M1..M5 are read in the datum's own constants,
+    E's and psi's, substituted into _psi_run: the report is that of
+    check_2alg_morphism from build_unified_product(datum), which is not built.
     """
-    f = split.field
+    f, e, dims = split.field, split.e, _dims(datum)
     (b1, b1inv), (b0, b0inv) = split._bases
+    require_levels((b1, b0), (dims[0] + dims[2], dims[1] + dims[3]), (e.z1.dim, e.z0.dim))
+    if datum.field != f:
+        raise FieldMismatch("arguments over different fields")
     n1, n0 = split.iota1.cols, split.iota0.cols
     m1, m0 = len(split.vbasis1), len(split.vbasis0)
     # Stabilizes Z: psi restricted to the Z block equals iota.
@@ -364,7 +419,6 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
     costab = ((f"PSI-COSTAB{lvl}", (j,), binv.apply(b.column(nz + j))[nz:], vbasis(f, mv, j))
               for lvl, b, binv, nz, mv in ((1, b1, b1inv, n1, m1), (0, b0, b0inv, n0, m0))
               for j in range(mv))
-    psi = TwoMorphism(b1, b0)
-    instances = chain(morphism_stream(build_unified_product(datum), split.e, psi),
+    instances = chain(_psi_run(dims).at(f, [*datum_maps(datum), *two_algebra_maps(e), b1, b0]),
                       stab, costab)
     return ConditionReport(conforming_field=f.conforming).fill(instances, cap).finalize()

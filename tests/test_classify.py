@@ -363,15 +363,17 @@ def test_a_warmed_shape_builds_no_unified_product(monkeypatch):
     # a spec builds its symbolic product from constants, placed through the
     # table of its shape (unified._product), never from a datum: once one
     # spec has derived that table, a spec at the same dims with another Z or
-    # another d calls build_unified_product not at all
+    # another d calls build_unified_product not at all (classify does not
+    # import it)
     def spec(phi_val, d_val):
         z = zero_two_algebra(F5, 1, 1, LinMap(F5, 1, 1, [[phi_val]]))
         return EnumerationSpec(F5, z, (1, 1), LinMap(F5, 1, 1, [[d_val]]))
 
     assert spec(1, 0).checks
+    assert not hasattr(classify, "build_unified_product")
     built = []
-    real = classify.build_unified_product
-    monkeypatch.setattr(classify, "build_unified_product",
+    real = unified.build_unified_product
+    monkeypatch.setattr(unified, "build_unified_product",
                         lambda datum: built.append(datum) or real(datum))
     for other in (spec(0, 0), spec(1, 2), spec(0, 2)):
         checks = other.checks
@@ -907,9 +909,9 @@ def test_census_builds_no_datum_and_one_product_per_leaf(monkeypatch):
     real_check = classify.check_crossed_module
     monkeypatch.setattr(ExtendingDatum, "__post_init__",
                         lambda datum: counts.update(["datum"]) or real_init(datum))
-    for module in (classify, unified):
-        monkeypatch.setattr(module, "build_unified_product",
-                            lambda datum: counts.update(["build"]) or real_build(datum))
+    assert not hasattr(classify, "build_unified_product")
+    monkeypatch.setattr(unified, "build_unified_product",
+                        lambda datum: counts.update(["build"]) or real_build(datum))
     monkeypatch.setattr(classify, "check_crossed_module",
                         lambda e, cap: counts.update([f"check cap {cap}"]) or real_check(e, cap=cap))
     _record_products_built(monkeypatch, products)

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, rand_zinbiel_algebra,
                      scalar_bilmap, zero_two_algebra)
-from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
+from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, Violation, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_action,
                            check_bimodule, check_crossed_module, check_zinbiel, map_values,
                            morphism_stream, semidirect_product, two_algebra, two_algebra_maps,
@@ -384,6 +384,60 @@ def test_report_refuses_cap_below_one(cap):
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_violation_is_an_immutable_tuple():
+    v = Violation("Z14", (0, 1), (1, 2), (0, 2))
+    assert (v.cond, v.witness, v.lhs, v.rhs) == ("Z14", (0, 1), (1, 2), (0, 2))
+    assert repr(v) == "Violation(cond='Z14', witness=(0, 1), lhs=(1, 2), rhs=(0, 2))"
+    with pytest.raises(AttributeError):
+        v.cond = "Z2"
+    with pytest.raises(TypeError):
+        v[0] = "Z2"
+    twin = Violation("Z14", (0, 1), (1, 2), (0, 2))
+    assert twin is not v and twin == v and hash(twin) == hash(v) and len({v, twin}) == 1
+    assert v != Violation("Z14", (0, 1), (1, 2), (0, 3))
+    assert v == ("Z14", (0, 1), (1, 2), (0, 2))     # a tuple of its fields
+    # natural order of the ids, then the witness
+    order = [Violation(*key, (), ()) for key in
+             [("B1", (1, 0, 0)), ("Z1.ZI", (0, 0, 0)), ("Z2", (0,)), ("Z2", (1,)), ("Z14", (0,))]]
+    assert sorted(reversed(order), key=Violation.sort_key) == order
+    rep = check_zinbiel(ZinbielAlgebra(F5, 1, scalar_bilmap(F5, 1)))   # e0.e0 = e0
+    assert rep.violations == [("ZI", (0, 0, 0), (1,), (2,))]
+    assert type(rep.violations[0]) is Violation
+
+
+def _added(instances, cap, report=None):
+    """The report ConditionReport.add builds from the violated instances."""
+    report = report or ConditionReport()
+    for instance in instances:
+        if instance[2] != instance[3] and not report.add(*instance, cap):
+            break
+    return report
+
+
+def test_fill_keeps_the_rules_of_add():
+    instances = [("A", (i,), (i % 2,), (0,)) for i in range(10)]     # 5 violated
+    for cap in range(1, 8):
+        stream = iter(instances)
+        rep = ConditionReport().fill(stream, cap)
+        assert rep == _added(instances, cap)
+        assert len(rep.violations) == min(cap, 5)
+        assert rep.truncated == (cap <= 5)      # exactly when it reaches the cap
+        assert list(stream) == instances[2 * cap:]     # unread past the cap-th violation
+    stream = iter(instances)
+    with pytest.raises(ValueError):
+        ConditionReport().fill(stream, 0)
+    assert next(stream) == instances[0]
+    # a fill into a full report adds nothing, and marks it truncated once
+    # it meets a violated instance
+    for more, truncated in ((instances[:1], False), (instances, True)):
+        full = ConditionReport(violations=[Violation("B", (0,), (1,), (0,))])
+        rep = full.fill(more, 1)
+        assert rep is full and rep.violations == [("B", (0,), (1,), (0,))]
+        assert rep.truncated == truncated
+        assert rep == _added(more, 1, ConditionReport(violations=[Violation("B", (0,), (1,),
+                                                                            (0,))]))
 
 
 def _dense(field, da, db, dc, rng):

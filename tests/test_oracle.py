@@ -1,11 +1,17 @@
 """The compiled oracle against the interpreted instance streams.
 
 Over GF(p) and Q, check_crossed_module and check_2alg_morphism (and through
-them verify_psi and the V.* part of check_crossed_system) substitute the
-input into one symbolic run of the stream per shape.  The reference is the
-stream itself, core._crossed_module_instances or core._morphism_instances,
-read by ConditionReport.fill on the concrete input.  Both must give
-identical reports: violations, truncation and conformance.
+them the V.* part of check_crossed_system) substitute the input into one
+symbolic run of the stream per shape.  The reference is the stream itself,
+core._crossed_module_instances or core._morphism_instances, read by
+ConditionReport.fill on the concrete input.  Both must give identical
+reports: violations, truncation and conformance.
+
+The oracles on data (check_datum_direct, check_rs_direct, verify_psi)
+substitute a datum's own constants into runs compiled on the products of
+data whose constants are variables; their reference is the product route,
+the same checks on the product built by the formula of the paper
+(helpers.reference_product).
 """
 
 import random
@@ -14,16 +20,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import (nilpotent_families, rand_ambient_with_subalgebra, rand_invertible,
-                     rand_split_of, transport_two_algebra)
+                     rand_split_of, reference_product, standard_split, transport_two_algebra,
+                     zero_two_algebra)
 from zinbiel2 import classify, core, special, unified
-from zinbiel2.classify import EnumerationSpec
+from zinbiel2.classify import EnumerationSpec, RSData, check_rs_direct, morphism_from_rs
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_crossed_module)
 from zinbiel2.errors import DimError
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 from zinbiel2.special import CrossedSystem, check_crossed_system
-from zinbiel2.unified import ExtendingDatum, extract_datum, verify_psi
+from zinbiel2.unified import ExtendingDatum, check_datum_direct, extract_datum, verify_psi
 
 LEVEL_DIMS = ((0, 1), (1, 0), (1, 1), (2, 1), (2, 2))
 FIELDS = (PrimeField(5), PrimeField(7), Rationals())
@@ -135,15 +142,23 @@ def _psi_cases(field, rng):
     return cases
 
 
+def _psi(split):
+    """psi of verify_psi: the split's change of basis [iota | V-basis]."""
+    (b1, _), (b0, _) = split._bases
+    return TwoMorphism(b1, b0)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_verify_psi_matches_stream(field, monkeypatch):
+def test_verify_psi_matches_stream(field):
+    # against the stream on the product built by the formula of the paper;
+    # PSI-STAB and PSI-COSTAB hold for every change of basis [iota | V-basis]
     rng = random.Random(f"psi-{field.name}")
     cases = [case for _ in range(3) for case in _psi_cases(field, rng)]
     for cap in CAPS:
         got = [verify_psi(split, datum, cap) for split, datum in cases]
-        with monkeypatch.context() as m:
-            m.setattr(unified, "morphism_stream", core._morphism_instances)
-            want = [verify_psi(split, datum, cap) for split, datum in cases]
+        want = [_interpreted(field, core._morphism_instances(reference_product(datum), split.e,
+                                                             _psi(split)), cap)
+                for split, datum in cases]
         assert got == want, cap
     assert got[0].ok and not all(rep.ok for rep in got)
 
@@ -276,3 +291,83 @@ def test_kernel_reads_constraints_mod_p():
     assert run.constraints(values, 7) == (one_plus_x0, one, (((0,), 5),))
     with pytest.raises(ValueError):
         run.constraints([ring.add(ring.var(0), ring.one())] + values[1:], 5)
+
+
+# datum dims (n1, n0, m1, m0): Z at level dims (n1, n0), V at (m1, m0)
+DATUM_DIMS = ((0, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 2, 1))
+
+
+def _datum(z, v, rng, density):
+    """A random datum over z and v: no axiom need hold."""
+    base = ExtendingDatum.trivial(z, v)
+    fams = {name: tuple(_bil(z.field, b.dim_a, b.dim_b, b.dim_c, rng, density)
+                        for b in getattr(base, name))
+            for name in ("hr", "hl", "tr", "tl", "om", "st")}
+    return base.replace(sigma=_lin(z.field, z.z0.dim, v.dim1, rng, density), **fams)
+
+
+def _oracle_cases(field, dims, rng):
+    """(oracle, product route) pairs, each a function of the cap, on random
+    data at dims, dense and sparse, and on inputs every axiom holds for."""
+    n1, n0, m1, m0 = dims
+    zero = ExtendingDatum.trivial(zero_two_algebra(field, n1, n0),
+                                  TwoVectorSpace(m1, m0, LinMap.zero(field, m0, m1)))
+    cases = []
+    for density in DENSITIES:
+        z = _candidate(field, n1, n0, rng, density)
+        v = TwoVectorSpace(m1, m0, _lin(field, m0, m1, rng, density))
+        d1, d2 = _datum(z, v, rng, density), _datum(z, v, rng, density)
+        rs = RSData(_lin(field, n1, m1, rng, density), _lin(field, n0, m0, rng, density),
+                    _lin(field, m1, m1, rng, density), _lin(field, m0, m0, rng, density))
+        e2 = standard_split(reference_product(d2), n1, n0)
+        for d in (d1, d2, zero):
+            cases.append((lambda cap, d=d: check_datum_direct(d, cap, check_z=False),
+                          lambda cap, d=d: check_crossed_module(reference_product(d), cap)))
+        for rs_, a, b in ((rs, d1, d2), (rs, d1, d1), (RSData.identity(field, d1), d1, d1)):
+            cases.append((lambda cap, t=(rs_, a, b): check_rs_direct(*t, cap),
+                          lambda cap, t=(rs_, a, b): check_2alg_morphism(
+                              reference_product(t[1]), reference_product(t[2]),
+                              morphism_from_rs(*t), cap)))
+        for split, d in ((rand_split_of(e2.e, e2.iota1, e2.iota0, rng), d1),
+                         (standard_split(reference_product(d1), n1, n0), d1)):
+            cases.append((lambda cap, t=(split, d): verify_psi(*t, cap),
+                          lambda cap, t=(split, d): check_2alg_morphism(
+                              reference_product(t[1]), t[0].e, _psi(t[0]), cap)))
+    return cases
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("dims", DATUM_DIMS, ids=str)
+def test_oracles_on_data_match_the_product_route(dims, field):
+    # the same violations in the same order, truncation and conformance;
+    # verify_psi adds PSI-STAB and PSI-COSTAB, which hold on every split
+    rng = random.Random(f"data-{dims}-{field.name}")
+    seen_ok = seen_truncated = 0
+    for oracle, route in _oracle_cases(field, dims, rng):
+        for cap in CAPS:
+            got = oracle(cap)
+            assert got == route(cap), cap
+            seen_ok += got.ok
+            seen_truncated += got.truncated
+    assert seen_ok >= 3 * len(CAPS) and seen_truncated
+
+
+def test_oracles_on_data_build_no_product(monkeypatch):
+    # once the runs of a shape are compiled, no oracle on data builds a
+    # unified product: _product and build_unified_product are never called
+    shapes = ((1, 1, 1, 1), (2, 1, 1, 1))
+    for dims in shapes:     # compiles the runs of the shape
+        for oracle, _ in _oracle_cases(F5, dims, random.Random(0)):
+            oracle(3)
+    rng = random.Random(7)
+    cases = [case for dims in shapes for case in _oracle_cases(F5, dims, rng)]
+    want = [route(3) for _, route in cases]
+
+    def refuse(*args):
+        raise AssertionError("an oracle built a unified product")
+
+    for module in (unified, classify, special):
+        for name in ("_product", "build_unified_product"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [oracle(3) for oracle, _ in cases] == want
