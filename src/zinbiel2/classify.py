@@ -3,33 +3,34 @@ desk-scale classification over GF(p).
 
 A census walks a datum's constants in the one layout of engine.datum_maps,
 Z's (core.two_algebra_maps) and d fixed, the free scalars bound depth-first
-with forward checking against the validity constraints, read off the direct
-oracle's compiled run (core.crossed_module_run) at the product built from
-the constants (unified._product), the free scalars variables of Z[x],
-reduced mod p.  A leaf is its constants plus one product built from them
-and re-checked by the oracle (_leaves); its datum is built only on request.
+with forward checking against the validity constraints: the oracle's run in
+a datum's constants (unified._datum_run) swept at the fixed constants and
+at the free scalars as variables of Z[x], reduced mod p.  A leaf is its
+constants, re-checked by substitution into the same run (_leaves); its
+datum is built only on request, and no product is built at all.
 
 Equivalence testing searches block maps (x, u) -> (x + r(u), s(u)) rather
 than all linear maps of the ambient product: a morphism that stabilizes Z
 has exactly this form, and it is an isomorphism precisely when both s
 components are invertible (criterion H1..H20, cross-validated against the
 direct morphism check).  The cohomologous relation additionally fixes
-s = id.  The search is the same walk over the morphism constraints read off
-the compiled morphism check at a block map of variables, bound fail-first,
-s before r, so that a singular s block is cut before any r is bound.  A
-related pair is walked again in the slot order (r before s) for its
-lexicographically first witness, which the oracle re-checks.
+s = id.  The search is the same walk over the morphism constraints, read
+off the direct check's run in the two data's constants and the block map's
+(_rs_run) at a block map of variables, bound fail-first, s before r, so
+that a singular s block is cut before any r is bound.  A related pair is
+walked again in the slot order (r before s) for its lexicographically first
+witness, which the oracle re-checks by substitution into the same run.
 
-What depends only on the shape is derived once (_skeleton, _posed, and
-unified._places, where each datum constant sits in the product).  A datum
-is read as its nonzero constants (_Product): its item is spliced from them,
-each half of the morphism run is swept at them once per search object, and
-its product is built from them at most once (unified._product).  A pair
-costs one pass over its two swept halves, which stops at the first nonzero
-constant (the pair is then refuted with no walk); else the walk.  A quotient
-searches each datum against one representative per orbit.  Everything runs
-in the calling process, deterministic and lexicographic; budgets are hard
-limits, and nothing is silently sampled.
+What depends only on the shape is derived once (_skeleton, _posed, and the
+runs).  A datum is read as its nonzero constants (_Product): its item is
+spliced from them, and each half of the morphism run, the source's
+constants (Z and d included) or the target's family maps and sigma, is
+swept at them once per search object.  A pair costs one pass over its two
+swept halves, which stops at the first nonzero constant (the pair is then
+refuted with no walk); else the walk.  A quotient searches each datum
+against one representative per orbit.  Everything runs in the calling
+process, deterministic and lexicographic; budgets are hard limits, and
+nothing is silently sampled.
 """
 
 from __future__ import annotations
@@ -42,16 +43,15 @@ from itertools import accumulate, count, repeat
 from math import prod
 
 from .core import (DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism, ZinbielTwoAlgebra,
-                   _morphism_instances, check_2alg_morphism, check_crossed_module, compiled_run,
-                   crossed_module_run, map_items, map_values, morphism_run, reduced,
+                   _morphism_instances, compiled_run, map_items, map_values, reduced,
                    two_algebra_maps, value_maps)
-from .engine import MorphismCtx, _family_maps, datum_maps, evaluate_conditions
+from .engine import MorphismCtx, datum_maps, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField, Rationals
 from .linalg import LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import (_FREE, ExtendingDatum, _datum_at, _datum_over, _dims, _layout, _places,
-                      _product, _require_valid_z, _symbolic, check_datum_direct)
+from .unified import (_FREE, ExtendingDatum, _datum_at, _datum_over, _datum_run, _dims, _layout,
+                      _places, _require_valid_z, _symbolic, check_datum_direct)
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
@@ -81,8 +81,7 @@ class RSData:
 
     @classmethod
     def identity(cls, field, datum: ExtendingDatum):
-        n1, n0 = datum.z.z1.dim, datum.z.z0.dim
-        m1, m0 = datum.v.dim1, datum.v.dim0
+        n1, n0, m1, m0 = _dims(datum)
         return cls(LinMap.zero(field, n1, m1), LinMap.zero(field, n0, m0),
                    LinMap.identity(field, m1), LinMap.identity(field, m0))
 
@@ -143,6 +142,21 @@ def _rs_run(dims):
                         _symbolic(dims, [*range(top), *range(n, end)]), _block_map(*rs))
 
 
+def _rs_values(zero, dims, source, target, rs):
+    """The values of the variables of _rs_run(dims): the constants of the
+    source datum and, from _FREE on, of the target (each (slot, value) pairs
+    in the layout of engine.datum_maps, a slot left out being zero), then
+    map_values of the maps rs (r1, r0, s1, s0)."""
+    n, top = len(_places(dims)), sum(map(prod, _layout(dims)[:_FREE]))
+    values = [zero] * (2 * n - top)
+    for at, v in source:
+        values[at] = v
+    for at, v in target:
+        if at >= top:
+            values[n - top + at] = v
+    return values + map_values(rs, zero)
+
+
 def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                     cap=DEFAULT_VIOLATION_CAP):
     """Oracle: the direct morphism check of the block map of rs between the
@@ -151,24 +165,28 @@ def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
     _rs_run: the report is that of check_2alg_morphism on the two products,
     which are not built."""
     _require_rs(rs, d1, d2)
-    f = d1.field
-    instances = _rs_run(_dims(d1)).at(f, [*datum_maps(d1), *_family_maps(d2),
-                                          rs.r1, rs.r0, rs.s1, rs.s0])
+    f, dims = d1.field, _dims(d1)
+    values = _rs_values(f.zero(), dims, map_items(datum_maps(d1)), map_items(datum_maps(d2)),
+                        (rs.r1, rs.r0, rs.s1, rs.s0))
+    instances = _rs_run(dims).substitute(values, f.canonical)
     return ConditionReport(conforming_field=f.conforming).fill(instances, cap).finalize()
 
 
-def _rs_shapes(datum, mode):
-    """(rows, cols) of the blocks of rs in slot order, the order of its
-    lexicographic witnesses: r1 and r0, then s1 and s0 in mode
-    "equivalent".  datum may be a _Product."""
-    n1, n0 = datum.z.z1.dim, datum.z.z0.dim
-    m1, m0 = datum.v.dim1, datum.v.dim0
+def _rs_shapes(dims, mode):
+    """(rows, cols) of the blocks of rs between data at dims (n1, n0, m1, m0)
+    in slot order, the order of its lexicographic witnesses: r1 and r0, then
+    s1 and s0 in mode "equivalent"."""
+    n1, n0, m1, m0 = dims
     return [(n1, m1), (n0, m0)] + ([(m1, m1), (m0, m0)] if mode == "equivalent" else [])
 
 
 def rs_search_space(field, datum: ExtendingDatum, mode):
-    """Number of candidate rs tuples for the given mode."""
-    return field.char ** sum(rows * cols for rows, cols in _rs_shapes(datum, mode))
+    """Number of candidate rs tuples over field for the given mode; ValueError
+    for an unknown mode, FieldMismatch unless datum is over field."""
+    _require_mode(mode)
+    if datum.field != field:
+        raise FieldMismatch(f"datum over {datum.field.name}, not {field.name}")
+    return field.char ** sum(rows * cols for rows, cols in _rs_shapes(_dims(datum), mode))
 
 
 def _invertible_block(p, m, lo):
@@ -250,8 +268,7 @@ class _Product:
     """A datum over the 2-algebra z and the space v as the census and the
     quotients read it: constants, its nonzero constants, (slot, value) in the
     layout of engine.datum_maps; item, its canonical serialization, spliced
-    from them (_skeleton); e, its unified product, built from them once
-    (unified._product); datum, built from them only on request
+    from them (_skeleton); datum, built from them only on request
     (_Product.of)."""
 
     def __init__(self, z, v, constants):
@@ -265,10 +282,6 @@ class _Product:
         product = cls(datum.z, datum.v, tuple(map_items(datum_maps(datum))))
         product.datum = datum
         return product
-
-    @cached_property
-    def e(self):
-        return _product(self.field, self.dims, self.constants)
 
     @cached_property
     def datum(self):
@@ -299,29 +312,31 @@ def _guards(p, shapes, order):
 
 
 @cache
-def _posed(p, shapes):
-    """What an rs search over GF(p) with the blocks of shapes depends on,
-    derived once.  The entries of the blocks are the variables x0, x1, ...
-    of Z[x] in the binding order, fail first: s1, s0, then r1, r0, each
-    block row-major, so that a singular s is cut before any r is bound and
-    most constraints are complete once s is.  slot[i] is the position of
+def _posed(p, dims, mode):
+    """What an rs search over GF(p) between data at dims in mode depends on,
+    derived once.  The entries of the blocks of rs (_rs_shapes) are the
+    variables x0, x1, ... of Z[x] in the binding order, fail first: s1, s0,
+    then r1, r0, each block row-major, so that a singular s is cut before
+    any r is bound and most constraints are complete once s is.  slot[i] is the position of
     x_i in the slot order of _rs_maps (r1, r0, s1, s0), the order in which
     witnesses are lexicographic; slot is None where the two orders agree (in
     mode "cohomologous", and wherever r is empty).
 
-    Derived: phi, the structure constants of the block map over Z[x]; the
-    compiled morphism run between the products; its two halves, read off one
-    sweep of the run at phi and at the source and target products
-    (unified._symbolic) of data whose constants are variables numbered after
-    phi's (datum constant at of half h is x_(top+h*n+at), top the number of
-    phi's variables and n of a datum's constants), each a table from a datum
+    Derived: the two halves of the morphism run in the data's constants
+    (_rs_run), read off one sweep of it at the block map of those variables
+    (s = id in mode "cohomologous") and at data whose constants are
+    variables numbered after them: half 0 the source's constants, Z and d
+    included, which the target shares; half 1 the target's from _FREE on.
+    Datum constant at of half h is x_(size+h*n+at), size the number of block
+    entries and n of a datum's constants.  Each half is a table from a datum
     constant's slot to the (component, monomial, coefficient) terms it adds
-    per unit; and the guards that cut a singular s block once bound, in the
-    binding order and in the slot order.  A swept monomial must carry
-    exactly one datum constant, its last variable: divmod(x - top, n) gives
-    its half and its slot.  One that carries none or two raises
-    AssertionError, since the halves would not sum to the run."""
+    per unit.  Also derived: the guards that cut a singular s block once
+    bound, in the binding order and in the slot order.  A swept monomial
+    must carry exactly one datum constant, its last variable: divmod(x -
+    size, n) gives its half and its slot.  One that carries none or two
+    raises AssertionError, since the halves would not sum to the run."""
     ring = PolynomialRing()
+    shapes = _rs_shapes(dims, mode)
     sizes = [rows * cols for rows, cols in shapes]
     starts = list(accumulate(sizes, initial=0))     # of the blocks in slot order
     order = (*range(2, len(shapes)), 0, 1)
@@ -329,27 +344,21 @@ def _posed(p, shapes):
     entries = [None] * len(slot)
     for x, at in enumerate(slot):
         entries[at] = ring.var(x)
-    phi = _block_map(*_rs_maps(ring, shapes, entries))
-    phi = tuple(map_values((phi.phi1, phi.phi0), ring.zero()))
-    (n1, m1), (n0, m0) = shapes[:2]
-    dims = (n1, n0, m1, m0)
-    n, top = len(_places(dims)), len(slot)
-    products = (_symbolic(dims, range(top + half * n, top + half * n + n)) for half in (0, 1))
-    run = morphism_run((n1 + m1, n0 + m0), (n1 + m1, n0 + m0))
+    n, size = len(_places(dims)), len(slot)
+    source, target = ([(at, ring.var(size + half * n + at)) for at in range(n)] for half in (0, 1))
+    values = _rs_values(ring.zero(), dims, source, target, _rs_maps(ring, shapes, entries))
     tables = ({}, {})
-    values = [x for e in products for x in map_values(two_algebra_maps(e), ring.zero())]
-    for comp, poly in run.sweep([*values, *phi]).items():
+    for comp, poly in _rs_run(dims).sweep(values).items():
         for mono, c in poly.items():
-            if not mono or mono[-1] < top or len(mono) > 1 and mono[-2] >= top:
+            if not mono or mono[-1] < size or len(mono) > 1 and mono[-2] >= size:
                 raise AssertionError("a monomial of the run carries no source or target "
                                      "constant, or more than one")
             if c:
-                half, at = divmod(mono[-1] - top, n)
+                half, at = divmod(mono[-1] - size, n)
                 tables[half].setdefault(at, []).append((comp, mono[:-1], c))
     if slot == tuple(range(len(slot))):
         slot = None
-    return (phi, run, tables, _guards(p, shapes, order), slot,
-            _guards(p, shapes, range(len(shapes))))
+    return tables, _guards(p, shapes, order), slot, _guards(p, shapes, range(len(shapes)))
 
 
 def _require_mode(mode):
@@ -362,7 +371,8 @@ class _RSSearch:
     it is well posed (a known mode, one prime field, Z and V, valid data if
     check_valid, rs space in budget, in that order) and takes what depends
     only on the shape from _posed.  Each product's half of the morphism run
-    is swept and reduced at most once per search object, as either side."""
+    (_rs_run) is swept and reduced at most once per search object, as
+    either side."""
 
     def __init__(self, products, mode, rs_budget, check_valid):
         _require_mode(mode)
@@ -381,10 +391,9 @@ class _RSSearch:
         if space > rs_budget:
             raise InfeasibleSearch(
                 f"rs search space has {space} candidates (budget {rs_budget})", count=space)
-        self.field, self.shapes = f, tuple(_rs_shapes(first, mode))
+        self.field, self.dims, self.shapes = f, first.dims, tuple(_rs_shapes(first.dims, mode))
         self.size = sum(rows * cols for rows, cols in self.shapes)
-        (self.phi, self.run, self._tables, self.guards, self.slot,
-         self.slot_guards) = _posed(f.char, self.shapes)
+        self._tables, self.guards, self.slot, self.slot_guards = _posed(f.char, self.dims, mode)
         self._swept = {}        # (product, 0 as source or 1 as target) -> its sweep
 
     def _sweep(self, product, k):
@@ -396,11 +405,11 @@ class _RSSearch:
 
     def checks(self, source, target):
         """The morphism constraints on rs between the _Products source and
-        target, run.constraints at their constants and phi levelled over the
-        variables in the binding order (_levelled, _posed): one pass over the
-        components of the source half swept at source and the target half at
-        target merges only those both carry, and stops at the first nonzero
-        constant, returned alone.  The rs over GF(p) at which every polynomial
+        target, _rs_run's constraints at their constants and a block map of
+        variables in the binding order, levelled (_levelled, _posed): one
+        pass over the components of the source half swept at source and the
+        target half at target merges only those both carry, and stops at the
+        first nonzero constant, returned alone.  The rs over GF(p) at which every polynomial
         vanishes are exactly those whose block map is a morphism."""
         a, b = self._sweep(source, 0), self._sweep(target, 1)
         levels = [{} for _ in range(self.size + 1)]     # dicts as ordered sets
@@ -421,9 +430,9 @@ class _RSSearch:
         first leaf of _walk over checks and guards, in the binding order; if
         there is one and the binding order is not the slot order, the checks
         relabelled to the slot order are walked again for the first leaf in
-        that order.  The witness is re-checked by the oracle; a rejection
-        raises."""
-        p = self.field.char
+        that order.  The witness is re-checked by the oracle, substituted into
+        _rs_run as check_rs_direct reads it; a rejection raises."""
+        f, p = self.field, self.field.char
         checks = self.checks(source, target)
         if checks[0]:       # a nonzero constant: no rs at all
             return None
@@ -435,10 +444,11 @@ class _RSSearch:
             if leaf is None:
                 raise AssertionError("the rs search found a witness in the binding order "
                                      "and none in the slot order")
-        values = _digits(leaf, p, self.size)
-        maps = _rs_maps(self.field, self.shapes, values)
-        if not check_2alg_morphism(source.e, target.e, _block_map(*maps), cap=1).ok:
-            raise AssertionError(f"the rs search found the block map with entries {values}, "
+        digits = _digits(leaf, p, self.size)
+        maps = _rs_maps(f, self.shapes, digits)
+        values = _rs_values(f.zero(), self.dims, source.constants, target.constants, maps)
+        if next(_rs_run(self.dims).substitute(values, f.canonical), None) is not None:
+            raise AssertionError(f"the rs search found the block map with entries {digits}, "
                                  "which the oracle rejects")
         return RSData(*maps)
 
@@ -495,20 +505,16 @@ class EnumerationSpec:
 
     @cached_property
     def checks(self):
-        """The validity constraints, read off the compiled oracle.
-
-        The product (unified._product) of the datum whose fixed constants
-        are constants of Z[x] and whose free scalar i is the variable x_i is
-        substituted into the compiled crossed-module check
-        (core.crossed_module_run); the assignments at which every constraint
-        vanishes mod p are exactly the valid ones.  checks[k] holds those
-        whose highest variable is x_(k-1) (see _levelled).
+        """The validity constraints, read off the compiled oracle: the
+        datum run at the spec's dims (unified._datum_run) swept at the fixed
+        constants, constants of Z[x], and at the free scalars, free scalar i
+        the variable x_i, reduced mod p.  The assignments at which every
+        constraint vanishes mod p are exactly the valid ones.  checks[k]
+        holds those whose highest variable is x_(k-1) (see _levelled).
         """
         ring = PolynomialRing()
-        e = _product(ring, self.dims, enumerate([*self.fixed, *map(ring.var, range(self.size))]))
-        run = crossed_module_run((e.z1.dim, e.z0.dim))
-        polys = run.constraints(map_values(two_algebra_maps(e), ring.zero()), self.field.char)
-        return _levelled(polys, self.size)
+        values = [*map(ring.canonical, self.fixed), *map(ring.var, range(self.size))]
+        return _levelled(_datum_run(self.dims).constraints(values, self.field.char), self.size)
 
 
 def _digits(index, p, n):
@@ -602,7 +608,8 @@ def _walk(p, checks, guards=None):
 def _leaves(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
     """The leaves of _walk over spec.checks for (z, V), in lexicographic order:
     each a _Product over z and V of the spec's fixed constants and its digits,
-    its e re-checked by the oracle as check_datum_direct does; a rejection raises.
+    re-checked by the oracle as check_datum_direct does, substituted into
+    unified._datum_run; a rejection raises.
 
     Raises ValueError for a negative budget, BudgetExceeded (with the exact
     candidate count) before searching anything if the assignment space is
@@ -616,20 +623,20 @@ def _leaves(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
         raise BudgetExceeded(
             f"enumeration space has {spec.total} candidates (budget {budget})",
             count=spec.total)
+    run = _datum_run(spec.dims)
     for index in _walk(field.char, spec.checks):
-        values = enumerate((*spec.fixed, *_digits(index, field.char, spec.size)))
-        product = _Product(z, spec.v, tuple((at, c) for at, c in values if c))
-        if not check_crossed_module(product.e, cap=1).ok:
+        values = (*spec.fixed, *_digits(index, field.char, spec.size))
+        if next(run.substitute(values, field.canonical), None) is not None:
             raise AssertionError(f"the search accepted assignment {index}, "
                                  "which the oracle rejects")
-        yield product
+        yield _Product(z, spec.v, tuple((at, c) for at, c in enumerate(values) if c))
 
 
 def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
                          budget=DEFAULT_ENUM_BUDGET):
     """All valid extending data for (z, V) in lexicographic order, raising as
-    _leaves: the datum of each leaf (its constants plus one re-checked
-    product), built on request."""
+    _leaves: the datum of each leaf (its re-checked constants), built on
+    request."""
     return (product.datum for product in _leaves(field, z, vdims, d, budget))
 
 
@@ -685,8 +692,8 @@ def _quotients(products, mode, rs_budget):
 def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
            budget=DEFAULT_ENUM_BUDGET, rs_budget=DEFAULT_RS_BUDGET):
     """Enumerate the valid leaves and compute both quotients; returns census
-    JSON.  A leaf is its constants plus one product re-checked by the oracle
-    (_leaves), read for both relations; no datum is built."""
+    JSON.  A leaf is its constants, re-checked by the oracle (_leaves) and
+    read for both relations; no datum and no product is built."""
     from .io import two_algebra_to_json
     products = list(_leaves(field, z, vdims, d, budget))
     out = {"field": field.name,

@@ -21,9 +21,10 @@ oracles on extending data run the same streams on unified products whose
 datum constants are the variables (unified._datum_run, unified._psi_run,
 classify._rs_run) and substitute a datum's constants: they check the
 product without building it.  The searches of classify read their
-constraints off the runs (crossed_module_run, morphism_run) at a unified
-product's constants, placed from its datum's (unified._places), each an
-integer or a free variable (sweep, its one symbolic reading).
+constraints off the same runs at a datum's constants, each an integer or a
+free variable (sweep, its one symbolic reading).  So _compiled serves only
+2-algebras given as such: Z itself, and the inputs of check_crossed_module
+and check_2alg_morphism.
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -612,19 +613,6 @@ def compiled_run(stream, *args):
 
 def _dims(t):
     return (t.z1.dim, t.z0.dim)
-
-
-def crossed_module_run(dims):
-    """The compiled crossed-module run on 2-algebras of level dims (n1, n0).
-    Its variables are map_values of their two_algebra_maps."""
-    return _compiled(_crossed_module_instances, (dims,))
-
-
-def morphism_run(dims, dims2):
-    """The compiled morphism run from 2-algebras of level dims (n1, n0) to
-    those of level dims2.  Its variables are map_values of the source's and
-    the target's two_algebra_maps, then of phi1 and phi0."""
-    return _compiled(_morphism_instances, (dims, dims2))
 
 
 def _stream(stream, *args):

@@ -11,18 +11,21 @@ the oracle.
 One table, _places, says where each constant of a datum (in the layout of
 engine.datum_maps) sits in its unified product E, read off the spaces of
 its map alone.  _product places a datum's nonzero constants through it:
-build_unified_product reads them off a datum, and classify builds from
-constants over GF(p) and, with variables of Z[x] for constants, poses its
-searches.  extract_datum is its inverse: it rewrites E in the basis [iota |
-V-basis] that a ComplementSplit stores and reads each constant back
-through the same table.  A datum is read from its flat constants by
+build_unified_product reads them off a datum, and _symbolic, with variables
+of Z[x] for constants, builds the products the runs of the oracles (and
+through them the searches of classify) are compiled on.  extract_datum is
+its inverse: it rewrites E in the basis [iota | V-basis] that a
+ComplementSplit stores and reads each constant back through the same
+table.  A datum is read from its flat constants by
 _datum_at (_datum_over for the free scalars over a given Z and V), and Z and
 E are put together with core.two_algebra.
 
 The oracle and verify_psi build no product: core's instance streams are run
 once per shape on the product over Z[x] whose datum constants are variables
-(_symbolic; _datum_run, _psi_run), and a datum's constants, in the layout
-the catalogs read (DatumCtx.values()), are substituted into that run.  Each
+(_symbolic; _datum_run, _psi_run, classify._rs_run), and a datum's
+constants, in the layout the catalogs read (DatumCtx.values()), are
+substituted into that run; the census sweeps _datum_run at free scalars
+left as variables.  Each
 report holds the first `cap` violations in evaluation order, sorted, as the
 same check on the built product would.
 """
@@ -362,7 +365,7 @@ def extract_datum(split: ComplementSplit, check_e=True,
         if not rep.ok:
             raise PreconditionError("ambient E is not a valid Zinbiel 2-algebra", rep)
     (b1, b1inv), (b0, b0inv) = split._bases
-    dims = (split.iota1.cols, split.iota0.cols, len(split.vbasis1), len(split.vbasis0))
+    dims = split.dims()
     binv = (b0inv, b1inv)
     cols = tuple([b.column(i) for i in range(b.cols)] for b in (b0, b1))
     entries = []        # (m, key, value) of each nonzero constant, as _places names them
@@ -409,8 +412,7 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
     require_levels((b1, b0), (dims[0] + dims[2], dims[1] + dims[3]), (e.z1.dim, e.z0.dim))
     if datum.field != f:
         raise FieldMismatch("arguments over different fields")
-    n1, n0 = split.iota1.cols, split.iota0.cols
-    m1, m0 = len(split.vbasis1), len(split.vbasis0)
+    n1, n0, m1, m0 = split.dims()
     # Stabilizes Z: psi restricted to the Z block equals iota.
     stab = ((f"PSI-STAB{lvl}", (j,), b.column(j), iota.column(j))
             for lvl, b, iota, nz in ((1, b1, split.iota1, n1), (0, b0, split.iota0, n0))

@@ -387,13 +387,11 @@ def reference_checks(spec):
     return _levels_mod_p(core._crossed_module_instances(e), spec.field.p, spec.size)
 
 
-def reference_rs_checks(e1, e2, shapes, binding=None):
-    """Reference for classify._RSSearch.checks, level by level as sets: the
-    interpreted morphism stream on the block map from e1 to e2 whose r1,
-    r0 (then s1, s0, else the identity) entries are variables of Z[x],
-    reduced mod p.  The variables are x0, x1, ... row-major through the
-    blocks taken in the order binding (indices into shapes; by default r1,
-    r0, s1, s0)."""
+def variable_rs_blocks(shapes, binding=None):
+    """r1, r0, s1, s0 over Z[x] whose r1, r0 (then s1, s0, else the
+    identity) entries are the variables x0, x1, ... row-major through the
+    blocks of shapes taken in the order binding (indices into shapes; by
+    default r1, r0, s1, s0)."""
     ring = PolynomialRing()
     var = map(ring.var, count())
     blocks = [None] * len(shapes)
@@ -403,7 +401,15 @@ def reference_rs_checks(e1, e2, shapes, binding=None):
                            [[next(var) for _ in range(cols)] for _ in range(rows)])
     if len(blocks) == 2:
         blocks += [LinMap.identity(ring, m.cols) for m in blocks]
-    r1, r0, s1, s0 = blocks
+    return blocks
+
+
+def reference_rs_checks(e1, e2, shapes, binding=None):
+    """Reference for classify._RSSearch.checks, level by level as sets: the
+    interpreted morphism stream on the block map from e1 to e2 of
+    variable_rs_blocks(shapes, binding), reduced mod p."""
+    ring = PolynomialRing()
+    r1, r0, s1, s0 = variable_rs_blocks(shapes, binding)
     phi = TwoMorphism(upper_block(LinMap.identity(ring, r1.rows), r1, s1),
                       upper_block(LinMap.identity(ring, r0.rows), r0, s0))
     instances = core._morphism_instances(_lift(ring, e1), _lift(ring, e2), phi)

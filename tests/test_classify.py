@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
                      pairwise_partition, rand_scalar, rand_sparse_datum, recursive_walk,
                      reference_checks, reference_datum_at, reference_product, reference_rs_checks,
-                     scalar_bilmap, zero_two_algebra)
+                     scalar_bilmap, variable_rs_blocks, zero_two_algebra)
 from zinbiel2 import classify, cli, core, linalg, unified
 from zinbiel2 import io as zio
 from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
@@ -24,8 +24,8 @@ from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equi
                                compute_quotients, enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
 from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism, map_items,
-                           map_values, two_algebra_maps)
-from zinbiel2.engine import datum_maps
+                           map_values)
+from zinbiel2.engine import _family_maps, datum_maps
 from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                              PreconditionError)
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
@@ -197,6 +197,20 @@ def test_rs_budget_enforced():
     with pytest.raises(InfeasibleSearch) as err:
         are_equivalent(d, d, rs_budget=10)
     assert err.value.count == 5 ** 4
+
+
+def test_rs_search_space_refuses_an_unknown_mode_and_another_field():
+    # the count is over the datum's own field, in a known mode
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
+    d = ExtendingDatum.trivial(z, TwoVectorSpace(1, 1, LinMap.zero(F5, 1, 1)))
+    assert rs_search_space(F5, d, "equivalent") == 5 ** 3
+    assert rs_search_space(F5, d, "cohomologous") == 5
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        rs_search_space(F5, d, "bogus")
+    for field in (PrimeField(7), Rationals()):
+        for mode in ("equivalent", "cohomologous"):
+            with pytest.raises(FieldMismatch, match="datum over gf5"):
+                rs_search_space(field, d, mode)
 
 
 def test_quotients_validate_before_searching(monkeypatch):
@@ -782,59 +796,42 @@ def test_quotients_at_v20():
                                       key=lambda orbit: coh.items[orbit[0]]))
 
 
-def _record_products_built(monkeypatch, built):
-    """Patch _Product.e to append each _Product whose e it builds to built."""
-    real = classify._Product.e.func
-    prop = functools.cached_property(lambda product: built.append(product) or real(product))
-    prop.__set_name__(classify._Product, "e")
-    monkeypatch.setattr(classify._Product, "e", prop)
-
-
-def test_quotients_build_each_product_once(monkeypatch):
-    # at most once per datum, and exactly for the data whose witness the
-    # oracle re-checks (as source or as representative)
+def test_quotients_build_no_product(monkeypatch):
+    # a quotient reads each datum as its constants: once its shape is posed
+    # it builds no unified product, and each witness found is re-checked by
+    # exactly one substitution into the rs run; one of the six equivalence
+    # classes is a singleton, the cohomology classes all are
     data = golden_data((1, 1))
-    products, rechecked = [], set()
-    real_call = classify._RSSearch.__call__
-
-    def call(search, source, target):
-        rs = real_call(search, source, target)
-        if rs is not None:
-            rechecked.update((data.index(source.datum), data.index(target.datum)))
-        return rs
-
-    _record_products_built(monkeypatch, products)
-    monkeypatch.setattr(classify._RSSearch, "__call__", call)
-    # one of the six equivalence classes is a singleton; the cohomology
-    # classes all are
-    for mode, count in (("equivalent", 24), ("cohomologous", 0)):
-        products.clear()
-        rechecked.clear()
+    compute_quotients(data[:2])
+    run = classify._rs_run((0, 1, 1, 1))
+    calls, found = [], []
+    real_call, real_substitute = classify._RSSearch.__call__, core.SymbolicRun.substitute
+    monkeypatch.setattr(unified, "_product", lambda *args: calls.append("product"))
+    monkeypatch.setattr(core.SymbolicRun, "substitute", lambda self, values, canonical:
+                        calls.append(self) or real_substitute(self, values, canonical))
+    monkeypatch.setattr(classify._RSSearch, "__call__", lambda search, source, target:
+                        found.append(real_call(search, source, target)) or found[-1])
+    for mode, count in (("equivalent", 19), ("cohomologous", 0)):
+        calls.clear()
+        found.clear()
         compute_quotients(data, mode=mode)
-        built = [data.index(product.datum) for product in products]
-        assert sorted(built) == sorted(rechecked)
-        assert len(built) == count
+        assert calls == [run] * count == [run] * sum(rs is not None for rs in found)
 
 
-def test_quotients_build_one_symbolic_block_map(monkeypatch):
-    # the block map over Z[x] depends only on the shapes: one per shape, not
-    # one per quotient call or per search
+def test_quotients_compile_one_rs_run(monkeypatch):
+    # the morphism run in the data's constants depends only on the dims:
+    # one compile for both modes, not one per quotient call or per search
     data = golden_data((1, 1))
-    built = []
-    real = classify._block_map
-
-    def counting(r1, r0, s1, s0):
-        if isinstance(r1.field, PolynomialRing):
-            built.append(r1)
-        return real(r1, r0, s1, s0)
-
-    monkeypatch.setattr(classify, "_block_map", counting)
+    compiled = []
+    real = classify.compiled_run
+    monkeypatch.setattr(classify, "compiled_run",
+                        lambda *args: compiled.append(args[0]) or real(*args))
+    classify._rs_run.cache_clear()
     for mode in ("equivalent", "cohomologous"):
         classify._posed.cache_clear()
-        built.clear()
         compute_quotients(data, mode=mode)
         compute_quotients(data, mode=mode)
-        assert len(built) == 1
+    assert compiled == [core._morphism_instances]
 
 
 def test_quotients_call_no_inverse(monkeypatch):
@@ -897,32 +894,31 @@ def test_census_reads_each_datum_once(monkeypatch):
     assert calls.count("json") == 2
 
 
-def test_census_builds_no_datum_and_one_product_per_leaf(monkeypatch):
-    # a leaf is its constants plus one product, re-checked by the oracle once
-    # and reused by the quotients' witness re-checks; no ExtendingDatum is
-    # built and build_unified_product is not called, but for the two data
-    # the skeleton of a shape is read off once, here on the first census
+def test_census_builds_no_datum_and_no_product(monkeypatch):
+    # a leaf is its constants, re-checked by the oracle once, substituted
+    # into the datum run; no ExtendingDatum is built but for the two data the
+    # skeleton of a shape is read off once, and no unified product is built
+    # but for the symbolic ones the runs are compiled on, here on the first
+    # census
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     d = LinMap.zero(F5, 1, 0)
-    counts, products = collections.Counter(), []
-    real_init, real_build = ExtendingDatum.__post_init__, unified.build_unified_product
-    real_check = classify.check_crossed_module
+    counts = collections.Counter()
+    real_init, real_product = ExtendingDatum.__post_init__, unified._product
+    real_substitute = core.SymbolicRun.substitute
     monkeypatch.setattr(ExtendingDatum, "__post_init__",
                         lambda datum: counts.update(["datum"]) or real_init(datum))
-    assert not hasattr(classify, "build_unified_product")
-    monkeypatch.setattr(unified, "build_unified_product",
-                        lambda datum: counts.update(["build"]) or real_build(datum))
-    monkeypatch.setattr(classify, "check_crossed_module",
-                        lambda e, cap: counts.update([f"check cap {cap}"]) or real_check(e, cap=cap))
-    _record_products_built(monkeypatch, products)
-    classify._skeleton.cache_clear()
-    for derived in ({"datum": 2}, {}):
+    monkeypatch.setattr(unified, "_product", lambda field, dims, constants: counts.update(
+        [f"product over {field.name}"]) or real_product(field, dims, constants))
+    monkeypatch.setattr(core.SymbolicRun, "substitute", lambda self, values, canonical: counts.update(
+        ["datum run"] * (self is unified._datum_run((0, 1, 0, 1))))
+        or real_substitute(self, values, canonical))
+    for cached in (classify._skeleton, unified._datum_run, classify._rs_run, classify._posed):
+        cached.cache_clear()
+    for derived in ({"datum": 2, "product over z[x]": 3}, {}):
         counts.clear()
-        products.clear()
         out = census(F5, z, (0, 1), d)
         assert pretty_dumps(out) == GOLDEN.read_text()
-        assert counts == {**derived, "check cap 1": 5}
-        assert len(products) == len(set(map(id, products))) == out["valid_count"] == 5
+        assert counts == {**derived, "datum run": 5} and out["valid_count"] == 5
 
 
 @pytest.mark.parametrize("zfile,vdims,count", [(Z_ZERO01, (0, 1), 5), (Z_ZERO01, (1, 1), 25),
@@ -932,8 +928,8 @@ def test_census_builds_no_datum_and_one_product_per_leaf(monkeypatch):
                               "z_z_id-v10"])
 def test_leaves_are_the_reference_data(zfile, vdims, count):
     # each census leaf, built from constants, against the reference datum at
-    # its index: its product (also against the reference product), its
-    # lazily built datum and its item
+    # its index: the product of its constants against the reference
+    # product, its lazily built datum and its item
     _, z, f = zio.load_document(str(zfile))
     d = LinMap.zero(f, vdims[1], vdims[0])
     spec = EnumerationSpec(f, z, vdims, d)
@@ -942,7 +938,8 @@ def test_leaves_are_the_reference_data(zfile, vdims, count):
     assert len(indices) == len(leaves) == count
     for index, product in zip(indices, leaves):
         datum = reference_datum_at(spec, index)
-        assert product.e == build_unified_product(datum) == reference_product(datum), index
+        e = unified._product(f, product.dims, product.constants)
+        assert e == build_unified_product(datum) == reference_product(datum), index
         assert product.datum == datum, index
         assert product.item == canonical_dumps(datum_to_json(datum)), index
 
@@ -1060,7 +1057,7 @@ def test_gathered_products_match_the_built_ones(field):
             e = reference_product(datum)
             assert build_unified_product(datum) == e
             product = classify._Product(z, datum.v, tuple(map_items(datum_maps(datum))))
-            assert product.e == e
+            assert unified._product(field, product.dims, product.constants) == e
 
 
 # (n1, n0, m1, m0): all dims zero, Z = (0, 1) with V = (2, 0), (1, 1) with
@@ -1130,8 +1127,10 @@ def test_quotients_refuse_an_unknown_mode_for_any_number_of_data(field):
 @pytest.mark.parametrize("p", (5, 7))
 def test_merged_halves_are_the_full_sweep(p):
     # a pair sums the source half swept at the source and the target half
-    # swept at the target: the constraints of one sweep of the whole run at
-    # both products' dense constants, up to the pass's early exit
+    # swept at the target: the constraints of one sweep of the whole rs run
+    # at the source's dense constants, the target's family maps and sigma
+    # (MorphismCtx.values()) and the block map of variables in the binding
+    # order, up to the pass's early exit
     f = PrimeField(p)
     rng = random.Random(10 + p)
     refuted = []
@@ -1139,13 +1138,14 @@ def test_merged_halves_are_the_full_sweep(p):
         for m1, m0 in REFERENCE_VDIMS:
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.4) for _ in range(2))
-            products = classify._Product.of(d1), classify._Product.of(d2)
-            values = {product: tuple((((), c),) if c else () for c in map_values(
-                two_algebra_maps(product.e), f.zero())) for product in products}
-            for mode in ("equivalent", "cohomologous"):
-                search = classify._RSSearch(products, mode, math.inf, False)
+            products = {classify._Product.of(d): d for d in (d1, d2)}
+            for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
+                search = classify._RSSearch(tuple(products), mode, math.inf, False)
+                rs = map_values(variable_rs_blocks(search.shapes, binding), ())
                 for source, target in itertools.product(products, repeat=2):
-                    full = search.run.constraints(values[source] + values[target] + search.phi, p)
+                    maps = [*datum_maps(products[source]), *_family_maps(products[target])]
+                    values = [((((), c),) if c else ()) for c in map_values(maps, 0)] + rs
+                    full = classify._rs_run(search.dims).constraints(values, p)
                     reference = classify._levelled(full, search.size)
                     checks = search.checks(source, target)
                     refuted.append(_refuted_alone(checks, reference))
@@ -1154,18 +1154,18 @@ def test_merged_halves_are_the_full_sweep(p):
     assert 0 < sum(refuted) < len(refuted)
 
 
-# the constants of a product at level dims (2, 2), that of the data below
-E_SIZE = len(map_values(two_algebra_maps(zero_two_algebra(F5, 2, 2)), 0))
+# the index of the first variable of the block map in the rs run at dims
+# (1, 1, 1, 1), after the source's constants and the target's families
+RS_START = len(classify._rs_values(0, (1, 1, 1, 1), (), (), ()))
 
 
-@pytest.mark.parametrize("mono", [(0, 1), (), (2 * E_SIZE,)], ids=["two", "constant", "rs only"])
+@pytest.mark.parametrize("mono", [(0, 1), (), (RS_START,)], ids=["two", "constant", "rs only"])
 def test_posing_refuses_a_run_whose_halves_do_not_sum_to_it(monkeypatch, mono):
-    # a monomial of the morphism run with two product constants, or none:
-    # "rs only" is the first constant of the block map, after those of both
-    # products
+    # a monomial of the rs run with two datum constants, or none: "rs only"
+    # is the first constant of the block map, after those of both data
     ring = PolynomialRing()
     doctored = core.SymbolicRun(ring, [("M1", (0,), ((((mono, 1),),), ((),)))])
-    monkeypatch.setattr(classify, "morphism_run", lambda dims, dims2: doctored)
+    monkeypatch.setattr(classify, "_rs_run", lambda dims: doctored)
     classify._posed.cache_clear()
     d = zero_datum(zero_z(0))
     try:

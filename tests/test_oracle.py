@@ -16,6 +16,7 @@ the same checks on the product built by the formula of the paper
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +24,12 @@ from helpers import (nilpotent_families, rand_ambient_with_subalgebra, rand_inve
                      rand_split_of, reference_product, standard_split, transport_two_algebra,
                      zero_two_algebra)
 from zinbiel2 import classify, core, special, unified
-from zinbiel2.classify import EnumerationSpec, RSData, check_rs_direct, morphism_from_rs
+from zinbiel2.classify import RSData, check_rs_direct, morphism_from_rs
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_crossed_module)
 from zinbiel2.errors import DimError
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
+from zinbiel2.io import pretty_dumps
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 from zinbiel2.special import CrossedSystem, check_crossed_system
 from zinbiel2.unified import ExtendingDatum, check_datum_direct, extract_datum, verify_psi
@@ -37,6 +39,7 @@ FIELDS = (PrimeField(5), PrimeField(7), Rationals())
 CAPS = (1, 3, 100)
 DENSITIES = (1.0, 0.2)      # dense and sparse candidates
 F5 = PrimeField(5)
+GOLDEN_CENSUS = Path(__file__).parent / "goldens" / "census_gf5_zero01.json"
 
 
 def _scalar(field, rng, density):
@@ -217,35 +220,34 @@ def test_symbolic_pass_once_per_shape(monkeypatch):
 
 
 def test_searches_substitute_into_the_compiled_runs(monkeypatch):
-    # spec.checks and _RSSearch.checks run no stream of their own: the first
-    # search at a shape compiles its run once, later ones reuse it
-    core._compiled.cache_clear()
-    classify._posed.cache_clear()
-    streams = []
-    real_cm, real_m = core._crossed_module_instances, core._morphism_instances
+    # the golden census runs no stream of its own: it compiles Z's
+    # crossed-module run (its check of Z), then the runs in a datum's
+    # constants at its dims (0, 1, 0, 1), whose products are symbolic, over
+    # Z[x] and no field; a second census compiles nothing
+    for cached in (core._compiled, unified._datum_run, classify._rs_run, classify._posed):
+        cached.cache_clear()
+    compiled, fields = [], []
+    real_run, real_product = core.compiled_run, unified._product
 
-    def counting_cm(t):
-        streams.append("cm")
-        return real_cm(t)
+    def counting(stream, *args):
+        compiled.append((stream, *((t.z1.dim, t.z0.dim) for t in args[:2])))
+        return real_run(stream, *args)
 
-    def counting_m(t, t2, m):
-        streams.append("m")
-        return real_m(t, t2, m)
-
-    monkeypatch.setattr(core, "_crossed_module_instances", counting_cm)
-    monkeypatch.setattr(core, "_morphism_instances", counting_m)
+    for module in (core, unified, classify):
+        monkeypatch.setattr(module, "compiled_run", counting)
+    monkeypatch.setattr(unified, "_product", lambda field, dims, constants:
+                        fields.append(field) or real_product(field, dims, constants))
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
-    specs = [EnumerationSpec(F5, z, (0, 1), LinMap.zero(F5, 1, 0)) for _ in range(2)]
-    # the golden census
-    assert [sum(map(len, spec.checks)) for spec in specs] == [14, 14]
-    assert streams == ["cm"]
-    data = [specs[0].datum_at(index) for index in (0, 1, 7)]
-    products = [classify._Product.of(d) for d in data]
-    for mode in ("equivalent", "cohomologous"):
-        search = classify._RSSearch(products, mode, classify.DEFAULT_RS_BUDGET, False)
-        for source, target in zip(products, products[1:]):
-            search.checks(source, target)
-    assert streams == ["cm", "m"] and core._compiled.cache_info().currsize == 2
+    for _ in range(2):
+        out = classify.census(F5, z, (0, 1), LinMap.zero(F5, 1, 0))
+        assert pretty_dumps(out) == GOLDEN_CENSUS.read_text()
+    cm, m = core._crossed_module_instances, core._morphism_instances
+    assert compiled == [(cm, (0, 1)), (cm, (0, 2)), (m, (0, 2), (0, 2))]
+    assert set(fields) == {PolynomialRing()} and len(fields) == 3
+    for run in (unified._datum_run, classify._rs_run):
+        assert run.cache_info().currsize == 1
+        run((0, 1, 0, 1))
+        assert run.cache_info().currsize == 1
 
 
 def test_verify_psi_refuses_datum_of_another_shape():
