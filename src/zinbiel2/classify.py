@@ -40,9 +40,9 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, count, repeat
-from math import prod
+from math import inf, prod
 
-from .core import (DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism, ZinbielTwoAlgebra,
+from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra,
                    _morphism_instances, compiled_run, map_items, map_values, reduced,
                    two_algebra_maps, value_maps)
 from .engine import MorphismCtx, datum_maps, evaluate_conditions
@@ -161,15 +161,14 @@ def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                     cap=DEFAULT_VIOLATION_CAP):
     """Oracle: the direct morphism check of the block map of rs between the
     unified products of the two data, read in their own constants as the
-    H1..H20 catalog reads them (MorphismCtx.values()) and substituted into
-    _rs_run: the report is that of check_2alg_morphism on the two products,
-    which are not built."""
+    H1..H20 catalog reads them (MorphismCtx.values()), with its report read
+    off _rs_run: the report is that of check_2alg_morphism on the two
+    products, which are not built."""
     _require_rs(rs, d1, d2)
     f, dims = d1.field, _dims(d1)
     values = _rs_values(f.zero(), dims, map_items(datum_maps(d1)), map_items(datum_maps(d2)),
                         (rs.r1, rs.r0, rs.s1, rs.s0))
-    instances = _rs_run(dims).substitute(values, f.canonical)
-    return ConditionReport(conforming_field=f.conforming).fill(instances, cap).finalize()
+    return _rs_run(dims).report(f, values, cap)
 
 
 def _rs_shapes(dims, mode):
@@ -181,12 +180,14 @@ def _rs_shapes(dims, mode):
 
 
 def rs_search_space(field, datum: ExtendingDatum, mode):
-    """Number of candidate rs tuples over field for the given mode; ValueError
-    for an unknown mode, FieldMismatch unless datum is over field."""
+    """Number of candidate rs tuples over field for the given mode, inf over Q
+    unless r and s are empty; ValueError for an unknown mode, FieldMismatch
+    unless datum is over field."""
     _require_mode(mode)
     if datum.field != field:
         raise FieldMismatch(f"datum over {datum.field.name}, not {field.name}")
-    return field.char ** sum(rows * cols for rows, cols in _rs_shapes(_dims(datum), mode))
+    size = sum(rows * cols for rows, cols in _rs_shapes(_dims(datum), mode))
+    return field.char ** size if field.char or not size else inf
 
 
 def _invertible_block(p, m, lo):
@@ -430,8 +431,8 @@ class _RSSearch:
         first leaf of _walk over checks and guards, in the binding order; if
         there is one and the binding order is not the slot order, the checks
         relabelled to the slot order are walked again for the first leaf in
-        that order.  The witness is re-checked by the oracle, substituted into
-        _rs_run as check_rs_direct reads it; a rejection raises."""
+        that order.  The witness is re-checked by the oracle, read off _rs_run
+        at cap 1 as check_rs_direct reads it; a rejection raises."""
         f, p = self.field, self.field.char
         checks = self.checks(source, target)
         if checks[0]:       # a nonzero constant: no rs at all
@@ -447,7 +448,7 @@ class _RSSearch:
         digits = _digits(leaf, p, self.size)
         maps = _rs_maps(f, self.shapes, digits)
         values = _rs_values(f.zero(), self.dims, source.constants, target.constants, maps)
-        if next(_rs_run(self.dims).substitute(values, f.canonical), None) is not None:
+        if not _rs_run(self.dims).report(f, values, 1).ok:
             raise AssertionError(f"the rs search found the block map with entries {digits}, "
                                  "which the oracle rejects")
         return RSData(*maps)
@@ -608,8 +609,8 @@ def _walk(p, checks, guards=None):
 def _leaves(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
     """The leaves of _walk over spec.checks for (z, V), in lexicographic order:
     each a _Product over z and V of the spec's fixed constants and its digits,
-    re-checked by the oracle as check_datum_direct does, substituted into
-    unified._datum_run; a rejection raises.
+    re-checked by the oracle as check_datum_direct does, read off
+    unified._datum_run at cap 1; a rejection raises.
 
     Raises ValueError for a negative budget, BudgetExceeded (with the exact
     candidate count) before searching anything if the assignment space is
@@ -626,7 +627,7 @@ def _leaves(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
     run = _datum_run(spec.dims)
     for index in _walk(field.char, spec.checks):
         values = (*spec.fixed, *_digits(index, field.char, spec.size))
-        if next(run.substitute(values, field.canonical), None) is not None:
+        if not run.report(field, values, 1).ok:
             raise AssertionError(f"the search accepted assignment {index}, "
                                  "which the oracle rejects")
         yield _Product(z, spec.v, tuple((at, c) for at, c in enumerate(values) if c))

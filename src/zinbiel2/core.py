@@ -5,10 +5,9 @@ representable, and validity (the Zinbiel identity, bimodule/action axioms,
 crossed-module compatibilities) is established by the check_* functions.
 Checks verify identities on all basis tuples, which by multilinearity is
 equivalent to verification on all elements.  Each check is a stream of
-(condition id, basis tuple, lhs, rhs) instances in a fixed loop order;
-ConditionReport.fill adds the violated ones in that order until the cap, so
-a report holds the first `cap` violations, sorted, and cap=1 asks for a
-verdict only.
+(condition id, basis tuple, lhs, rhs) instances in a fixed loop order, and
+its report holds the first `cap` violated ones in that order, sorted; cap=1
+asks for a verdict only (ConditionReport.fill and finalize on a stream).
 
 The streams are the only definition of each axiom.  Each runs once per
 shape over Z[x] (compiled_run) into a SymbolicRun, the substitution kernel
@@ -16,10 +15,11 @@ the catalogs of engine share.  For check_crossed_module and
 check_2alg_morphism every structure constant is a variable (layout:
 map_values of two_algebra_maps, the one order of a 2-algebra's constants,
 read sparsely by map_items, inverted by value_maps and two_algebra), and
-each input over GF(p) or Q is substituted into the run (substitute).  The
+the report at each input over GF(p) or Q is read off the run
+(SymbolicRun.report, which builds only the violations it keeps).  The
 oracles on extending data run the same streams on unified products whose
 datum constants are the variables (unified._datum_run, unified._psi_run,
-classify._rs_run) and substitute a datum's constants: they check the
+classify._rs_run) and report at a datum's constants: they check the
 product without building it.  The searches of classify read their
 constraints off the same runs at a datum's constants, each an integer or a
 free variable (sweep, its one symbolic reading).  So _compiled serves only
@@ -196,34 +196,49 @@ def value_maps(ring, shapes, values):
 class SymbolicRun:
     """One run of a check over Z[x], indexed for substitution: the kernel of
     both routes.  Built from the instances (id, witness, sides), sides read
-    in pairs (lhs, rhs[, lhs, rhs of a second form]); every lhs - rhs
-    component is numbered in run order, and the index maps each monomial,
+    in pairs (lhs, rhs[, lhs, rhs of the form as printed, the next item,
+    "<id>.as-printed"]), and the (id, note) of the suspect conditions.  Its
+    items are ranked in report order (natural id order, witness, run order),
+    each lhs - rhs component is numbered, and the index maps each monomial,
     grouped by its first variable, to its components and coefficients.
-    substitute reads the run at values of a field, sweep (and constraints,
-    which reduces it mod p) at values of Z[x]."""
+    report reads the run at values of a field, sweep (and constraints, which
+    reduces it mod p) at values of Z[x]."""
 
-    def __init__(self, ring, instances):
-        self._rows = rows = []      # (id, witness, first component, rhs vectors)
-        self._owner = owner = []    # component -> instance position
+    def __init__(self, ring, instances, notes=()):
+        self._items = items = []    # (id, witness, first component, rhs)
+        self._item = item = []      # component -> its item
+        self._twins = twins = {}    # item with a form as printed (the next item) -> id
         groups = {}                 # first variable (None: constant) -> rest -> entries
-        for n, (cid, witness, sides) in enumerate(instances):
-            rows.append((cid, witness, len(owner), sides[1::2]))
-            for lhs, rhs in zip(sides[::2], sides[1::2]):
+        for cid, witness, sides in instances:
+            if len(sides) > 2:
+                twins[len(items)] = cid
+            for form, (lhs, rhs) in enumerate(zip(sides[::2], sides[1::2])):
+                n = len(items)
+                items.append((cid + ".as-printed" if form else cid, tuple(witness), len(item), rhs))
                 for a, b in zip(lhs, rhs):
-                    comp = len(owner)
-                    owner.append(n)
+                    comp = len(item)
+                    item.append(n)
                     for mono, c in ring.sub(a, b):
                         group = groups.setdefault(mono[0] if mono else None, {})
                         group.setdefault(mono[1:], []).append((comp, c))
         self._index = tuple((x, tuple((rest, tuple(entries)) for rest, entries in group.items()))
                             for x, group in groups.items())
+        order = sorted(range(len(items)), key=lambda n: (_id_sort_key(items[n][0]), items[n][1]))
+        self._rank = sorted(range(len(items)), key=order.__getitem__)     # item -> rank
+        self._notes = sorted(notes, key=lambda note: _id_sort_key(note[0]))
 
-    def substitute(self, values, canonical):
-        """(id, witness, *sides) at x = values for the instances with an lhs -
-        rhs component that canonical keeps nonzero, in run order: a sweep of
-        the nonzero first variables, then each rhs substituted as it is read
-        and its lhs the rhs plus the swept lhs - rhs."""
-        acc = {}
+    def report(self, field, values, cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
+        """The finished report at x = values over field, GF(p) or Q, by fill's
+        rules on the items in run order: one sweep of the nonzero first
+        variables finds the violated items, the first `cap` (a form as
+        printed only with strict_printed, where its instance holds) are put
+        in rank order and each is built once, its rhs substituted and its
+        lhs the rhs plus the swept lhs - rhs.  A note disagrees if some
+        instance and its form as printed disagree before the cap.  ValueError
+        for a cap below 1."""
+        if cap < 1:
+            raise ValueError(f"violation cap must be at least 1, got {cap}")
+        canonical, acc = field.canonical, {}
         for x, group in self._index:
             v = 1 if x is None else values[x]
             if not v:
@@ -235,28 +250,40 @@ class SymbolicRun:
                 if m:
                     for comp, c in entries:
                         acc[comp] = acc.get(comp, 0) + c * m
-        owner, rows, swept = self._owner, self._rows, acc.get
-        for n in sorted({owner[comp] for comp, total in acc.items() if canonical(total)}):
-            cid, witness, comp, rhss = rows[n]
-            sides = [cid, witness]
-            for rhs in rhss:
-                lhs, vec = [], []
-                for poly in rhs:
-                    total = 0
-                    for mono, c in poly:
-                        for x in mono:
-                            c *= values[x]
-                        total += c
-                    vec.append(canonical(total))
-                    lhs.append(canonical(total + swept(comp, 0)))
-                    comp += 1
-                sides += (tuple(lhs), tuple(vec))
-            yield tuple(sides)
-
-    def at(self, field, maps):
-        """substitute at the constants of maps over field, GF(p) or Q, in
-        the map_values layout."""
-        return self.substitute(map_values(maps, field.zero()), field.canonical)
+        item, twins, disagrees = self._item, self._twins, set()
+        bad = {item[comp] for comp, total in acc.items() if canonical(total)}
+        chosen = []
+        for n in sorted(bad):
+            if n - 1 in twins:      # n is the form as printed of item n - 1
+                if n - 1 in bad:
+                    continue
+                disagrees.add(twins[n - 1])
+                if not strict_printed:
+                    continue
+            chosen.append(n)
+            if len(chosen) == cap:
+                break
+            if n in twins and n + 1 not in bad:
+                disagrees.add(twins[n])
+        chosen.sort(key=self._rank.__getitem__)
+        report = ConditionReport(conforming_field=field.conforming, truncated=len(chosen) == cap,
+                                 flags=[FlagNote(cid, note, cid in disagrees)
+                                        for cid, note in self._notes])
+        items, swept, new, violations = self._items, acc.get, tuple.__new__, report.violations
+        for n in chosen:
+            cid, witness, comp, rhs = items[n]
+            lhs, vec = [], []
+            for poly in rhs:
+                total = 0
+                for mono, c in poly:
+                    for x in mono:
+                        c *= values[x]
+                    total += c
+                vec.append(canonical(total))
+                lhs.append(canonical(total + swept(comp, 0)))
+                comp += 1
+            violations.append(new(Violation, (cid, witness, tuple(lhs), tuple(vec))))
+        return report
 
     def sweep(self, values):
         """component -> monomial -> coefficient: the lhs - rhs components at
@@ -615,29 +642,16 @@ def _dims(t):
     return (t.z1.dim, t.z0.dim)
 
 
-def _stream(stream, *args):
-    """The instances of stream(*args) over GF(p) or Q that a report reads:
-    the violated ones, substituted into the compiled run of their shape;
-    FieldMismatch unless all args share a field."""
+def _report(stream, args, cap):
+    """The report of stream(*args) over GF(p) or Q, read off the compiled run
+    of its shape; FieldMismatch unless all args share a field."""
     f = args[0].field
     if any(a.field != f for a in args):
         raise FieldMismatch("arguments over different fields")
     algebras, morphism = args[:2], args[2:]
     maps = [x for t in algebras for x in two_algebra_maps(t)]
     maps += [x for m in morphism for x in (m.phi1, m.phi0)]
-    return _compiled(stream, tuple(map(_dims, algebras))).at(f, maps)
-
-
-def crossed_module_stream(t):
-    """The crossed-module instances of t that a report reads (see _stream)."""
-    return _stream(_crossed_module_instances, t)
-
-
-def morphism_stream(t, t2, m):
-    """The morphism instances of m: t -> t2 that a report reads (see _stream);
-    DimError unless m maps the levels of t to those of t2."""
-    require_levels((m.phi1, m.phi0), _dims(t), _dims(t2))
-    return _stream(_morphism_instances, t, t2, m)
+    return _compiled(stream, tuple(map(_dims, algebras))).report(f, map_values(maps, f.zero()), cap)
 
 
 def require_levels(maps, dims, dims2):
@@ -650,8 +664,7 @@ def require_levels(maps, dims, dims2):
 
 def check_crossed_module(t: ZinbielTwoAlgebra, cap=DEFAULT_VIOLATION_CAP):
     """Full 2-algebra check: action axioms plus CM1-CM4 and derived CM5."""
-    report = ConditionReport(conforming_field=t.field.conforming)
-    return report.fill(crossed_module_stream(t), cap).finalize()
+    return _report(_crossed_module_instances, (t,), cap)
 
 
 def _morphism_instances(t, t2, m):
@@ -686,8 +699,9 @@ def _morphism_instances(t, t2, m):
 
 def check_2alg_morphism(t: ZinbielTwoAlgebra, t2: ZinbielTwoAlgebra, m: TwoMorphism,
                         cap=DEFAULT_VIOLATION_CAP):
-    """Morphism conditions M1-M5 for m: t -> t2."""
+    """Morphism conditions M1-M5 for m: t -> t2; DimError unless m maps the
+    levels of t to those of t2."""
     if t.field != t2.field or m.field != t.field:
         raise FieldMismatch("morphism and 2-algebras over different fields")
-    report = ConditionReport(conforming_field=t.field.conforming)
-    return report.fill(morphism_stream(t, t2, m), cap).finalize()
+    require_levels((m.phi1, m.phi0), _dims(t), _dims(t2))
+    return _report(_morphism_instances, (t, t2, m), cap)

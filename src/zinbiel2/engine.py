@@ -15,12 +15,13 @@ context whose map entries are the variables x0, x1, ... of Z[x], in the
 order the context lists its maps (the layout of core.map_values), with
 every space check in force.  The run is cached on the table as a
 core.SymbolicRun, the one substitution kernel the oracle's compiled checks
-use too.  evaluate_conditions sweeps a concrete context's nonzero structure
-constants through it and substitutes only the instances where a side
-disagrees, as ConditionReport.fill reads them, reducing every value with
-field.canonical, so GF(p) for every p and Q go through one evaluator.  The
-polynomials come from the catalog lambdas, never from the product E, so the
-catalog route stays independent of the oracle.
+use too.  evaluate_conditions reads the finished report off it
+(SymbolicRun.report): it sweeps a concrete context's nonzero structure
+constants through the run and builds only the violations the report
+keeps, in the order ranked when the run was built, reducing every value
+with field.canonical, so GF(p) for every p and Q go through one
+evaluator.  The polynomials come from the catalog lambdas, never from the
+product E, so the catalog route stays independent of the oracle.
 
 The shapes of the structure maps come from one table: core._OP_LEVELS gives
 the levels of the four operations of a 2-algebra, in the order of
@@ -35,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, FlagNote, SymbolicRun,
-                   map_values, two_algebra_maps, value_maps)
+from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, SymbolicRun, map_values, two_algebra_maps,
+                   value_maps)
 from .errors import DimError
 from .fields import PolynomialRing
 from .linalg import vadd, vbasis, vzero
@@ -342,7 +343,8 @@ def _sides(cid, fn, ctx, elts):
 def _symbolic_run(ctx, table):
     """The SymbolicRun of `table` on the symbolic context ctx: every
     condition on every basis tuple, in table order, with sides (lhs, rhs),
-    followed by the (lhs, rhs) of the form as printed where there is one."""
+    followed by the (lhs, rhs) of the form as printed where there is one;
+    its notes are the suspect conditions, once per family."""
     run = []
     for cond in table.conds:
         for idx in _grid(ctx.dims, cond.spaces):
@@ -352,44 +354,24 @@ def _symbolic_run(ctx, table):
             if cond.as_printed is not None:
                 sides += _sides(cond.cid, cond.as_printed, ctx, elts)
             run.append((cond.cid, witness, sides))
-    return SymbolicRun(ctx.field, run)
-
-
-def _condition_instances(ctx, table, strict_printed, disagrees):
-    """(id, witness, lhs, rhs) for the conditions of `table` on the basis
-    tuples of ctx where a side disagrees, in table order, substituted into
-    the symbolic run as they are read.  Where a suspect condition's form as
-    printed disagrees with the corrected one, its id is added to
-    `disagrees` and, with strict_printed, the "<cid>.as-printed" instance
-    follows."""
-    run = table.instances(ctx)
-    for cid, witness, lhs, rhs, *printed in run.substitute(ctx.values(), ctx.field.canonical):
-        yield cid, witness, lhs, rhs
-        if printed:
-            plhs, prhs = printed
-            if (plhs != prhs) != (lhs != rhs):
-                disagrees.add(cid)
-                if strict_printed:
-                    yield f"{cid}.as-printed", witness, plhs, prhs
+    notes = [(cond.cid, cond.suspect) for cond in table.conds
+             if cond.suspect is not None and cond.level in (None, 0)]
+    return SymbolicRun(ctx.field, run, notes)
 
 
 def evaluate_conditions(ctx, table, cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
-    """Evaluate every condition of `table` on all applicable basis tuples.
+    """Evaluate every condition of `table` on all applicable basis tuples,
+    read off the table's run at ctx's constants (SymbolicRun.report).
 
     ctx is over GF(p) or Q.  Violations of corrected (typo-suspect)
     conditions count toward the verdict; each suspect condition also gets a
     FlagNote recording whether the form as originally printed disagrees
     with the corrected form on this input.  With strict_printed=True, a
     point where the form as printed is violated and the corrected form
-    holds is added as a violation with id "<cid>.as-printed".  The report
-    holds the first `cap` violations in (condition, basis tuple) order,
-    sorted; cap=1 asks for a verdict only.  Flags are emitted even when the
-    report stops at the cap; they cover the instances evaluated before it.
+    holds is added as a violation with id "<cid>.as-printed", right after
+    its instance.  The report holds the first `cap` violations in
+    (condition, basis tuple) order, sorted; cap=1 asks for a verdict only.
+    Flags are emitted even when the report stops at the cap; they cover the
+    instances evaluated before it.
     """
-    report = ConditionReport(conforming_field=ctx.field.conforming)
-    disagrees = set()
-    report.fill(_condition_instances(ctx, table, strict_printed, disagrees), cap)
-    for cond in table.conds:
-        if cond.suspect is not None and (cond.level is None or cond.level == 0):
-            report.flags.append(FlagNote(cond.cid, cond.suspect, cond.cid in disagrees))
-    return report.finalize()
+    return table.instances(ctx).report(ctx.field, ctx.values(), cap, strict_printed)

@@ -12,10 +12,10 @@ vanish, factorize its omega and sigma.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field as dc_field
 
 from .core import (DEFAULT_VIOLATION_CAP, ZinbielTwoAlgebra, _prefixed, check_crossed_module,
-                   crossed_module_stream, two_algebra, two_algebra_maps)
+                   two_algebra, two_algebra_maps)
 from .engine import _FAMS, MAP_SPACES, DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
@@ -58,14 +58,17 @@ def build_crossed_product(cs: CrossedSystem) -> ZinbielTwoAlgebra:
 def check_crossed_system(cs: CrossedSystem, cap=DEFAULT_VIOLATION_CAP,
                          check_z=True, strict_printed=False):
     """CZ1..CZ61 plus the side condition that the star family makes
-    (V1, V0, d) a valid 2-algebra (violations namespaced V.*)."""
+    (V1, V0, d) a valid 2-algebra (violations namespaced V.*), in that order
+    until the cap: the first violations of the star's check fill the room."""
     from .conds_special import CZ_TABLE
     if check_z:
         _require_valid_z(cs.datum.z, cap)
     report = evaluate_conditions(DatumCtx(cs.datum), CZ_TABLE, cap=cap,
                                  strict_printed=strict_printed)
-    vstar = _prefixed("V.", crossed_module_stream(star_structure(cs.datum)))
-    return report.fill(vstar, cap).finalize()
+    if len(report.violations) < cap:
+        vstar = check_crossed_module(star_structure(cs.datum), cap - len(report.violations))
+        report.fill(_prefixed("V.", vstar.violations), cap)
+    return report.finalize()
 
 
 def check_ideal_extension(split: ComplementSplit, cap=DEFAULT_VIOLATION_CAP) -> CrossedSystem:
@@ -104,6 +107,7 @@ class MatchedPairDatum:
     tr: tuple
     tl: tuple
     check_v: InitVar[bool] = True
+    _datum: ExtendingDatum = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self, check_v):
         if check_v:
@@ -112,22 +116,19 @@ class MatchedPairDatum:
                 raise PreconditionError("V is not a valid Zinbiel 2-algebra", vrep)
         for name in _FAMS[:4]:
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        self.embed()  # validates all map shapes
+        f, z, v = self.field, self.z, self.v    # the embedded datum, built once
+        dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.z0.dim, "V1": v.z1.dim}
+        om = tuple(BilMap.zero(f, dims[a], dims[b], dims[c]) for a, b, c in MAP_SPACES["om"])
+        object.__setattr__(self, "_datum", ExtendingDatum(   # validates all map shapes
+            z, TwoVectorSpace(v.z1.dim, v.z0.dim, v.phi), self.hr, self.hl, self.tr, self.tl,
+            om, two_algebra_maps(v)[:4], LinMap.zero(f, z.z0.dim, v.z1.dim)))
 
     @property
     def field(self):
         return self.z.field
 
     def embed(self) -> ExtendingDatum:
-        f = self.field
-        v2 = TwoVectorSpace(self.v.z1.dim, self.v.z0.dim, self.v.phi)
-        n0, m1 = self.z.z0.dim, self.v.z1.dim
-        dims = {"Z0": self.z.z0.dim, "Z1": self.z.z1.dim,
-                "V0": self.v.z0.dim, "V1": self.v.z1.dim}
-        om = tuple(BilMap.zero(f, dims[a], dims[b], dims[c]) for a, b, c in MAP_SPACES["om"])
-        st = two_algebra_maps(self.v)[:4]
-        return ExtendingDatum(self.z, v2, self.hr, self.hl, self.tr, self.tl,
-                              om, st, LinMap.zero(f, n0, m1))
+        return self._datum
 
 
 def build_bicrossed_product(mp: MatchedPairDatum) -> ZinbielTwoAlgebra:

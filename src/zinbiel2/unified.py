@@ -24,10 +24,10 @@ The oracle and verify_psi build no product: core's instance streams are run
 once per shape on the product over Z[x] whose datum constants are variables
 (_symbolic; _datum_run, _psi_run, classify._rs_run), and a datum's
 constants, in the layout the catalogs read (DatumCtx.values()), are
-substituted into that run; the census sweeps _datum_run at free scalars
-left as variables.  Each
-report holds the first `cap` violations in evaluation order, sorted, as the
-same check on the built product would.
+substituted into that run, which returns the finished report
+(core.SymbolicRun.report); the census sweeps _datum_run at free scalars
+left as variables.  Each report holds the first `cap` violations in
+evaluation order, sorted, as the same check on the built product would.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from itertools import chain, count, product, repeat
 
 from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism,
                    ZinbielTwoAlgebra, _crossed_module_instances, _morphism_instances,
-                   check_crossed_module, compiled_run, map_items, require_levels,
+                   check_crossed_module, compiled_run, map_items, map_values, require_levels,
                    two_algebra, two_algebra_maps, value_maps)
 from .engine import (_DATUM_KEYS, _FAMS, MAP_SPACES, DatumCtx, datum_maps, evaluate_conditions,
                      map_shape)
@@ -237,8 +237,8 @@ def check_datum_direct(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
                        first_only=False, check_z=True) -> ConditionReport:
     """Oracle verdict: every 2-algebra axiom on the unified product, checked
     in the datum's own constants.  They are read as the catalogs read them
-    (DatumCtx.values()) and substituted into the crossed-module run of the
-    product at the datum's dims (_datum_run), so the report is that of
+    (DatumCtx.values()), and the report is read off the crossed-module run of
+    the product at the datum's dims (_datum_run), so it is that of
     check_crossed_module on build_unified_product(datum), and no product is
     built.
 
@@ -247,9 +247,8 @@ def check_datum_direct(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
     if check_z:
         _require_valid_z(datum.z, cap)
     f = datum.field
-    report = ConditionReport(conforming_field=f.conforming)
-    return report.fill(_datum_run(_dims(datum)).at(f, datum_maps(datum)),
-                       1 if first_only else cap).finalize()
+    return _datum_run(_dims(datum)).report(f, map_values(datum_maps(datum), f.zero()),
+                                           1 if first_only else cap)
 
 
 def check_datum_conditions(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
@@ -404,8 +403,9 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
     psi is the split's change of basis [iota | V-basis] at each level,
     invertible because ComplementSplit refuses a V-basis that does not span
     E with the image of iota.  M1..M5 are read in the datum's own constants,
-    E's and psi's, substituted into _psi_run: the report is that of
-    check_2alg_morphism from build_unified_product(datum), which is not built.
+    E's and psi's, and read off _psi_run: their report is that of
+    check_2alg_morphism from build_unified_product(datum), which is not
+    built, and PSI-STAB and PSI-COSTAB fill what room it leaves.
     """
     f, e, dims = split.field, split.e, _dims(datum)
     (b1, b1inv), (b0, b0inv) = split._bases
@@ -421,6 +421,5 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
     costab = ((f"PSI-COSTAB{lvl}", (j,), binv.apply(b.column(nz + j))[nz:], vbasis(f, mv, j))
               for lvl, b, binv, nz, mv in ((1, b1, b1inv, n1, m1), (0, b0, b0inv, n0, m0))
               for j in range(mv))
-    instances = chain(_psi_run(dims).at(f, [*datum_maps(datum), *two_algebra_maps(e), b1, b0]),
-                      stab, costab)
-    return ConditionReport(conforming_field=f.conforming).fill(instances, cap).finalize()
+    values = map_values([*datum_maps(datum), *two_algebra_maps(e), b1, b0], f.zero())
+    return _psi_run(dims).report(f, values, cap).fill(chain(stab, costab), cap).finalize()

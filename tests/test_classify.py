@@ -213,6 +213,19 @@ def test_rs_search_space_refuses_an_unknown_mode_and_another_field():
                 rs_search_space(field, d, mode)
 
 
+def test_rs_search_space_over_q_is_infinite():
+    # over Q every block with an entry ranges over infinitely many values;
+    # empty r and s leave the one empty block map
+    q = Rationals()
+    z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(q, 1))
+    d = ExtendingDatum.trivial(z, TwoVectorSpace(1, 1, LinMap.zero(q, 1, 1)))
+    for mode in ("equivalent", "cohomologous"):
+        assert rs_search_space(q, d, mode) == math.inf
+    empty = ExtendingDatum.trivial(z, TwoVectorSpace(1, 0, LinMap.zero(q, 0, 1)))
+    assert rs_search_space(q, empty, "cohomologous") == 1
+    assert rs_search_space(q, empty, "equivalent") == math.inf
+
+
 def test_quotients_validate_before_searching(monkeypatch):
     # the checks of are_equivalent, once for all the data, with its errors
     def no_search(*args):
@@ -799,23 +812,23 @@ def test_quotients_at_v20():
 def test_quotients_build_no_product(monkeypatch):
     # a quotient reads each datum as its constants: once its shape is posed
     # it builds no unified product, and each witness found is re-checked by
-    # exactly one substitution into the rs run; one of the six equivalence
-    # classes is a singleton, the cohomology classes all are
+    # exactly one report read off the rs run, at cap 1; one of the six
+    # equivalence classes is a singleton, the cohomology classes all are
     data = golden_data((1, 1))
     compute_quotients(data[:2])
     run = classify._rs_run((0, 1, 1, 1))
     calls, found = [], []
-    real_call, real_substitute = classify._RSSearch.__call__, core.SymbolicRun.substitute
+    real_call, real_report = classify._RSSearch.__call__, core.SymbolicRun.report
     monkeypatch.setattr(unified, "_product", lambda *args: calls.append("product"))
-    monkeypatch.setattr(core.SymbolicRun, "substitute", lambda self, values, canonical:
-                        calls.append(self) or real_substitute(self, values, canonical))
+    monkeypatch.setattr(core.SymbolicRun, "report", lambda self, field, values, cap:
+                        calls.append((self, cap)) or real_report(self, field, values, cap))
     monkeypatch.setattr(classify._RSSearch, "__call__", lambda search, source, target:
                         found.append(real_call(search, source, target)) or found[-1])
     for mode, count in (("equivalent", 19), ("cohomologous", 0)):
         calls.clear()
         found.clear()
         compute_quotients(data, mode=mode)
-        assert calls == [run] * count == [run] * sum(rs is not None for rs in found)
+        assert calls == [(run, 1)] * count == [(run, 1)] * sum(rs is not None for rs in found)
 
 
 def test_quotients_compile_one_rs_run(monkeypatch):
@@ -895,8 +908,8 @@ def test_census_reads_each_datum_once(monkeypatch):
 
 
 def test_census_builds_no_datum_and_no_product(monkeypatch):
-    # a leaf is its constants, re-checked by the oracle once, substituted
-    # into the datum run; no ExtendingDatum is built but for the two data the
+    # a leaf is its constants, re-checked by the oracle once, a cap-1 report
+    # read off the datum run; no ExtendingDatum is built but for the two data the
     # skeleton of a shape is read off once, and no unified product is built
     # but for the symbolic ones the runs are compiled on, here on the first
     # census
@@ -904,21 +917,21 @@ def test_census_builds_no_datum_and_no_product(monkeypatch):
     d = LinMap.zero(F5, 1, 0)
     counts = collections.Counter()
     real_init, real_product = ExtendingDatum.__post_init__, unified._product
-    real_substitute = core.SymbolicRun.substitute
+    real_report = core.SymbolicRun.report
     monkeypatch.setattr(ExtendingDatum, "__post_init__",
                         lambda datum: counts.update(["datum"]) or real_init(datum))
     monkeypatch.setattr(unified, "_product", lambda field, dims, constants: counts.update(
         [f"product over {field.name}"]) or real_product(field, dims, constants))
-    monkeypatch.setattr(core.SymbolicRun, "substitute", lambda self, values, canonical: counts.update(
-        ["datum run"] * (self is unified._datum_run((0, 1, 0, 1))))
-        or real_substitute(self, values, canonical))
+    monkeypatch.setattr(core.SymbolicRun, "report", lambda self, field, values, cap: counts.update(
+        [f"datum run at cap {cap}"] * (self is unified._datum_run((0, 1, 0, 1))))
+        or real_report(self, field, values, cap))
     for cached in (classify._skeleton, unified._datum_run, classify._rs_run, classify._posed):
         cached.cache_clear()
     for derived in ({"datum": 2, "product over z[x]": 3}, {}):
         counts.clear()
         out = census(F5, z, (0, 1), d)
         assert pretty_dumps(out) == GOLDEN.read_text()
-        assert counts == {**derived, "datum run": 5} and out["valid_count"] == 5
+        assert counts == {**derived, "datum run at cap 1": 5} and out["valid_count"] == 5
 
 
 @pytest.mark.parametrize("zfile,vdims,count", [(Z_ZERO01, (0, 1), 5), (Z_ZERO01, (1, 1), 25),

@@ -1,23 +1,29 @@
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, rand_zinbiel_algebra,
-                     scalar_bilmap, zero_two_algebra)
+from helpers import (interpreted_report, rand_ambient_with_subalgebra, rand_sparse_datum,
+                     rand_zinbiel_algebra, reference_product, scalar_bilmap, zero_two_algebra)
+from zinbiel2 import core
+from zinbiel2.classify import RSData, check_rs_conditions, check_rs_direct, morphism_from_rs
+from zinbiel2.conds_morphism import H_TABLE
+from zinbiel2.conds_special import BZ_TABLE, CZ_TABLE
+from zinbiel2.conds_unified import ZZ_TABLE
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, Violation, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_action,
                            check_bimodule, check_crossed_module, check_zinbiel, map_values,
-                           morphism_stream, semidirect_product, two_algebra, two_algebra_maps,
-                           value_maps)
-from zinbiel2.conds_unified import ZZ_TABLE
-from zinbiel2.engine import DatumCtx, evaluate_conditions
+                           semidirect_product, two_algebra, two_algebra_maps, value_maps)
+from zinbiel2.engine import DatumCtx, MorphismCtx, evaluate_conditions
 from zinbiel2.errors import FieldMismatch, PreconditionError
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
-from zinbiel2.unified import (ExtendingDatum, check_trivial_z1_conditions, extract_datum,
-                              verify_psi)
+from zinbiel2.special import (CrossedSystem, MatchedPairDatum, check_crossed_system,
+                              check_matched_pair, star_structure)
+from zinbiel2.unified import (ExtendingDatum, check_datum_direct, check_trivial_z1_conditions,
+                              extract_datum, verify_psi)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -185,8 +191,6 @@ def test_morphism_over_another_field_is_refused():
     with pytest.raises(FieldMismatch):
         check_2alg_morphism(t, t, m)
     assert m.field == F7
-    with pytest.raises(FieldMismatch):
-        list(morphism_stream(t, t, m))
     with pytest.raises(FieldMismatch):
         TwoMorphism(LinMap.zero(F5, 0, 0), LinMap(F7, 1, 1, [[6]]))
     assert check_2alg_morphism(t, t, TwoMorphism(LinMap.zero(F5, 0, 0),
@@ -445,8 +449,14 @@ def _dense(field, da, db, dc, rng):
                                       for k in range(dc) for i in range(da) for j in range(db)})
 
 
+def _interpreted(field, instances, cap):
+    """The report fill and finalize build from an interpreted stream."""
+    return ConditionReport(conforming_field=field.conforming).fill(instances, cap).finalize()
+
+
 def _cap_cases():
-    """Each oracle check, as cap -> report, on an input with many violations."""
+    """Each check, as cap -> (report, the report at cap built by fill and
+    finalize from the interpreted stream), on an input with many violations."""
     rng = random.Random(2024)
     bad1, bad2 = (ZinbielAlgebra(F5, 2, _dense(F5, 2, 2, 2, rng)) for _ in range(2))
     act = BimodulePair(_dense(F5, 2, 2, 2, rng), _dense(F5, 2, 2, 2, rng))
@@ -458,30 +468,77 @@ def _cap_cases():
     datum = extract_datum(split)
     perturbed = datum.replace(st=tuple(_dense(F7, b.dim_a, b.dim_b, b.dim_c, rng)
                                        for b in datum.st))
+    (b1, _), (b0, _) = split._bases
     # nine ZZ violations, the sixth of them ZZ19.as-printed
     zz = rand_sparse_datum(ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1)),
                            TwoVectorSpace(1, 1, LinMap.zero(F5, 1, 1)), random.Random(41), 0.4)
+    # dense data over a valid Z at (1, 1, 1, 1): tr = tl = 0 for the crossed
+    # system, whose star part also fails; omega = sigma = 0 for the matched pair
+    z = zero_two_algebra(F5, 1, 1, LinMap(F5, 1, 1, [[2]]))
+    v = TwoVectorSpace(1, 1, LinMap(F5, 1, 1, [[3]]))
+    base = ExtendingDatum.trivial(z, v)
+    dense = {name: tuple(_dense(F5, b.dim_a, b.dim_b, b.dim_c, rng) for b in getattr(base, name))
+             for name in ("hr", "hl", "tr", "tl", "om", "st")}
+    d1, d2 = (base.replace(**dense, sigma=LinMap(F5, 1, 1, [[k]])) for k in (1, 4))
+    cs = CrossedSystem(d1.replace(tr=base.tr, tl=base.tl))
+    mp = MatchedPairDatum(z, zero_two_algebra(F5, 1, 1, v.d), dense["hr"], dense["hl"],
+                          dense["tr"], dense["tl"])
+    rs = RSData(LinMap(F5, 1, 1, [[2]]), LinMap(F5, 1, 1, [[1]]), LinMap(F5, 1, 1, [[3]]),
+                LinMap(F5, 1, 1, [[4]]))
+    zz_ctx, cz_ctx, bz_ctx = DatumCtx(zz), DatumCtx(cs.datum), DatumCtx(mp.embed())
+    rs_ctx = MorphismCtx(d1, d2, rs)
     return {
-        "zinbiel": lambda cap: check_zinbiel(bad1, cap),
-        "bimodule": lambda cap: check_bimodule(bad1, 2, act, cap),
-        "action": lambda cap: check_action(bad1, bad2, act, cap),
-        "crossed_module": lambda cap: check_crossed_module(t, cap),
-        "morphism": lambda cap: check_2alg_morphism(t, t2, m, cap),
-        "verify_psi": lambda cap: verify_psi(split, perturbed, cap),
-        "conditions": lambda cap: check_trivial_z1_conditions(zz, cap, check_z=False,
-                                                              strict_printed=True),
+        "zinbiel": (lambda cap: check_zinbiel(bad1, cap),
+                    lambda cap: _interpreted(F5, core._zinbiel_instances(bad1), cap)),
+        "bimodule": (lambda cap: check_bimodule(bad1, 2, act, cap),
+                     lambda cap: _interpreted(F5, chain(
+                         core._prefixed("Z.", core._zinbiel_instances(bad1)),
+                         core._bimodule_instances(bad1, 2, act)), cap)),
+        "action": (lambda cap: check_action(bad1, bad2, act, cap),
+                   lambda cap: _interpreted(F5, core._action_instances(bad1, bad2, act), cap)),
+        "crossed_module": (lambda cap: check_crossed_module(t, cap),
+                           lambda cap: _interpreted(F5, core._crossed_module_instances(t), cap)),
+        "morphism": (lambda cap: check_2alg_morphism(t, t2, m, cap),
+                     lambda cap: _interpreted(F5, core._morphism_instances(t, t2, m), cap)),
+        # PSI-STAB and PSI-COSTAB hold for every split
+        "verify_psi": (lambda cap: verify_psi(split, perturbed, cap),
+                       lambda cap: _interpreted(F7, core._morphism_instances(
+                           reference_product(perturbed), split.e, TwoMorphism(b1, b0)), cap)),
+        "conditions": (lambda cap: check_trivial_z1_conditions(zz, cap, check_z=False,
+                                                               strict_printed=True),
+                       lambda cap: interpreted_report(zz_ctx, ZZ_TABLE, cap, True)),
+        "datum_direct": (lambda cap: check_datum_direct(perturbed, cap, check_z=False),
+                         lambda cap: _interpreted(F7, core._crossed_module_instances(
+                             reference_product(perturbed)), cap)),
+        "crossed_system": (lambda cap: check_crossed_system(cs, cap, check_z=False),
+                           lambda cap: interpreted_report(cz_ctx, CZ_TABLE, cap).fill(
+                               core._prefixed("V.", core._crossed_module_instances(
+                                   star_structure(cs.datum))), cap).finalize()),
+        "matched_pair": (lambda cap: check_matched_pair(mp, cap, check_z=False),
+                         lambda cap: interpreted_report(bz_ctx, BZ_TABLE, cap)),
+        "rs_direct": (lambda cap: check_rs_direct(rs, d1, d2, cap),
+                      lambda cap: _interpreted(F5, core._morphism_instances(
+                          reference_product(d1), reference_product(d2),
+                          morphism_from_rs(rs, d1, d2)), cap)),
+        "rs_conditions": (lambda cap: check_rs_conditions(rs, d1, d2, cap),
+                          lambda cap: interpreted_report(rs_ctx, H_TABLE, cap)),
     }
 
 
 @pytest.mark.parametrize("name", ["zinbiel", "bimodule", "action", "crossed_module",
-                                  "morphism", "verify_psi", "conditions"])
+                                  "morphism", "verify_psi", "conditions", "datum_direct",
+                                  "crossed_system", "matched_pair", "rs_direct",
+                                  "rs_conditions"])
 def test_cap_keeps_the_first_violations(name):
-    check = _cap_cases()[name]
+    # each capped report is the one fill and finalize build from the
+    # interpreted stream at that cap: the first violations in stream order
+    check, reference = _cap_cases()[name]
     full = check(math.inf)
     total = len(full.violations)
-    assert total >= 3 and not full.truncated
+    assert total >= 3 and not full.truncated and full == reference(math.inf)
     for k in range(1, total + 2):
         rep = check(k)
+        assert rep == reference(k), k
         assert len(rep.violations) == min(k, total)
         assert set(rep.violations) <= set(full.violations)
         assert rep.truncated == (total >= k)

@@ -1,14 +1,14 @@
 """The compiled oracle against the interpreted instance streams.
 
 Over GF(p) and Q, check_crossed_module and check_2alg_morphism (and through
-them the V.* part of check_crossed_system) substitute the input into one
-symbolic run of the stream per shape.  The reference is the stream itself,
+them the V.* part of check_crossed_system) read their report at the input
+off one symbolic run of the stream per shape.  The reference is the stream itself,
 core._crossed_module_instances or core._morphism_instances, read by
 ConditionReport.fill on the concrete input.  Both must give identical
 reports: violations, truncation and conformance.
 
 The oracles on data (check_datum_direct, check_rs_direct, verify_psi)
-substitute a datum's own constants into runs compiled on the products of
+read their reports at a datum's own constants off runs compiled on the products of
 data whose constants are variables; their reference is the product route,
 the same checks on the product built by the formula of the paper
 (helpers.reference_product).
@@ -20,13 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (nilpotent_families, rand_ambient_with_subalgebra, rand_invertible,
-                     rand_split_of, reference_product, standard_split, transport_two_algebra,
-                     zero_two_algebra)
+from helpers import (interpreted_report, nilpotent_families, rand_ambient_with_subalgebra,
+                     rand_invertible, rand_split_of, reference_product, standard_split,
+                     transport_two_algebra, zero_two_algebra)
 from zinbiel2 import classify, core, special, unified
 from zinbiel2.classify import RSData, check_rs_direct, morphism_from_rs
+from zinbiel2.conds_special import CZ_TABLE
 from zinbiel2.core import (BimodulePair, ConditionReport, TwoMorphism, ZinbielAlgebra,
                            ZinbielTwoAlgebra, check_2alg_morphism, check_crossed_module)
+from zinbiel2.engine import DatumCtx
 from zinbiel2.errors import DimError
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
 from zinbiel2.io import pretty_dumps
@@ -167,7 +169,9 @@ def test_verify_psi_matches_stream(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_crossed_system_star_part_matches_stream(field, monkeypatch):
+def test_crossed_system_star_part_matches_stream(field):
+    # the CZ part read off its run, then the V.* part filled from the star's
+    # compiled check, against both parts interpreted in one stream
     rng = random.Random(f"cs-{field.name}")
     cases = []
     for m1, m0 in LEVEL_DIMS:
@@ -180,9 +184,9 @@ def test_crossed_system_star_part_matches_stream(field, monkeypatch):
     for cap in CAPS:
         for strict in (False, True):
             got = [check_crossed_system(cs, cap, strict_printed=strict) for cs in cases]
-            with monkeypatch.context() as m:
-                m.setattr(special, "crossed_module_stream", core._crossed_module_instances)
-                want = [check_crossed_system(cs, cap, strict_printed=strict) for cs in cases]
+            want = [interpreted_report(DatumCtx(cs.datum), CZ_TABLE, cap, strict).fill(
+                core._prefixed("V.", core._crossed_module_instances(
+                    special.star_structure(cs.datum))), cap).finalize() for cs in cases]
             assert got == want, (cap, strict)
     assert any(v.cond.startswith("V.") for rep in got for v in rep.violations)
 
@@ -268,9 +272,41 @@ def test_kernel_reads_constant_terms():
     x0, x1 = ring.var(0), ring.var(1)
     run = core.SymbolicRun(ring, [("A", (0,), ((ring.add(ring.one(), x0),), (x0,))),
                                   ("B", (1,), ((ring.mul(x0, x1),), (ring.zero(),)))])
-    assert list(run.substitute([0, 3], f5.canonical)) == [("A", (0,), (1,), (0,))]
-    assert list(run.substitute([2, 3], f5.canonical)) == [("A", (0,), (3,), (2,)),
-                                                          ("B", (1,), (1,), (0,))]
+    assert run.report(f5, [0, 3]).violations == [("A", (0,), (1,), (0,))]
+    assert run.report(f5, [2, 3]).violations == [("A", (0,), (3,), (2,)),
+                                                 ("B", (1,), (1,), (0,))]
+
+
+def test_kernel_report_is_ranked_at_build():
+    # the report keeps the first violated items in run order, each form as
+    # printed right after its instance, and lists them by rank: natural id
+    # order (Z2 < Z2.as-printed < Z3 < Z10), then the witness, then run
+    # order for a shared (id, witness)
+    ring, f5 = PolynomialRing(), PrimeField(5)
+    x0, zero = ring.var(0), ring.zero()
+    two_x0 = ring.mul(ring.canonical(2), x0)
+    run = core.SymbolicRun(ring, [("Z10", (0,), ((x0,), (zero,))),
+                                  ("Z2", (0,), ((two_x0,), (zero,), (zero,), (zero,))),
+                                  ("Z2", (1,), ((zero,), (zero,), (x0,), (zero,))),
+                                  ("Z3", (0,), ((x0,), (zero,))),
+                                  ("Z10", (0,), ((two_x0,), (zero,)))],
+                           [("Z3", "no form as printed"), ("Z2", "typo")])
+    z2, z2p = ("Z2", (0,), (2,), (0,)), ("Z2.as-printed", (1,), (1,), (0,))
+    z3, z10, z10b = ("Z3", (0,), (1,), (0,)), ("Z10", (0,), (1,), (0,)), ("Z10", (0,), (2,), (0,))
+    for strict, want in ((True, [z2, z2p, z3, z10, z10b]), (False, [z2, z3, z10, z10b])):
+        rep = run.report(f5, [1], strict_printed=strict)
+        assert rep.violations == want and not rep.truncated
+        flags = [(f.cond, f.as_printed_disagrees) for f in rep.flags]
+        assert flags == [("Z2", True), ("Z3", False)]
+    # the cap falls on a Z2 whose form as printed holds: that form is not read
+    rep = run.report(f5, [1], 2, strict_printed=True)
+    assert rep.violations == [z2, z10] and rep.truncated and not rep.flags[0].as_printed_disagrees
+    rep = run.report(f5, [1], 3, strict_printed=True)    # the cap falls on Z2.as-printed
+    assert rep.violations == [z2, z2p, z10] and rep.truncated and rep.flags[0].as_printed_disagrees
+    rep = run.report(f5, [0], strict_printed=True)
+    assert rep.ok and not rep.truncated and not rep.flags[0].as_printed_disagrees
+    with pytest.raises(ValueError):
+        run.report(f5, [1], 0)
 
 
 def test_kernel_reads_constraints_mod_p():

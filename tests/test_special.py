@@ -114,6 +114,21 @@ def test_crossed_product_z_block_is_ideal():
                     assert not any(tensor.eval_bb(i, j)[nzc:])
 
 
+def test_matched_pair_embeds_once(monkeypatch):
+    # the embedded datum is built and validated at construction; the check
+    # and the build read it without building another
+    mp = rand_matched_1111(random.Random(65), 0.3)
+    built = []
+    real = ExtendingDatum.__post_init__
+    monkeypatch.setattr(ExtendingDatum, "__post_init__",
+                        lambda datum: built.append(datum) or real(datum))
+    assert check_matched_pair(mp).ok
+    assert build_bicrossed_product(mp) == build_unified_product(mp.embed())
+    assert mp.embed() is mp.embed() and built == []
+    MatchedPairDatum(mp.z, mp.v, mp.hr, mp.hl, mp.tr, mp.tl)
+    assert built == [mp.embed()]
+
+
 def test_bicrossed_both_blocks_are_subalgebras():
     rng = random.Random(64)
     for _ in range(30):
