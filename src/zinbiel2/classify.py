@@ -6,8 +6,8 @@ Z's (core.two_algebra_maps) and d fixed, the free scalars bound depth-first
 with forward checking against the validity constraints: the oracle's run in
 a datum's constants (unified._datum_run) swept at the fixed constants and
 at the free scalars as variables of Z[x], reduced mod p.  A leaf is its
-constants, re-checked by substitution into the same run (_leaves); its
-datum is built only on request, and no product is built at all.
+constants, re-checked by substitution into the same run (_leaves); only
+enumerate_valid_data builds its datum, and no product is built at all.
 
 Equivalence testing searches block maps (x, u) -> (x + r(u), s(u)) rather
 than all linear maps of the ambient product: a morphism that stabilizes Z
@@ -22,15 +22,15 @@ walked again in the slot order (r before s) for its lexicographically first
 witness, which the oracle re-checks by substitution into the same run.
 
 What depends only on the shape is derived once (_skeleton, _posed, and the
-runs).  A datum is read as its nonzero constants (_Product): its item is
-spliced from them, and each half of the morphism run, the source's
-constants (Z and d included) or the target's family maps and sigma, is
-swept at them once per search object.  A pair costs one pass over its two
-swept halves, which stops at the first nonzero constant (the pair is then
-refuted with no walk); else the walk.  A quotient searches each datum
-against one representative per orbit.  Everything runs in the calling
-process, deterministic and lexicographic; budgets are hard limits, and
-nothing is silently sampled.
+runs).  A datum is read as its nonzero constants (ExtendingDatum._constants;
+a census leaf is only that tuple): its item is spliced from them, and each
+half of the morphism run, the source's constants (Z and d included) or the
+target's family maps and sigma, is swept at them once per search object.
+A pair costs one pass over its two swept halves, which stops at the first
+nonzero constant (the pair is then refuted with no walk); else the walk.  A
+quotient searches each datum against one representative per orbit.
+Everything runs in the calling process, deterministic and lexicographic;
+budgets are hard limits, and nothing is silently sampled.
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ from itertools import accumulate, count, repeat
 from math import inf, prod
 
 from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra,
-                   _morphism_instances, compiled_run, map_items, map_values, reduced,
-                   two_algebra_maps, value_maps)
-from .engine import MorphismCtx, datum_maps, evaluate_conditions
+                   _morphism_instances, compiled_run, map_values, reduced, two_algebra_maps,
+                   value_maps)
+from .engine import _FREE, MorphismCtx, _dims, _layout, _values, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField, Rationals
 from .linalg import LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import (_FREE, ExtendingDatum, _datum_at, _datum_over, _datum_run, _dims, _layout,
-                      _places, _require_valid_z, _symbolic, check_datum_direct)
+from .unified import (ExtendingDatum, _datum_at, _datum_over, _datum_run, _places,
+                      _require_valid_z, _symbolic, check_datum_direct)
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
@@ -121,7 +121,7 @@ def check_rs_conditions(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                         cap=DEFAULT_VIOLATION_CAP, strict_printed=False):
     """Evaluate H1..H20 for the block map rs between the two data."""
     from .conds_morphism import H_TABLE
-    _require_compatible(d1, d2, rs)
+    _require_rs(rs, d1, d2)
     return evaluate_conditions(MorphismCtx(d1, d2, rs), H_TABLE, cap=cap,
                                strict_printed=strict_printed)
 
@@ -142,21 +142,6 @@ def _rs_run(dims):
                         _symbolic(dims, [*range(top), *range(n, end)]), _block_map(*rs))
 
 
-def _rs_values(zero, dims, source, target, rs):
-    """The values of the variables of _rs_run(dims): the constants of the
-    source datum and, from _FREE on, of the target (each (slot, value) pairs
-    in the layout of engine.datum_maps, a slot left out being zero), then
-    map_values of the maps rs (r1, r0, s1, s0)."""
-    n, top = len(_places(dims)), sum(map(prod, _layout(dims)[:_FREE]))
-    values = [zero] * (2 * n - top)
-    for at, v in source:
-        values[at] = v
-    for at, v in target:
-        if at >= top:
-            values[n - top + at] = v
-    return values + map_values(rs, zero)
-
-
 def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
                     cap=DEFAULT_VIOLATION_CAP):
     """Oracle: the direct morphism check of the block map of rs between the
@@ -166,8 +151,7 @@ def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
     products, which are not built."""
     _require_rs(rs, d1, d2)
     f, dims = d1.field, _dims(d1)
-    values = _rs_values(f.zero(), dims, map_items(datum_maps(d1)), map_items(datum_maps(d2)),
-                        (rs.r1, rs.r0, rs.s1, rs.s0))
+    values = _values(f.zero(), dims, d1._constants, d2._constants, (rs.r1, rs.r0, rs.s1, rs.s0))
     return _rs_run(dims).report(f, values, cap)
 
 
@@ -247,7 +231,7 @@ def _skeleton(field, dims):
             raise AssertionError(f"the entry {prefix}{slot + 1}\"] of the probe lies where "
                                  "it and the zero datum are serialized differently")
         layout.append((at if at <= head else at + len(zero) - len(text), prefix, slot))
-    size = len(map_values(datum_maps(zero_datum), 0))
+    size = len(_places(dims))
     if sorted(slot for _, _, slot in entries) != list(range(size)):
         raise AssertionError(f"the {len(entries)} entries of the serialized probe do not "
                              f"name each of its {size} constants once")
@@ -263,31 +247,6 @@ def _skeleton(field, dims):
         parts.append(zero[at:])
         return "".join(parts)
     return spliced
-
-
-class _Product:
-    """A datum over the 2-algebra z and the space v as the census and the
-    quotients read it: constants, its nonzero constants, (slot, value) in the
-    layout of engine.datum_maps; item, its canonical serialization, spliced
-    from them (_skeleton); datum, built from them only on request
-    (_Product.of)."""
-
-    def __init__(self, z, v, constants):
-        self.z, self.v, self.constants = z, v, constants
-        self.field, self.dims = z.field, (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
-        self.item = _skeleton(self.field, self.dims)(constants)
-
-    @classmethod
-    def of(cls, datum):
-        """The _Product of datum, its constants read once, sparsely (map_items)."""
-        product = cls(datum.z, datum.v, tuple(map_items(datum_maps(datum))))
-        product.datum = datum
-        return product
-
-    @cached_property
-    def datum(self):
-        start = sum(map(prod, _layout(self.dims)[:_FREE]))     # the first free scalar
-        return _datum_over(self.z, self.v, map(dict(self.constants).get, count(start), repeat(0)))
 
 
 def _rs_maps(ring, shapes, values):
@@ -347,7 +306,7 @@ def _posed(p, dims, mode):
         entries[at] = ring.var(x)
     n, size = len(_places(dims)), len(slot)
     source, target = ([(at, ring.var(size + half * n + at)) for at in range(n)] for half in (0, 1))
-    values = _rs_values(ring.zero(), dims, source, target, _rs_maps(ring, shapes, entries))
+    values = _values(ring.zero(), dims, source, target, _rs_maps(ring, shapes, entries))
     tables = ({}, {})
     for comp, poly in _rs_run(dims).sweep(values).items():
         for mono, c in poly.items():
@@ -368,50 +327,39 @@ def _require_mode(mode):
 
 
 class _RSSearch:
-    """The rs search among _Products of one shape: construction checks that
-    it is well posed (a known mode, one prime field, Z and V, valid data if
-    check_valid, rs space in budget, in that order) and takes what depends
-    only on the shape from _posed.  Each product's half of the morphism run
-    (_rs_run) is swept and reduced at most once per search object, as
-    either side."""
+    """The rs search over the prime field among data at dims in mode, each
+    datum read as its constants (ExtendingDatum._constants): construction
+    refuses an rs space over budget and takes what depends only on the shape
+    from _posed.  Each datum's half of the morphism run (_rs_run) is swept
+    and reduced at most once per search object, as either side."""
 
-    def __init__(self, products, mode, rs_budget, check_valid):
-        _require_mode(mode)
-        first = products[0]
-        for product in products[1:]:
-            _require_compatible(first, product)
-        f = first.field
-        if not isinstance(f, PrimeField):
-            raise PreconditionError("equivalence search requires a prime field")
-        if check_valid:
-            for product in products:
-                rep = check_datum_direct(product.datum, cap=1)
-                if not rep.ok:
-                    raise PreconditionError("datum is not a valid extending structure", rep)
-        space = rs_search_space(f, first, mode)
+    def __init__(self, field, dims, mode, rs_budget):
+        self.field, self.dims, self.shapes = field, dims, tuple(_rs_shapes(dims, mode))
+        self.size = sum(rows * cols for rows, cols in self.shapes)
+        space = field.char ** self.size
         if space > rs_budget:
             raise InfeasibleSearch(
                 f"rs search space has {space} candidates (budget {rs_budget})", count=space)
-        self.field, self.dims, self.shapes = f, first.dims, tuple(_rs_shapes(first.dims, mode))
-        self.size = sum(rows * cols for rows, cols in self.shapes)
-        self._tables, self.guards, self.slot, self.slot_guards = _posed(f.char, self.dims, mode)
-        self._swept = {}        # (product, 0 as source or 1 as target) -> its sweep
+        self._tables, self.guards, self.slot, self.slot_guards = _posed(field.char, dims, mode)
+        self._swept = {}        # (constants, 0 as source or 1 as target) -> its sweep
 
-    def _sweep(self, product, k):
-        """Half k of the run swept at product's constants (_half_sweep)."""
-        acc = self._swept.get((product, k))
+    def _sweep(self, constants, k):
+        """Half k of the run swept at a datum's constants (_half_sweep)."""
+        acc = self._swept.get((constants, k))
         if acc is None:
-            acc = self._swept[product, k] = _half_sweep(self._tables[k], product, self.field.char)
+            acc = self._swept[constants, k] = _half_sweep(self._tables[k], constants,
+                                                          self.field.char)
         return acc
 
     def checks(self, source, target):
-        """The morphism constraints on rs between the _Products source and
-        target, _rs_run's constraints at their constants and a block map of
-        variables in the binding order, levelled (_levelled, _posed): one
-        pass over the components of the source half swept at source and the
-        target half at target merges only those both carry, and stops at the
-        first nonzero constant, returned alone.  The rs over GF(p) at which every polynomial
-        vanishes are exactly those whose block map is a morphism."""
+        """The morphism constraints on rs between the data whose constants
+        are source and target, _rs_run's constraints at their constants and
+        a block map of variables in the binding order, levelled (_levelled,
+        _posed): one pass over the components of the source half swept at
+        source and the target half at target merges only those both carry,
+        and stops at the first nonzero constant, returned alone.  The rs
+        over GF(p) at which every polynomial vanishes are exactly those
+        whose block map is a morphism."""
         a, b = self._sweep(source, 0), self._sweep(target, 1)
         levels = [{} for _ in range(self.size + 1)]     # dicts as ordered sets
         for comp in sorted(a.keys() | b.keys()):
@@ -427,11 +375,11 @@ class _RSSearch:
 
     def __call__(self, source, target):
         """The lexicographically first rs whose block map is a morphism from
-        source to target (_Products), or None.  The pair is decided by the
-        first leaf of _walk over checks and guards, in the binding order; if
-        there is one and the binding order is not the slot order, the checks
-        relabelled to the slot order are walked again for the first leaf in
-        that order.  The witness is re-checked by the oracle, read off _rs_run
+        source to target (constants of data), or None.  The pair is decided
+        by the first leaf of _walk over checks and guards, in the binding
+        order; if there is one and the binding order is not the slot order,
+        the checks relabelled to the slot order are walked again for the
+        first leaf in that order.  The witness is re-checked by the oracle, read off _rs_run
         at cap 1 as check_rs_direct reads it; a rejection raises."""
         f, p = self.field, self.field.char
         checks = self.checks(source, target)
@@ -447,11 +395,29 @@ class _RSSearch:
                                      "and none in the slot order")
         digits = _digits(leaf, p, self.size)
         maps = _rs_maps(f, self.shapes, digits)
-        values = _rs_values(f.zero(), self.dims, source.constants, target.constants, maps)
+        values = _values(f.zero(), self.dims, source, target, maps)
         if not _rs_run(self.dims).report(f, values, 1).ok:
             raise AssertionError(f"the rs search found the block map with entries {digits}, "
                                  "which the oracle rejects")
         return RSData(*maps)
+
+
+def _search(data, mode, rs_budget, check_valid):
+    """The _RSSearch among data, once it is well posed: a known mode, one
+    field, Z and V, a prime field, valid data if check_valid, rs space in
+    budget, in that order."""
+    _require_mode(mode)
+    first = data[0]
+    for datum in data[1:]:
+        _require_compatible(first, datum)
+    if not isinstance(first.field, PrimeField):
+        raise PreconditionError("equivalence search requires a prime field")
+    if check_valid:
+        for datum in data:
+            rep = check_datum_direct(datum, cap=1)
+            if not rep.ok:
+                raise PreconditionError("datum is not a valid extending structure", rep)
+    return _RSSearch(first.field, _dims(first), mode, rs_budget)
 
 
 def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
@@ -463,8 +429,7 @@ def are_equivalent(d1: ExtendingDatum, d2: ExtendingDatum, mode="equivalent",
     the witness being the lexicographically first rs (r1, r0, s1, s0,
     row-major), found by _RSSearch and re-checked by the oracle.
     """
-    products = _Product.of(d1), _Product.of(d2)
-    rs = _RSSearch(products, mode, rs_budget, check_valid)(*products)
+    rs = _search((d1, d2), mode, rs_budget, check_valid)(d1._constants, d2._constants)
     return rs is not None, rs
 
 
@@ -541,11 +506,11 @@ def _levelled(polys, size):
     return tuple(map(tuple, levels))
 
 
-def _half_sweep(table, product, p):
-    """A half of the morphism run (a table of _posed) swept at a _Product's
+def _half_sweep(table, constants, p):
+    """A half of the morphism run (a table of _posed) swept at a datum's
     constants: component -> (its terms summed mod p, _level) unless that is 0."""
     acc = {}
-    for at, v in product.constants:
+    for at, v in constants:
         for comp, mono, c in table.get(at, ()):
             acc.setdefault(comp, []).append((mono, c * v))
     return {comp: (poly, _level(poly)) for comp, terms in acc.items()
@@ -606,16 +571,11 @@ def _walk(p, checks, guards=None):
         index += 1
 
 
-def _leaves(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
-    """The leaves of _walk over spec.checks for (z, V), in lexicographic order:
-    each a _Product over z and V of the spec's fixed constants and its digits,
-    re-checked by the oracle as check_datum_direct does, read off
-    unified._datum_run at cap 1; a rejection raises.
-
-    Raises ValueError for a negative budget, BudgetExceeded (with the exact
-    candidate count) before searching anything if the assignment space is
-    too large, and PreconditionError if z itself is not a valid 2-algebra.
-    """
+def _spec(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
+    """The EnumerationSpec of (z, V), once a search of it is well posed:
+    ValueError for a negative budget, PreconditionError if z itself is not a
+    valid 2-algebra, then the spec's own errors, and BudgetExceeded (with the
+    exact candidate count) if the assignment space is too large."""
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     _require_valid_z(z, DEFAULT_VIOLATION_CAP)
@@ -624,21 +584,32 @@ def _leaves(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
         raise BudgetExceeded(
             f"enumeration space has {spec.total} candidates (budget {budget})",
             count=spec.total)
-    run = _datum_run(spec.dims)
-    for index in _walk(field.char, spec.checks):
-        values = (*spec.fixed, *_digits(index, field.char, spec.size))
-        if not run.report(field, values, 1).ok:
+    return spec
+
+
+def _leaves(spec):
+    """The leaves of _walk over spec.checks, in lexicographic order: each the
+    nonzero constants, (slot, value) in the layout of engine.datum_maps, of
+    the spec's fixed constants and its digits, re-checked by the oracle as
+    check_datum_direct does, read off unified._datum_run at cap 1; a
+    rejection raises."""
+    p, run = spec.field.char, _datum_run(spec.dims)
+    for index in _walk(p, spec.checks):
+        values = (*spec.fixed, *_digits(index, p, spec.size))
+        if not run.report(spec.field, values, 1).ok:
             raise AssertionError(f"the search accepted assignment {index}, "
                                  "which the oracle rejects")
-        yield _Product(z, spec.v, tuple((at, c) for at, c in enumerate(values) if c))
+        yield tuple((at, c) for at, c in enumerate(values) if c)
 
 
 def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
                          budget=DEFAULT_ENUM_BUDGET):
     """All valid extending data for (z, V) in lexicographic order, raising as
-    _leaves: the datum of each leaf (its re-checked constants), built on
-    request."""
-    return (product.datum for product in _leaves(field, z, vdims, d, budget))
+    _spec once iterated: the datum of each leaf, its free scalars read off
+    its re-checked constants."""
+    spec = _spec(field, z, vdims, d, budget)
+    for leaf in _leaves(spec):
+        yield _datum_over(z, spec.v, _values(field.zero(), spec.dims, leaf)[len(spec.fixed):])
 
 
 # ---------------------------------------------------------------------------
@@ -664,21 +635,24 @@ def compute_quotients(data, mode="equivalent", rs_budget=DEFAULT_RS_BUDGET):
     orbit it is related to or opens one; orbits thus come sorted by
     representative.  A datum related to two representatives raises
     AssertionError.  The mode is checked first, whatever the number of data;
-    with two data or more the inputs are checked once, up front (_RSSearch).
-    The items are their canonical serializations (_Product.of).
+    with two data or more the inputs are checked once, up front (_search).
+    The items are their canonical serializations, spliced from their
+    constants (_skeleton).
     """
     _require_mode(mode)
-    return _quotients(list(map(_Product.of, data)), mode, rs_budget)
+    data = list(data)
+    search = _search(data, mode, rs_budget, False) if len(data) > 1 else None
+    items = tuple(_skeleton(d.field, _dims(d))(d._constants) for d in data)
+    return _quotients(items, [d._constants for d in data], search, mode)
 
 
-def _quotients(products, mode, rs_budget):
-    """compute_quotients on the _Products given; census calls it on its
-    leaves, each read once for both relations."""
-    items = tuple(product.item for product in products)
-    search = _RSSearch(products, mode, rs_budget, False) if len(products) > 1 else None
+def _quotients(items, leaves, search, mode):
+    """The partition under search (an _RSSearch in mode, None for fewer than
+    two) of the data whose constants are leaves and whose items are items;
+    census calls it on its leaves, each spliced once for both relations."""
     orbits = []         # members, the representative first
-    for i in sorted(range(len(products)), key=items.__getitem__):
-        hits = [members for members in orbits if search(products[i], products[members[0]])]
+    for i in sorted(range(len(items)), key=items.__getitem__):
+        hits = [members for members in orbits if search(leaves[i], leaves[members[0]])]
         if len(hits) > 1:
             raise AssertionError(f"item {i} is related to the representatives "
                                  f"{hits[0][0]} and {hits[1][0]}")
@@ -693,18 +667,22 @@ def _quotients(products, mode, rs_budget):
 def census(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
            budget=DEFAULT_ENUM_BUDGET, rs_budget=DEFAULT_RS_BUDGET):
     """Enumerate the valid leaves and compute both quotients; returns census
-    JSON.  A leaf is its constants, re-checked by the oracle (_leaves) and
-    read for both relations; no datum and no product is built."""
+    JSON.  A leaf is its constants, re-checked by the oracle (_leaves),
+    spliced into its item once and read for both relations; no datum and no
+    product is built."""
     from .io import two_algebra_to_json
-    products = list(_leaves(field, z, vdims, d, budget))
+    spec = _spec(field, z, vdims, d, budget)
+    leaves = list(_leaves(spec))
+    items = tuple(map(_skeleton(field, spec.dims), leaves))
     out = {"field": field.name,
            "Z": two_algebra_to_json(z, kind=None),
            "Vdims": list(vdims),
-           "valid_count": len(products),
+           "valid_count": len(leaves),
            "quotients": []}
     parts = {}
     for mode in ("equivalent", "cohomologous"):
-        parts[mode] = part = _quotients(products, mode, rs_budget)
+        search = _RSSearch(field, spec.dims, mode, rs_budget) if len(leaves) > 1 else None
+        parts[mode] = part = _quotients(items, leaves, search, mode)
         out["quotients"].append({
             "relation": mode,
             "orbit_count": len(part.orbits),

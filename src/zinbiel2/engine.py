@@ -28,13 +28,17 @@ the levels of the four operations of a 2-algebra, in the order of
 core.two_algebra_maps, _BLOCKS the datum family that fills each block of an
 operation on Z + V (_FAMS lists the families), and MAP_SPACES the spaces of
 every map they determine.  A datum's constants (datum_maps) are its Z's in
-the one order of two_algebra_maps, then d, the families and sigma.
+the one order of two_algebra_maps, then d, the families and sigma; a
+context reads them off its datum (ExtendingDatum._constants), laid out by
+_values, which the runs of unified and classify read too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
+from math import prod
 
 from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, SymbolicRun, map_values, two_algebra_maps,
                    value_maps)
@@ -88,8 +92,83 @@ class Elt:
         return f"Elt({self.space}, {self.vec})"
 
 
-class BaseCtx:
-    """Space bookkeeping and typed map application for condition contexts.
+def _family_keys(mark):
+    """key, spaces of the 24 family maps and sigma of a datum, in
+    _family_maps order; mark is "" for the source datum of a context and
+    "p" for the target."""
+    return ([((name + mark, j), MAP_SPACES[name][j]) for name in _FAMS for j in range(4)]
+            + [("sig" + mark, ("V1", "Z0"))])
+
+
+def _family_maps(datum):
+    """The 24 family maps of datum in _FAMS order, j = 0..3 each, then sigma."""
+    maps = []
+    for name in _FAMS:
+        maps += getattr(datum, name)
+    maps.append(datum.sigma)
+    return maps
+
+
+# key, spaces of every structure map of a datum in datum_maps order, and of
+# the family maps and sigma of a context's target datum, then r1, r0, s1, s0
+_DATUM_KEYS = ([(("z", j), spaces) for j, spaces in enumerate(MAP_SPACES["z"])]
+               + [("phi", ("Z1", "Z0")), ("d", ("V1", "V0"))] + _family_keys(""))
+_TARGET_KEYS = _family_keys("p") + [(("r", 1), ("V1", "Z1")), (("r", 0), ("V0", "Z0")),
+                                    (("s", 1), ("V1", "V1")), (("s", 0), ("V0", "V0"))]
+
+
+def datum_maps(datum):
+    """Every structure map of datum in the order DatumCtx lists them, the
+    layout of its values() and symbolic(): Z's two_algebra_maps (its four
+    operations, then phi), d, then the 24 family maps and sigma, a census's
+    free scalars in its order (_DATUM_KEYS names each)."""
+    return [*two_algebra_maps(datum.z), datum.v.d, *_family_maps(datum)]
+
+
+# where the free scalars of a datum's maps start in the order of datum_maps:
+# after Z's two_algebra_maps and d, at the first family map
+_FREE = [key for key, _ in _DATUM_KEYS].index((_FAMS[0], 0))
+
+
+@cache
+def _layout(dims):
+    """The shapes (map_shape) of the maps of a datum at dims (n1, n0, m1,
+    m0), in the order of datum_maps."""
+    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
+    return tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS)
+
+
+def _dims(datum):
+    """The dims (n1, n0, m1, m0) of a datum."""
+    z, v = datum.z, datum.v
+    return (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
+
+
+def _values(zero, dims, source, target=None, tail=()):
+    """The variables of DatumCtx.values() (and, given target, of MorphismCtx)
+    at dims: the datum constants source, (slot, value) pairs in the layout of
+    datum_maps, densely, then target's from _FREE on (Z and d are shared),
+    then map_values of the maps tail."""
+    layout = _layout(dims)
+    n = sum(map(prod, layout))
+    top = n if target is None else sum(map(prod, layout[:_FREE]))
+    values = [zero] * (2 * n - top)
+    for at, v in source:
+        values[at] = v
+    for at, v in target or ():
+        if at >= top:
+            values[n - top + at] = v
+    return values + map_values(tail, zero)
+
+
+def _family_accessor(key):
+    """The accessor ctx.<key>(j, a, b) of the family map (key, j) of a context."""
+    return lambda self, j, a, b: self._bil((key, j), a, b)
+
+
+class DatumCtx:
+    """Context over one extending datum: Z ops plus the 24 maps and sigma,
+    with space bookkeeping and typed map application.
 
     `maps` holds every structure map the accessors read, key -> (spaces,
     map), in the one order that values() and symbolic() both follow; the
@@ -97,42 +176,28 @@ class BaseCtx:
     codomain) for a linear one.
     """
 
-    def __init__(self, field, dims):
-        self.field = field
-        self.dims = dims  # {"Z0": n, "Z1": n, "V0": n, "V1": n}
-        self.maps = {}
+    def __init__(self, datum):
+        self.field, self.datum = datum.field, datum
+        self.dims = dict(zip(("Z1", "Z0", "V1", "V0"), _dims(datum)))
+        self.maps = {key: (spaces, m) for (key, spaces), m in zip(_DATUM_KEYS, datum_maps(datum))}
+
+    def values(self):
+        """The datum's constants, densely, in the layout of datum_maps."""
+        return _values(self.field.zero(), _dims(self.datum), self.datum._constants)
 
     def shape(self):
         """What a symbolic run of a table depends on: context kind and dims."""
         return type(self), tuple(sorted(self.dims.items()))
-
-    def values(self):
-        """Every map entry in `maps` order, in the map_values layout.  A map
-        whose shape does not fit its spaces raises DimError."""
-        dims = self.dims
-        for key, (spaces, m) in self.maps.items():
-            if len(spaces) == 3:
-                la, lb, lc = spaces
-                if (m.dim_a, m.dim_b, m.dim_c) != (dims[la], dims[lb], dims[lc]):
-                    raise DimError(f"{key} must be {dims[la]}x{dims[lb]}->{dims[lc]}, "
-                                   f"got {m.dim_a}x{m.dim_b}->{m.dim_c}")
-            else:
-                dom, cod = spaces
-                if (m.cols, m.rows) != (dims[dom], dims[cod]):
-                    raise DimError(f"{key} must be {dims[cod]}x{dims[dom]}, "
-                                   f"got {m.rows}x{m.cols}")
-        return map_values((m for _, m in self.maps.values()), self.field.zero())
 
     def symbolic(self):
         """A context of the same kind and dims over Z[x] whose map entries
         are the variables x0, x1, ... in values() order."""
         ring = PolynomialRing()
         sym = object.__new__(type(self))
-        BaseCtx.__init__(sym, ring, self.dims)
+        sym.field, sym.dims = ring, self.dims
         shapes = [map_shape(self.dims, spaces) for spaces, _ in self.maps.values()]
         maps = value_maps(ring, shapes, map(ring.var, count()))
-        for (key, (spaces, _)), m in zip(self.maps.items(), maps):
-            sym.maps[key] = (spaces, m)
+        sym.maps = {key: (spaces, m) for (key, (spaces, _)), m in zip(self.maps.items(), maps)}
         return sym
 
     def basis(self, space, i):
@@ -153,49 +218,6 @@ class BaseCtx:
             raise DimError(f"map expects {dom}, got {a.space}")
         return Elt(cod, linmap.apply(a.vec), self)
 
-
-def _family_keys(mark):
-    """key, spaces of the 24 family maps and sigma of a datum, in
-    _family_maps order; mark is "" for the source datum of a context and
-    "p" for the target."""
-    return ([((name + mark, j), MAP_SPACES[name][j]) for name in _FAMS for j in range(4)]
-            + [("sig" + mark, ("V1", "Z0"))])
-
-
-def _family_maps(datum):
-    """The 24 family maps of datum in _FAMS order, j = 0..3 each, then sigma."""
-    maps = []
-    for name in _FAMS:
-        maps += getattr(datum, name)
-    maps.append(datum.sigma)
-    return maps
-
-
-# key, spaces of every structure map of a datum in datum_maps order, and of
-# the family maps and sigma of a context's target datum
-_DATUM_KEYS = ([(("z", j), spaces) for j, spaces in enumerate(MAP_SPACES["z"])]
-               + [("phi", ("Z1", "Z0")), ("d", ("V1", "V0"))] + _family_keys(""))
-_TARGET_KEYS = _family_keys("p")
-
-
-def datum_maps(datum):
-    """Every structure map of datum in the order DatumCtx lists them, the
-    layout of its values() and symbolic(): Z's two_algebra_maps (its four
-    operations, then phi), d, then the 24 family maps and sigma, a census's
-    free scalars in its order (_DATUM_KEYS names each)."""
-    return [*two_algebra_maps(datum.z), datum.v.d, *_family_maps(datum)]
-
-
-class DatumCtx(BaseCtx):
-    """Context over one extending datum: Z ops plus the 24 maps and sigma."""
-
-    def __init__(self, datum):
-        z, v = datum.z, datum.v
-        super().__init__(z.field, {"Z0": z.z0.dim, "Z1": z.z1.dim,
-                                   "V0": v.dim0, "V1": v.dim1})
-        self.maps.update((key, (spaces, m))
-                         for (key, spaces), m in zip(_DATUM_KEYS, datum_maps(datum)))
-
     # The overloaded product of the source formulas: multiplication on a
     # level, or the fixed action across levels.
     def dot(self, a, b):
@@ -204,23 +226,7 @@ class DatumCtx(BaseCtx):
             raise DimError(f"no product for spaces {(a.space, b.space)}")
         return self._bil(("z", j), a, b)
 
-    def hr(self, j, a, b):
-        return self._bil(("hr", j), a, b)
-
-    def hl(self, j, a, b):
-        return self._bil(("hl", j), a, b)
-
-    def tr(self, j, a, b):
-        return self._bil(("tr", j), a, b)
-
-    def tl(self, j, a, b):
-        return self._bil(("tl", j), a, b)
-
-    def om(self, j, a, b):
-        return self._bil(("om", j), a, b)
-
-    def st(self, j, a, b):
-        return self._bil(("st", j), a, b)
+    hr, hl, tr, tl, om, st = map(_family_accessor, ("hr", "hl", "tr", "tl", "om", "st"))
 
     def phi(self, a):
         return self._lin("phi", a)
@@ -241,28 +247,18 @@ class MorphismCtx(DatumCtx):
 
     def __init__(self, datum, datum_p, rs):
         super().__init__(datum)
-        self.maps.update((key, (spaces, m))
-                         for (key, spaces), m in zip(_TARGET_KEYS, _family_maps(datum_p)))
-        self.maps.update({("r", 1): (("V1", "Z1"), rs.r1), ("r", 0): (("V0", "Z0"), rs.r0),
-                          ("s", 1): (("V1", "V1"), rs.s1), ("s", 0): (("V0", "V0"), rs.s0)})
+        self.datum_p, self.rs = datum_p, (rs.r1, rs.r0, rs.s1, rs.s0)
+        self.maps.update((key, (spaces, m)) for (key, spaces), m
+                         in zip(_TARGET_KEYS, [*_family_maps(datum_p), *self.rs]))
 
-    def hrp(self, j, a, b):
-        return self._bil(("hrp", j), a, b)
+    def values(self):
+        """The source's constants, the target's family maps and sigma, then
+        r1, r0, s1, s0 (_values): the variables of classify._rs_run."""
+        return _values(self.field.zero(), _dims(self.datum), self.datum._constants,
+                       self.datum_p._constants, self.rs)
 
-    def hlp(self, j, a, b):
-        return self._bil(("hlp", j), a, b)
-
-    def trp(self, j, a, b):
-        return self._bil(("trp", j), a, b)
-
-    def tlp(self, j, a, b):
-        return self._bil(("tlp", j), a, b)
-
-    def omp(self, j, a, b):
-        return self._bil(("omp", j), a, b)
-
-    def stp(self, j, a, b):
-        return self._bil(("stp", j), a, b)
+    hrp, hlp, trp, tlp, omp, stp = map(_family_accessor,
+                                       ("hrp", "hlp", "trp", "tlp", "omp", "stp"))
 
     def sigp(self, a):
         return self._lin("sigp", a)

@@ -3,7 +3,9 @@
 Encoders are deterministic: tensor coefficient lists are emitted in sorted
 key order and canonical_dumps uses sorted keys with fixed separators, so
 equal values serialize byte-identically.  Parsers validate shape and types
-and raise SchemaError carrying a JSON-path location.
+and raise SchemaError carrying a JSON-path location.  load_document also
+refuses a key that its object repeats, and one that the parser of its
+object does not read: a misspelled optional map is not silently zero.
 
 These encoders are the only statement of the layout.  The canonical
 serializations that order a quotient's data (classify.OrbitPartition.items)
@@ -126,6 +128,38 @@ def report_to_json(rep: ConditionReport):
 # schema-checked parsing
 # ---------------------------------------------------------------------------
 
+class _Object(dict):
+    """A JSON object as loaded (the object_pairs_hook of load_document), put
+    in the list objects: the keys read off it so far, and the first key it
+    repeats, None if none."""
+
+    def __init__(self, pairs, objects):
+        super().__init__(pairs)
+        self.read, self.repeated = set(), None
+        if len(self) < len(pairs):
+            keys = [key for key, _ in pairs]
+            self.repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        objects.append(self)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _refuse_keys(value, path, filename, refused, what):
+    """SchemaError at the first key, depth first in document order, of an
+    object within value for which refused(object, key) holds.  A walk that
+    builds every path: run it where some key is known to be refused."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if refused(value, key):
+                raise SchemaError(f"{what} {key!r}", f"{path}.{key}", filename)
+            _refuse_keys(item, f"{path}.{key}", filename, refused, what)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _refuse_keys(item, f"{path}[{i}]", filename, refused, what)
+
+
 def _want(obj, key, kinds, path, filename):
     if not isinstance(obj, dict):
         raise SchemaError(f"expected an object, got {type(obj).__name__}", path, filename)
@@ -137,6 +171,11 @@ def _want(obj, key, kinds, path, filename):
             f"expected {getattr(kinds, '__name__', kinds)}, got {type(val).__name__}",
             f"{path}.{key}", filename)
     return val
+
+
+def _member(parse, field, obj, key, path, filename):
+    """The value of the object at key, parsed by parse at its own path."""
+    return parse(field, _want(obj, key, dict, path, filename), f"{path}.{key}", filename)
 
 
 def _is_int(x):
@@ -227,19 +266,15 @@ def parse_field(obj, path, filename, override=None, allow_small_char=False):
 
 def parse_algebra(field, obj, path, filename):
     dim = _nonneg_int(obj, "dim", path, filename)
-    mult = parse_bilmap(field, _want(obj, "mult", dict, path, filename),
-                        f"{path}.mult", filename)
+    mult = _member(parse_bilmap, field, obj, "mult", path, filename)
     return _construct(path, filename, ZinbielAlgebra, field, dim, mult)
 
 
 def parse_two_algebra(field, obj, path, filename):
-    z1 = parse_algebra(field, _want(obj, "z1", dict, path, filename), f"{path}.z1", filename)
-    z0 = parse_algebra(field, _want(obj, "z0", dict, path, filename), f"{path}.z0", filename)
-    phi = parse_linmap(field, _want(obj, "phi", dict, path, filename), f"{path}.phi", filename)
-    left = parse_bilmap(field, _want(obj, "act_left", dict, path, filename),
-                        f"{path}.act_left", filename)
-    right = parse_bilmap(field, _want(obj, "act_right", dict, path, filename),
-                         f"{path}.act_right", filename)
+    z1, z0 = (_member(parse_algebra, field, obj, key, path, filename) for key in ("z1", "z0"))
+    phi = _member(parse_linmap, field, obj, "phi", path, filename)
+    left, right = (_member(parse_bilmap, field, obj, key, path, filename)
+                   for key in ("act_left", "act_right"))
     return _construct(path, filename,
                       lambda: ZinbielTwoAlgebra(z1, z0, phi, BimodulePair(left, right)))
 
@@ -247,43 +282,38 @@ def parse_two_algebra(field, obj, path, filename):
 def parse_two_vector_space(field, obj, path, filename):
     dim1 = _nonneg_int(obj, "dim1", path, filename)
     dim0 = _nonneg_int(obj, "dim0", path, filename)
-    d = parse_linmap(field, _want(obj, "d", dict, path, filename), f"{path}.d", filename)
+    d = _member(parse_linmap, field, obj, "d", path, filename)
     return _construct(path, filename, TwoVectorSpace, dim1, dim0, d)
 
 
 def parse_datum(field, obj, path, filename, require=DATUM_FIELDS):
-    z = parse_two_algebra(field, _want(obj, "z", dict, path, filename), f"{path}.z", filename)
-    v = parse_two_vector_space(field, _want(obj, "v", dict, path, filename),
-                               f"{path}.v", filename)
+    z = _member(parse_two_algebra, field, obj, "z", path, filename)
+    v = _member(parse_two_vector_space, field, obj, "v", path, filename)
     fams = {fam: [] for fam in _FAMS}
     dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
     for fam, j, key in _map_keys(_FAMS):
         if key in require or key in obj:
-            fams[fam].append(parse_bilmap(field, _want(obj, key, dict, path, filename),
-                                          f"{path}.{key}", filename))
+            fams[fam].append(_member(parse_bilmap, field, obj, key, path, filename))
         else:
             la, lb, lc = MAP_SPACES[fam][j]
             fams[fam].append(BilMap.zero(field, dims[la], dims[lb], dims[lc]))
-    sigma = parse_linmap(field, _want(obj, "sigma", dict, path, filename),
-                         f"{path}.sigma", filename)
+    sigma = _member(parse_linmap, field, obj, "sigma", path, filename)
     return _construct(path, filename, ExtendingDatum, z, v, **fams, sigma=sigma)
 
 
 def parse_split(field, obj, path, filename):
-    e = parse_two_algebra(field, _want(obj, "e", dict, path, filename), f"{path}.e", filename)
-    maps = {}
-    for key in ("iota1", "iota0", "p1", "p0"):
-        maps[key] = parse_linmap(field, _want(obj, key, dict, path, filename),
-                                 f"{path}.{key}", filename)
-    return _construct(path, filename, ComplementSplit,
-                      e, maps["iota1"], maps["iota0"], maps["p1"], maps["p0"])
+    e = _member(parse_two_algebra, field, obj, "e", path, filename)
+    maps = [_member(parse_linmap, field, obj, key, path, filename)
+            for key in ("iota1", "iota0", "p1", "p0")]
+    return _construct(path, filename, ComplementSplit, e, *maps)
 
 
 def load_document(filename, expect_kind=None, field_override=None, allow_small_char=False):
     """Load any supported JSON kind from a file.
 
     Returns (kind, value, field).  SchemaError locations cite the file and
-    the JSON path of the offending key.
+    the JSON path of the offending key, a repeated key or one that the
+    parser of its object does not read included.
     """
     try:
         with open(filename, "r", encoding="utf-8") as fh:
@@ -291,15 +321,19 @@ def load_document(filename, expect_kind=None, field_override=None, allow_small_c
     except OSError as exc:
         raise SchemaError(f"cannot read file: {exc}", "$", filename) from None
     try:
-        obj = json.loads(text)
+        objects = []
+        obj = json.loads(text, object_pairs_hook=lambda pairs: _Object(pairs, objects))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})",
                           "$", filename) from None
+    if any(o.repeated is not None for o in objects):
+        _refuse_keys(obj, "$", filename, lambda o, key: key == o.repeated, "duplicate key")
     kind = _want(obj, "kind", str, "$", filename)
     if expect_kind is not None and kind != expect_kind:
         raise SchemaError(f"expected kind {expect_kind!r}, got {kind!r}", "$.kind", filename)
     field = parse_field(obj, "$", filename, override=field_override,
                         allow_small_char=allow_small_char)
+    obj.read.add("field")       # an override supersedes it
     if kind == "linmap":
         val = parse_linmap(field, obj, "$", filename)
     elif kind == "zinbiel_algebra":
@@ -320,28 +354,24 @@ def load_document(filename, expect_kind=None, field_override=None, allow_small_c
         val = _parse_rs_morphism(field, obj, filename)
     else:
         raise SchemaError(f"unknown kind {kind!r}", "$.kind", filename)
+    if any(o.keys() - o.read for o in objects):
+        _refuse_keys(obj, "$", filename, lambda o, key: key not in o.read, "unknown key")
     return kind, val, field
 
 
 def _parse_matched_pair(field, obj, filename):
     from .special import MatchedPairDatum
-    z = parse_two_algebra(field, _want(obj, "z", dict, "$", filename), "$.z", filename)
-    v = parse_two_algebra(field, _want(obj, "v", dict, "$", filename), "$.v", filename)
+    z, v = (_member(parse_two_algebra, field, obj, key, "$", filename) for key in ("z", "v"))
     fams = {fam: [] for fam in _FAMS[:4]}
     for fam, _, key in _map_keys(_FAMS[:4]):
-        fams[fam].append(parse_bilmap(field, _want(obj, key, dict, "$", filename),
-                                      f"$.{key}", filename))
+        fams[fam].append(_member(parse_bilmap, field, obj, key, "$", filename))
     return _construct("$", filename, MatchedPairDatum, z, v, **fams)
 
 
 def _parse_rs_morphism(field, obj, filename):
     from .classify import RSData
-    datum = parse_datum(field, _want(obj, "datum", dict, "$", filename), "$.datum", filename)
-    datum_p = parse_datum(field, _want(obj, "datum_prime", dict, "$", filename),
-                          "$.datum_prime", filename)
-    maps = {}
-    for key in ("r1", "r0", "s1", "s0"):
-        maps[key] = parse_linmap(field, _want(obj, key, dict, "$", filename),
-                                 f"$.{key}", filename)
-    rs = _construct("$", filename, RSData, maps["r1"], maps["r0"], maps["s1"], maps["s0"])
-    return (datum, datum_p, rs)
+    datum, datum_p = (_member(parse_datum, field, obj, key, "$", filename)
+                      for key in ("datum", "datum_prime"))
+    maps = [_member(parse_linmap, field, obj, key, "$", filename)
+            for key in ("r1", "r0", "s1", "s0")]
+    return (datum, datum_p, _construct("$", filename, RSData, *maps))

@@ -8,22 +8,24 @@ that candidate, checked in the datum's own constants.  The transcribed
 condition lists live in conds_unified.py and are cross-validated against
 the oracle.
 
-One table, _places, says where each constant of a datum (in the layout of
-engine.datum_maps) sits in its unified product E, read off the spaces of
-its map alone.  _product places a datum's nonzero constants through it:
-build_unified_product reads them off a datum, and _symbolic, with variables
-of Z[x] for constants, builds the products the runs of the oracles (and
-through them the searches of classify) are compiled on.  extract_datum is
-its inverse: it rewrites E in the basis [iota | V-basis] that a
-ComplementSplit stores and reads each constant back through the same
-table.  A datum is read from its flat constants by
-_datum_at (_datum_over for the free scalars over a given Z and V), and Z and
-E are put together with core.two_algebra.
+A datum reads its maps into constants once, when it is built: its nonzero
+constants, (slot, value) in the layout of engine.datum_maps, are
+ExtendingDatum._constants, and every reader takes them from there.  One
+table, _places, says where each constant sits in the unified product E,
+read off the spaces of its map alone.  _product places a datum's nonzero
+constants through it: build_unified_product those of a datum, and
+_symbolic, with variables of Z[x] for constants, builds the products the
+runs of the oracles (and through them the searches of classify) are
+compiled on.  extract_datum is its inverse: it rewrites E in the basis
+[iota | V-basis] that a ComplementSplit stores and reads each constant back
+through the same table.  A datum is read from its flat constants by
+_datum_at (_datum_over for the free scalars over a given Z and V), and Z
+and E are put together with core.two_algebra.
 
 The oracle and verify_psi build no product: core's instance streams are run
 once per shape on the product over Z[x] whose datum constants are variables
 (_symbolic; _datum_run, _psi_run, classify._rs_run), and a datum's
-constants, in the layout the catalogs read (DatumCtx.values()), are
+constants, laid out as the catalogs read them (engine._values), are
 substituted into that run, which returns the finished report
 (core.SymbolicRun.report); the census sweeps _datum_run at free scalars
 left as variables.  Each report holds the first `cap` violations in
@@ -39,10 +41,10 @@ from itertools import chain, count, product, repeat
 
 from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism,
                    ZinbielTwoAlgebra, _crossed_module_instances, _morphism_instances,
-                   check_crossed_module, compiled_run, map_items, map_values, require_levels,
+                   check_crossed_module, compiled_run, map_items, require_levels,
                    two_algebra, two_algebra_maps, value_maps)
-from .engine import (_DATUM_KEYS, _FAMS, MAP_SPACES, DatumCtx, datum_maps, evaluate_conditions,
-                     map_shape)
+from .engine import (_DATUM_KEYS, _FAMS, _FREE, MAP_SPACES, DatumCtx, _dims, _layout, _values,
+                     datum_maps, evaluate_conditions)
 from .errors import (DimError, FieldMismatch, NotComplementary, PreconditionError,
                      SubalgebraError)
 from .fields import PolynomialRing
@@ -71,6 +73,7 @@ class ExtendingDatum:
     om: tuple
     st: tuple
     sigma: LinMap
+    _constants: tuple = dc_field(init=False, repr=False, compare=False)  # map_items, read once
 
     def __post_init__(self):
         z, v, sigma = self.z, self.v, self.sigma
@@ -94,6 +97,7 @@ class ExtendingDatum:
             raise FieldMismatch("sigma over wrong field")
         if v.d.field != z.field:
             raise FieldMismatch("d over wrong field")
+        object.__setattr__(self, "_constants", tuple(map_items(datum_maps(self))))
 
     @property
     def field(self):
@@ -109,21 +113,7 @@ class ExtendingDatum:
         return dataclasses.replace(self, **kwargs)
 
     def __repr__(self):
-        dims = (self.z.z1.dim, self.z.z0.dim, self.v.dim1, self.v.dim0)
-        return f"ExtendingDatum({self.field.name}, dims Z1,Z0,V1,V0={dims})"
-
-
-# where the free scalars of a datum's maps start in the order of
-# engine.datum_maps: after Z's two_algebra_maps and d, at the first family map
-_FREE = [key for key, _ in _DATUM_KEYS].index((_FAMS[0], 0))
-
-
-@cache
-def _layout(dims):
-    """The shapes (engine.map_shape) of the maps of a datum at dims (n1, n0,
-    m1, m0), in the order of engine.datum_maps."""
-    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
-    return tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS)
+        return f"ExtendingDatum({self.field.name}, dims Z1,Z0,V1,V0={_dims(self)})"
 
 
 def _datum_over(z, v, free):
@@ -181,20 +171,14 @@ def _product(field, dims, constants):
         [phi.get((r, c), zero) for c in range(size[1])] for r in range(size[0])])])
 
 
-def _dims(datum):
-    """The dims (n1, n0, m1, m0) of a datum."""
-    z, v = datum.z, datum.v
-    return (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
-
-
 def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
     """Assemble the candidate 2-algebra on (Z1+V1, Z0+V0); no validity check.
 
-    Each constant of the datum (engine.datum_maps, read sparsely) is placed
+    Each nonzero constant of the datum (ExtendingDatum._constants) is placed
     through _places: the Z operations, hl/hr cross terms and omega into Z,
     tr/tl/st into V, and phi_E(x, u) = (phi(x) + sigma(u), d(u)).
     """
-    return _product(datum.field, _dims(datum), map_items(datum_maps(datum)))
+    return _product(datum.field, _dims(datum), datum._constants)
 
 
 def _symbolic(dims, variables):
@@ -208,7 +192,7 @@ def _symbolic(dims, variables):
 def _datum_run(dims):
     """The crossed-module run of the unified product at dims (n1, n0, m1, m0)
     in its datum's constants: x_at is constant at, in the layout of
-    engine.datum_maps (DatumCtx.values())."""
+    engine.datum_maps (engine._values, DatumCtx.values())."""
     return compiled_run(_crossed_module_instances, _symbolic(dims, range(len(_places(dims)))))
 
 
@@ -246,9 +230,9 @@ def check_datum_direct(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
     """
     if check_z:
         _require_valid_z(datum.z, cap)
-    f = datum.field
-    return _datum_run(_dims(datum)).report(f, map_values(datum_maps(datum), f.zero()),
-                                           1 if first_only else cap)
+    f, dims = datum.field, _dims(datum)
+    return _datum_run(dims).report(f, _values(f.zero(), dims, datum._constants),
+                                   1 if first_only else cap)
 
 
 def check_datum_conditions(datum: ExtendingDatum, cap=DEFAULT_VIOLATION_CAP,
@@ -421,5 +405,5 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
     costab = ((f"PSI-COSTAB{lvl}", (j,), binv.apply(b.column(nz + j))[nz:], vbasis(f, mv, j))
               for lvl, b, binv, nz, mv in ((1, b1, b1inv, n1, m1), (0, b0, b0inv, n0, m0))
               for j in range(mv))
-    values = map_values([*datum_maps(datum), *two_algebra_maps(e), b1, b0], f.zero())
+    values = _values(f.zero(), dims, datum._constants, tail=[*two_algebra_maps(e), b1, b0])
     return _psi_run(dims).report(f, values, cap).fill(chain(stab, costab), cap).finalize()

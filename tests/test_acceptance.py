@@ -337,13 +337,14 @@ def test_criterion_8_cli_goldens(capsys):
         except json.JSONDecodeError:
             kind = ""
         command = {"zinbiel_2_algebra": "check-2alg",
-                   "extending_datum": "check-datum"}.get(kind, "check-zinbiel")
+                   "extending_datum": "check-datum",
+                   "crossed_system": "check-crossed"}.get(kind, "check-zinbiel")
         code, _ = run_cli([command, str(path)])
         err = capsys.readouterr().err
         if code == 2 and "$" in err and path.name in err:
             malformed_ok += 1
     with capsys.disabled():
-        _line(8, all_match and malformed_ok == 20,
+        _line(8, all_match and malformed_ok == 23,
               f"{len(DOCUMENTED)} documented commands byte-identical to goldens; "
-              f"{malformed_ok}/20 malformed fixtures exit 2 with located errors "
+              f"{malformed_ok}/23 malformed fixtures exit 2 with located errors "
               f"({time.time() - t0:.1f}s)")

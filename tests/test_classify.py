@@ -17,7 +17,7 @@ from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_famili
                      pairwise_partition, rand_scalar, rand_sparse_datum, recursive_walk,
                      reference_checks, reference_datum_at, reference_product, reference_rs_checks,
                      scalar_bilmap, variable_rs_blocks, zero_two_algebra)
-from zinbiel2 import classify, cli, core, linalg, unified
+from zinbiel2 import classify, cli, core, engine, linalg, unified
 from zinbiel2 import io as zio
 from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
                                census, check_rs_conditions, check_rs_direct,
@@ -429,11 +429,11 @@ def test_rs_checks_match_reference(p):
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.3) for _ in range(2))
             e1, e2 = build_unified_product(d1), build_unified_product(d2)
-            source, target = classify._Product.of(d1), classify._Product.of(d2)
+            source, target = d1._constants, d2._constants
             # the search numbers its variables in the binding order: s1, s0,
             # then r1, r0
             for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
-                search = classify._RSSearch((source, target), mode, math.inf, False)
+                search = classify._RSSearch(f, engine._dims(d1), mode, math.inf)
                 checks = search.checks(source, target)
                 reference = reference_rs_checks(e1, e2, search.shapes, binding)
                 refuted.append(_refuted_alone(checks, reference))
@@ -573,12 +573,12 @@ def test_rs_solution_sets_match_the_reference():
                                       ((0, 1), (1, 1), 3, 1), ((0, 2), (0, 1), 0, 1),
                                       ((0, 1), (0, 2), 0, 4)):
         data = seeded_valid_data(zdims, vdims, d_val, 4, seed)
-        products = list(map(classify._Product.of, data))
+        constants = [d._constants for d in data]
         e = list(map(build_unified_product, data))
         for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
-            search = classify._RSSearch(products, mode, math.inf, False)
+            search = classify._RSSearch(F5, engine._dims(data[0]), mode, math.inf)
             for i, j in itertools.product(range(len(data)), repeat=2):
-                checks = search.checks(products[i], products[j])
+                checks = search.checks(constants[i], constants[j])
                 leaves = list(classify._walk(5, checks, search.guards))
                 reference = reference_rs_checks(e[i], e[j], search.shapes, binding)
                 assert leaves == list(recursive_walk(5, reference, search.guards)), (
@@ -647,9 +647,8 @@ def test_witness_stays_lexicographic_when_s_is_bound_first():
     # s1, s0) order, which the slot-order re-walk finds, is r0 = 1, s = 2
     data = seeded_valid_data((1, 1), (1, 1), 1, 6, seed=3)
     d1, d2 = data[:2]
-    source, target = classify._Product.of(d1), classify._Product.of(d2)
-    search = classify._RSSearch((source, target), "equivalent", math.inf, False)
-    checks = search.checks(source, target)
+    search = classify._RSSearch(F5, engine._dims(d1), "equivalent", math.inf)
+    checks = search.checks(d1._constants, d2._constants)
     s1, s0, r1, r0 = classify._digits(next(classify._walk(5, checks, search.guards)), 5, 4)
     assert (r1, r0, s1, s0) == (0, 3, 1, 1)
     found, rs = are_equivalent(d1, d2)
@@ -698,7 +697,7 @@ def _rebuilt(value, leaf):
         return tuple(_rebuilt(v, leaf) for v in value)
     if dataclasses.is_dataclass(value):
         return type(value)(**{f.name: _rebuilt(getattr(value, f.name), leaf)
-                              for f in dataclasses.fields(value)})
+                              for f in dataclasses.fields(value) if f.init})
     return value
 
 
@@ -865,7 +864,7 @@ def test_datum_related_to_two_representatives_is_raised(monkeypatch, capsys):
     third = sorted(data, key=lambda d: canonical_dumps(datum_to_json(d)))[2]
     real = classify._RSSearch.__call__
     monkeypatch.setattr(classify._RSSearch, "__call__", lambda search, source, target:
-                        real(search, source, target) or source.datum == third)
+                        real(search, source, target) or source == third._constants)
     with pytest.raises(AssertionError, match="is related to the representatives"):
         compute_quotients(data, mode="cohomologous")
     code = cli.main(["classify", "--field", "gf5", "--z", str(Z_ZERO01), "--vdims", "0,1"],
@@ -878,10 +877,10 @@ def test_census_refuses_quotients_that_do_not_refine(monkeypatch):
     # one cohomology orbit holding all five data spans three equivalence orbits
     real = classify._quotients
 
-    def coarse(products, mode, rs_budget):
-        part = real(products, mode, rs_budget)
+    def coarse(items, leaves, search, mode):
+        part = real(items, leaves, search, mode)
         if mode == "cohomologous":
-            part = OrbitPartition(part.items, (tuple(range(len(products))),), mode)
+            part = OrbitPartition(part.items, (tuple(range(len(leaves))),), mode)
         return part
 
     monkeypatch.setattr(classify, "_quotients", coarse)
@@ -891,19 +890,23 @@ def test_census_refuses_quotients_that_do_not_refine(monkeypatch):
 
 
 def test_census_reads_each_datum_once(monkeypatch):
-    # one _Product per valid leaf, for both relations; the encoder runs
+    # one spliced item per valid leaf, for both relations; the encoder runs
     # only to read off the skeleton of the one shape
     calls = []
-    real_json, real_product = zio.datum_to_json, classify._Product.__init__
+    real_json, real_skeleton = zio.datum_to_json, classify._skeleton
     monkeypatch.setattr(zio, "datum_to_json",
                         lambda datum: calls.append("json") or real_json(datum))
-    monkeypatch.setattr(classify._Product, "__init__", lambda product, z, v, constants:
-                        calls.append("product") or real_product(product, z, v, constants))
-    classify._skeleton.cache_clear()
+
+    def skeleton(field, dims):
+        spliced = real_skeleton(field, dims)
+        return lambda constants: calls.append("item") or spliced(constants)
+
+    monkeypatch.setattr(classify, "_skeleton", skeleton)
+    real_skeleton.cache_clear()
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     out = census(F5, z, (1, 1), LinMap.zero(F5, 1, 1), budget=5 ** 12)
     assert pretty_dumps(out) == GOLDEN_V11.read_text()
-    assert calls.count("product") == 25
+    assert calls.count("item") == 25
     assert calls.count("json") == 2
 
 
@@ -940,21 +943,23 @@ def test_census_builds_no_datum_and_no_product(monkeypatch):
                          ids=["zero01-v01", "zero01-v11", "zero01-v20", "z_z_id-v01",
                               "z_z_id-v10"])
 def test_leaves_are_the_reference_data(zfile, vdims, count):
-    # each census leaf, built from constants, against the reference datum at
-    # its index: the product of its constants against the reference
-    # product, its lazily built datum and its item
+    # each census leaf, its constants, against the reference datum at its
+    # index: the product of its constants against the reference product,
+    # the datum enumerate_valid_data builds from it, its constants and its
+    # spliced item
     _, z, f = zio.load_document(str(zfile))
     d = LinMap.zero(f, vdims[1], vdims[0])
     spec = EnumerationSpec(f, z, vdims, d)
     indices = list(classify._walk(5, spec.checks))
-    leaves = list(classify._leaves(f, z, vdims, d, spec.total))
-    assert len(indices) == len(leaves) == count
-    for index, product in zip(indices, leaves):
+    leaves = list(classify._leaves(spec))
+    data = list(enumerate_valid_data(f, z, vdims, d, spec.total))
+    assert len(indices) == len(leaves) == len(data) == count
+    for index, leaf, built in zip(indices, leaves, data):
         datum = reference_datum_at(spec, index)
-        e = unified._product(f, product.dims, product.constants)
+        e = unified._product(f, spec.dims, leaf)
         assert e == build_unified_product(datum) == reference_product(datum), index
-        assert product.datum == datum, index
-        assert product.item == canonical_dumps(datum_to_json(datum)), index
+        assert built == datum and built._constants == leaf == datum._constants, index
+        assert classify._skeleton(f, spec.dims)(leaf) == canonical_dumps(datum_to_json(datum))
 
 
 def test_quotients_encode_only_to_read_off_the_skeleton(monkeypatch):
@@ -1069,8 +1074,8 @@ def test_gathered_products_match_the_built_ones(field):
             datum = unified._datum_over(z, TwoVectorSpace(m1, m0, d), values)
             e = reference_product(datum)
             assert build_unified_product(datum) == e
-            product = classify._Product(z, datum.v, tuple(map_items(datum_maps(datum))))
-            assert unified._product(field, product.dims, product.constants) == e
+            constants = tuple(map_items(datum_maps(datum)))
+            assert unified._product(field, engine._dims(datum), constants) == e
 
 
 # (n1, n0, m1, m0): all dims zero, Z = (0, 1) with V = (2, 0), (1, 1) with
@@ -1092,7 +1097,8 @@ def test_spliced_item_is_the_encoders(data):
     f = PrimeField(data.draw(st.sampled_from((5, 7))))
     sparse = st.sampled_from([0] * 3 * (f.char - 1) + list(range(1, f.char)))
     d = _drawn_datum(data, f, data.draw(st.sampled_from((sparse, st.integers(0, f.char - 1)))))
-    assert classify._Product.of(d).item == canonical_dumps(datum_to_json(d))
+    spliced = classify._skeleton(f, engine._dims(d))(d._constants)
+    assert spliced == canonical_dumps(datum_to_json(d))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1151,16 +1157,15 @@ def test_merged_halves_are_the_full_sweep(p):
         for m1, m0 in REFERENCE_VDIMS:
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.4) for _ in range(2))
-            products = {classify._Product.of(d): d for d in (d1, d2)}
             for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
-                search = classify._RSSearch(tuple(products), mode, math.inf, False)
+                search = classify._RSSearch(f, engine._dims(d1), mode, math.inf)
                 rs = map_values(variable_rs_blocks(search.shapes, binding), ())
-                for source, target in itertools.product(products, repeat=2):
-                    maps = [*datum_maps(products[source]), *_family_maps(products[target])]
+                for source, target in itertools.product((d1, d2), repeat=2):
+                    maps = [*datum_maps(source), *_family_maps(target)]
                     values = [((((), c),) if c else ()) for c in map_values(maps, 0)] + rs
                     full = classify._rs_run(search.dims).constraints(values, p)
                     reference = classify._levelled(full, search.size)
-                    checks = search.checks(source, target)
+                    checks = search.checks(source._constants, target._constants)
                     refuted.append(_refuted_alone(checks, reference))
                     if not refuted[-1]:
                         assert checks == reference
@@ -1169,7 +1174,7 @@ def test_merged_halves_are_the_full_sweep(p):
 
 # the index of the first variable of the block map in the rs run at dims
 # (1, 1, 1, 1), after the source's constants and the target's families
-RS_START = len(classify._rs_values(0, (1, 1, 1, 1), (), (), ()))
+RS_START = len(engine._values(0, (1, 1, 1, 1), (), ()))
 
 
 @pytest.mark.parametrize("mono", [(0, 1), (), (RS_START,)], ids=["two", "constant", "rs only"])
@@ -1194,8 +1199,8 @@ def test_spec_constants_match_the_trivial_datum():
     def reference(spec):
         maps = datum_maps(ExtendingDatum.trivial(spec.z, spec.v))
         zero = spec.field.zero()
-        return tuple(map_values(maps[:unified._FREE], zero)), len(
-            map_values(maps[unified._FREE:], zero))
+        return tuple(map_values(maps[:engine._FREE], zero)), len(
+            map_values(maps[engine._FREE:], zero))
 
     specs = [shell_spec((1, 1), 3)]
     for zdims, vdims in [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 0)),

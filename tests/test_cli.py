@@ -137,7 +137,7 @@ def test_text_report_cites_witness_one_based():
 
 def test_malformed_fixtures_exit_2_with_location(capsys):
     files = sorted(MALFORMED_DIR.glob("*.json"))
-    assert len(files) == 20
+    assert len(files) == 23
     for path in files:
         # choose a command matching the fixture's nominal kind
         try:
@@ -145,7 +145,8 @@ def test_malformed_fixtures_exit_2_with_location(capsys):
         except json.JSONDecodeError:
             kind = ""
         command = {"zinbiel_2_algebra": "check-2alg",
-                   "extending_datum": "check-datum"}.get(kind, "check-zinbiel")
+                   "extending_datum": "check-datum",
+                   "crossed_system": "check-crossed"}.get(kind, "check-zinbiel")
         code, _ = run_cli([command, str(path)])
         err = capsys.readouterr().err
         assert code == 2, f"{path.name}: expected exit 2, got {code}"

@@ -18,7 +18,7 @@ import pytest
 
 from helpers import interpreted_report
 from zinbiel2 import engine
-from zinbiel2.classify import RSData
+from zinbiel2.classify import RSData, check_rs_conditions
 from zinbiel2.conds_morphism import H_TABLE
 from zinbiel2.conds_special import BZ_TABLE, CZ_TABLE
 from zinbiel2.conds_unified import Z_TABLE, ZZ_TABLE
@@ -151,10 +151,9 @@ def test_wrong_map_shape_raises_dim_error():
     # r1 must be V1 -> Z1; a 2x1 r1 over dims Z1 = 1 is refused, not read
     rng = random.Random(2)
     ctx = _random_ctx("H", PrimeField(5), (1, 1, 1, 1), rng, 0.5)
-    spaces, _ = ctx.maps["r", 1]
-    ctx.maps["r", 1] = (spaces, _lin(PrimeField(5), 2, 1, rng, 0.5))
+    rs = RSData(_lin(PrimeField(5), 2, 1, rng, 0.5), *ctx.rs[1:])
     with pytest.raises(DimError):
-        evaluate_conditions(ctx, H_TABLE)
+        check_rs_conditions(rs, ctx.datum, ctx.datum_p)
 
 
 def test_symbolic_run_once_per_shape(monkeypatch):

@@ -115,3 +115,45 @@ def test_boolean_index_in_a_document_is_a_schema_error(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_document(str(path))
     assert "$.mult.coeffs[0]" in str(err.value)
+
+
+def _rs_document():
+    with open("data/rs_sigma_shift.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("edit, where, message", [
+    # a key no parser reads, at the top, inside a nested datum and inside a map
+    (lambda doc: doc.update(note="x"), "$.note", "unknown key 'note'"),
+    (lambda doc: doc["datum_prime"].update({"omega-0": doc["datum_prime"]["omega_0"]}),
+     "$.datum_prime.omega-0", "unknown key 'omega-0'"),
+    (lambda doc: doc["r1"].update(entry=[]), "$.r1.entry", "unknown key 'entry'"),
+], ids=["top", "nested datum", "map"])
+def test_loader_refuses_a_key_its_parser_does_not_read(tmp_path, edit, where, message):
+    doc = _rs_document()
+    edit(doc)
+    path = tmp_path / "rs.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_document(str(path))
+    assert f"rs.json: {where}: {message}" in str(err.value)
+
+
+def test_loader_refuses_a_repeated_key_before_parsing(tmp_path):
+    # the first repeat in document order, named by its path, even where the
+    # last value alone (a 2x1 d) would fail to parse
+    text = json.dumps(_rs_document())
+    text = text.replace('"dim1": 1', '"dim1": 1, "dim1": 2', 2)
+    path = tmp_path / "rs.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        load_document(str(path))
+    assert "rs.json: $.datum.v.dim1: duplicate key 'dim1'" in str(err.value)
+
+
+def test_a_field_override_reads_the_documents_field(tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"kind": "zinbiel_algebra", "field": "gf5", "dim": 1,
+                                "mult": {"dimA": 1, "dimB": 1, "dimC": 1, "coeffs": []}}))
+    _, alg, field = load_document(str(path), field_override=PrimeField(7))
+    assert field == alg.field == PrimeField(7)

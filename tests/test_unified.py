@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import random
 
 import pytest
@@ -5,12 +7,15 @@ import pytest
 from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, scalar_bilmap,
                      standard_split, zero_two_algebra)
 from zinbiel2 import unified
-from zinbiel2.core import BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra, check_crossed_module
+from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra, check_crossed_module,
+                           map_items)
+from zinbiel2.engine import datum_maps
 from zinbiel2.errors import (DimError, FieldMismatch, NotAnIdeal, NotSubalgebra, PreconditionError,
                              SubalgebraError)
 from zinbiel2.fields import PrimeField
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
-from zinbiel2.special import check_ideal_extension, factorize
+from zinbiel2.io import datum_to_json, parse_datum
+from zinbiel2.special import MatchedPairDatum, check_ideal_extension, factorize
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum,
                               build_unified_product, check_datum_direct,
                               extract_datum, verify_psi)
@@ -266,3 +271,30 @@ def test_psi_detects_wrong_datum():
                             datum.st[0].dim_a, datum.st[0].dim_b, datum.st[0].dim_c)
     bad = datum.replace(st=(changed,) + datum.st[1:])
     assert not verify_psi(split, bad).ok
+
+
+def test_constants_are_read_once_on_every_route():
+    # a datum keeps the nonzero constants of its maps (map_items of
+    # datum_maps), read when it is built, whichever route builds it
+    rng = random.Random(26)
+    z = zero_two_algebra(F5, 1, 1, LinMap(F5, 1, 1, [[2]]))
+    v = TwoVectorSpace(1, 1, LinMap(F5, 1, 1, [[3]]))
+    d = rand_sparse_datum(z, v, rng, 0.5)
+    mk = lambda: tuple(scalar_bilmap(F5, rng.randrange(5)) for _ in range(4))
+    matched = MatchedPairDatum(z, zero_two_algebra(F5, 1, 1, v.d), hr=mk(), hl=mk(), tr=mk(),
+                               tl=mk(), check_v=False)
+    routes = {
+        "constructor": ExtendingDatum(z, v, d.hr, d.hl, d.tr, d.tl, d.om, d.st, d.sigma),
+        "trivial": ExtendingDatum.trivial(z, v),
+        "replace": d.replace(sigma=LinMap(F5, 1, 1, [[4]])),
+        "_datum_over": unified._datum_over(z, v, (rng.randrange(5) for _ in itertools.count())),
+        "extract_datum": extract_datum(standard_split(build_unified_product(d), 1, 1),
+                                       check_e=False),
+        "io": parse_datum(F5, datum_to_json(d), "$", None),
+        "pickle": pickle.loads(pickle.dumps(d)),
+        "embed": matched.embed(),
+    }
+    for route, datum in routes.items():
+        assert datum._constants == tuple(map_items(datum_maps(datum))), route
+        assert datum._constants or route == "trivial", route
+    assert routes["pickle"] == routes["io"] == routes["extract_datum"] == d
