@@ -39,7 +39,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count
 from math import inf, prod
 
 from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra,
@@ -50,8 +50,8 @@ from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField, Rationals
 from .linalg import LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import (ExtendingDatum, _datum_at, _datum_over, _datum_run, _places,
-                      _require_valid_z, _symbolic, check_datum_direct)
+from .unified import (ExtendingDatum, _datum, _datum_run, _places, _require_valid_z, _symbolic,
+                      check_datum_direct)
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
@@ -164,13 +164,20 @@ def _rs_shapes(dims, mode):
 
 
 def rs_search_space(field, datum: ExtendingDatum, mode):
-    """Number of candidate rs tuples over field for the given mode, inf over Q
-    unless r and s are empty; ValueError for an unknown mode, FieldMismatch
-    unless datum is over field."""
+    """Number of candidate rs tuples over field for the given mode between
+    data at the dims of datum (_rs_space, which _RSSearch budgets with);
+    ValueError for an unknown mode, FieldMismatch unless datum is over
+    field."""
     _require_mode(mode)
     if datum.field != field:
         raise FieldMismatch(f"datum over {datum.field.name}, not {field.name}")
-    size = sum(rows * cols for rows, cols in _rs_shapes(_dims(datum), mode))
+    return _rs_space(field, _dims(datum), mode)
+
+
+def _rs_space(field, dims, mode):
+    """The number of candidate rs over field between data at dims in mode,
+    inf over Q unless r and s are empty."""
+    size = sum(rows * cols for rows, cols in _rs_shapes(dims, mode))
     return field.char ** size if field.char or not size else inf
 
 
@@ -210,9 +217,9 @@ def _skeleton(field, dims):
     unless each constant is named once and each list of the probe lies where
     the two serializations agree."""
     from .io import canonical_dumps, datum_to_json
-    zero_datum = _datum_at(field, dims, repeat(0))
-    probe = canonical_dumps(datum_to_json(_datum_at(Rationals(), dims, count(1))))
-    zero = canonical_dumps(datum_to_json(zero_datum))
+    size = len(_places(dims))
+    probe = canonical_dumps(datum_to_json(_datum(Rationals(), dims, zip(range(size), count(1)))))
+    zero = canonical_dumps(datum_to_json(_datum(field, dims, ())))
     text, entries, end, length = [], [], 0, 0   # the probe without its entries
     for m in _ENTRY.finditer(probe):
         gap = probe[end:m.start()]
@@ -231,7 +238,6 @@ def _skeleton(field, dims):
             raise AssertionError(f"the entry {prefix}{slot + 1}\"] of the probe lies where "
                                  "it and the zero datum are serialized differently")
         layout.append((at if at <= head else at + len(zero) - len(text), prefix, slot))
-    size = len(_places(dims))
     if sorted(slot for _, _, slot in entries) != list(range(size)):
         raise AssertionError(f"the {len(entries)} entries of the serialized probe do not "
                              f"name each of its {size} constants once")
@@ -336,7 +342,7 @@ class _RSSearch:
     def __init__(self, field, dims, mode, rs_budget):
         self.field, self.dims, self.shapes = field, dims, tuple(_rs_shapes(dims, mode))
         self.size = sum(rows * cols for rows, cols in self.shapes)
-        space = field.char ** self.size
+        space = _rs_space(field, dims, mode)
         if space > rs_budget:
             raise InfeasibleSearch(
                 f"rs search space has {space} candidates (budget {rs_budget})", count=space)
@@ -467,7 +473,9 @@ class EnumerationSpec:
     def datum_at(self, index):
         if not (0 <= index < self.total):
             raise IndexError(f"index {index} out of range ({self.total} assignments)")
-        return _datum_over(self.z, self.v, _digits(index, self.field.char, self.size))
+        digits = _digits(index, self.field.char, self.size)
+        free = [(at, c) for at, c in enumerate(digits, len(self.fixed)) if c]
+        return _datum(self.field, self.dims, free, self.z, self.v)
 
     @cached_property
     def checks(self):
@@ -609,7 +617,7 @@ def enumerate_valid_data(field, z: ZinbielTwoAlgebra, vdims, d: LinMap,
     its re-checked constants."""
     spec = _spec(field, z, vdims, d, budget)
     for leaf in _leaves(spec):
-        yield _datum_over(z, spec.v, _values(field.zero(), spec.dims, leaf)[len(spec.fixed):])
+        yield _datum(field, spec.dims, leaf, z, spec.v)
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,18 @@ shape over Z[x] (compiled_run) into a SymbolicRun, the substitution kernel
 the catalogs of engine share.  For check_crossed_module and
 check_2alg_morphism every structure constant is a variable (layout:
 map_values of two_algebra_maps, the one order of a 2-algebra's constants,
-read sparsely by map_items, inverted by value_maps and two_algebra), and
-the report at each input over GF(p) or Q is read off the run
-(SymbolicRun.report, which builds only the violations it keeps).  The
-oracles on extending data run the same streams on unified products whose
-datum constants are the variables (unified._datum_run, unified._psi_run,
-classify._rs_run) and report at a datum's constants: they check the
-product without building it.  The searches of classify read their
-constraints off the same runs at a datum's constants, each an integer or a
-free variable (sweep, its one symbolic reading).  So _compiled serves only
-2-algebras given as such: Z itself, and the inputs of check_crossed_module
-and check_2alg_morphism.
+read sparsely by map_items; inverted by two_algebra, and by value_maps
+densely, for maps of variables, and item_maps sparsely, for maps of
+constants, whose other maps are shared zeros), and the report at each
+input over GF(p) or Q is read off the run (SymbolicRun.report, which
+builds only the violations it keeps).  The oracles on extending data run
+the same streams on unified products whose datum constants are the
+variables (unified._datum_run, unified._psi_run, classify._rs_run) and
+report at a datum's constants: they check the product without building
+it.  The searches of classify read their constraints off the same runs at
+a datum's constants, each an integer or a free variable (sweep, its one
+symbolic reading).  So _compiled serves only 2-algebras given as such: Z
+itself, and the inputs of check_crossed_module and check_2alg_morphism.
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -39,9 +40,11 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, count, islice, product
+from itertools import accumulate, chain, count, islice, product
+from math import prod
 
 from .errors import DimError, FieldMismatch, PreconditionError
 from .fields import PolynomialRing
@@ -171,10 +174,12 @@ def _keys(na, nb, nc):
 
 
 @functools.cache
-def _zero(ring, shape):
-    """The zero bilinear map of shape (dim a, dim b, dim c) over ring, shared:
-    a BilMap is immutable."""
-    return BilMap(ring, *shape, {})
+def _zeros(ring, shapes):
+    """The zero map over ring of each shape, shared (maps are immutable): a
+    BilMap for a shape (dim a, dim b, dim c), a LinMap for a shape (rows,
+    cols)."""
+    return tuple(BilMap(ring, *shape, {}) if len(shape) == 3 else LinMap.zero(ring, *shape)
+                 for shape in shapes)
 
 
 def value_maps(ring, shapes, values):
@@ -185,11 +190,42 @@ def value_maps(ring, shapes, values):
     maps = []
     for shape in shapes:
         if len(shape) == 3:
-            coeffs = {key: v for key, v in zip(_keys(*shape), values) if v}
-            maps.append(BilMap(ring, *shape, coeffs) if coeffs else _zero(ring, shape))
+            maps.append(BilMap(ring, *shape, {key: v for key, v in zip(_keys(*shape), values)}))
         else:
             rows, cols = shape
             maps.append(LinMap(ring, rows, cols, [list(islice(values, cols)) for _ in range(rows)]))
+    return maps
+
+
+@functools.cache
+def _starts(shapes):
+    """Where the map of each shape starts in the map_values layout."""
+    return tuple(accumulate((prod(shape) for shape in shapes), initial=0))
+
+
+def item_maps(ring, shapes, items):
+    """The sparse inverse of map_items: maps over ring of shapes (as
+    value_maps reads them) whose nonzero entries are the (position, entry)
+    pairs items, in any order, positions in the map_values layout.  Only a
+    map that an item falls in is built; the others are shared zero maps
+    (_zeros)."""
+    starts, entries = _starts(shapes), {}
+    for at, v in items:
+        m = bisect_right(starts, at) - 1
+        entries.setdefault(m, []).append((at - starts[m], v))
+    maps = list(_zeros(ring, shapes))
+    for m, pairs in entries.items():
+        shape = shapes[m]
+        if len(shape) == 3:
+            na, nb = shape[0], shape[1]
+            maps[m] = BilMap(ring, *shape, {(at // (na * nb), at // nb % na, at % nb): v
+                                            for at, v in pairs})
+        else:
+            rows, cols = shape
+            matrix = [[ring.zero()] * cols for _ in range(rows)]
+            for at, v in pairs:
+                matrix[at // cols][at % cols] = v
+            maps[m] = LinMap(ring, rows, cols, matrix)
     return maps
 
 

@@ -30,13 +30,16 @@ operation on Z + V (_FAMS lists the families), and MAP_SPACES the spaces of
 every map they determine.  A datum's constants (datum_maps) are its Z's in
 the one order of two_algebra_maps, then d, the families and sigma; a
 context reads them off its datum (ExtendingDatum._constants), laid out by
-_values, which the runs of unified and classify read too.
+_values, which the runs of unified and classify read too.  So a numeric
+context keeps its data and no more: its key -> map table (DatumCtx.maps),
+which the accessors of the lambdas read, is built on the first read, on a
+symbolic context or by an interpreted reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import count
 from math import prod
 
@@ -170,16 +173,28 @@ class DatumCtx:
     """Context over one extending datum: Z ops plus the 24 maps and sigma,
     with space bookkeeping and typed map application.
 
-    `maps` holds every structure map the accessors read, key -> (spaces,
-    map), in the one order that values() and symbolic() both follow; the
-    spaces are (left, right, result) for a bilinear map and (domain,
-    codomain) for a linear one.
+    _KEYS names every structure map the accessors read, (key, spaces), in
+    the one order that values() and symbolic() both follow; the spaces are
+    (left, right, result) for a bilinear map and (domain, codomain) for a
+    linear one.  `maps`, key -> (spaces, map), is built on the first read:
+    only the accessors read it (a symbolic context's, or an interpreted
+    reference's), and a numeric context's values() are its data's
+    constants.
     """
+
+    _KEYS = _DATUM_KEYS
 
     def __init__(self, datum):
         self.field, self.datum = datum.field, datum
         self.dims = dict(zip(("Z1", "Z0", "V1", "V0"), _dims(datum)))
-        self.maps = {key: (spaces, m) for (key, spaces), m in zip(_DATUM_KEYS, datum_maps(datum))}
+
+    def _maps(self):
+        """The structure maps in _KEYS order."""
+        return datum_maps(self.datum)
+
+    @cached_property
+    def maps(self):
+        return {key: (spaces, m) for (key, spaces), m in zip(self._KEYS, self._maps())}
 
     def values(self):
         """The datum's constants, densely, in the layout of datum_maps."""
@@ -195,9 +210,9 @@ class DatumCtx:
         ring = PolynomialRing()
         sym = object.__new__(type(self))
         sym.field, sym.dims = ring, self.dims
-        shapes = [map_shape(self.dims, spaces) for spaces, _ in self.maps.values()]
+        shapes = [map_shape(self.dims, spaces) for _, spaces in self._KEYS]
         maps = value_maps(ring, shapes, map(ring.var, count()))
-        sym.maps = {key: (spaces, m) for (key, (spaces, _)), m in zip(self.maps.items(), maps)}
+        sym.maps = {key: (spaces, m) for (key, spaces), m in zip(self._KEYS, maps)}
         return sym
 
     def basis(self, space, i):
@@ -245,11 +260,14 @@ class MorphismCtx(DatumCtx):
     target datum.  r(i, u): Vi -> Zi and s(i, u): Vi -> Vi.
     """
 
+    _KEYS = _DATUM_KEYS + _TARGET_KEYS
+
     def __init__(self, datum, datum_p, rs):
         super().__init__(datum)
         self.datum_p, self.rs = datum_p, (rs.r1, rs.r0, rs.s1, rs.s0)
-        self.maps.update((key, (spaces, m)) for (key, spaces), m
-                         in zip(_TARGET_KEYS, [*_family_maps(datum_p), *self.rs]))
+
+    def _maps(self):
+        return [*datum_maps(self.datum), *_family_maps(self.datum_p), *self.rs]
 
     def values(self):
         """The source's constants, the target's family maps and sigma, then

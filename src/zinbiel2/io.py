@@ -17,6 +17,7 @@ field and shape, and they are byte-identical to what these produce.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 
 from .core import (BimodulePair, ConditionReport, ZinbielAlgebra,
                    ZinbielTwoAlgebra)
@@ -128,22 +129,9 @@ def report_to_json(rep: ConditionReport):
 # schema-checked parsing
 # ---------------------------------------------------------------------------
 
-class _Object(dict):
-    """A JSON object as loaded (the object_pairs_hook of load_document), put
-    in the list objects: the keys read off it so far, and the first key it
-    repeats, None if none."""
-
-    def __init__(self, pairs, objects):
-        super().__init__(pairs)
-        self.read, self.repeated = set(), None
-        if len(self) < len(pairs):
-            keys = [key for key, _ in pairs]
-            self.repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
-        objects.append(self)
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
+# The keys that the parsers read (_want) while load_document parses, as (id
+# of the object, key); None outside it.
+_READS = ContextVar("_READS", default=None)
 
 
 def _refuse_keys(value, path, filename, refused, what):
@@ -166,6 +154,9 @@ def _want(obj, key, kinds, path, filename):
     if key not in obj:
         raise SchemaError(f"missing key {key!r}", path, filename)
     val = obj[key]
+    reads = _READS.get()
+    if reads is not None:
+        reads.add((id(obj), key))
     if kinds is not None and not isinstance(val, kinds):
         raise SchemaError(
             f"expected {getattr(kinds, '__name__', kinds)}, got {type(val).__name__}",
@@ -320,20 +311,46 @@ def load_document(filename, expect_kind=None, field_override=None, allow_small_c
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read file: {exc}", "$", filename) from None
+    objects, repeated = [], {}      # every object loaded; id -> the first key it repeats
+
+    def plain(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated[id(obj)] = next(key for i, key in enumerate(keys) if key in keys[:i])
+        objects.append(obj)
+        return obj
+
     try:
-        objects = []
-        obj = json.loads(text, object_pairs_hook=lambda pairs: _Object(pairs, objects))
+        obj = json.loads(text, object_pairs_hook=plain)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})",
                           "$", filename) from None
-    if any(o.repeated is not None for o in objects):
-        _refuse_keys(obj, "$", filename, lambda o, key: key == o.repeated, "duplicate key")
+    if repeated:
+        _refuse_keys(obj, "$", filename, lambda o, key: key == repeated.get(id(o)),
+                     "duplicate key")
+    reads = set()
+    token = _READS.set(reads)
+    try:
+        kind, val, field = _parse_document(obj, filename, expect_kind, field_override,
+                                           allow_small_char)
+    finally:
+        _READS.reset(token)
+    if "field" in obj:      # read, or superseded by an override
+        reads.add((id(obj), "field"))
+    if len(reads) < sum(map(len, objects)):     # each read is of a key the object has
+        _refuse_keys(obj, "$", filename, lambda o, key: (id(o), key) not in reads,
+                     "unknown key")
+    return kind, val, field
+
+
+def _parse_document(obj, filename, expect_kind, field_override, allow_small_char):
+    """The (kind, value, field) of the loaded document obj."""
     kind = _want(obj, "kind", str, "$", filename)
     if expect_kind is not None and kind != expect_kind:
         raise SchemaError(f"expected kind {expect_kind!r}, got {kind!r}", "$.kind", filename)
     field = parse_field(obj, "$", filename, override=field_override,
                         allow_small_char=allow_small_char)
-    obj.read.add("field")       # an override supersedes it
     if kind == "linmap":
         val = parse_linmap(field, obj, "$", filename)
     elif kind == "zinbiel_algebra":
@@ -354,8 +371,6 @@ def load_document(filename, expect_kind=None, field_override=None, allow_small_c
         val = _parse_rs_morphism(field, obj, filename)
     else:
         raise SchemaError(f"unknown kind {kind!r}", "$.kind", filename)
-    if any(o.keys() - o.read for o in objects):
-        _refuse_keys(obj, "$", filename, lambda o, key: key not in o.read, "unknown key")
     return kind, val, field
 
 

@@ -16,11 +16,14 @@ read off the spaces of its map alone.  _product places a datum's nonzero
 constants through it: build_unified_product those of a datum, and
 _symbolic, with variables of Z[x] for constants, builds the products the
 runs of the oracles (and through them the searches of classify) are
-compiled on.  extract_datum is its inverse: it rewrites E in the basis
-[iota | V-basis] that a ComplementSplit stores and reads each constant back
-through the same table.  A datum is read from its flat constants by
-_datum_at (_datum_over for the free scalars over a given Z and V), and Z
-and E are put together with core.two_algebra.
+compiled on.  extract_datum is its inverse in constants: one sparse
+contraction of E's nonzero constants with the nonzero rows of the change of
+basis [iota | V-basis] that a ComplementSplit stores and the nonzero
+columns of its inverse, each sum reduced once and placed back through the
+inverse table (_slots).  A datum is built from its nonzero constants by
+_datum, the inverse of _constants: only the maps that carry a constant are
+built (core.item_maps), the others are shared zero maps.  Z and E are put
+together with core.two_algebra.
 
 The oracle and verify_psi build no product: core's instance streams are run
 once per shape on the product over Z[x] whose datum constants are variables
@@ -37,14 +40,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import chain, count, product, repeat
+from itertools import chain, count, product
 
 from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism,
-                   ZinbielTwoAlgebra, _crossed_module_instances, _morphism_instances,
-                   check_crossed_module, compiled_run, map_items, require_levels,
+                   ZinbielTwoAlgebra, _crossed_module_instances, _morphism_instances, _starts,
+                   check_crossed_module, compiled_run, item_maps, map_items, require_levels,
                    two_algebra, two_algebra_maps, value_maps)
-from .engine import (_DATUM_KEYS, _FAMS, _FREE, MAP_SPACES, DatumCtx, _dims, _layout, _values,
-                     datum_maps, evaluate_conditions)
+from .engine import (_DATUM_KEYS, _FAMS, _FREE, DatumCtx, _dims, _layout, _values, datum_maps,
+                     evaluate_conditions)
 from .errors import (DimError, FieldMismatch, NotComplementary, PreconditionError,
                      SubalgebraError)
 from .fields import PolynomialRing
@@ -76,26 +79,25 @@ class ExtendingDatum:
     _constants: tuple = dc_field(init=False, repr=False, compare=False)  # map_items, read once
 
     def __post_init__(self):
-        z, v, sigma = self.z, self.v, self.sigma
-        dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
+        z, v, sigma, f = self.z, self.v, self.sigma, self.z.field
+        shapes = iter(_layout(_dims(self))[_FREE:])    # of the family maps, then sigma
         for fam_name in _FAMS:
             maps = tuple(getattr(self, fam_name))
             if len(maps) != 4:
                 raise DimError(f"{fam_name} must have 4 components")
-            for j, m in enumerate(maps):
-                la, lb, lc = MAP_SPACES[fam_name][j]
-                if (m.dim_a, m.dim_b, m.dim_c) != (dims[la], dims[lb], dims[lc]):
-                    raise DimError(
-                        f"{fam_name}[{j}] must be {dims[la]}x{dims[lb]}->{dims[lc]}, "
-                        f"got {m.dim_a}x{m.dim_b}->{m.dim_c}")
-                if m.field != z.field:
+            for j, (m, (a, b, c)) in enumerate(zip(maps, shapes)):
+                if (m.dim_a, m.dim_b, m.dim_c) != (a, b, c):
+                    raise DimError(f"{fam_name}[{j}] must be {a}x{b}->{c}, "
+                                   f"got {m.dim_a}x{m.dim_b}->{m.dim_c}")
+                if m.field is not f and m.field != f:
                     raise FieldMismatch(f"{fam_name}[{j}] over wrong field")
             object.__setattr__(self, fam_name, maps)
-        if (sigma.cols, sigma.rows) != (v.dim1, z.z0.dim):
-            raise DimError(f"sigma must be {z.z0.dim}x{v.dim1}")
-        if sigma.field != z.field:
+        rows, cols = next(shapes)
+        if (sigma.rows, sigma.cols) != (rows, cols):
+            raise DimError(f"sigma must be {rows}x{cols}")
+        if sigma.field != f:
             raise FieldMismatch("sigma over wrong field")
-        if v.d.field != z.field:
+        if v.d.field != f:
             raise FieldMismatch("d over wrong field")
         object.__setattr__(self, "_constants", tuple(map_items(datum_maps(self))))
 
@@ -105,8 +107,8 @@ class ExtendingDatum:
 
     @classmethod
     def trivial(cls, z: ZinbielTwoAlgebra, v: TwoVectorSpace):
-        """All maps zero (including sigma)."""
-        return _datum_over(z, v, repeat(z.field.zero()))
+        """All maps zero (including sigma), shared."""
+        return _datum(z.field, (z.z1.dim, z.z0.dim, v.dim1, v.dim0), (), z, v)
 
     def replace(self, **kwargs):
         """Copy with some map families replaced."""
@@ -116,21 +118,23 @@ class ExtendingDatum:
         return f"ExtendingDatum({self.field.name}, dims Z1,Z0,V1,V0={_dims(self)})"
 
 
-def _datum_over(z, v, free):
-    """The datum over z and v whose free scalars, its constants from _FREE on
-    in the layout of engine.datum_maps (the families in _FAMS order, four
-    maps each, then sigma), are read from the iterable free."""
-    maps = value_maps(z.field, _layout((z.z1.dim, z.z0.dim, v.dim1, v.dim0))[_FREE:], free)
+def _datum(ring, dims, constants, z=None, v=None):
+    """The datum over ring at dims (n1, n0, m1, m0) whose nonzero constants
+    are the (slot, value) pairs constants, slots in the layout of
+    engine.datum_maps: the inverse of ExtendingDatum._constants.  Only the
+    maps that carry a constant are built, the others are shared zero maps
+    (core.item_maps).  Given z and v, they are its Z and V, and only its
+    constants from _FREE on, its free scalars, are read."""
+    layout = _layout(dims)
+    if z is None:
+        maps = item_maps(ring, layout, constants)
+        z, v = two_algebra(ring, maps[:_FREE - 1]), TwoVectorSpace(*dims[2:], maps[_FREE - 1])
+        maps = maps[_FREE:]
+    else:
+        top = _starts(layout)[_FREE]
+        maps = item_maps(ring, layout[_FREE:], [(at - top, c) for at, c in constants if at >= top])
     return ExtendingDatum(z, v, sigma=maps.pop(),
-                          **{name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)})
-
-
-def _datum_at(ring, dims, values):
-    """The datum over ring at dims (n1, n0, m1, m0) whose structure constants,
-    in the layout of engine.datum_maps, are read from the iterable values."""
-    values = iter(values)
-    *z, d = value_maps(ring, _layout(dims)[:_FREE], values)
-    return _datum_over(two_algebra(ring, z), TwoVectorSpace(*dims[2:], d), values)
+                          **{name: maps[4 * k:4 * k + 4] for k, name in enumerate(_FAMS)})
 
 
 @cache
@@ -150,6 +154,12 @@ def _places(dims):
         places += [(m, tuple(offset[s] + i for s, i in zip(axes, key)))
                    for key in product(*(range(sizes[s]) for s in axes))]
     return tuple(places)
+
+
+@cache
+def _slots(dims):
+    """The inverse of _places(dims): the slot of each place."""
+    return {place: at for at, place in enumerate(_places(dims))}
 
 
 def _product(field, dims, constants):
@@ -332,14 +342,17 @@ def extract_datum(split: ComplementSplit, check_e=True,
                   cap=DEFAULT_VIOLATION_CAP) -> ExtendingDatum:
     """Read an extending datum off an ambient E along the split.
 
-    The inverse of build_unified_product: each operation of E is rewritten
-    in the basis [iota | V-basis] of the split, B^-1 t(B x, B y), and phi_E
-    as B0^-1 phi_E B1; each nonzero constant of the result is read back to
-    its datum constant through _places.  A constant with no place lies in a
-    Z x Z -> V block or the lower-left block of phi_E, which must vanish:
-    that is the subalgebra condition (SubalgebraError with witness (j, i, k)
-    or ("phi", i) otherwise, the least operation j, then the least (i, k) or
-    column i).  The Z constants are the induced structure on Z.
+    The inverse of build_unified_product: each operation of E in the basis
+    [iota | V-basis] of the split, B^-1 t(B x, B y), and phi_E as B0^-1
+    phi_E B1, as one sparse contraction of the nonzero constants of E with
+    the nonzero rows of B and the nonzero columns of B^-1.  Each sum is
+    reduced by field.canonical and, unless it is zero, read back to its
+    datum constant through _slots, the inverse of _places.  A constant with
+    no place lies in a Z x Z -> V block or the lower-left block of phi_E,
+    which must vanish: that is the subalgebra condition (SubalgebraError
+    with witness (j, i, k) or ("phi", i) otherwise, the least operation j,
+    then the least (i, k) or column i).  The Z constants are the induced
+    structure on Z.
     """
     e = split.e
     f = e.field
@@ -349,24 +362,38 @@ def extract_datum(split: ComplementSplit, check_e=True,
             raise PreconditionError("ambient E is not a valid Zinbiel 2-algebra", rep)
     (b1, b1inv), (b0, b0inv) = split._bases
     dims = split.dims()
-    binv = (b0inv, b1inv)
-    cols = tuple([b.column(i) for i in range(b.cols)] for b in (b0, b1))
-    entries = []        # (m, key, value) of each nonzero constant, as _places names them
-    for j, tensor in enumerate(two_algebra_maps(e)[:4]):
-        la, lb, lc = _OP_LEVELS[j]
-        entries += [(j, (k, i, jj), v) for i, x in enumerate(cols[la])
-                    for jj, y in enumerate(cols[lb])
-                    for k, v in enumerate(binv[lc].apply(tensor.eval(x, y))) if v]
-    phi_e = b0inv.compose(e.phi.compose(b1)).entries
-    entries += [(4, (r, c), v) for r, row in enumerate(phi_e) for c, v in enumerate(row) if v]
-    slot = {place: at for at, place in enumerate(_places(dims))}
-    values, strays = [f.zero()] * len(slot), []
-    for m, key, v in entries:
-        at = slot.get((m, key))
-        if at is None:
-            strays.append((m, key[1:]))
-        else:
-            values[at] = v
+    # by level: the nonzero (column, entry) of each row of B, and the
+    # nonzero (row, entry) of each column of B^-1
+    rows = [[[(a, x) for a, x in enumerate(row) if x] for row in b.entries] for b in (b0, b1)]
+    cols = [[[(c, row[k]) for c, row in enumerate(binv.entries) if row[k]]
+             for k in range(binv.cols)] for binv in (b0inv, b1inv)]
+    acc = {}        # (m, key) as _places names them -> its raw sum
+    for m, tensor in enumerate(two_algebra_maps(e)[:4]):
+        la, lb, lc = _OP_LEVELS[m]
+        for k, i, j, v in tensor.items:
+            for a, x in rows[la][i]:
+                for b, y in rows[lb][j]:
+                    vxy = v * x * y
+                    for c, w in cols[lc][k]:
+                        place = (m, (c, a, b))
+                        acc[place] = acc.get(place, 0) + w * vxy
+    for k, row in enumerate(e.phi.entries):
+        for i, v in enumerate(row):
+            if v:
+                for c, y in rows[1][i]:
+                    for r, w in cols[0][k]:
+                        place = (4, (r, c))
+                        acc[place] = acc.get(place, 0) + w * v * y
+    slots, canonical = _slots(dims), f.canonical
+    constants, strays = [], []
+    for place, total in acc.items():
+        v = canonical(total)
+        if v:
+            at = slots.get(place)
+            if at is None:
+                strays.append((place[0], place[1][1:]))
+            else:
+                constants.append((at, v))
     if strays:
         m, witness = min(strays)
         if m == 4:
@@ -374,7 +401,7 @@ def extract_datum(split: ComplementSplit, check_e=True,
                                   witness=("phi", *witness))
         raise SubalgebraError(f"iota(Z) is not closed under operation {m}",
                               witness=(m, *witness))
-    return _datum_at(f, dims, values)
+    return _datum(f, dims, constants)
 
 
 def verify_psi(split: ComplementSplit, datum: ExtendingDatum,

@@ -12,14 +12,16 @@ from itertools import count
 
 from zinbiel2 import core
 from zinbiel2.classify import RSData, morphism_from_rs
-from zinbiel2.core import (DEFAULT_VIOLATION_CAP, BimodulePair, ConditionReport, FlagNote,
-                           TwoMorphism, ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism,
-                           check_crossed_module, check_zinbiel)
-from zinbiel2.engine import _grid
+from zinbiel2.core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, BimodulePair, ConditionReport,
+                           FlagNote, TwoMorphism, ZinbielAlgebra, ZinbielTwoAlgebra,
+                           check_2alg_morphism, check_crossed_module, check_zinbiel, two_algebra,
+                           two_algebra_maps, value_maps)
+from zinbiel2.engine import _FAMS, _FREE, _grid, _layout
+from zinbiel2.errors import SubalgebraError
 from zinbiel2.fields import PolynomialRing
 from zinbiel2.io import canonical_dumps, datum_to_json
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block, vbasis
-from zinbiel2.unified import (ComplementSplit, ExtendingDatum, build_unified_product,
+from zinbiel2.unified import (ComplementSplit, ExtendingDatum, _places, build_unified_product,
                               check_datum_direct)
 
 
@@ -163,6 +165,60 @@ def reference_product(datum):
     return ZinbielTwoAlgebra(ZinbielAlgebra(f, nz[1] + nv[1], ops[1]),
                              ZinbielAlgebra(f, nz[0] + nv[0], ops[0]), phi,
                              BimodulePair(ops[2], ops[3]))
+
+
+def dense_datum(ring, dims, values, z=None, v=None):
+    """Reference for unified._datum, dense: the datum over ring at dims (n1,
+    n0, m1, m0) whose constants, in the layout of engine.datum_maps, are read
+    from the iterable values through core.value_maps, every map built.  Given
+    z and v, they are its Z and V, and values holds its free scalars alone,
+    its constants from engine._FREE on."""
+    values, layout = iter(values), _layout(dims)
+    if z is None:
+        *zmaps, d = value_maps(ring, layout[:_FREE], values)
+        z, v = two_algebra(ring, zmaps), TwoVectorSpace(*dims[2:], d)
+    maps = value_maps(ring, layout[_FREE:], values)
+    return ExtendingDatum(z, v, sigma=maps.pop(),
+                          **{name: tuple(maps[4 * k:4 * k + 4]) for k, name in enumerate(_FAMS)})
+
+
+def reference_extract(split):
+    """Reference for unified.extract_datum (check_e=False), dense: each
+    operation of E rewritten in the basis [iota | V-basis] of the split as
+    B^-1 t(B x, B y) on basis pairs (BilMap.eval, LinMap.apply), phi_E as
+    B0^-1 phi_E B1 (compose), and each nonzero constant read back through
+    unified._places into a dense_datum.  A constant with no place raises
+    SubalgebraError with the least witness, (j, i, k) or ("phi", i)."""
+    e = split.e
+    f = e.field
+    (b1, b1inv), (b0, b0inv) = split._bases
+    dims = split.dims()
+    binv = (b0inv, b1inv)
+    cols = tuple([b.column(i) for i in range(b.cols)] for b in (b0, b1))
+    entries = []
+    for j, tensor in enumerate(two_algebra_maps(e)[:4]):
+        la, lb, lc = _OP_LEVELS[j]
+        entries += [(j, (k, i, jj), v) for i, x in enumerate(cols[la])
+                    for jj, y in enumerate(cols[lb])
+                    for k, v in enumerate(binv[lc].apply(tensor.eval(x, y))) if v]
+    phi_e = b0inv.compose(e.phi.compose(b1)).entries
+    entries += [(4, (r, c), v) for r, row in enumerate(phi_e) for c, v in enumerate(row) if v]
+    slot = {place: at for at, place in enumerate(_places(dims))}
+    values, strays = [f.zero()] * len(slot), []
+    for m, key, v in entries:
+        at = slot.get((m, key))
+        if at is None:
+            strays.append((m, key[1:]))
+        else:
+            values[at] = v
+    if strays:
+        m, witness = min(strays)
+        if m == 4:
+            raise SubalgebraError("phi_E does not restrict to the Z levels",
+                                  witness=("phi", *witness))
+        raise SubalgebraError(f"iota(Z) is not closed under operation {m}",
+                              witness=(m, *witness))
+    return dense_datum(f, dims, values)
 
 
 def rand_valid_datum_1111(field, rng, max_tries=400):

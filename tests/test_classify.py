@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_force_equivalent, brute_force_valid, nilpotent_families,
+from helpers import (brute_force_equivalent, brute_force_valid, dense_datum, nilpotent_families,
                      pairwise_partition, rand_scalar, rand_sparse_datum, recursive_walk,
                      reference_checks, reference_datum_at, reference_product, reference_rs_checks,
                      scalar_bilmap, variable_rs_blocks, zero_two_algebra)
@@ -1071,7 +1071,8 @@ def test_gathered_products_match_the_built_ones(field):
         for m1, m0 in REFERENCE_VDIMS + ((0, 0),):
             d = LinMap(field, m0, m1, [[rand_scalar(field, rng) for _ in range(m1)]
                                        for _ in range(m0)])
-            datum = unified._datum_over(z, TwoVectorSpace(m1, m0, d), values)
+            datum = dense_datum(field, (z.z1.dim, z.z0.dim, m1, m0), values, z,
+                                TwoVectorSpace(m1, m0, d))
             e = reference_product(datum)
             assert build_unified_product(datum) == e
             constants = tuple(map_items(datum_maps(datum)))
@@ -1086,9 +1087,8 @@ ITEM_DIMS = ((0, 0, 0, 0), (0, 1, 2, 0), (1, 1, 1, 1), (2, 1, 1, 2))
 def _drawn_datum(data, field, values):
     """A datum at drawn dims over field, its constants drawn from values."""
     dims = data.draw(st.sampled_from(ITEM_DIMS))
-    size = len(map_values(datum_maps(unified._datum_at(field, dims, itertools.repeat(0))), 0))
-    return unified._datum_at(field, dims, data.draw(st.lists(values, min_size=size,
-                                                              max_size=size)))
+    size = len(unified._places(dims))
+    return dense_datum(field, dims, data.draw(st.lists(values, min_size=size, max_size=size)))
 
 
 @settings(max_examples=60, deadline=None)

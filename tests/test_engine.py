@@ -190,3 +190,23 @@ def test_import_builds_nothing():
             "assert not any(t._runs for t in tables)\n")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_numeric_contexts_build_no_map_table(monkeypatch):
+    # evaluate_conditions reads a numeric context's values() and its shape
+    # alone: the key -> map table is built only when an accessor reads it,
+    # here the interpreted reference's lambdas, and the two reports agree
+    built = []
+    for cls in (DatumCtx, MorphismCtx):
+        monkeypatch.setattr(cls, "_maps", lambda self, real=cls._maps: built.append(self)
+                            or real(self))
+    rng = random.Random(27)
+    for kind, table in TABLES.items():
+        for field in FIELDS:
+            shape = ZZ_SHAPES[0] if kind == "ZZ" else SHAPES[0]
+            ctx = _random_ctx(kind, field, shape, rng, 0.5)
+            got = evaluate_conditions(ctx, table, cap=3)
+            assert built == [], kind
+            assert _view(got) == _view(interpreted_report(ctx, table, cap=3)), kind
+            assert built == [ctx] and "maps" in vars(ctx), kind
+            built.clear()

@@ -1,18 +1,20 @@
 import itertools
 import pickle
 import random
+from math import prod
 
 import pytest
 
-from helpers import (rand_ambient_with_subalgebra, rand_sparse_datum, scalar_bilmap,
-                     standard_split, zero_two_algebra)
+from helpers import (dense_datum, rand_ambient_with_subalgebra, rand_invertible, rand_scalar,
+                     rand_sparse_datum, rand_split_of, reference_extract, scalar_bilmap,
+                     standard_split, transport_two_algebra, zero_two_algebra)
 from zinbiel2 import unified
-from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra, check_crossed_module,
-                           map_items)
-from zinbiel2.engine import datum_maps
+from zinbiel2.core import (_OP_LEVELS, BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
+                           check_crossed_module, map_items, two_algebra, two_algebra_maps)
+from zinbiel2.engine import _FAMS, _FREE, MAP_SPACES, _layout, datum_maps
 from zinbiel2.errors import (DimError, FieldMismatch, NotAnIdeal, NotSubalgebra, PreconditionError,
                              SubalgebraError)
-from zinbiel2.fields import PrimeField
+from zinbiel2.fields import PrimeField, Rationals
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 from zinbiel2.io import datum_to_json, parse_datum
 from zinbiel2.special import MatchedPairDatum, check_ideal_extension, factorize
@@ -283,11 +285,12 @@ def test_constants_are_read_once_on_every_route():
     mk = lambda: tuple(scalar_bilmap(F5, rng.randrange(5)) for _ in range(4))
     matched = MatchedPairDatum(z, zero_two_algebra(F5, 1, 1, v.d), hr=mk(), hl=mk(), tr=mk(),
                                tl=mk(), check_v=False)
+    slots = rng.sample(range(len(unified._places((1, 1, 1, 1)))), 9)
     routes = {
         "constructor": ExtendingDatum(z, v, d.hr, d.hl, d.tr, d.tl, d.om, d.st, d.sigma),
         "trivial": ExtendingDatum.trivial(z, v),
         "replace": d.replace(sigma=LinMap(F5, 1, 1, [[4]])),
-        "_datum_over": unified._datum_over(z, v, (rng.randrange(5) for _ in itertools.count())),
+        "_datum": unified._datum(F5, (1, 1, 1, 1), [(at, rng.randrange(1, 5)) for at in slots]),
         "extract_datum": extract_datum(standard_split(build_unified_product(d), 1, 1),
                                        check_e=False),
         "io": parse_datum(F5, datum_to_json(d), "$", None),
@@ -298,3 +301,133 @@ def test_constants_are_read_once_on_every_route():
         assert datum._constants == tuple(map_items(datum_maps(datum))), route
         assert datum._constants or route == "trivial", route
     assert routes["pickle"] == routes["io"] == routes["extract_datum"] == d
+
+
+FIELDS = (F5, F7, Rationals())
+# (n1, n0, m1, m0): a zero level in each slot, all zero, and (2, 1, 1, 2)
+SPARSE_DIMS = ((0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0),
+               (0, 0, 1, 1), (2, 1, 1, 2))
+
+
+def _strays(dims):
+    """The places of E at dims with no datum constant: (operation j, (k, i,
+    jj)) in a Z x Z -> V block, (4, (row, col)) in the lower-left block of
+    phi_E."""
+    n1, n0, m1, m0 = dims
+    nz, size = (n0, n1), (n0 + m0, n1 + m1)
+    places = [(j, (k, i, jj)) for j, (a, b, c) in enumerate(_OP_LEVELS)
+              for k in range(nz[c], size[c]) for i in range(nz[a]) for jj in range(nz[b])]
+    return places + [(4, (r, col)) for r in range(n0, n0 + m0) for col in range(n1)]
+
+
+def _split(field, dims, rng, strays):
+    """A split of a candidate E (unchecked): the product of a random datum
+    at dims with 1 added at each of the places strays (_strays), then
+    transported along random changes of basis at both levels; its Z is the
+    image of Z, its complement random."""
+    n1, n0, m1, m0 = dims
+    values = (rand_scalar(field, rng) if rng.random() < 0.4 else 0 for _ in itertools.count())
+    maps = list(two_algebra_maps(build_unified_product(dense_datum(field, dims, values))))
+    for m, key in strays:
+        if m == 4:
+            rows = [list(row) for row in maps[4].entries]
+            rows[key[0]][key[1]] = field.one()
+            maps[4] = LinMap(field, maps[4].rows, maps[4].cols, rows)
+        else:
+            t = maps[m]
+            coeffs = {(k, i, j): v for k, i, j, v in t.items}
+            coeffs[key] = field.one()
+            maps[m] = BilMap(field, t.dim_a, t.dim_b, t.dim_c, coeffs)
+    t1, t0 = rand_invertible(field, n1 + m1, rng), rand_invertible(field, n0 + m0, rng)
+    e = transport_two_algebra(two_algebra(field, maps), t1, t0)
+    iota1, iota0 = (LinMap.from_columns(field, [t.column(j) for j in range(n)], t.rows)
+                    for t, n in ((t1, n1), (t0, n0)))
+    return rand_split_of(e, iota1, iota0, rng)
+
+
+def _extracted(extract, split):
+    """The datum and its constants that extract reads off split, or the
+    message and witness of its SubalgebraError."""
+    try:
+        datum = extract(split)
+    except SubalgebraError as exc:
+        return str(exc), exc.witness
+    return datum, datum._constants
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_extract_is_the_dense_reference_on_random_splits(field):
+    # the sparse contraction against the dense basis change on random
+    # splits: in a subalgebra split every Z x Z -> V entry of E in the new
+    # basis is a sum that cancels to zero, and with strays added the least
+    # one that does not cancel is the witness
+    rng = random.Random(f"extract-{field.name}")
+    seen = set()
+    for dims in SPARSE_DIMS:
+        places = _strays(dims)
+        cases = [[]] * 4 + [[place] for place in places]
+        cases += [rng.sample(places, 2) for _ in range(4 if len(places) > 1 else 0)]
+        for strays in cases:
+            split = _split(field, dims, rng, strays)
+            want = _extracted(reference_extract, split)
+            assert _extracted(lambda s: extract_datum(s, check_e=False), split) == want, (
+                dims, strays)
+            seen.add(want[1][0] if isinstance(want[0], str) else "datum")
+    assert seen == {"datum", 0, 1, 2, 3, "phi"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_datum_from_constants_is_the_dense_one(field):
+    # a datum built from (slot, value) constants, its other maps shared
+    # zeros, equals the one built densely from every map, with or without
+    # its Z and V given, and keeps exactly those constants
+    rng = random.Random(f"constants-{field.name}")
+    for dims in SPARSE_DIMS:
+        n = len(unified._places(dims))
+        top = sum(map(prod, _layout(dims)[:_FREE]))
+        for density in (0.0, 0.2, 1.0):
+            constants = [(at, rand_scalar(field, rng) or field.one()) for at in range(n)
+                         if rng.random() < density]
+            values = [field.zero()] * n
+            for at, v in constants:
+                values[at] = v
+            dense = dense_datum(field, dims, values)
+            datum = unified._datum(field, dims, reversed(constants))
+            assert datum == dense and datum._constants == tuple(constants), dims
+            shared = unified._datum(field, dims, constants, dense.z, dense.v)
+            assert shared.z is dense.z and shared.v is dense.v and shared == dense
+            trivial = ExtendingDatum.trivial(dense.z, dense.v)
+            assert trivial == dense_datum(field, dims, itertools.repeat(0), dense.z, dense.v)
+            assert trivial._constants == tuple(c for c in constants if c[0] < top)
+
+
+def test_datum_names_each_wrong_family_map_and_field():
+    # every family map of a wrong shape is refused with its own name and
+    # shapes, read off the spaces of the map; sigma, and a map, sigma or d
+    # over another field, likewise
+    dims = {"Z1": 1, "Z0": 2, "V1": 2, "V0": 1}
+    z = zero_two_algebra(F5, dims["Z1"], dims["Z0"])
+    base = ExtendingDatum.trivial(z, TwoVectorSpace(dims["V1"], dims["V0"], LinMap.zero(F5, 1, 2)))
+    for name in _FAMS:
+        for j, (a, b, c) in enumerate(MAP_SPACES[name]):
+            a, b, c = dims[a], dims[b], dims[c]
+            for wrong, error, message in (
+                    (BilMap.zero(F5, a + 1, b, c), DimError,
+                     f"{name}[{j}] must be {a}x{b}->{c}, got {a + 1}x{b}->{c}"),
+                    (BilMap.zero(F7, a, b, c), FieldMismatch, f"{name}[{j}] over wrong field")):
+                family = list(getattr(base, name))
+                family[j] = wrong
+                with pytest.raises(error) as err:
+                    base.replace(**{name: family})
+                assert str(err.value) == message
+        with pytest.raises(DimError) as err:
+            base.replace(**{name: getattr(base, name)[:3]})
+        assert str(err.value) == f"{name} must have 4 components"
+    for kwargs, error, message in (
+            ({"sigma": LinMap.zero(F5, 2, 1)}, DimError, "sigma must be 2x2"),
+            ({"sigma": LinMap.zero(F7, 2, 2)}, FieldMismatch, "sigma over wrong field"),
+            ({"v": TwoVectorSpace(2, 1, LinMap.zero(F7, 1, 2))}, FieldMismatch,
+             "d over wrong field")):
+        with pytest.raises(error) as err:
+            base.replace(**kwargs)
+        assert str(err.value) == message
