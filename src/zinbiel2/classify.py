@@ -1,10 +1,10 @@
 """Morphisms between unified products, equivalence of extending data, and
 desk-scale classification over GF(p).
 
-A census walks a datum's constants in the one layout of engine.datum_maps,
+A census walks a datum's constants in the one layout of core.datum_maps,
 Z's (core.two_algebra_maps) and d fixed, the free scalars bound depth-first
 with forward checking against the validity constraints: the oracle's run in
-a datum's constants (unified._datum_run) swept at the fixed constants and
+a datum's constants (core._datum_run) swept at the fixed constants and
 at the free scalars as variables of Z[x], reduced mod p.  A leaf is its
 constants, re-checked by substitution into the same run (_leaves); only
 enumerate_valid_data builds its datum, and no product is built at all.
@@ -42,16 +42,15 @@ from functools import cache, cached_property
 from itertools import accumulate, count
 from math import inf, prod
 
-from .core import (DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra,
-                   _morphism_instances, compiled_run, map_values, reduced, two_algebra_maps,
-                   value_maps)
-from .engine import _FREE, MorphismCtx, _dims, _layout, _values, evaluate_conditions
+from .core import (_FREE, DEFAULT_VIOLATION_CAP, TwoMorphism, ZinbielTwoAlgebra, _datum_run,
+                   _dims, _layout, _morphism_instances, _places, _symbolic, _values, compiled_run,
+                   map_values, reduced, two_algebra_maps, value_maps)
+from .engine import MorphismCtx, evaluate_conditions
 from .errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                      PreconditionError)
 from .fields import PolynomialRing, PrimeField, Rationals
 from .linalg import LinMap, TwoVectorSpace, inverse, upper_block
-from .unified import (ExtendingDatum, _datum, _datum_run, _places, _require_valid_z, _symbolic,
-                      check_datum_direct)
+from .unified import ExtendingDatum, _datum, _require_valid_z, check_datum_direct
 
 DEFAULT_ENUM_BUDGET = 5 ** 8
 DEFAULT_RS_BUDGET = 10 ** 6
@@ -131,7 +130,7 @@ def _rs_run(dims):
     """The morphism run between the unified products of two data at dims (n1,
     n0, m1, m0) sharing Z and d, under the block map of rs, in the layout of
     MorphismCtx.values(): x_at is the source datum's constant at (layout of
-    engine.datum_maps), the target's family maps and sigma follow, then r1,
+    core.datum_maps), the target's family maps and sigma follow, then r1,
     r0, s1, s0, each row-major."""
     n1, n0, m1, m0 = dims
     n, top = len(_places(dims)), sum(map(prod, _layout(dims)[:_FREE]))     # top: Z's and d
@@ -207,7 +206,7 @@ _ENTRY = re.compile(r'(\[(?:\d+,)+")(\d+)"\]')
 def _skeleton(field, dims):
     """The canonical serialization (io.canonical_dumps of io.datum_to_json)
     of the data over field at dims (n1, n0, m1, m0), as a function of their
-    nonzero constants, (slot, value) in the layout of engine.datum_maps.
+    nonzero constants, (slot, value) in the layout of core.datum_maps.
 
     It splices those constants, formatted by field.fmt, into the
     serialization of the zero datum: each entry where its list opens, after
@@ -447,7 +446,7 @@ class EnumerationSpec:
     """Deterministic indexing of all coefficient assignments over GF(p),
     and the validity constraints the search prunes with.
 
-    A datum's constants, in the layout of engine.datum_maps, are fixed (Z's
+    A datum's constants, in the layout of core.datum_maps, are fixed (Z's
     two_algebra_maps, then d) up to _FREE, its first family map; the free
     scalars are the rest: hr, hl, tr, tl, om, st with j = 0..3 (each in (k, i,
     j) order), then sigma row-major.  size counts them; index digits are
@@ -480,7 +479,7 @@ class EnumerationSpec:
     @cached_property
     def checks(self):
         """The validity constraints, read off the compiled oracle: the
-        datum run at the spec's dims (unified._datum_run) swept at the fixed
+        datum run at the spec's dims (core._datum_run) swept at the fixed
         constants, constants of Z[x], and at the free scalars, free scalar i
         the variable x_i, reduced mod p.  The assignments at which every
         constraint vanishes mod p are exactly the valid ones.  checks[k]
@@ -597,9 +596,9 @@ def _spec(field, z: ZinbielTwoAlgebra, vdims, d: LinMap, budget):
 
 def _leaves(spec):
     """The leaves of _walk over spec.checks, in lexicographic order: each the
-    nonzero constants, (slot, value) in the layout of engine.datum_maps, of
+    nonzero constants, (slot, value) in the layout of core.datum_maps, of
     the spec's fixed constants and its digits, re-checked by the oracle as
-    check_datum_direct does, read off unified._datum_run at cap 1; a
+    check_datum_direct does, read off core._datum_run at cap 1; a
     rejection raises."""
     p, run = spec.field.char, _datum_run(spec.dims)
     for index in _walk(p, spec.checks):

@@ -11,21 +11,28 @@ asks for a verdict only (ConditionReport.fill and finalize on a stream).
 
 The streams are the only definition of each axiom.  Each runs once per
 shape over Z[x] (compiled_run) into a SymbolicRun, the substitution kernel
-the catalogs of engine share.  For check_crossed_module and
-check_2alg_morphism every structure constant is a variable (layout:
-map_values of two_algebra_maps, the one order of a 2-algebra's constants,
-read sparsely by map_items; inverted by two_algebra, and by value_maps
-densely, for maps of variables, and item_maps sparsely, for maps of
-constants, whose other maps are shared zeros), and the report at each
-input over GF(p) or Q is read off the run (SymbolicRun.report, which
-builds only the violations it keeps).  The oracles on extending data run
-the same streams on unified products whose datum constants are the
-variables (unified._datum_run, unified._psi_run, classify._rs_run) and
-report at a datum's constants: they check the product without building
-it.  The searches of classify read their constraints off the same runs at
-a datum's constants, each an integer or a free variable (sweep, its one
-symbolic reading).  So _compiled serves only 2-algebras given as such: Z
-itself, and the inputs of check_crossed_module and check_2alg_morphism.
+the catalogs of engine share, and the report at each input over GF(p) or Q
+is read off the run (SymbolicRun.report, which builds only the violations
+it keeps).  Every oracle run is compiled by one builder, _symbolic: the
+unified product of a datum whose constants are variables, placed through
+_places.  A 2-algebra is the unified product of its datum at V = 0, whose
+constants are its own (map_values of two_algebra_maps, the one order of a
+2-algebra's constants, read sparsely by map_items; inverted by two_algebra
+and item_maps).  So there are two families of runs: _datum_run, the
+crossed-module run at datum dims, read by check_crossed_module at (n1, n0,
+0, 0) and by unified.check_datum_direct and the census at a datum's dims;
+and _morphism_run, between the products at two dims, read by
+check_2alg_morphism at V = 0 on both sides and by unified.verify_psi.
+classify._rs_run is built on _symbolic too.  A check builds no product.
+The searches of classify read their constraints off the same runs at a
+datum's constants, each an integer or a free variable (sweep, its one
+symbolic reading).
+
+The layout of a datum's constants is stated here once, for the oracle's
+runs and the catalogs of engine alike: _BLOCKS names the datum family that
+fills each block of an operation on Z + V, MAP_SPACES the spaces of every
+map, datum_maps their order (_DATUM_KEYS names each) and _values the
+variables of a run at a datum's constants.
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -43,7 +50,7 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate, chain, count, islice, product
+from itertools import accumulate, chain, count, product
 from math import prod
 
 from .errors import DimError, FieldMismatch, PreconditionError
@@ -168,12 +175,6 @@ def map_values(maps, zero):
 
 
 @functools.cache
-def _keys(na, nb, nc):
-    """The keys (k, i, j) of a bilinear map na x nb -> nc in map_values order."""
-    return tuple(product(range(nc), range(na), range(nb)))
-
-
-@functools.cache
 def _zeros(ring, shapes):
     """The zero map over ring of each shape, shared (maps are immutable): a
     BilMap for a shape (dim a, dim b, dim c), a LinMap for a shape (rows,
@@ -186,15 +187,8 @@ def value_maps(ring, shapes, values):
     """The inverse of map_values: maps over ring whose entries are read from
     the iterable values in the map_values layout, a BilMap for a shape (dim
     a, dim b, dim c) and a LinMap for a shape (rows, cols)."""
-    values = iter(values)
-    maps = []
-    for shape in shapes:
-        if len(shape) == 3:
-            maps.append(BilMap(ring, *shape, {key: v for key, v in zip(_keys(*shape), values)}))
-        else:
-            rows, cols = shape
-            maps.append(LinMap(ring, rows, cols, [list(islice(values, cols)) for _ in range(rows)]))
-    return maps
+    shapes = tuple(shapes)
+    return item_maps(ring, shapes, zip(range(_starts(shapes)[-1]), values))
 
 
 @functools.cache
@@ -635,7 +629,7 @@ def two_algebra_maps(t):
     """The five maps of the 2-algebra t in the one order of its constants:
     its four operations in _OP_LEVELS order, then phi.  The compiled runs lay
     out their variables as map_values of these, and a datum's constants
-    begin with them (engine.datum_maps); two_algebra is the inverse."""
+    begin with them (datum_maps); two_algebra is the inverse."""
     return (t.z0.mult, t.z1.mult, t.act.left, t.act.right, t.phi)
 
 
@@ -647,25 +641,140 @@ def two_algebra(ring, maps):
                              BimodulePair(left, right))
 
 
+# The blocks of an operation on Z + V as (slot a, slot b, result), each 0 for
+# Z and 1 for V, with the datum family that fills the block ("z" is the
+# operation of Z itself), in the one order of the families, that of
+# datum_maps and of the census.  Z x Z -> V is the one block left out: it
+# vanishes exactly when Z is closed under the operation.
+_BLOCKS = (((0, 0, 0), "z"), ((1, 0, 0), "hr"), ((0, 1, 0), "hl"), ((0, 1, 1), "tr"),
+           ((1, 0, 1), "tl"), ((1, 1, 0), "om"), ((1, 1, 1), "st"))
+
+# the datum families in the one order of _BLOCKS
+_FAMS = tuple(name for _, name in _BLOCKS[1:])
+
+# Family name -> (left space, right space, result space) of its map j: the
+# sides of the family's block at the levels of operation j.
+MAP_SPACES = {name: tuple(tuple("ZV"[side] + str(level) for side, level in zip(block, levels))
+                          for levels in _OP_LEVELS)
+              for block, name in _BLOCKS}
+
+
+def map_shape(dims, spaces):
+    """The shape value_maps reads for a map between spaces at dims: (dim a,
+    dim b, dim c) if bilinear, else (rows, cols) = (dim codomain, dim domain)."""
+    return tuple(dims[s] for s in (spaces if len(spaces) == 3 else spaces[::-1]))
+
+
+def _family_keys(mark):
+    """key, spaces of the 24 family maps and sigma of a datum, in
+    _family_maps order; mark is "" for the source datum of a context and
+    "p" for the target."""
+    return ([((name + mark, j), MAP_SPACES[name][j]) for name in _FAMS for j in range(4)]
+            + [("sig" + mark, ("V1", "Z0"))])
+
+
+def _family_maps(datum):
+    """The 24 family maps of datum in _FAMS order, j = 0..3 each, then sigma."""
+    maps = []
+    for name in _FAMS:
+        maps += getattr(datum, name)
+    maps.append(datum.sigma)
+    return maps
+
+
+# key, spaces of every structure map of a datum in datum_maps order
+_DATUM_KEYS = ([(("z", j), spaces) for j, spaces in enumerate(MAP_SPACES["z"])]
+               + [("phi", ("Z1", "Z0")), ("d", ("V1", "V0"))] + _family_keys(""))
+
+
+def datum_maps(datum):
+    """Every structure map of datum in the order engine.DatumCtx lists them,
+    the layout of its values() and symbolic(): Z's two_algebra_maps (its four
+    operations, then phi), d, then the 24 family maps and sigma, a census's
+    free scalars in its order (_DATUM_KEYS names each)."""
+    return [*two_algebra_maps(datum.z), datum.v.d, *_family_maps(datum)]
+
+
+# where the free scalars of a datum's maps start in the order of datum_maps:
+# after Z's two_algebra_maps and d, at the first family map
+_FREE = [key for key, _ in _DATUM_KEYS].index((_FAMS[0], 0))
+
+
 @functools.cache
-def _compiled(stream, dims):
-    """stream run once over Z[x] on a 2-algebra of level dims (n1, n0) per
-    pair in dims and, for two pairs, a morphism from the first to the second,
-    every structure constant a variable, in the order of two_algebra_maps
-    and then phi1, phi0.  The shapes of the operations are read off
-    _OP_LEVELS."""
+def _layout(dims):
+    """The shapes (map_shape) of the maps of a datum at dims (n1, n0, m1,
+    m0), in the order of datum_maps."""
+    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
+    return tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS)
+
+
+def _dims(datum):
+    """The dims (n1, n0, m1, m0) of a datum."""
+    z, v = datum.z, datum.v
+    return (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
+
+
+def _values(zero, dims, source, target=None, tail=()):
+    """The variables of DatumCtx.values() (and, given target, of MorphismCtx)
+    at dims: the datum constants source, (slot, value) pairs in the layout of
+    datum_maps, densely, then target's from _FREE on (Z and d are shared),
+    then map_values of the maps tail."""
+    layout = _layout(dims)
+    n = sum(map(prod, layout))
+    top = n if target is None else sum(map(prod, layout[:_FREE]))
+    values = [zero] * (2 * n - top)
+    for at, v in source:
+        values[at] = v
+    for at, v in target or ():
+        if at >= top:
+            values[n - top + at] = v
+    return values + map_values(tail, zero)
+
+
+@functools.cache
+def _places(dims):
+    """Where each constant of a datum at dims (n1, n0, m1, m0), in the layout
+    of datum_maps, sits in its unified product E: (m, key), m the index of
+    its map in two_algebra_maps(E) and key its (k, i, j) there, or its (row,
+    col) in phi_E (m = 4).  Read off the map's spaces alone: their levels
+    name the operation of E, and a V index follows the Z of its level, so
+    phi, sigma and d are the blocks of phi_E = [[phi, sigma], [0, d]]."""
+    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
+    offset = {"Z1": 0, "Z0": 0, "V1": sizes["Z1"], "V0": sizes["Z0"]}
+    places = []
+    for _, spaces in _DATUM_KEYS:
+        m = _OP_LEVELS.index(tuple(int(s[1]) for s in spaces)) if len(spaces) == 3 else 4
+        axes = (spaces[2], *spaces[:2]) if len(spaces) == 3 else spaces[::-1]     # of its key
+        places += [(m, tuple(offset[s] + i for s, i in zip(axes, key)))
+                   for key in product(*(range(sizes[s]) for s in axes))]
+    return tuple(places)
+
+
+def _product(field, dims, constants):
+    """The unified product over field of the datum at dims (n1, n0, m1, m0)
+    whose constants are the (slot, value) pairs constants, slots in the
+    layout of datum_maps, each placed through _places; a slot left out is
+    0."""
+    places = _places(dims)
+    coeffs = [{} for _ in range(5)]
+    for at, v in constants:
+        m, key = places[at]
+        coeffs[m][key] = v
+    n1, n0, m1, m0 = dims
+    size = (n0 + m0, n1 + m1)
+    ops = [BilMap(field, size[a], size[b], size[c], coeffs[j])
+           for j, (a, b, c) in enumerate(_OP_LEVELS)]
+    zero, phi = field.zero(), coeffs[4]
+    return two_algebra(field, [*ops, LinMap(field, size[0], size[1], [
+        [phi.get((r, c), zero) for c in range(size[1])] for r in range(size[0])])])
+
+
+def _symbolic(dims, variables):
+    """The unified product over Z[x] of the datum at dims whose constant at,
+    in the layout of datum_maps, is the variable x_(variables[at]): the one
+    builder of the oracle's runs."""
     ring = PolynomialRing()
-    shapes = []
-    for n1, n0 in dims:
-        shapes += [tuple((n0, n1)[level] for level in levels) for levels in _OP_LEVELS]
-        shapes.append((n0, n1))     # phi
-    if len(dims) == 2:      # phi1 and phi0
-        shapes += [(b, a) for a, b in zip(*dims)]
-    maps = value_maps(ring, shapes, map(ring.var, count()))
-    args = [two_algebra(ring, maps[5 * k:5 * k + 5]) for k in range(len(dims))]
-    if len(dims) == 2:
-        args.append(TwoMorphism(*maps[10:]))
-    return compiled_run(stream, *args)
+    return _product(ring, dims, ((at, ring.var(x)) for at, x in enumerate(variables)))
 
 
 def compiled_run(stream, *args):
@@ -674,33 +783,21 @@ def compiled_run(stream, *args):
     return SymbolicRun(PolynomialRing(), ((c, w, (l, r)) for c, w, l, r in stream(*args)))
 
 
-def _dims(t):
-    return (t.z1.dim, t.z0.dim)
-
-
-def _report(stream, args, cap):
-    """The report of stream(*args) over GF(p) or Q, read off the compiled run
-    of its shape; FieldMismatch unless all args share a field."""
-    f = args[0].field
-    if any(a.field != f for a in args):
-        raise FieldMismatch("arguments over different fields")
-    algebras, morphism = args[:2], args[2:]
-    maps = [x for t in algebras for x in two_algebra_maps(t)]
-    maps += [x for m in morphism for x in (m.phi1, m.phi0)]
-    return _compiled(stream, tuple(map(_dims, algebras))).report(f, map_values(maps, f.zero()), cap)
-
-
-def require_levels(maps, dims, dims2):
-    """DimError unless the maps (phi1, phi0) of a morphism map level dims
-    (n1, n0) to level dims2."""
-    for k, p in enumerate(maps):
-        if (p.cols, p.rows) != (dims[k], dims2[k]):
-            raise DimError(f"phi{1 - k} must be {dims2[k]}x{dims[k]}")
+@functools.cache
+def _datum_run(dims):
+    """The crossed-module run of the unified product at dims (n1, n0, m1, m0)
+    in its datum's constants: x_at is constant at, in the layout of
+    datum_maps (_values, DatumCtx.values()).  At (n1, n0, 0, 0) the product
+    is a 2-algebra itself, its constants in the order of two_algebra_maps."""
+    return compiled_run(_crossed_module_instances, _symbolic(dims, range(len(_places(dims)))))
 
 
 def check_crossed_module(t: ZinbielTwoAlgebra, cap=DEFAULT_VIOLATION_CAP):
-    """Full 2-algebra check: action axioms plus CM1-CM4 and derived CM5."""
-    return _report(_crossed_module_instances, (t,), cap)
+    """Full 2-algebra check: action axioms plus CM1-CM4 and derived CM5, read
+    off the run of t as the unified product at V = 0 (_datum_run)."""
+    f = t.field
+    values = map_values(two_algebra_maps(t), f.zero())
+    return _datum_run((t.z1.dim, t.z0.dim, 0, 0)).report(f, values, cap)
 
 
 def _morphism_instances(t, t2, m):
@@ -733,11 +830,31 @@ def _morphism_instances(t, t2, m):
             yield "M5", (i, a), lhs, t2.act.right.eval(im1[i], im0[a])
 
 
+@functools.cache
+def _morphism_run(dims, dims2):
+    """The morphism run from the unified product at dims (n1, n0, m1, m0) to
+    the one at dims2, in their datum constants, x_0 .. x_(n-1) and then the
+    target's, under a morphism whose phi1 and phi0 come last, each
+    row-major."""
+    n, n2 = len(_places(dims)), len(_places(dims2))
+    ring = PolynomialRing()
+    shapes = [(dims2[k] + dims2[k + 2], dims[k] + dims[k + 2]) for k in (0, 1)]
+    phi = value_maps(ring, shapes, map(ring.var, count(n + n2)))
+    return compiled_run(_morphism_instances, _symbolic(dims, range(n)),
+                        _symbolic(dims2, range(n, n + n2)), TwoMorphism(*phi))
+
+
 def check_2alg_morphism(t: ZinbielTwoAlgebra, t2: ZinbielTwoAlgebra, m: TwoMorphism,
                         cap=DEFAULT_VIOLATION_CAP):
-    """Morphism conditions M1-M5 for m: t -> t2; DimError unless m maps the
-    levels of t to those of t2."""
-    if t.field != t2.field or m.field != t.field:
+    """Morphism conditions M1-M5 for m: t -> t2, read off the run between
+    them as unified products at V = 0 (_morphism_run); DimError unless m maps
+    the levels of t to those of t2."""
+    f = t.field
+    if t2.field != f or m.field != f:
         raise FieldMismatch("morphism and 2-algebras over different fields")
-    require_levels((m.phi1, m.phi0), _dims(t), _dims(t2))
-    return _report(_morphism_instances, (t, t2, m), cap)
+    dims, dims2 = (t.z1.dim, t.z0.dim), (t2.z1.dim, t2.z0.dim)
+    for k, p in enumerate((m.phi1, m.phi0)):
+        if (p.cols, p.rows) != (dims[k], dims2[k]):
+            raise DimError(f"phi{1 - k} must be {dims2[k]}x{dims[k]}")
+    values = map_values([*two_algebra_maps(t), *two_algebra_maps(t2), m.phi1, m.phi0], f.zero())
+    return _morphism_run((*dims, 0, 0), (*dims2, 0, 0)).report(f, values, cap)

@@ -23,57 +23,30 @@ with field.canonical, so GF(p) for every p and Q go through one
 evaluator.  The polynomials come from the catalog lambdas, never from the
 product E, so the catalog route stays independent of the oracle.
 
-The shapes of the structure maps come from one table: core._OP_LEVELS gives
-the levels of the four operations of a 2-algebra, in the order of
-core.two_algebra_maps, _BLOCKS the datum family that fills each block of an
-operation on Z + V (_FAMS lists the families), and MAP_SPACES the spaces of
-every map they determine.  A datum's constants (datum_maps) are its Z's in
-the one order of two_algebra_maps, then d, the families and sigma; a
-context reads them off its datum (ExtendingDatum._constants), laid out by
-_values, which the runs of unified and classify read too.  So a numeric
-context keeps its data and no more: its key -> map table (DatumCtx.maps),
-which the accessors of the lambdas read, is built on the first read, on a
-symbolic context or by an interpreted reference.
+The layout of a datum's constants is core's (MAP_SPACES, _DATUM_KEYS,
+datum_maps, _values), the one statement of it that the oracle's runs read
+too: a context lists its maps in the order of datum_maps, and a numeric
+context's values() are its datum's constants (ExtendingDatum._constants)
+laid out by _values.  So a numeric context keeps its data and no more: its
+key -> map table (DatumCtx.maps), which the accessors of the lambdas read,
+is built on the first read, on a symbolic context or by an interpreted
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import count
-from math import prod
 
-from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, SymbolicRun, map_values, two_algebra_maps,
-                   value_maps)
+from .core import (_DATUM_KEYS, DEFAULT_VIOLATION_CAP, MAP_SPACES, SymbolicRun, _dims,
+                   _family_keys, _family_maps, _values, datum_maps, map_shape, value_maps)
 from .errors import DimError
 from .fields import PolynomialRing
 from .linalg import vadd, vbasis, vzero
 
-# The blocks of an operation on Z + V as (slot a, slot b, result), each 0 for
-# Z and 1 for V, with the datum family that fills the block ("z" is the
-# operation of Z itself), in the one order of the families, that of
-# datum_maps and of the census.  Z x Z -> V is the one block left out: it
-# vanishes exactly when Z is closed under the operation.
-_BLOCKS = (((0, 0, 0), "z"), ((1, 0, 0), "hr"), ((0, 1, 0), "hl"), ((0, 1, 1), "tr"),
-           ((1, 0, 1), "tl"), ((1, 1, 0), "om"), ((1, 1, 1), "st"))
-
-# the datum families in the one order of _BLOCKS
-_FAMS = tuple(name for _, name in _BLOCKS[1:])
-
-# Family name -> (left space, right space, result space) of its map j: the
-# sides of the family's block at the levels of operation j.
-MAP_SPACES = {name: tuple(tuple("ZV"[side] + str(level) for side, level in zip(block, levels))
-                          for levels in _OP_LEVELS)
-              for block, name in _BLOCKS}
-
 # Operand spaces of the overloaded product -> the operation of Z it applies.
 _DOT = {spaces[:2]: j for j, spaces in enumerate(MAP_SPACES["z"])}
-
-
-def map_shape(dims, spaces):
-    """The shape value_maps reads for a map between spaces at dims: (dim a,
-    dim b, dim c) if bilinear, else (rows, cols) = (dim codomain, dim domain)."""
-    return tuple(dims[s] for s in (spaces if len(spaces) == 3 else spaces[::-1]))
 
 
 class Elt:
@@ -95,73 +68,10 @@ class Elt:
         return f"Elt({self.space}, {self.vec})"
 
 
-def _family_keys(mark):
-    """key, spaces of the 24 family maps and sigma of a datum, in
-    _family_maps order; mark is "" for the source datum of a context and
-    "p" for the target."""
-    return ([((name + mark, j), MAP_SPACES[name][j]) for name in _FAMS for j in range(4)]
-            + [("sig" + mark, ("V1", "Z0"))])
-
-
-def _family_maps(datum):
-    """The 24 family maps of datum in _FAMS order, j = 0..3 each, then sigma."""
-    maps = []
-    for name in _FAMS:
-        maps += getattr(datum, name)
-    maps.append(datum.sigma)
-    return maps
-
-
-# key, spaces of every structure map of a datum in datum_maps order, and of
-# the family maps and sigma of a context's target datum, then r1, r0, s1, s0
-_DATUM_KEYS = ([(("z", j), spaces) for j, spaces in enumerate(MAP_SPACES["z"])]
-               + [("phi", ("Z1", "Z0")), ("d", ("V1", "V0"))] + _family_keys(""))
+# key, spaces of the family maps and sigma of a context's target datum, then
+# r1, r0, s1, s0
 _TARGET_KEYS = _family_keys("p") + [(("r", 1), ("V1", "Z1")), (("r", 0), ("V0", "Z0")),
                                     (("s", 1), ("V1", "V1")), (("s", 0), ("V0", "V0"))]
-
-
-def datum_maps(datum):
-    """Every structure map of datum in the order DatumCtx lists them, the
-    layout of its values() and symbolic(): Z's two_algebra_maps (its four
-    operations, then phi), d, then the 24 family maps and sigma, a census's
-    free scalars in its order (_DATUM_KEYS names each)."""
-    return [*two_algebra_maps(datum.z), datum.v.d, *_family_maps(datum)]
-
-
-# where the free scalars of a datum's maps start in the order of datum_maps:
-# after Z's two_algebra_maps and d, at the first family map
-_FREE = [key for key, _ in _DATUM_KEYS].index((_FAMS[0], 0))
-
-
-@cache
-def _layout(dims):
-    """The shapes (map_shape) of the maps of a datum at dims (n1, n0, m1,
-    m0), in the order of datum_maps."""
-    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
-    return tuple(map_shape(sizes, spaces) for _, spaces in _DATUM_KEYS)
-
-
-def _dims(datum):
-    """The dims (n1, n0, m1, m0) of a datum."""
-    z, v = datum.z, datum.v
-    return (z.z1.dim, z.z0.dim, v.dim1, v.dim0)
-
-
-def _values(zero, dims, source, target=None, tail=()):
-    """The variables of DatumCtx.values() (and, given target, of MorphismCtx)
-    at dims: the datum constants source, (slot, value) pairs in the layout of
-    datum_maps, densely, then target's from _FREE on (Z and d are shared),
-    then map_values of the maps tail."""
-    layout = _layout(dims)
-    n = sum(map(prod, layout))
-    top = n if target is None else sum(map(prod, layout[:_FREE]))
-    values = [zero] * (2 * n - top)
-    for at, v in source:
-        values[at] = v
-    for at, v in target or ():
-        if at >= top:
-            values[n - top + at] = v
-    return values + map_values(tail, zero)
 
 
 def _family_accessor(key):

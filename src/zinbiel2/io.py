@@ -19,9 +19,8 @@ from __future__ import annotations
 import json
 from contextvars import ContextVar
 
-from .core import (BimodulePair, ConditionReport, ZinbielAlgebra,
+from .core import (_FAMS, MAP_SPACES, BimodulePair, ConditionReport, ZinbielAlgebra,
                    ZinbielTwoAlgebra)
-from .engine import _FAMS, MAP_SPACES
 from .errors import SchemaError, Zinbiel2Error
 from .fields import field_from_name
 from .linalg import BilMap, LinMap, TwoVectorSpace

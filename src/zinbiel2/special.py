@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field as dc_field
 
-from .core import (DEFAULT_VIOLATION_CAP, ZinbielTwoAlgebra, _prefixed, check_crossed_module,
-                   two_algebra, two_algebra_maps)
-from .engine import _FAMS, MAP_SPACES, DatumCtx, evaluate_conditions
+from .core import (_FAMS, DEFAULT_VIOLATION_CAP, MAP_SPACES, ZinbielTwoAlgebra, _prefixed,
+                   check_crossed_module, two_algebra, two_algebra_maps)
+from .engine import DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
 from .linalg import BilMap, LinMap, TwoVectorSpace

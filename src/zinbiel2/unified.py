@@ -9,27 +9,23 @@ condition lists live in conds_unified.py and are cross-validated against
 the oracle.
 
 A datum reads its maps into constants once, when it is built: its nonzero
-constants, (slot, value) in the layout of engine.datum_maps, are
+constants, (slot, value) in the layout of core.datum_maps, are
 ExtendingDatum._constants, and every reader takes them from there.  One
-table, _places, says where each constant sits in the unified product E,
-read off the spaces of its map alone.  _product places a datum's nonzero
-constants through it: build_unified_product those of a datum, and
-_symbolic, with variables of Z[x] for constants, builds the products the
-runs of the oracles (and through them the searches of classify) are
-compiled on.  extract_datum is its inverse in constants: one sparse
-contraction of E's nonzero constants with the nonzero rows of the change of
-basis [iota | V-basis] that a ComplementSplit stores and the nonzero
-columns of its inverse, each sum reduced once and placed back through the
-inverse table (_slots).  A datum is built from its nonzero constants by
-_datum, the inverse of _constants: only the maps that carry a constant are
-built (core.item_maps), the others are shared zero maps.  Z and E are put
-together with core.two_algebra.
+table, core._places, says where each constant sits in the unified product
+E, read off the spaces of its map alone; build_unified_product places a
+datum's nonzero constants through it (core._product).  extract_datum is its
+inverse in constants: one sparse contraction of E's nonzero constants with
+the nonzero rows of the change of basis [iota | V-basis] that a
+ComplementSplit stores and the nonzero columns of its inverse, each sum
+reduced once and placed back through the inverse table (_slots).  A datum
+is built from its nonzero constants by _datum, the inverse of _constants:
+only the maps that carry a constant are built (core.item_maps), the others
+are shared zero maps.  Z and E are put together with core.two_algebra.
 
-The oracle and verify_psi build no product: core's instance streams are run
-once per shape on the product over Z[x] whose datum constants are variables
-(_symbolic; _datum_run, _psi_run, classify._rs_run), and a datum's
-constants, laid out as the catalogs read them (engine._values), are
-substituted into that run, which returns the finished report
+The oracle and verify_psi build no product: they read core's runs on the
+product over Z[x] whose datum constants are variables (core._datum_run,
+core._morphism_run), at a datum's constants laid out as the catalogs read
+them (core._values), and the run returns the finished report
 (core.SymbolicRun.report); the census sweeps _datum_run at free scalars
 left as variables.  Each report holds the first `cap` violations in
 evaluation order, sorted, as the same check on the built product would.
@@ -40,18 +36,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import chain, count, product
+from itertools import chain
 
-from .core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport, TwoMorphism,
-                   ZinbielTwoAlgebra, _crossed_module_instances, _morphism_instances, _starts,
-                   check_crossed_module, compiled_run, item_maps, map_items, require_levels,
-                   two_algebra, two_algebra_maps, value_maps)
-from .engine import (_DATUM_KEYS, _FAMS, _FREE, DatumCtx, _dims, _layout, _values, datum_maps,
-                     evaluate_conditions)
+from .core import (_FAMS, _FREE, _OP_LEVELS, DEFAULT_VIOLATION_CAP, ConditionReport,
+                   ZinbielTwoAlgebra, _datum_run, _dims, _layout, _morphism_run, _places, _product,
+                   _starts, _values, check_crossed_module, datum_maps, item_maps, map_items,
+                   two_algebra, two_algebra_maps)
+from .engine import DatumCtx, evaluate_conditions
 from .errors import (DimError, FieldMismatch, NotComplementary, PreconditionError,
                      SubalgebraError)
-from .fields import PolynomialRing
-from .linalg import BilMap, LinMap, TwoVectorSpace, inverse, kernel_basis, vbasis
+from .linalg import LinMap, TwoVectorSpace, inverse, kernel_basis, vbasis
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +115,7 @@ class ExtendingDatum:
 def _datum(ring, dims, constants, z=None, v=None):
     """The datum over ring at dims (n1, n0, m1, m0) whose nonzero constants
     are the (slot, value) pairs constants, slots in the layout of
-    engine.datum_maps: the inverse of ExtendingDatum._constants.  Only the
+    core.datum_maps: the inverse of ExtendingDatum._constants.  Only the
     maps that carry a constant are built, the others are shared zero maps
     (core.item_maps).  Given z and v, they are its Z and V, and only its
     constants from _FREE on, its free scalars, are read."""
@@ -138,47 +132,9 @@ def _datum(ring, dims, constants, z=None, v=None):
 
 
 @cache
-def _places(dims):
-    """Where each constant of a datum at dims (n1, n0, m1, m0), in the layout
-    of engine.datum_maps, sits in its unified product E: (m, key), m the
-    index of its map in two_algebra_maps(E) and key its (k, i, j) there, or
-    its (row, col) in phi_E (m = 4).  Read off the map's spaces alone: their
-    levels name the operation of E, and a V index follows the Z of its
-    level, so phi, sigma and d are the blocks of phi_E = [[phi, sigma], [0, d]]."""
-    sizes = dict(zip(("Z1", "Z0", "V1", "V0"), dims))
-    offset = {"Z1": 0, "Z0": 0, "V1": sizes["Z1"], "V0": sizes["Z0"]}
-    places = []
-    for _, spaces in _DATUM_KEYS:
-        m = _OP_LEVELS.index(tuple(int(s[1]) for s in spaces)) if len(spaces) == 3 else 4
-        axes = (spaces[2], *spaces[:2]) if len(spaces) == 3 else spaces[::-1]     # of its key
-        places += [(m, tuple(offset[s] + i for s, i in zip(axes, key)))
-                   for key in product(*(range(sizes[s]) for s in axes))]
-    return tuple(places)
-
-
-@cache
 def _slots(dims):
     """The inverse of _places(dims): the slot of each place."""
     return {place: at for at, place in enumerate(_places(dims))}
-
-
-def _product(field, dims, constants):
-    """The unified product over field of the datum at dims (n1, n0, m1, m0)
-    whose constants are the (slot, value) pairs constants, slots in the
-    layout of engine.datum_maps, each placed through _places; a slot left
-    out is 0."""
-    places = _places(dims)
-    coeffs = [{} for _ in range(5)]
-    for at, v in constants:
-        m, key = places[at]
-        coeffs[m][key] = v
-    n1, n0, m1, m0 = dims
-    size = (n0 + m0, n1 + m1)
-    ops = [BilMap(field, size[a], size[b], size[c], coeffs[j])
-           for j, (a, b, c) in enumerate(_OP_LEVELS)]
-    zero, phi = field.zero(), coeffs[4]
-    return two_algebra(field, [*ops, LinMap(field, size[0], size[1], [
-        [phi.get((r, c), zero) for c in range(size[1])] for r in range(size[0])])])
 
 
 def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
@@ -189,36 +145,6 @@ def build_unified_product(datum: ExtendingDatum) -> ZinbielTwoAlgebra:
     tr/tl/st into V, and phi_E(x, u) = (phi(x) + sigma(u), d(u)).
     """
     return _product(datum.field, _dims(datum), datum._constants)
-
-
-def _symbolic(dims, variables):
-    """The unified product over Z[x] of the datum at dims whose constant at,
-    in the layout of engine.datum_maps, is the variable x_(variables[at])."""
-    ring = PolynomialRing()
-    return _product(ring, dims, ((at, ring.var(x)) for at, x in enumerate(variables)))
-
-
-@cache
-def _datum_run(dims):
-    """The crossed-module run of the unified product at dims (n1, n0, m1, m0)
-    in its datum's constants: x_at is constant at, in the layout of
-    engine.datum_maps (engine._values, DatumCtx.values())."""
-    return compiled_run(_crossed_module_instances, _symbolic(dims, range(len(_places(dims)))))
-
-
-@cache
-def _psi_run(dims):
-    """The morphism run from the unified product at dims, in its datum's
-    constants x_0 .. x_(n-1), to a 2-algebra of its level dims (the product
-    at V = 0) whose constants, in two_algebra_maps order, follow, under a
-    morphism whose phi1 and phi0 come last, each row-major."""
-    n1, n0, m1, m0 = dims
-    level = (n1 + m1, n0 + m0, 0, 0)
-    n, size = len(_places(dims)), len(_places(level))
-    ring = PolynomialRing()
-    psi = value_maps(ring, [(n1 + m1,) * 2, (n0 + m0,) * 2], map(ring.var, count(n + size)))
-    return compiled_run(_morphism_instances, _symbolic(dims, range(n)),
-                        _symbolic(level, range(n, n + size)), TwoMorphism(*psi))
 
 
 def _require_valid_z(z: ZinbielTwoAlgebra, cap):
@@ -274,8 +200,9 @@ class ComplementSplit:
 
     iota_i: Z_i -> E_i are injections, p_i: E_i -> Z_i retractions with
     p_i o iota_i = id; the complement V_i := ker(p_i) gets the deterministic
-    kernel basis unless a basis is given.  Checked at construction: shapes,
-    the retraction identity, and that a given basis lies in ker(p_i) and has
+    kernel basis unless a basis is given.  Checked at construction: that
+    every map is over the field of E (FieldMismatch), shapes, the retraction
+    identity, and that a given basis lies in ker(p_i) and has
     the right size.  The change of basis B_i = [iota_i | V-basis] and its
     inverse are built here once; B_i not invertible means the basis does not
     span E_i together with the image of iota_i, and is refused.  With a
@@ -297,6 +224,8 @@ class ComplementSplit:
         e = self.e
         for (iota, p, dim_e, lvl) in ((self.iota1, self.p1, e.z1.dim, 1),
                                       (self.iota0, self.p0, e.z0.dim, 0)):
+            if iota.field != e.field or p is not None and p.field != e.field:
+                raise FieldMismatch(f"level-{lvl} split maps over another field than E")
             if iota.rows != dim_e or p is not None and (p.cols != dim_e or iota.cols != p.rows):
                 raise DimError(f"level-{lvl} split maps have inconsistent shapes")
             if p is not None and p.compose(iota) != LinMap.identity(e.field, iota.cols):
@@ -414,16 +343,19 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
     psi is the split's change of basis [iota | V-basis] at each level,
     invertible because ComplementSplit refuses a V-basis that does not span
     E with the image of iota.  M1..M5 are read in the datum's own constants,
-    E's and psi's, and read off _psi_run: their report is that of
-    check_2alg_morphism from build_unified_product(datum), which is not
-    built, and PSI-STAB and PSI-COSTAB fill what room it leaves.
+    E's and psi's, and read off _morphism_run to E as the product at V = 0:
+    their report is that of check_2alg_morphism from
+    build_unified_product(datum), which is not built, and PSI-STAB and
+    PSI-COSTAB fill what room it leaves.  DimError unless the datum's dims
+    are the split's.
     """
     f, e, dims = split.field, split.e, _dims(datum)
     (b1, b1inv), (b0, b0inv) = split._bases
-    require_levels((b1, b0), (dims[0] + dims[2], dims[1] + dims[3]), (e.z1.dim, e.z0.dim))
+    if dims != split.dims():
+        raise DimError(f"datum dims {dims} are not the split's {split.dims()}")
     if datum.field != f:
         raise FieldMismatch("arguments over different fields")
-    n1, n0, m1, m0 = split.dims()
+    n1, n0, m1, m0 = dims
     # Stabilizes Z: psi restricted to the Z block equals iota.
     stab = ((f"PSI-STAB{lvl}", (j,), b.column(j), iota.column(j))
             for lvl, b, iota, nz in ((1, b1, split.iota1, n1), (0, b0, split.iota0, n0))
@@ -433,4 +365,5 @@ def verify_psi(split: ComplementSplit, datum: ExtendingDatum,
               for lvl, b, binv, nz, mv in ((1, b1, b1inv, n1, m1), (0, b0, b0inv, n0, m0))
               for j in range(mv))
     values = _values(f.zero(), dims, datum._constants, tail=[*two_algebra_maps(e), b1, b0])
-    return _psi_run(dims).report(f, values, cap).fill(chain(stab, costab), cap).finalize()
+    run = _morphism_run(dims, (n1 + m1, n0 + m0, 0, 0))
+    return run.report(f, values, cap).fill(chain(stab, costab), cap).finalize()

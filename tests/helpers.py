@@ -12,16 +12,17 @@ from itertools import count
 
 from zinbiel2 import core
 from zinbiel2.classify import RSData, morphism_from_rs
-from zinbiel2.core import (_OP_LEVELS, DEFAULT_VIOLATION_CAP, BimodulePair, ConditionReport,
-                           FlagNote, TwoMorphism, ZinbielAlgebra, ZinbielTwoAlgebra,
-                           check_2alg_morphism, check_crossed_module, check_zinbiel, two_algebra,
-                           two_algebra_maps, value_maps)
-from zinbiel2.engine import _FAMS, _FREE, _grid, _layout
+from zinbiel2.core import (_FAMS, _FREE, _OP_LEVELS, DEFAULT_VIOLATION_CAP, BimodulePair,
+                           ConditionReport, FlagNote, TwoMorphism, ZinbielAlgebra,
+                           ZinbielTwoAlgebra, _layout, _places, check_2alg_morphism,
+                           check_crossed_module, check_zinbiel, two_algebra, two_algebra_maps,
+                           value_maps)
+from zinbiel2.engine import _grid
 from zinbiel2.errors import SubalgebraError
 from zinbiel2.fields import PolynomialRing
 from zinbiel2.io import canonical_dumps, datum_to_json
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace, inverse, upper_block, vbasis
-from zinbiel2.unified import (ComplementSplit, ExtendingDatum, _places, build_unified_product,
+from zinbiel2.unified import (ComplementSplit, ExtendingDatum, build_unified_product,
                               check_datum_direct)
 
 
@@ -169,10 +170,10 @@ def reference_product(datum):
 
 def dense_datum(ring, dims, values, z=None, v=None):
     """Reference for unified._datum, dense: the datum over ring at dims (n1,
-    n0, m1, m0) whose constants, in the layout of engine.datum_maps, are read
+    n0, m1, m0) whose constants, in the layout of core.datum_maps, are read
     from the iterable values through core.value_maps, every map built.  Given
     z and v, they are its Z and V, and values holds its free scalars alone,
-    its constants from engine._FREE on."""
+    its constants from core._FREE on."""
     values, layout = iter(values), _layout(dims)
     if z is None:
         *zmaps, d = value_maps(ring, layout[:_FREE], values)
@@ -187,7 +188,7 @@ def reference_extract(split):
     operation of E rewritten in the basis [iota | V-basis] of the split as
     B^-1 t(B x, B y) on basis pairs (BilMap.eval, LinMap.apply), phi_E as
     B0^-1 phi_E B1 (compose), and each nonzero constant read back through
-    unified._places into a dense_datum.  A constant with no place raises
+    core._places into a dense_datum.  A constant with no place raises
     SubalgebraError with the least witness, (j, i, k) or ("phi", i)."""
     e = split.e
     f = e.field

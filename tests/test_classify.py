@@ -17,15 +17,14 @@ from helpers import (brute_force_equivalent, brute_force_valid, dense_datum, nil
                      pairwise_partition, rand_scalar, rand_sparse_datum, recursive_walk,
                      reference_checks, reference_datum_at, reference_product, reference_rs_checks,
                      scalar_bilmap, variable_rs_blocks, zero_two_algebra)
-from zinbiel2 import classify, cli, core, engine, linalg, unified
+from zinbiel2 import classify, cli, core, linalg, unified
 from zinbiel2 import io as zio
 from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equivalent,
                                census, check_rs_conditions, check_rs_direct,
                                compute_quotients, enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
-from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism, map_items,
-                           map_values)
-from zinbiel2.engine import _family_maps, datum_maps
+from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, _family_maps, check_2alg_morphism,
+                           datum_maps, map_items, map_values)
 from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                              PreconditionError)
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
@@ -388,7 +387,7 @@ def test_datum_at_reads_the_census_order(p):
 
 def test_a_warmed_shape_builds_no_unified_product(monkeypatch):
     # a spec builds its symbolic product from constants, placed through the
-    # table of its shape (unified._product), never from a datum: once one
+    # table of its shape (core._product), never from a datum: once one
     # spec has derived that table, a spec at the same dims with another Z or
     # another d calls build_unified_product not at all (classify does not
     # import it)
@@ -433,7 +432,7 @@ def test_rs_checks_match_reference(p):
             # the search numbers its variables in the binding order: s1, s0,
             # then r1, r0
             for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
-                search = classify._RSSearch(f, engine._dims(d1), mode, math.inf)
+                search = classify._RSSearch(f, core._dims(d1), mode, math.inf)
                 checks = search.checks(source, target)
                 reference = reference_rs_checks(e1, e2, search.shapes, binding)
                 refuted.append(_refuted_alone(checks, reference))
@@ -576,7 +575,7 @@ def test_rs_solution_sets_match_the_reference():
         constants = [d._constants for d in data]
         e = list(map(build_unified_product, data))
         for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
-            search = classify._RSSearch(F5, engine._dims(data[0]), mode, math.inf)
+            search = classify._RSSearch(F5, core._dims(data[0]), mode, math.inf)
             for i, j in itertools.product(range(len(data)), repeat=2):
                 checks = search.checks(constants[i], constants[j])
                 leaves = list(classify._walk(5, checks, search.guards))
@@ -647,7 +646,7 @@ def test_witness_stays_lexicographic_when_s_is_bound_first():
     # s1, s0) order, which the slot-order re-walk finds, is r0 = 1, s = 2
     data = seeded_valid_data((1, 1), (1, 1), 1, 6, seed=3)
     d1, d2 = data[:2]
-    search = classify._RSSearch(F5, engine._dims(d1), "equivalent", math.inf)
+    search = classify._RSSearch(F5, core._dims(d1), "equivalent", math.inf)
     checks = search.checks(d1._constants, d2._constants)
     s1, s0, r1, r0 = classify._digits(next(classify._walk(5, checks, search.guards)), 5, 4)
     assert (r1, r0, s1, s0) == (0, 3, 1, 1)
@@ -818,7 +817,7 @@ def test_quotients_build_no_product(monkeypatch):
     run = classify._rs_run((0, 1, 1, 1))
     calls, found = [], []
     real_call, real_report = classify._RSSearch.__call__, core.SymbolicRun.report
-    monkeypatch.setattr(unified, "_product", lambda *args: calls.append("product"))
+    monkeypatch.setattr(core, "_product", lambda *args: calls.append("product"))
     monkeypatch.setattr(core.SymbolicRun, "report", lambda self, field, values, cap:
                         calls.append((self, cap)) or real_report(self, field, values, cap))
     monkeypatch.setattr(classify._RSSearch, "__call__", lambda search, source, target:
@@ -915,22 +914,23 @@ def test_census_builds_no_datum_and_no_product(monkeypatch):
     # read off the datum run; no ExtendingDatum is built but for the two data the
     # skeleton of a shape is read off once, and no unified product is built
     # but for the symbolic ones the runs are compiled on, here on the first
-    # census
+    # census: Z's own crossed-module run, the datum run at (0, 1, 0, 0), is
+    # one of them
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     d = LinMap.zero(F5, 1, 0)
     counts = collections.Counter()
-    real_init, real_product = ExtendingDatum.__post_init__, unified._product
+    real_init, real_product = ExtendingDatum.__post_init__, core._product
     real_report = core.SymbolicRun.report
     monkeypatch.setattr(ExtendingDatum, "__post_init__",
                         lambda datum: counts.update(["datum"]) or real_init(datum))
-    monkeypatch.setattr(unified, "_product", lambda field, dims, constants: counts.update(
+    monkeypatch.setattr(core, "_product", lambda field, dims, constants: counts.update(
         [f"product over {field.name}"]) or real_product(field, dims, constants))
     monkeypatch.setattr(core.SymbolicRun, "report", lambda self, field, values, cap: counts.update(
-        [f"datum run at cap {cap}"] * (self is unified._datum_run((0, 1, 0, 1))))
+        [f"datum run at cap {cap}"] * (self is core._datum_run((0, 1, 0, 1))))
         or real_report(self, field, values, cap))
-    for cached in (classify._skeleton, unified._datum_run, classify._rs_run, classify._posed):
+    for cached in (classify._skeleton, core._datum_run, classify._rs_run, classify._posed):
         cached.cache_clear()
-    for derived in ({"datum": 2, "product over z[x]": 3}, {}):
+    for derived in ({"datum": 2, "product over z[x]": 4}, {}):
         counts.clear()
         out = census(F5, z, (0, 1), d)
         assert pretty_dumps(out) == GOLDEN.read_text()
@@ -956,7 +956,7 @@ def test_leaves_are_the_reference_data(zfile, vdims, count):
     assert len(indices) == len(leaves) == len(data) == count
     for index, leaf, built in zip(indices, leaves, data):
         datum = reference_datum_at(spec, index)
-        e = unified._product(f, spec.dims, leaf)
+        e = core._product(f, spec.dims, leaf)
         assert e == build_unified_product(datum) == reference_product(datum), index
         assert built == datum and built._constants == leaf == datum._constants, index
         assert classify._skeleton(f, spec.dims)(leaf) == canonical_dumps(datum_to_json(datum))
@@ -1076,7 +1076,7 @@ def test_gathered_products_match_the_built_ones(field):
             e = reference_product(datum)
             assert build_unified_product(datum) == e
             constants = tuple(map_items(datum_maps(datum)))
-            assert unified._product(field, engine._dims(datum), constants) == e
+            assert core._product(field, core._dims(datum), constants) == e
 
 
 # (n1, n0, m1, m0): all dims zero, Z = (0, 1) with V = (2, 0), (1, 1) with
@@ -1087,7 +1087,7 @@ ITEM_DIMS = ((0, 0, 0, 0), (0, 1, 2, 0), (1, 1, 1, 1), (2, 1, 1, 2))
 def _drawn_datum(data, field, values):
     """A datum at drawn dims over field, its constants drawn from values."""
     dims = data.draw(st.sampled_from(ITEM_DIMS))
-    size = len(unified._places(dims))
+    size = len(core._places(dims))
     return dense_datum(field, dims, data.draw(st.lists(values, min_size=size, max_size=size)))
 
 
@@ -1097,7 +1097,7 @@ def test_spliced_item_is_the_encoders(data):
     f = PrimeField(data.draw(st.sampled_from((5, 7))))
     sparse = st.sampled_from([0] * 3 * (f.char - 1) + list(range(1, f.char)))
     d = _drawn_datum(data, f, data.draw(st.sampled_from((sparse, st.integers(0, f.char - 1)))))
-    spliced = classify._skeleton(f, engine._dims(d))(d._constants)
+    spliced = classify._skeleton(f, core._dims(d))(d._constants)
     assert spliced == canonical_dumps(datum_to_json(d))
 
 
@@ -1158,7 +1158,7 @@ def test_merged_halves_are_the_full_sweep(p):
             v = TwoVectorSpace(m1, m0, LinMap(f, m0, m1, [[1] * m1] * m0))
             d1, d2 = (rand_sparse_datum(z, v, rng, 0.4) for _ in range(2))
             for mode, binding in (("equivalent", (2, 3, 0, 1)), ("cohomologous", (0, 1))):
-                search = classify._RSSearch(f, engine._dims(d1), mode, math.inf)
+                search = classify._RSSearch(f, core._dims(d1), mode, math.inf)
                 rs = map_values(variable_rs_blocks(search.shapes, binding), ())
                 for source, target in itertools.product((d1, d2), repeat=2):
                     maps = [*datum_maps(source), *_family_maps(target)]
@@ -1174,7 +1174,7 @@ def test_merged_halves_are_the_full_sweep(p):
 
 # the index of the first variable of the block map in the rs run at dims
 # (1, 1, 1, 1), after the source's constants and the target's families
-RS_START = len(engine._values(0, (1, 1, 1, 1), (), ()))
+RS_START = len(core._values(0, (1, 1, 1, 1), (), ()))
 
 
 @pytest.mark.parametrize("mono", [(0, 1), (), (RS_START,)], ids=["two", "constant", "rs only"])
@@ -1199,8 +1199,8 @@ def test_spec_constants_match_the_trivial_datum():
     def reference(spec):
         maps = datum_maps(ExtendingDatum.trivial(spec.z, spec.v))
         zero = spec.field.zero()
-        return tuple(map_values(maps[:engine._FREE], zero)), len(
-            map_values(maps[engine._FREE:], zero))
+        return tuple(map_values(maps[:core._FREE], zero)), len(
+            map_values(maps[core._FREE:], zero))
 
     specs = [shell_spec((1, 1), 3)]
     for zdims, vdims in [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 0)),

@@ -88,20 +88,36 @@ def _interpreted(field, stream, cap):
     return ConditionReport(conforming_field=field.conforming).fill(stream, cap).finalize()
 
 
+def _cm_inputs(dims, field):
+    """Random candidates and two valid 2-algebras at level dims over field."""
+    rng = random.Random(f"cm-{dims}-{field.name}")
+    inputs = [_candidate(field, *dims, rng, density) for density in DENSITIES]
+    return inputs + list(_valid(field, *dims, rng)[:2])
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("dims", LEVEL_DIMS, ids=str)
 def test_crossed_module_matches_stream(dims, field):
-    rng = random.Random(f"cm-{dims}-{field.name}")
-    inputs = [_candidate(field, *dims, rng, density) for density in DENSITIES]
-    inputs += _valid(field, *dims, rng)[:2]
     seen_ok = seen_truncated = False
-    for t in inputs:
+    for t in _cm_inputs(dims, field):
         for cap in CAPS:
             got = check_crossed_module(t, cap)
             assert got == _interpreted(field, core._crossed_module_instances(t), cap), cap
             seen_ok |= got.ok
             seen_truncated |= got.truncated
     assert seen_ok and seen_truncated
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("dims", LEVEL_DIMS, ids=str)
+def test_two_algebra_is_its_product_at_v_zero(dims, field):
+    # the base case of extending structures: t is the unified product of
+    # its datum at V = 0, so the oracle on that datum reports as t's check
+    v = TwoVectorSpace(0, 0, LinMap.zero(field, 0, 0))
+    for t in _cm_inputs(dims, field):
+        datum = ExtendingDatum.trivial(t, v)
+        for cap in CAPS:
+            assert check_datum_direct(datum, cap, check_z=False) == check_crossed_module(t, cap)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -192,7 +208,10 @@ def test_crossed_system_star_part_matches_stream(field):
 
 
 def test_symbolic_pass_once_per_shape(monkeypatch):
-    core._compiled.cache_clear()
+    # a 2-algebra's checks read the runs of the unified product at V = 0:
+    # the datum run and the morphism run, each compiled once per shape
+    core._datum_run.cache_clear()
+    core._morphism_run.cache_clear()
     streams = []
     real_cm, real_m = core._crossed_module_instances, core._morphism_instances
 
@@ -216,30 +235,31 @@ def test_symbolic_pass_once_per_shape(monkeypatch):
                                                    _lin(field, 1, 1, rng, density)))
     assert streams == [("cm", PolynomialRing()), ("m", PolynomialRing())]
     check_crossed_module(_candidate(F5, 1, 2, rng, 0.5))
-    assert len(streams) == 3 and core._compiled.cache_info().currsize == 3
+    assert len(streams) == 3 and core._datum_run.cache_info().currsize == 2
     # a morphism between the same shapes the other way round is a new shape
     t, t2 = _candidate(F5, 1, 1, rng, 0.5), _candidate(F5, 2, 1, rng, 0.5)
     check_2alg_morphism(t, t2, TwoMorphism(_lin(F5, 2, 1, rng, 0.5), _lin(F5, 1, 1, rng, 0.5)))
-    assert len(streams) == 4 and core._compiled.cache_info().currsize == 4
+    assert len(streams) == 4 and core._morphism_run.cache_info().currsize == 2
 
 
 def test_searches_substitute_into_the_compiled_runs(monkeypatch):
     # the golden census runs no stream of its own: it compiles Z's
-    # crossed-module run (its check of Z), then the runs in a datum's
-    # constants at its dims (0, 1, 0, 1), whose products are symbolic, over
-    # Z[x] and no field; a second census compiles nothing
-    for cached in (core._compiled, unified._datum_run, classify._rs_run, classify._posed):
+    # crossed-module run (its check of Z, the datum run at (0, 1, 0, 0)),
+    # then the runs in a datum's constants at its dims (0, 1, 0, 1), all on
+    # symbolic products, over Z[x] and no field; a second census compiles
+    # nothing
+    for cached in (core._datum_run, classify._rs_run, classify._posed):
         cached.cache_clear()
     compiled, fields = [], []
-    real_run, real_product = core.compiled_run, unified._product
+    real_run, real_product = core.compiled_run, core._product
 
     def counting(stream, *args):
         compiled.append((stream, *((t.z1.dim, t.z0.dim) for t in args[:2])))
         return real_run(stream, *args)
 
-    for module in (core, unified, classify):
+    for module in (core, classify):
         monkeypatch.setattr(module, "compiled_run", counting)
-    monkeypatch.setattr(unified, "_product", lambda field, dims, constants:
+    monkeypatch.setattr(core, "_product", lambda field, dims, constants:
                         fields.append(field) or real_product(field, dims, constants))
     z = ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(F5, 1))
     for _ in range(2):
@@ -247,11 +267,11 @@ def test_searches_substitute_into_the_compiled_runs(monkeypatch):
         assert pretty_dumps(out) == GOLDEN_CENSUS.read_text()
     cm, m = core._crossed_module_instances, core._morphism_instances
     assert compiled == [(cm, (0, 1)), (cm, (0, 2)), (m, (0, 2), (0, 2))]
-    assert set(fields) == {PolynomialRing()} and len(fields) == 3
-    for run in (unified._datum_run, classify._rs_run):
-        assert run.cache_info().currsize == 1
+    assert set(fields) == {PolynomialRing()} and len(fields) == 4
+    for run, size in ((core._datum_run, 2), (classify._rs_run, 1)):
+        assert run.cache_info().currsize == size
         run((0, 1, 0, 1))
-        assert run.cache_info().currsize == 1
+        assert run.cache_info().currsize == size
 
 
 def test_verify_psi_refuses_datum_of_another_shape():
@@ -261,7 +281,7 @@ def test_verify_psi_refuses_datum_of_another_shape():
     f7 = split.field
     datum = ExtendingDatum.trivial(ZinbielTwoAlgebra.shell(ZinbielAlgebra.zero(f7, 1)),
                                    TwoVectorSpace(0, 1, LinMap.zero(f7, 1, 0)))
-    with pytest.raises(DimError, match="phi1 must be"):
+    with pytest.raises(DimError, match="not the split's"):
         verify_psi(split, datum)
 
 
@@ -404,7 +424,7 @@ def test_oracles_on_data_build_no_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("an oracle built a unified product")
 
-    for module in (unified, classify, special):
+    for module in (core, unified, classify, special):
         for name in ("_product", "build_unified_product"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

@@ -2,21 +2,22 @@ import itertools
 import pickle
 import random
 from math import prod
+from pathlib import Path
 
 import pytest
 
 from helpers import (dense_datum, rand_ambient_with_subalgebra, rand_invertible, rand_scalar,
                      rand_sparse_datum, rand_split_of, reference_extract, scalar_bilmap,
                      standard_split, transport_two_algebra, zero_two_algebra)
-from zinbiel2 import unified
-from zinbiel2.core import (_OP_LEVELS, BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra,
-                           check_crossed_module, map_items, two_algebra, two_algebra_maps)
-from zinbiel2.engine import _FAMS, _FREE, MAP_SPACES, _layout, datum_maps
+from zinbiel2 import core, unified
+from zinbiel2.core import (_FAMS, _FREE, _OP_LEVELS, MAP_SPACES, BimodulePair, ZinbielAlgebra,
+                           ZinbielTwoAlgebra, _layout, check_crossed_module, datum_maps, map_items,
+                           two_algebra, two_algebra_maps)
 from zinbiel2.errors import (DimError, FieldMismatch, NotAnIdeal, NotSubalgebra, PreconditionError,
                              SubalgebraError)
 from zinbiel2.fields import PrimeField, Rationals
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
-from zinbiel2.io import datum_to_json, parse_datum
+from zinbiel2.io import datum_to_json, load_document, parse_datum
 from zinbiel2.special import MatchedPairDatum, check_ideal_extension, factorize
 from zinbiel2.unified import (ComplementSplit, ExtendingDatum,
                               build_unified_product, check_datum_direct,
@@ -24,6 +25,7 @@ from zinbiel2.unified import (ComplementSplit, ExtendingDatum,
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+SPLIT_DIRECT = Path(__file__).parent.parent / "data" / "split_direct.json"
 
 
 def nf2_two_algebra(field):
@@ -275,6 +277,32 @@ def test_psi_detects_wrong_datum():
     assert not verify_psi(split, bad).ok
 
 
+def test_verify_psi_refuses_datum_of_another_split():
+    # the datum with Z = 0 read off the same E has E's level dims, but not
+    # the split's Z, so psi is no isomorphism of the two; it used to pass
+    _, split, _ = load_document(str(SPLIT_DIRECT))
+    other = extract_datum(standard_split(split.e, 0, 0))
+    assert split.dims() == (2, 2, 1, 1) and core._dims(other) == (0, 0, 3, 3)
+    assert verify_psi(split, extract_datum(split)).ok
+    with pytest.raises(DimError, match=r"datum dims \(0, 0, 3, 3\) are not the split's"):
+        verify_psi(split, other)
+
+
+def test_split_refuses_maps_over_another_field():
+    # with p read off the complement basis, an iota over GF(7) was read mod
+    # 5 against an E over GF(5); every map of a split is over E's field
+    e = zero_two_algebra(F5, 1, 1)
+    one5, one7 = LinMap.identity(F5, 1), LinMap.identity(F7, 1)
+    with pytest.raises(FieldMismatch, match="over another field than E"):
+        ComplementSplit(e, one7, one7, None, None, vbasis1=(), vbasis0=())
+    for k in range(4):
+        maps = [one5] * 4
+        maps[k] = one7
+        with pytest.raises(FieldMismatch, match="over another field than E"):
+            ComplementSplit(e, *maps)
+    assert ComplementSplit(e, one5, one5, one5, one5).dims() == (1, 1, 0, 0)
+
+
 def test_constants_are_read_once_on_every_route():
     # a datum keeps the nonzero constants of its maps (map_items of
     # datum_maps), read when it is built, whichever route builds it
@@ -285,7 +313,7 @@ def test_constants_are_read_once_on_every_route():
     mk = lambda: tuple(scalar_bilmap(F5, rng.randrange(5)) for _ in range(4))
     matched = MatchedPairDatum(z, zero_two_algebra(F5, 1, 1, v.d), hr=mk(), hl=mk(), tr=mk(),
                                tl=mk(), check_v=False)
-    slots = rng.sample(range(len(unified._places((1, 1, 1, 1)))), 9)
+    slots = rng.sample(range(len(core._places((1, 1, 1, 1)))), 9)
     routes = {
         "constructor": ExtendingDatum(z, v, d.hr, d.hl, d.tr, d.tl, d.om, d.st, d.sigma),
         "trivial": ExtendingDatum.trivial(z, v),
@@ -383,7 +411,7 @@ def test_datum_from_constants_is_the_dense_one(field):
     # its Z and V given, and keeps exactly those constants
     rng = random.Random(f"constants-{field.name}")
     for dims in SPARSE_DIMS:
-        n = len(unified._places(dims))
+        n = len(core._places(dims))
         top = sum(map(prod, _layout(dims)[:_FREE]))
         for density in (0.0, 0.2, 1.0):
             constants = [(at, rand_scalar(field, rng) or field.one()) for at in range(n)
