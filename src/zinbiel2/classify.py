@@ -24,8 +24,8 @@ witness, which the oracle re-checks by substitution into the same run.
 What depends only on the shape is derived once (_skeleton, _posed, and the
 runs).  A datum is read as its nonzero constants (ExtendingDatum._constants;
 a census leaf is only that tuple): its item is spliced from them, and each
-half of the morphism run, the source's constants (Z and d included) or the
-target's family maps and sigma, is swept at them once per search object.
+half of the morphism run, in the source's constants or in the target's, each
+datum laid out in full, is swept at them once per search object.
 A pair costs one pass over its two swept halves, which stops at the first
 nonzero constant (the pair is then refuted with no walk); else the walk.  A
 quotient searches each datum against one representative per orbit.
@@ -102,12 +102,12 @@ def _block_map(r1, r0, s1, s0):
 
 
 def _require_rs(rs, d1, d2):
-    """_require_compatible, then DimError unless the blocks of rs fit the data."""
+    """_require_compatible, then DimError unless the blocks of rs fit the data
+    (_rs_shapes)."""
     _require_compatible(d1, d2, rs)
-    for (r, s, nz, mv) in ((rs.r1, rs.s1, d1.z.z1.dim, d1.v.dim1),
-                           (rs.r0, rs.s0, d1.z.z0.dim, d1.v.dim0)):
-        if (r.rows, r.cols) != (nz, mv) or s.rows != mv:
-            raise DimError("rs maps do not match the datum dimensions")
+    blocks = (rs.r1, rs.r0, rs.s1, rs.s0)
+    if [(m.rows, m.cols) for m in blocks] != _rs_shapes(_dims(d1), "equivalent"):
+        raise DimError("rs maps do not match the datum dimensions")
 
 
 def morphism_from_rs(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum) -> TwoMorphism:
@@ -128,17 +128,14 @@ def check_rs_conditions(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
 @cache
 def _rs_run(dims):
     """The morphism run between the unified products of two data at dims (n1,
-    n0, m1, m0) sharing Z and d, under the block map of rs, in the layout of
+    n0, m1, m0), under the block map of rs, in the layout of
     MorphismCtx.values(): x_at is the source datum's constant at (layout of
-    core.datum_maps), the target's family maps and sigma follow, then r1,
-    r0, s1, s0, each row-major."""
-    n1, n0, m1, m0 = dims
-    n, top = len(_places(dims)), sum(map(prod, _layout(dims)[:_FREE]))     # top: Z's and d
-    ring = PolynomialRing()
-    end = 2 * n - top       # past the target's families and sigma
-    rs = value_maps(ring, [(n1, m1), (n0, m0), (m1, m1), (m0, m0)], map(ring.var, count(end)))
+    core.datum_maps), x_(n+at) the target's, then r1, r0, s1, s0
+    (_rs_shapes), each row-major."""
+    n, ring = len(_places(dims)), PolynomialRing()
+    rs = value_maps(ring, _rs_shapes(dims, "equivalent"), map(ring.var, count(2 * n)))
     return compiled_run(_morphism_instances, _symbolic(dims, range(n)),
-                        _symbolic(dims, [*range(top), *range(n, end)]), _block_map(*rs))
+                        _symbolic(dims, range(n, 2 * n)), _block_map(*rs))
 
 
 def check_rs_direct(rs: RSData, d1: ExtendingDatum, d2: ExtendingDatum,
@@ -290,16 +287,16 @@ def _posed(p, dims, mode):
     Derived: the two halves of the morphism run in the data's constants
     (_rs_run), read off one sweep of it at the block map of those variables
     (s = id in mode "cohomologous") and at data whose constants are
-    variables numbered after them: half 0 the source's constants, Z and d
-    included, which the target shares; half 1 the target's from _FREE on.
-    Datum constant at of half h is x_(size+h*n+at), size the number of block
-    entries and n of a datum's constants.  Each half is a table from a datum
-    constant's slot to the (component, monomial, coefficient) terms it adds
-    per unit.  Also derived: the guards that cut a singular s block once
-    bound, in the binding order and in the slot order.  A swept monomial
-    must carry exactly one datum constant, its last variable: divmod(x -
-    size, n) gives its half and its slot.  One that carries none or two
-    raises AssertionError, since the halves would not sum to the run."""
+    variables numbered after them: half 0 the source's constants, half 1
+    the target's.  Datum constant at of half h is x_(size+h*n+at), size the
+    number of block entries and n of a datum's constants.  Each half is a
+    table from a datum constant's slot to the (component, monomial,
+    coefficient) terms it adds per unit.  Also derived: the guards that cut
+    a singular s block once bound, in the binding order and in the slot
+    order.  A swept monomial must carry exactly one datum constant, its
+    last variable: divmod(x - size, n) gives its half and its slot.  One
+    that carries none or two raises AssertionError, since the halves would
+    not sum to the run."""
     ring = PolynomialRing()
     shapes = _rs_shapes(dims, mode)
     sizes = [rows * cols for rows, cols in shapes]
@@ -335,8 +332,9 @@ class _RSSearch:
     """The rs search over the prime field among data at dims in mode, each
     datum read as its constants (ExtendingDatum._constants): construction
     refuses an rs space over budget and takes what depends only on the shape
-    from _posed.  Each datum's half of the morphism run (_rs_run) is swept
-    and reduced at most once per search object, as either side."""
+    from _posed.  A datum's constants are swept into each half of the
+    morphism run (_rs_run), the source's and the target's, and reduced at
+    most once per search object."""
 
     def __init__(self, field, dims, mode, rs_budget):
         self.field, self.dims, self.shapes = field, dims, tuple(_rs_shapes(dims, mode))

@@ -29,10 +29,13 @@ datum's constants, each an integer or a free variable (sweep, its one
 symbolic reading).
 
 The layout of a datum's constants is stated here once, for the oracle's
-runs and the catalogs of engine alike: _BLOCKS names the datum family that
-fills each block of an operation on Z + V, MAP_SPACES the spaces of every
-map, datum_maps their order (_DATUM_KEYS names each) and _values the
-variables of a run at a datum's constants.
+runs, the catalogs of engine and every reader of a datum's maps: _BLOCKS
+names the datum family that fills each block of an operation on Z + V,
+MAP_SPACES the spaces of every map, datum_maps their order (_datum_keys
+names each, marked for a second datum; _datum_zeros reads the zero maps by
+name) and _values the variables of a run at a datum's constants, or at two
+data side by side, each laid out in full.  semidirect_product is the
+level-0 algebra of a unified product too.
 
 Condition IDs are namespaced so a nested report localizes failures:
   ZI               Zinbiel identity (prefixed Z./Z0./Z1. when embedded)
@@ -525,6 +528,8 @@ def check_bimodule(z: ZinbielAlgebra, dim_v, act: BimodulePair, cap=DEFAULT_VIOL
     """
     if (act.dim_z, act.dim_v) != (z.dim, dim_v):
         raise DimError("action dimensions do not match (dim Z, dim V)")
+    if act.left.field != z.field:
+        raise FieldMismatch("Z and its action over different fields")
     instances = chain(_prefixed("Z.", _zinbiel_instances(z)),
                       _bimodule_instances(z, dim_v, act))
     return ConditionReport(conforming_field=z.field.conforming).fill(instances, cap).finalize()
@@ -539,17 +544,10 @@ def semidirect_product(z: ZinbielAlgebra, dim_v, act: BimodulePair):
     pre = check_bimodule(z, dim_v, act)
     if not pre.ok:
         raise PreconditionError("not a bimodule; semidirect product undefined", pre)
-    f = z.field
-    n, m = z.dim, dim_v
-    dim = n + m
-    coeffs = {}
-    for (k, i, j, v) in z.mult.items:
-        coeffs[(k, i, j)] = v
-    for (k, i, j, v) in act.left.items:   # x |> v lands in the V block
-        coeffs[(n + k, i, n + j)] = v
-    for (k, i, j, v) in act.right.items:  # u <| y
-        coeffs[(n + k, n + i, j)] = v
-    return ZinbielAlgebra(f, dim, BilMap(f, dim, dim, dim, coeffs))
+    dims = (0, z.dim, 0, dim_v)     # Z and V at level 0: the level-0 algebra of a product
+    maps = _datum_zeros(z.field, dims) | {("z", 0): z.mult, ("tr", 0): act.left,
+                                          ("tl", 0): act.right}
+    return _product(z.field, dims, map_items(maps.values())).z0
 
 
 def _action_instances(z0, z1, act):
@@ -589,6 +587,8 @@ def check_action(z0: ZinbielAlgebra, z1: ZinbielAlgebra, act: BimodulePair,
     """
     if (act.dim_z, act.dim_v) != (z0.dim, z1.dim):
         raise DimError("action dimensions do not match (dim Z0, dim Z1)")
+    if z1.field != z0.field or act.left.field != z0.field:
+        raise FieldMismatch("Z0, Z1 and the action over different fields")
     report = ConditionReport(conforming_field=z0.field.conforming)
     return report.fill(_action_instances(z0, z1, act), cap).finalize()
 
@@ -665,34 +665,26 @@ def map_shape(dims, spaces):
     return tuple(dims[s] for s in (spaces if len(spaces) == 3 else spaces[::-1]))
 
 
-def _family_keys(mark):
-    """key, spaces of the 24 family maps and sigma of a datum, in
-    _family_maps order; mark is "" for the source datum of a context and
-    "p" for the target."""
-    return ([((name + mark, j), MAP_SPACES[name][j]) for name in _FAMS for j in range(4)]
-            + [("sig" + mark, ("V1", "Z0"))])
+def _datum_keys(mark):
+    """key, spaces of every structure map of a datum in datum_maps order,
+    each name marked: mark is "" for the datum of a context, "p" for its
+    target."""
+    ops = [((name + mark, j), spaces) for name, row in MAP_SPACES.items()
+           for j, spaces in enumerate(row)]
+    return [*ops[:4], ("phi" + mark, ("Z1", "Z0")), ("d" + mark, ("V1", "V0")), *ops[4:],
+            ("sig" + mark, ("V1", "Z0"))]
 
 
-def _family_maps(datum):
-    """The 24 family maps of datum in _FAMS order, j = 0..3 each, then sigma."""
-    maps = []
-    for name in _FAMS:
-        maps += getattr(datum, name)
-    maps.append(datum.sigma)
-    return maps
-
-
-# key, spaces of every structure map of a datum in datum_maps order
-_DATUM_KEYS = ([(("z", j), spaces) for j, spaces in enumerate(MAP_SPACES["z"])]
-               + [("phi", ("Z1", "Z0")), ("d", ("V1", "V0"))] + _family_keys(""))
+_DATUM_KEYS = _datum_keys("")
 
 
 def datum_maps(datum):
     """Every structure map of datum in the order engine.DatumCtx lists them,
     the layout of its values() and symbolic(): Z's two_algebra_maps (its four
-    operations, then phi), d, then the 24 family maps and sigma, a census's
-    free scalars in its order (_DATUM_KEYS names each)."""
-    return [*two_algebra_maps(datum.z), datum.v.d, *_family_maps(datum)]
+    operations, then phi), d, then the 24 family maps in _FAMS order and
+    sigma, a census's free scalars in its order (_DATUM_KEYS names each)."""
+    return [*two_algebra_maps(datum.z), datum.v.d,
+            *(m for name in _FAMS for m in getattr(datum, name)), datum.sigma]
 
 
 # where the free scalars of a datum's maps start in the order of datum_maps:
@@ -717,18 +709,21 @@ def _dims(datum):
 def _values(zero, dims, source, target=None, tail=()):
     """The variables of DatumCtx.values() (and, given target, of MorphismCtx)
     at dims: the datum constants source, (slot, value) pairs in the layout of
-    datum_maps, densely, then target's from _FREE on (Z and d are shared),
-    then map_values of the maps tail."""
-    layout = _layout(dims)
-    n = sum(map(prod, layout))
-    top = n if target is None else sum(map(prod, layout[:_FREE]))
-    values = [zero] * (2 * n - top)
+    datum_maps, densely, then target's likewise, then map_values of the maps
+    tail."""
+    n = _starts(_layout(dims))[-1]
+    values = [zero] * (n if target is None else 2 * n)
     for at, v in source:
         values[at] = v
     for at, v in target or ():
-        if at >= top:
-            values[n - top + at] = v
+        values[n + at] = v
     return values + map_values(tail, zero)
+
+
+def _datum_zeros(ring, dims):
+    """key (as _DATUM_KEYS names it) -> the zero map over ring of that map of
+    a datum at dims, shared (_zeros)."""
+    return dict(zip((key for key, _ in _DATUM_KEYS), _zeros(ring, _layout(dims))))
 
 
 @functools.cache

@@ -23,24 +23,24 @@ with field.canonical, so GF(p) for every p and Q go through one
 evaluator.  The polynomials come from the catalog lambdas, never from the
 product E, so the catalog route stays independent of the oracle.
 
-The layout of a datum's constants is core's (MAP_SPACES, _DATUM_KEYS,
+The layout of a datum's constants is core's (MAP_SPACES, _datum_keys,
 datum_maps, _values), the one statement of it that the oracle's runs read
-too: a context lists its maps in the order of datum_maps, and a numeric
-context's values() are its datum's constants (ExtendingDatum._constants)
-laid out by _values.  So a numeric context keeps its data and no more: its
-key -> map table (DatumCtx.maps), which the accessors of the lambdas read,
-is built on the first read, on a symbolic context or by an interpreted
-reference.
+too: a context lists its maps in the order of datum_maps, a morphism
+context both data's in full, and a numeric context's values() are its
+data's constants (ExtendingDatum._constants) laid out by _values.  So a
+numeric context keeps its data and no more: its key -> map table
+(DatumCtx.maps), which the accessors of the lambdas read, is built on the
+first read, on a symbolic context or by an interpreted reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import count, product
 
-from .core import (_DATUM_KEYS, DEFAULT_VIOLATION_CAP, MAP_SPACES, SymbolicRun, _dims,
-                   _family_keys, _family_maps, _values, datum_maps, map_shape, value_maps)
+from .core import (_DATUM_KEYS, DEFAULT_VIOLATION_CAP, MAP_SPACES, SymbolicRun, _datum_keys,
+                   _dims, _values, datum_maps, map_shape, value_maps)
 from .errors import DimError
 from .fields import PolynomialRing
 from .linalg import vadd, vbasis, vzero
@@ -66,12 +66,6 @@ class Elt:
 
     def __repr__(self):
         return f"Elt({self.space}, {self.vec})"
-
-
-# key, spaces of the family maps and sigma of a context's target datum, then
-# r1, r0, s1, s0
-_TARGET_KEYS = _family_keys("p") + [(("r", 1), ("V1", "Z1")), (("r", 0), ("V0", "Z0")),
-                                    (("s", 1), ("V1", "V1")), (("s", 0), ("V0", "V0"))]
 
 
 def _family_accessor(key):
@@ -164,24 +158,27 @@ class DatumCtx:
 
 
 class MorphismCtx(DatumCtx):
-    """Context over two extending data sharing Z and V, plus block maps r, s.
+    """Context over two extending data, each laid out in full, plus block
+    maps r, s.
 
     Unprimed map accessors read the source datum; the *p accessors read the
     target datum.  r(i, u): Vi -> Zi and s(i, u): Vi -> Vi.
     """
 
-    _KEYS = _DATUM_KEYS + _TARGET_KEYS
+    _KEYS = _DATUM_KEYS + _datum_keys("p") + [
+        (("r", 1), ("V1", "Z1")), (("r", 0), ("V0", "Z0")), (("s", 1), ("V1", "V1")),
+        (("s", 0), ("V0", "V0"))]
 
     def __init__(self, datum, datum_p, rs):
         super().__init__(datum)
         self.datum_p, self.rs = datum_p, (rs.r1, rs.r0, rs.s1, rs.s0)
 
     def _maps(self):
-        return [*datum_maps(self.datum), *_family_maps(self.datum_p), *self.rs]
+        return [*datum_maps(self.datum), *datum_maps(self.datum_p), *self.rs]
 
     def values(self):
-        """The source's constants, the target's family maps and sigma, then
-        r1, r0, s1, s0 (_values): the variables of classify._rs_run."""
+        """The source's constants, the target's, then r1, r0, s1, s0
+        (_values): the variables of classify._rs_run."""
         return _values(self.field.zero(), _dims(self.datum), self.datum._constants,
                        self.datum_p._constants, self.rs)
 
@@ -245,17 +242,6 @@ class ConditionTable:
         return run
 
 
-def _grid(dims, spaces):
-    """All index tuples for the given spaces; empty iff some dim is 0."""
-    ranges = [range(dims[s]) for s in spaces]
-    if not ranges:
-        return [()]
-    out = [()]
-    for r in ranges:
-        out = [t + (i,) for t in out for i in r]
-    return out
-
-
 def _sides(cid, fn, ctx, elts):
     """The (lhs, rhs) vectors of one condition instance."""
     lhs, rhs = fn(ctx, *elts)
@@ -271,7 +257,7 @@ def _symbolic_run(ctx, table):
     its notes are the suspect conditions, once per family."""
     run = []
     for cond in table.conds:
-        for idx in _grid(ctx.dims, cond.spaces):
+        for idx in product(*(range(ctx.dims[s]) for s in cond.spaces)):
             elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
             witness = idx if cond.level is None else (cond.level,) + idx
             sides = _sides(cond.cid, cond.fn, ctx, elts)

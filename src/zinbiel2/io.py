@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from contextvars import ContextVar
 
-from .core import (_FAMS, MAP_SPACES, BimodulePair, ConditionReport, ZinbielAlgebra,
-                   ZinbielTwoAlgebra)
+from .core import (_FAMS, BimodulePair, ConditionReport, ZinbielAlgebra, ZinbielTwoAlgebra,
+                   _datum_zeros)
 from .errors import SchemaError, Zinbiel2Error
 from .fields import field_from_name
 from .linalg import BilMap, LinMap, TwoVectorSpace
@@ -280,13 +280,10 @@ def parse_datum(field, obj, path, filename, require=DATUM_FIELDS):
     z = _member(parse_two_algebra, field, obj, "z", path, filename)
     v = _member(parse_two_vector_space, field, obj, "v", path, filename)
     fams = {fam: [] for fam in _FAMS}
-    dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.dim0, "V1": v.dim1}
+    zeros = _datum_zeros(field, (z.z1.dim, z.z0.dim, v.dim1, v.dim0))
     for fam, j, key in _map_keys(_FAMS):
-        if key in require or key in obj:
-            fams[fam].append(_member(parse_bilmap, field, obj, key, path, filename))
-        else:
-            la, lb, lc = MAP_SPACES[fam][j]
-            fams[fam].append(BilMap.zero(field, dims[la], dims[lb], dims[lc]))
+        fams[fam].append(_member(parse_bilmap, field, obj, key, path, filename)
+                         if key in require or key in obj else zeros[fam, j])
     sigma = _member(parse_linmap, field, obj, "sigma", path, filename)
     return _construct(path, filename, ExtendingDatum, z, v, **fams, sigma=sigma)
 

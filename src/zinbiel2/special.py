@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field as dc_field
 
-from .core import (_FAMS, DEFAULT_VIOLATION_CAP, MAP_SPACES, ZinbielTwoAlgebra, _prefixed,
+from .core import (_FAMS, DEFAULT_VIOLATION_CAP, ZinbielTwoAlgebra, _datum_zeros, _prefixed,
                    check_crossed_module, two_algebra, two_algebra_maps)
 from .engine import DatumCtx, evaluate_conditions
 from .errors import (DimError, NotAnIdeal, NotComplementary, NotSubalgebra,
                      ObstructionNonzero, PreconditionError, SubalgebraError)
-from .linalg import BilMap, LinMap, TwoVectorSpace
+from .linalg import TwoVectorSpace
 from .unified import (ComplementSplit, ExtendingDatum, _require_valid_z, build_unified_product,
                       extract_datum)
 
@@ -117,11 +117,10 @@ class MatchedPairDatum:
         for name in _FAMS[:4]:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         f, z, v = self.field, self.z, self.v    # the embedded datum, built once
-        dims = {"Z0": z.z0.dim, "Z1": z.z1.dim, "V0": v.z0.dim, "V1": v.z1.dim}
-        om = tuple(BilMap.zero(f, dims[a], dims[b], dims[c]) for a, b, c in MAP_SPACES["om"])
+        zeros = _datum_zeros(f, (z.z1.dim, z.z0.dim, v.z1.dim, v.z0.dim))
         object.__setattr__(self, "_datum", ExtendingDatum(   # validates all map shapes
             z, TwoVectorSpace(v.z1.dim, v.z0.dim, v.phi), self.hr, self.hl, self.tr, self.tl,
-            om, two_algebra_maps(v)[:4], LinMap.zero(f, z.z0.dim, v.z1.dim)))
+            [zeros["om", j] for j in range(4)], two_algebra_maps(v)[:4], zeros["sig"]))
 
     @property
     def field(self):

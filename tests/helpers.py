@@ -7,6 +7,7 @@ direct oracle), never by assuming unchecked candidates are valid.
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 from itertools import count
 
@@ -17,7 +18,6 @@ from zinbiel2.core import (_FAMS, _FREE, _OP_LEVELS, DEFAULT_VIOLATION_CAP, Bimo
                            ZinbielTwoAlgebra, _layout, _places, check_2alg_morphism,
                            check_crossed_module, check_zinbiel, two_algebra, two_algebra_maps,
                            value_maps)
-from zinbiel2.engine import _grid
 from zinbiel2.errors import SubalgebraError
 from zinbiel2.fields import PolynomialRing
 from zinbiel2.io import canonical_dumps, datum_to_json
@@ -378,7 +378,7 @@ def interpreted_report(ctx, table, cap=DEFAULT_VIOLATION_CAP, strict_printed=Fal
 
     def instances():
         for cond in table.conds:
-            for idx in _grid(ctx.dims, cond.spaces):
+            for idx in itertools.product(*(range(ctx.dims[s]) for s in cond.spaces)):
                 elts = [ctx.basis(s, i) for s, i in zip(cond.spaces, idx)]
                 lhs, rhs = cond.fn(ctx, *elts)
                 assert lhs.space == rhs.space, cond.cid

@@ -23,8 +23,8 @@ from zinbiel2.classify import (EnumerationSpec, OrbitPartition, RSData, are_equi
                                census, check_rs_conditions, check_rs_direct,
                                compute_quotients, enumerate_valid_data, morphism_from_rs,
                                rs_search_space)
-from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, _family_maps, check_2alg_morphism,
-                           datum_maps, map_items, map_values)
+from zinbiel2.core import (ZinbielAlgebra, ZinbielTwoAlgebra, check_2alg_morphism, datum_maps,
+                           map_items, map_values)
 from zinbiel2.errors import (BudgetExceeded, DimError, FieldMismatch, InfeasibleSearch,
                              PreconditionError)
 from zinbiel2.fields import PolynomialRing, PrimeField, Rationals
@@ -1147,9 +1147,9 @@ def test_quotients_refuse_an_unknown_mode_for_any_number_of_data(field):
 def test_merged_halves_are_the_full_sweep(p):
     # a pair sums the source half swept at the source and the target half
     # swept at the target: the constraints of one sweep of the whole rs run
-    # at the source's dense constants, the target's family maps and sigma
-    # (MorphismCtx.values()) and the block map of variables in the binding
-    # order, up to the pass's early exit
+    # at the source's dense constants, the target's (MorphismCtx.values())
+    # and the block map of variables in the binding order, up to the pass's
+    # early exit
     f = PrimeField(p)
     rng = random.Random(10 + p)
     refuted = []
@@ -1161,7 +1161,7 @@ def test_merged_halves_are_the_full_sweep(p):
                 search = classify._RSSearch(f, core._dims(d1), mode, math.inf)
                 rs = map_values(variable_rs_blocks(search.shapes, binding), ())
                 for source, target in itertools.product((d1, d2), repeat=2):
-                    maps = [*datum_maps(source), *_family_maps(target)]
+                    maps = [*datum_maps(source), *datum_maps(target)]
                     values = [((((), c),) if c else ()) for c in map_values(maps, 0)] + rs
                     full = classify._rs_run(search.dims).constraints(values, p)
                     reference = classify._levelled(full, search.size)
@@ -1173,7 +1173,7 @@ def test_merged_halves_are_the_full_sweep(p):
 
 
 # the index of the first variable of the block map in the rs run at dims
-# (1, 1, 1, 1), after the source's constants and the target's families
+# (1, 1, 1, 1), after the constants of both data
 RS_START = len(core._values(0, (1, 1, 1, 1), (), ()))
 
 

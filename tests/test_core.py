@@ -136,6 +136,19 @@ def test_check_action_examples():
                         BimodulePair.trivial(F5, 1, 2)).ok
 
 
+def test_checks_refuse_inputs_over_different_fields():
+    # Z0, Z1 and the action over one field, or each check refuses before
+    # any instance runs: a GF(7) Z1 beside a GF(5) Z0, a GF(7) action on a
+    # GF(5) Z
+    z5, z7 = ZinbielAlgebra.zero(F5, 1), ZinbielAlgebra.zero(F7, 1)
+    act7 = BimodulePair(scalar_bilmap(F7, 6), scalar_bilmap(F7, 5))
+    for check in (lambda: check_action(z5, z7, BimodulePair.trivial(F5, 1, 1)),
+                  lambda: check_action(z5, z5, act7), lambda: check_bimodule(z5, 1, act7),
+                  lambda: semidirect_product(z5, 1, act7)):
+        with pytest.raises(FieldMismatch, match="different fields"):
+            check()
+
+
 def test_crossed_module_shell_and_cone():
     rng = random.Random(7)
     for _ in range(10):

@@ -22,10 +22,12 @@ from zinbiel2.classify import RSData, check_rs_conditions
 from zinbiel2.conds_morphism import H_TABLE
 from zinbiel2.conds_special import BZ_TABLE, CZ_TABLE
 from zinbiel2.conds_unified import Z_TABLE, ZZ_TABLE
-from zinbiel2.core import BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra
+from zinbiel2.core import (BimodulePair, ZinbielAlgebra, ZinbielTwoAlgebra, map_items, map_values,
+                           two_algebra_maps)
 from zinbiel2.engine import ConditionTable, DatumCtx, MorphismCtx, evaluate_conditions
 from zinbiel2.errors import DimError
 from zinbiel2.fields import PrimeField, Rationals
+from zinbiel2.io import load_document
 from zinbiel2.linalg import BilMap, LinMap, TwoVectorSpace
 from zinbiel2.unified import ExtendingDatum
 
@@ -210,3 +212,22 @@ def test_numeric_contexts_build_no_map_table(monkeypatch):
             assert _view(got) == _view(interpreted_report(ctx, table, cap=3)), kind
             assert built == [ctx] and "maps" in vars(ctx), kind
             built.clear()
+
+
+def test_morphism_context_lays_out_both_data_in_full():
+    # a morphism context's values are each datum's as its own context lays
+    # them out, Z and d included, then the block maps r1, r0, s1, s0
+    f5, rng = PrimeField(5), random.Random(30)
+    z_id = load_document(Path(__file__).parents[1] / "data" / "z_z_id.json")[1]
+    z_rand = _random_ctx("Z", f5, (2, 1, 1, 1), rng, 0.5).datum.z
+    assert map_items(two_algebra_maps(z_rand))
+    for z in (z_id, z_rand):
+        n1, n0 = z.z1.dim, z.z0.dim
+        for m1, m0 in ((1, 1), (1, 0), (2, 1)):
+            v = TwoVectorSpace(m1, m0, _lin(f5, m0, m1, rng, 0.5))
+            d1, d2 = (_datum(f5, z, v, rng, 0.5) for _ in range(2))
+            rs = RSData(_lin(f5, n1, m1, rng, 0.5), _lin(f5, n0, m0, rng, 0.5),
+                        _lin(f5, m1, m1, rng, 0.5), _lin(f5, m0, m0, rng, 0.5))
+            want = (DatumCtx(d1).values() + DatumCtx(d2).values()
+                    + map_values([rs.r1, rs.r0, rs.s1, rs.s0], 0))
+            assert MorphismCtx(d1, d2, rs).values() == want, (n1, n0, m1, m0)
